@@ -18,7 +18,6 @@ modulus provably fits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -182,13 +181,12 @@ class VerificationReport:
     reason: str = ""
 
 
-def verify_characteristic(c: Characteristic, threads: int = 1) -> VerificationReport:
+def verify_characteristic(c: Characteristic) -> VerificationReport:
     """Exhaustively check g(sigma) = 0 <=> f(sigma) = 1 for every polynomial.
 
     Enumerates all 2^n assignments (guarded at n <= 24) and returns either
     a valid verdict or the first violating assignment — smallest assignment
-    index, ties broken by polynomial order.  Deterministic regardless of
-    thread count.
+    index, ties broken by polynomial order.
     """
     n = c.function.arity
     if n > ENUM_GUARD_BITS:
@@ -208,12 +206,7 @@ def verify_characteristic(c: Characteristic, threads: int = 1) -> VerificationRe
         bad = np.nonzero(is_zero != want_zero)[0]
         return int(bad[0]) if bad.size else None
 
-    if threads > 1 and len(c.polynomials) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            violations = list(pool.map(first_violation, c.polynomials))
-    else:
-        violations = [first_violation(p) for p in c.polynomials]
-
+    violations = [first_violation(p) for p in c.polynomials]
     hits = [(idx, j) for j, idx in enumerate(violations) if idx is not None]
     if not hits:
         return VerificationReport(valid=True, checked=1 << n)
@@ -280,11 +273,6 @@ class Decomposition:
     def bob_argument(self, sigma: Sequence[int], gamma: Sequence[int]) -> tuple[int, ...]:
         """Bob's evaluation point: his own bits, then the forwarded ones."""
         return tuple(gamma) + tuple(sigma[i - 1] for i in self.forwarded)
-
-    def eval_joint(self, sigma: Sequence[int], gamma: Sequence[int]) -> int:
-        u = self.g1.evaluate(sigma)
-        r = self.g2.evaluate(self.bob_argument(sigma, gamma))
-        return (u + r) % self.modulus
 
     def recombined(self) -> LinearPolynomial:
         """The joint polynomial over x_1..x_{n1}, y_1..y_{n2}."""
@@ -471,8 +459,6 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
         raise ValueError("both blocks need at least one variable")
     if m_a < 2 or m_b < 2 or math.gcd(m_a, m_b) != 1:
         raise ValueError("block moduli must be >= 2 and coprime")
-    if m_a == 2 and m_b == 2:  # unreachable (gcd), kept for clarity
-        raise ValueError("no second unit available")
     mod = m_a * m_b
     if m_a > 2:
         units = [(1, 1), (m_a - 1, 1)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -54,15 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("argv", message)
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("QHC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _instance_from_polys(
     polys: Sequence[LinearPolynomial], n1: int | None = None
 ) -> FunctionInstance:
@@ -77,27 +67,61 @@ def _instance_from_polys(
     return FunctionInstance(function=fn, characteristic=char, splits=splits)
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except OSError as e:
+        raise ConfigError(str(path), f"cannot read {what}: {e}")
+    except json.JSONDecodeError as e:
+        raise ConfigError(str(path), f"not valid JSON: {e}")
+
+
 def _load_polys(path: Path) -> list[LinearPolynomial]:
-    doc = json.loads(path.read_text())
+    doc = _read_json(path, "polynomial file")
     docs = doc if isinstance(doc, list) else [doc]
     if not docs:
         raise ConfigError(str(path), "empty polynomial file")
     return [LinearPolynomial.from_json(d) for d in docs]
 
 
-def _resolve_builtin(name: str, n: int | None, m: int | None) -> FunctionInstance:
-    name = name.upper()
+def _load_key_set(path: Path) -> KeySet:
+    doc = _read_json(path, "key file")
+    if not isinstance(doc, dict):
+        raise ConfigError(str(path), "key file must be a JSON object")
+    try:
+        return KeySet.from_json(doc)
+    except KeyError as e:
+        raise ConfigError(str(path), f"key set lacks {e}")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(path), f"bad key set: {e}")
+
+
+def _resolve_builtin(fdoc: dict) -> FunctionInstance:
+    """A builtin from its descriptor: {"name", "n", "m"}, or for CONJ
+    {"n_a", "n_b", "m_a", "m_b"}.  Shared by configs and ``verify``."""
+    name = str(fdoc.get("name", "")).upper()
     if name == "CONJ":
-        if n is None or n < 2:
-            raise ConfigError("function.n", "CONJ needs n >= 2 total bits")
-        return conjunction(n_a=n - n // 2, n_b=n // 2)
-    if name not in _BUILTINS:
+        if "n_a" not in fdoc or "n_b" not in fdoc:
+            raise ConfigError("function", "CONJ needs n_a and n_b")
+    elif name not in _BUILTINS:
         raise ConfigError(
-            "function.name", f"unknown builtin {name!r} (expected {', '.join(_BUILTINS)} or CONJ)"
+            "function.name",
+            f"unknown function {name!r} (expected {', '.join(_BUILTINS)} or CONJ)",
         )
-    if n is None:
-        raise ConfigError("function.n", f"{name} needs --n")
-    return builtin(name, n, m=m)
+    elif fdoc.get("n") is None:
+        raise ConfigError("function.n", f"{name} needs n")
+    try:
+        if name == "CONJ":
+            return conjunction(
+                n_a=int(fdoc["n_a"]),
+                n_b=int(fdoc["n_b"]),
+                m_a=int(fdoc.get("m_a", 3)),
+                m_b=int(fdoc.get("m_b", 4)),
+            )
+        m = fdoc.get("m")
+        return builtin(name, int(fdoc["n"]), m=None if m is None else int(m))
+    except (TypeError, ValueError) as e:
+        raise ConfigError("function", str(e))
 
 
 # ---------------------------------------------------------------- configs
@@ -136,29 +160,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             polys = _load_polys(base_dir / fdoc["poly_file"])
         instance = _instance_from_polys(polys)
     else:
-        name = str(fdoc.get("name", "")).upper()
-        if name == "CONJ":
-            try:
-                instance = conjunction(
-                    n_a=int(fdoc["n_a"]),
-                    n_b=int(fdoc["n_b"]),
-                    m_a=int(fdoc.get("m_a", 3)),
-                    m_b=int(fdoc.get("m_b", 4)),
-                )
-            except KeyError as e:
-                raise ConfigError("function", f"CONJ needs n_a and n_b (missing {e})")
-            except ValueError as e:
-                raise ConfigError("function", str(e))
-        elif name in _BUILTINS:
-            if "n" not in fdoc:
-                raise ConfigError("function.n", f"{name} needs n")
-            m = int(fdoc["m"]) if "m" in fdoc else None
-            try:
-                instance = builtin(name, int(fdoc["n"]), m=m)
-            except ValueError as e:
-                raise ConfigError("function", str(e))
-        else:
-            raise ConfigError("function.name", f"unknown function {name!r}")
+        instance = _resolve_builtin(fdoc)
 
     arity = instance.function.arity
     sdoc = doc.get("split", {})
@@ -167,7 +169,12 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     n1 = int(sdoc.get("n1", instance.n1))
     if not 0 <= n1 <= arity:
         raise ConfigError("split.n1", f"cut {n1} outside 0..{arity}")
-    forwarded = tuple(int(i) for i in sdoc.get("forwarded", ()))
+    forwarded = sdoc.get("forwarded", [])
+    if not isinstance(forwarded, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in forwarded
+    ):
+        raise ConfigError("split.forwarded", "forwarded must be a JSON list of integers")
+    forwarded = tuple(forwarded)
     for i in forwarded:
         if not 1 <= i <= n1:
             raise ConfigError("split.forwarded", f"index {i} outside Alice's 1..{n1}")
@@ -202,9 +209,12 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                 f"key modulus {modulus} smaller than polynomial modulus "
                 f"{instance.characteristic.modulus}",
             )
+        attempts = int(s.get("attempts", 10))
+        if attempts < 1:
+            raise ConfigError("keys.search.attempts", f"attempts must be >= 1, got {attempts}")
         key_search = {
             "seed": int(s.get("seed", 0)),
-            "attempts": int(s.get("attempts", 10)),
+            "attempts": attempts,
             "modulus": modulus,
             "trials": int(s.get("trials", 2000)),
         }
@@ -222,7 +232,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     if topology not in ("one-way", "smp"):
         raise ConfigError("topology", f"unknown topology {topology!r}")
     mode = doc.get("mode", "exact")
-    if mode not in ("exact", "sampled", "profile"):
+    if mode not in ("exact", "sampled"):
         raise ConfigError("mode", f"unknown mode {mode!r}")
 
     input_bits = None
@@ -255,7 +265,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
 def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:
     pairs = len(config.instance.characteristic.polynomials)
     if config.key_files is not None:
-        sets = [KeySet.from_json(json.loads(p.read_text())) for p in config.key_files]
+        sets = [_load_key_set(p) for p in config.key_files]
         if len(sets) == 1:
             sets = sets * pairs
         return sets
@@ -295,7 +305,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _resolve_builtin(args.function, args.n, args.m)
+    n = args.n  # CONJ splits its n total bits as n_a = n - n//2, n_b = n//2
+    halves = {} if n is None else {"n_a": n - n // 2, "n_b": n // 2}
+    instance = _resolve_builtin({"name": args.function, "n": n, "m": args.m, **halves})
     if args.poly:
         polys = _load_polys(Path(args.poly))
         char = Characteristic(
@@ -303,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         char = instance.characteristic
-    report = verify_characteristic(char, threads=_resolve_threads(args.threads))
+    report = verify_characteristic(char)
     name = instance.function.name
     if report.valid:
         print(
@@ -319,6 +331,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_search_keys(args: argparse.Namespace) -> int:
     if args.log2_n < 1 or args.log2_n > 256:
         raise ConfigError("log2-n", f"log2-n out of 1..256: {args.log2_n}")
+    if args.attempts < 1:
+        raise ConfigError("attempts", f"attempts must be >= 1, got {args.attempts}")
     key_set = search_key_set(
         1 << args.log2_n,
         args.delta,
@@ -338,13 +352,7 @@ def cmd_search_keys(args: argparse.Namespace) -> int:
 
 def _load_run_config(args: argparse.Namespace) -> ExperimentConfig:
     path = Path(args.config)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as e:
-        raise ConfigError(str(path), f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(str(path), f"not valid JSON: {e}")
-    config = parse_config(doc, path.parent)
+    config = parse_config(_read_json(path, "config"), path.parent)
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     if getattr(args, "out", None) is not None:
@@ -355,8 +363,6 @@ def _load_run_config(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     config = _load_run_config(args)
-    if config.mode == "profile":
-        raise ConfigError("mode", "mode 'profile' belongs to the profile subcommand")
     if config.input_bits is None:
         raise ConfigError("input", "run needs an input")
     spec = _build_spec(config)
@@ -387,7 +393,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     spec = _build_spec(config)
-    profile = error_profile(spec, threads=_resolve_threads(args.threads))
+    profile = error_profile(spec)
     lines = ["sigma,gamma,f,exact_accept"]
     lines += [f"{s},{g},{f},{a!r}" for s, g, f, a in profile.iter_rows()]
     Path(args.out).write_text("\n".join(lines) + "\n")
@@ -423,7 +429,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="size parameter (per side for EQ)")
     p.add_argument("--m", type=int, help="modulus for MOD / MODBIN")
     p.add_argument("--poly", help="JSON polynomial (or list) to check instead of the builtin one")
-    p.add_argument("--threads", type=int, help="worker threads (env QHC_THREADS)")
     p.set_defaults(runner=cmd_verify)
 
     p = sub.add_parser("search-keys", help="find a certified collision-resistant key set")
@@ -439,13 +444,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="override the config's sampling seed")
     p.add_argument("--out", help="report JSON destination (default stdout)")
-    p.add_argument("--threads", type=int, help="worker threads (env QHC_THREADS)")
     p.set_defaults(runner=cmd_run)
 
     p = sub.add_parser("profile", help="full-grid error profile to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="CSV destination")
-    p.add_argument("--threads", type=int, help="worker threads (env QHC_THREADS)")
     p.set_defaults(runner=cmd_profile)
     return parser
 

@@ -20,7 +20,6 @@ measurement statistics, never to establish bounds.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -314,7 +313,7 @@ def run_exact(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) ->
     """Closed-form acceptance probability on one input."""
     _check_input(spec, sigma, gamma)
     fidelities = [
-        bias(ks, (u - v) % ks.modulus)
+        float(bias(ks, [u - v])[0])
         for ks, (u, v) in zip(spec.key_sets, _hash_points(spec, sigma, gamma))
     ]
     return _report(spec, sigma, gamma, fidelities)
@@ -404,9 +403,13 @@ def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray
     return u, v
 
 
-def error_profile(spec: ProtocolSpec, threads: int = 1) -> ErrorProfile:
+def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     """Enumerate every (sigma, gamma), assert acceptance 1 on f = 1, and
     report the worst false accept (smallest attaining input) over f = 0.
+
+    Each pair's fidelities come from one :func:`qhash.bias` call over the
+    distinct differences of the grid, so every cell equals the
+    ``exact_accept`` that :func:`run_exact` reports for that input.
 
     Guarded at n1 + n2 <= 20; use sampled runs beyond that.
     """
@@ -432,28 +435,12 @@ def error_profile(spec: ProtocolSpec, threads: int = 1) -> ErrorProfile:
         bit = (np.arange(1 << n1) >> (n1 - i)) & 1
         pattern |= bit << (k - 1 - pos)
 
-    tables = [_value_tables(spec, j) for j in range(spec.l)]
-
-    def accept_rows(rows: slice) -> np.ndarray:
-        acc = np.ones((rows.stop - rows.start, 1 << n2))
-        for (u, v), ks in zip(tables, spec.key_sets):
-            diff = (u[rows, None] - v[pattern[rows], :]) % ks.modulus
-            uniq, inv = np.unique(diff, return_inverse=True)
-            keys = np.asarray(ks.keys, dtype=np.int64)
-            residues = (keys[:, None] * uniq[None, :]) % ks.modulus
-            biases = np.cos(2.0 * np.pi * (residues / ks.modulus)).mean(axis=0)
-            fid = biases[inv].reshape(diff.shape)
-            acc *= 0.5 * (1.0 + fid * fid)
-        return acc
-
-    rows = 1 << n1
-    if threads > 1 and rows >= 2 * threads:
-        bounds = np.linspace(0, rows, threads + 1, dtype=int)
-        chunks = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accept = np.vstack(list(pool.map(accept_rows, chunks)))
-    else:
-        accept = accept_rows(slice(0, rows))
+    accept = np.ones((1 << n1, 1 << n2))
+    for j, ks in enumerate(spec.key_sets):
+        u, v = _value_tables(spec, j)
+        uniq, inv = np.unique((u[:, None] - v[pattern, :]) % ks.modulus, return_inverse=True)
+        fid = bias(ks, uniq)[inv].reshape(accept.shape)
+        accept *= 0.5 * (1.0 + fid * fid)
 
     ones_bad = (truth == 1) & (accept < 1.0 - _ONE_SIDED_TOL)
     if ones_bad.any():

@@ -10,6 +10,11 @@ fidelity
 so delta-collision resistance is exactly: |bias(D)| < delta for every
 nonzero D mod N.  Everything here reduces k*v mod N in exact integer
 arithmetic before any float conversion; N may exceed 64 bits.
+
+:func:`bias` is the one direct kernel: every caller (inner products, runs,
+error-profile grids, Monte Carlo certification) gets bit-identical values
+for the same difference.  :func:`_exact_bias_sweep`, one FFT over all N
+differences, is the only full-spectrum route.
 """
 
 from __future__ import annotations
@@ -28,6 +33,13 @@ EXACT_SWEEP_GUARD = 1 << 21
 
 # k*D stays within int64 for vectorized residue arithmetic below this N.
 _VECTOR_SAFE_N = 1 << 31
+
+# Residues per block of the bias kernel (512 KiB of float64).
+_BIAS_BLOCK_CELLS = 1 << 16
+
+# FFT magnitudes this close to the maximum count as ties; rounding noise
+# (~1e-16 per bin) must not decide which of equal biases is reported.
+_SWEEP_TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,24 +126,39 @@ class KeySet:
         )
 
 
-def _residues(keys: Sequence[int], value: int, modulus: int) -> np.ndarray:
-    """(k * value) mod N per key, exact, returned as float ratios in [0, 1)."""
+def _residues(keys: Sequence[int], values: Sequence[int], modulus: int) -> np.ndarray:
+    """(k * v) mod N as float ratios in [0, 1), one row per reduced value v.
+    Exact: int64 products below N = 2^31, Python integers (row by row) above."""
     if modulus <= _VECTOR_SAFE_N:
         arr = np.asarray(keys, dtype=np.int64)
-        return ((arr * value) % modulus) / modulus
-    return np.array([(k * value) % modulus for k in keys], dtype=object).astype(
-        np.float64
-    ) / float(modulus)
+        return ((np.asarray(values, dtype=np.int64)[:, None] * arr) % modulus) / modulus
+    out = np.empty((len(values), len(keys)))
+    for row, v in zip(out, values):
+        row[:] = np.array([(k * v) % modulus for k in keys], dtype=object).astype(
+            np.float64
+        ) / float(modulus)
+    return out
 
 
-def bias(key_set: KeySet, difference: int) -> float:
-    """Fidelity between hashes of values differing by ``difference``.
+def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
+    """Fidelity between hashes of values differing by each difference.
 
-    The residue (k * difference) mod N is computed in exact integer
-    arithmetic; only the final ratio is converted to double.
+    Residues are exact integers until the final ratio.  Differences go in
+    blocks of about _BIAS_BLOCK_CELLS residues; each row's d cosines are
+    averaged in one order whatever the block, so a difference's bias does
+    not depend on the company it is computed in.
     """
-    ratios = _residues(key_set.keys, difference % key_set.modulus, key_set.modulus)
-    return float(np.cos(2.0 * np.pi * ratios).mean())
+    n = key_set.modulus
+    if n <= _VECTOR_SAFE_N:
+        diffs = np.asarray(differences, dtype=np.int64) % n
+    else:
+        diffs = [int(dd) % n for dd in differences]
+    out = np.empty(len(diffs))
+    step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
+    for start in range(0, len(diffs), step):
+        ratios = _residues(key_set.keys, diffs[start : start + step], n)
+        out[start : start + step] = np.cos(2.0 * np.pi * ratios).mean(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,8 +182,7 @@ def build_hash(key_set: KeySet, value: int) -> HashState:
     """
     if not 0 <= value < key_set.modulus:
         raise ValueError(f"value {value} not reduced into [0, {key_set.modulus})")
-    ratios = _residues(key_set.keys, value, key_set.modulus)
-    angles = 2.0 * np.pi * ratios
+    angles = 2.0 * np.pi * _residues(key_set.keys, [value], key_set.modulus)[0]
     amp = np.empty(2 * key_set.d)
     amp[0::2] = np.cos(angles)
     amp[1::2] = np.sin(angles)
@@ -173,7 +199,7 @@ def _require_same_keys(a: HashState, b: HashState) -> None:
 def inner_product(a: HashState, b: HashState) -> float:
     """<a|b> via the cosine average at the exact difference (u - v) mod N."""
     _require_same_keys(a, b)
-    return bias(a.key_set, (a.value - b.value) % a.key_set.modulus)
+    return float(bias(a.key_set, [a.value - b.value])[0])
 
 
 def amplitude_overlap(a: HashState, b: HashState) -> float:
@@ -240,15 +266,18 @@ def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int]:
 
     One FFT over the key indicator vector gives sum_k cos(2 pi k D / N) as
     the real spectrum; bias(N - D) = bias(D) folds the sweep to D <= N/2,
-    and the smaller mirror image is always the reported difference.
+    and the smaller mirror image is always the reported difference.  Among
+    differences tied with the maximum up to _SWEEP_TIE_TOLERANCE the
+    smallest is reported.
     """
     n = key_set.modulus
     x = np.zeros(n)
     x[np.fromiter(key_set.keys, dtype=np.int64, count=key_set.d)] = 1.0
     spectrum = np.fft.rfft(x).real[1:] / key_set.d
     magnitudes = np.abs(spectrum)
-    worst = int(np.argmax(magnitudes))
-    return float(magnitudes[worst]), worst + 1
+    top = float(magnitudes.max())
+    worst = int(np.argmax(magnitudes >= top - _SWEEP_TIE_TOLERANCE))
+    return top, worst + 1
 
 
 def verify_resistance(
@@ -288,10 +317,10 @@ def verify_resistance(
             chunk = min(remaining, 4096)
             remaining -= chunk
             diffs = sorted(rand_below(gen, n - 1) + 1 for _ in range(chunk))
-            for dd in diffs:
-                b = abs(bias(key_set, dd))
-                if b > max_bias:
-                    max_bias, worst = b, dd
+            magnitudes = np.abs(bias(key_set, diffs))
+            top = int(np.argmax(magnitudes))
+            if magnitudes[top] > max_bias:
+                max_bias, worst = float(magnitudes[top]), diffs[top]
         confidence = -math.expm1(trials * math.log1p(-1.0 / (n - 1)))
         meta = {"trials": trials, "confidence": confidence}
     else:
@@ -357,9 +386,11 @@ def search_key_set(
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     d = min(required_keys(modulus, delta), modulus)
     mode = "exact" if modulus <= EXACT_SWEEP_GUARD else "monte-carlo"
-    best: float | None = None
+    best = math.inf
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for child in root.spawn(max_attempts):
         gen = np.random.default_rng(child)
@@ -367,8 +398,7 @@ def search_key_set(
         report = verify_resistance(candidate, delta, mode=mode, trials=mc_trials, rng=gen)
         if report.certified:
             return report.key_set
-        if best is None or report.max_bias < best:
-            best = report.max_bias
+        best = min(best, report.max_bias)
     raise SearchError(
         f"no delta={delta} key set over N={modulus} in {max_attempts} attempts "
         f"(best max bias seen: {best:.6f})",

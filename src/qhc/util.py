@@ -13,7 +13,7 @@ Conventions (used everywhere, never locally overridden):
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,16 +57,6 @@ def bit_matrix(n: int) -> np.ndarray:
     idx = np.arange(1 << n, dtype=np.uint32)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-def iter_bit_chunks(bits: Sequence[int], sizes: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Split an assignment into consecutive chunks of the given sizes."""
-    pos = 0
-    for size in sizes:
-        yield tuple(bits[pos : pos + size])
-        pos += size
-    if pos != len(bits):
-        raise ValueError(f"chunk sizes sum to {pos}, assignment has {len(bits)} bits")
 
 
 def rand_below(rng: np.random.Generator, bound: int) -> int:

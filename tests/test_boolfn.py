@@ -192,13 +192,6 @@ def test_verify_guard_refuses_large_arity():
         verify_characteristic(Characteristic(function=big, polynomials=(poly,)))
 
 
-def test_verify_threaded_matches_sequential():
-    inst = conjunction(4, 4)
-    seq = verify_characteristic(inst.characteristic, threads=1)
-    par = verify_characteristic(inst.characteristic, threads=4)
-    assert seq == par
-
-
 # ---------------------------------------------------------- decomposition
 
 

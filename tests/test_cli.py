@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from qhc import ConfigError, KeySet, builtin
-from qhc.cli import _resolve_threads, main, parse_config
+from qhc.cli import main, parse_config
 
 
 def run_cli(*argv: str) -> int:
@@ -63,6 +63,16 @@ class TestVerify:
 
     def test_mod_without_modulus_exits_3(self):
         assert run_cli("verify", "--function", "MOD", "--n", "4") == 3
+
+    def test_bad_size_names_the_same_path_as_a_config(self, capsys):
+        assert run_cli("verify", "--function", "EQ", "--n", "0") == 3
+        assert "config error: function: EQ needs n >= 1" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="^function: EQ needs n >= 1"):
+            parse_config({"function": {"name": "EQ", "n": 0}}, Path("."))
+
+    def test_threads_flag_is_unknown(self, capsys):
+        assert run_cli("verify", "--function", "EQ", "--n", "2", "--threads", "2") == 3
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ search-keys
@@ -299,6 +309,9 @@ class TestParseConfig:
     def test_bad_mode(self):
         assert self.error_path(dict(EQ2_EXACT, mode="fast")).startswith("mode")
 
+    def test_profile_is_not_a_mode(self):
+        assert self.error_path(dict(EQ2_EXACT, mode="profile")) == "mode: unknown mode 'profile'"
+
     def test_input_needs_both_parties(self):
         assert self.error_path(dict(EQ2_EXACT, input={"alice": "01"})).startswith("input")
 
@@ -314,21 +327,40 @@ class TestParseConfig:
         assert self.error_path(doc).startswith("keys.files")
 
 
-# ----------------------------------------------------------------- plumbing
+# --------------------------------------------------------- malformed input
 
 
-class TestThreads:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("QHC_THREADS", "6")
-        assert _resolve_threads(2) == 2
+class TestMalformedInputExits3:
+    """Malformed files and fields exit 3 naming their file or JSON path,
+    never with a traceback or the counterexample code 1."""
 
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("QHC_THREADS", "3")
-        assert _resolve_threads(None) == 3
+    def assert_exit_3(self, capsys, argv, where):
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and where in err
+        assert "Traceback" not in err
 
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.delenv("QHC_THREADS", raising=False)
-        assert _resolve_threads(0) == 1
+    def test_key_file_holding_a_list(self, tmp_path, capsys):
+        keys = tmp_path / "keys.json"
+        keys.write_text("[1, 2]")
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, f"{keys}: key file must be a JSON object")
+
+    def test_zero_search_attempts_in_config(self, tmp_path, capsys):
+        config = dict(EQ2_EXACT, keys={"search": {"log2_n": 10, "seed": 7, "attempts": 0}})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, "keys.search.attempts: attempts must be >= 1")
+
+    def test_zero_search_attempts_flag(self, capsys):
+        argv = ("search-keys", "--log2-n", "6", "--delta", "0.3", "--seed", "0",
+                "--attempts", "0")
+        self.assert_exit_3(capsys, argv, "attempts: attempts must be >= 1")
+
+    def test_forwarded_as_a_string(self, tmp_path, capsys):
+        config = dict(EQ2_EXACT, split={"n1": 2, "forwarded": "12"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, "split.forwarded: forwarded must be a JSON list")
 
 
 def test_version_flag(capsys):

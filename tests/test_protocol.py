@@ -22,6 +22,7 @@ from qhc import (
     run_exact,
     run_sampled,
     run_smp,
+    search_key_set,
     verify_resistance,
 )
 from qhc.util import assignments, index_to_bits
@@ -285,12 +286,14 @@ class TestErrorProfile:
         i, j = (int(x) for x in hits[0])
         assert prof.attaining == (index_to_bits(i, 3), index_to_bits(j, 3))
 
-    def test_threading_changes_nothing(self, certified_n64):
-        spec = build_spec(builtin("EQ", 3), certified_n64)
-        lone = error_profile(spec, threads=1)
-        pooled = error_profile(spec, threads=3)
-        assert np.array_equal(lone.accept_grid, pooled.accept_grid)
-        assert lone.worst_false_accept == pooled.worst_false_accept
+    def test_every_cell_equals_run_exact_bitwise(self):
+        # The grid and the per-input run share one bias kernel, so the
+        # profile must reproduce run_exact's float exactly, not just closely.
+        spec = build_spec(builtin("EQ", 5), search_key_set(1 << 10, 0.3, seed=1))
+        prof = error_profile(spec)
+        for i, sigma in enumerate(assignments(5)):
+            for j, gamma in enumerate(assignments(5)):
+                assert prof.accept_grid[i, j] == run_exact(spec, sigma, gamma).exact_accept
 
     def test_forwarding_is_a_pure_refactoring_when_moduli_match(self):
         # With the key modulus equal to the polynomial modulus, moving a

@@ -102,6 +102,33 @@ class TestBuildHash:
 # ------------------------------------------------------------- fidelities
 
 
+class TestBiasKernel:
+    """bias() over many differences must match one-at-a-time calls bit for
+    bit, however the differences fall into the kernel's blocks."""
+
+    def test_batch_equals_single_calls_int64(self):
+        rng = np.random.default_rng(11)
+        n = 1 << 20
+        ks = KeySet(modulus=n, keys=tuple(sorted(rng.choice(n, size=3000, replace=False).tolist())))
+        diffs = [0, 1, n - 1, -5, n + 7] + rng.integers(0, n, size=300).tolist()
+        batch = bias(ks, diffs)
+        assert batch.dtype == np.float64 and batch.shape == (len(diffs),)
+        for got, dd in zip(batch, diffs):
+            assert got == bias(ks, [dd])[0]
+            assert abs(got - bias_direct(ks.keys, n, dd % n)) < 1e-12
+
+    def test_batch_equals_single_calls_bigint(self):
+        rng = np.random.default_rng(12)
+        n = 1 << 64
+        keys = tuple(sorted({int(k) << 2 | 3 for k in rng.integers(0, 1 << 62, size=1002)}))
+        ks = KeySet(modulus=n, keys=keys)
+        diffs = [0, 1, n - 1] + [int(k) for k in rng.integers(1, 1 << 63, size=150)]
+        batch = bias(ks, diffs)
+        for got, dd in zip(batch, diffs):
+            assert got == bias(ks, [dd])[0]
+            assert abs(got - bias_direct(keys, n, dd)) < 1e-12
+
+
 class TestInnerProduct:
     def test_identical_states(self):
         ks = KeySet(modulus=32, keys=(3, 7, 9))
@@ -286,7 +313,7 @@ class TestVerifyResistance:
     def test_certified_soundness_exhaustive(self, certified_n64):
         # |fidelity| < delta for every pair of distinct hashed values
         for diff in range(1, 64):
-            assert abs(bias(certified_n64, diff)) < certified_n64.delta
+            assert abs(bias(certified_n64, [diff])[0]) < certified_n64.delta
 
 
 # ---------------------------------------------------------------- search
@@ -321,6 +348,10 @@ class TestSearchKeySet:
         # d formula asks for 108 keys over N = 64; the searcher keeps Z_64
         ks = search_key_set(64, 0.3, seed=5)
         assert ks.d == 64 and ks.keys == tuple(range(64))
+
+    def test_needs_an_attempt(self):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            search_key_set(1 << 6, 0.3, seed=0, max_attempts=0)
 
     def test_all_attempts_refuted_raises(self, monkeypatch):
         def always_refuted(key_set, delta, mode="exact", trials=2000, rng=None):
