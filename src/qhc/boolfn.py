@@ -13,6 +13,10 @@ linear, and the protocol layer evaluates polynomials pointwise, so degree
 All arithmetic is exact over Python integers; moduli routinely exceed 64
 bits (PERM_n uses (n+1)^(2n)).  numpy fast paths are used only when the
 modulus provably fits.
+
+A Boolean function is one array ``rule`` over rows of a bit matrix (see
+:class:`BooleanFunction`).  Rules stay exact at any width and modulus:
+``run`` evaluates functions far past the table guard.
 """
 
 from __future__ import annotations
@@ -24,13 +28,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GuardError
-from .util import assignments, bit_matrix, bits_to_index, index_to_bits
+from .util import bit_matrix, index_to_bits, rand_below
 
 # Brute-force enumeration refuses above this many variables (16M rows).
 ENUM_GUARD_BITS = 24
 
 # numpy int64 is safe while sums of two canonical residues cannot overflow.
 _INT64_SAFE_MODULUS = 1 << 62
+
+# Truth tables evaluate their rule on blocks of this many bit-matrix rows.
+_TABLE_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,12 @@ class LinearPolynomial:
                 total += c
         return total % self.modulus
 
-    def table(self) -> np.ndarray | list[int]:
+    def table(self) -> np.ndarray:
         """Values on all 2^n assignments in index order (x_1 is the MSB).
 
-        Returns an int64 array when the modulus fits, else a Python list
-        of exact ints.  Built by doubling: appending variable x_i offsets
-        the existing block by coeffs[i-1].
+        The array is int64 when the modulus fits, else of dtype object
+        holding exact Python ints.  Built by doubling: appending variable
+        x_i offsets the existing block by coeffs[i-1].
         """
         n = self.arity
         if n > ENUM_GUARD_BITS:
@@ -80,18 +87,13 @@ class LinearPolynomial:
                 f"refusing to tabulate {n} variables (guard: {ENUM_GUARD_BITS})"
             )
         m = self.modulus
-        if m <= _INT64_SAFE_MODULUS:
-            out = np.empty(1 << n, dtype=np.int64)
-            out[0] = self.constant
-            size = 1
-            for c in reversed(self.coeffs):
-                np.mod(out[:size] + c, m, out=out[size : 2 * size])
-                size *= 2
-            return out
-        out_list: list[int] = [self.constant]
+        out = np.empty(1 << n, dtype=np.int64 if m <= _INT64_SAFE_MODULUS else object)
+        out[0] = self.constant
+        size = 1
         for c in reversed(self.coeffs):
-            out_list += [(v + c) % m for v in out_list]
-        return out_list
+            np.mod(out[:size] + c, m, out=out[size : 2 * size])
+            size *= 2
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -102,6 +104,8 @@ class LinearPolynomial:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LinearPolynomial":
+        if not isinstance(doc["coeffs"], list):
+            raise ValueError("coeffs must be a JSON list")
         return cls(
             modulus=int(doc["modulus"]),
             coeffs=tuple(int(c) for c in doc["coeffs"]),
@@ -111,35 +115,32 @@ class LinearPolynomial:
 
 @dataclass(frozen=True)
 class BooleanFunction:
-    """A total function {0,1}^n -> {0,1} with a printable name."""
+    """A total function {0,1}^n -> {0,1} with a printable name.
+
+    ``rule`` maps a (rows, n) uint8 0/1 matrix, one assignment per row with
+    x_1 in column 0, to one bool per row.  Pointwise calls pass one row;
+    truth tables pass blocks of :func:`qhc.util.bit_matrix` rows.
+    """
 
     name: str
     arity: int
-    rule: Callable[[Sequence[int]], int] = field(compare=False, repr=False)
+    rule: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
     def __call__(self, bits: Sequence[int]) -> int:
         if len(bits) != self.arity:
             raise ValueError(f"{self.name} takes {self.arity} bits, got {len(bits)}")
-        return 1 if self.rule(bits) else 0
+        return int(self.rule(np.array(bits, dtype=np.uint8).reshape(1, self.arity))[0])
 
     def truth_table(self) -> np.ndarray:
         """uint8 vector of length 2^n in index order."""
-        if self.arity > ENUM_GUARD_BITS:
-            raise GuardError(
-                f"refusing to tabulate {self.arity} variables (guard: {ENUM_GUARD_BITS})"
-            )
-        return np.fromiter(
-            (1 if self.rule(a) else 0 for a in assignments(self.arity)),
-            dtype=np.uint8,
-            count=1 << self.arity,
-        )
-
-    @classmethod
-    def from_table(cls, name: str, arity: int, table: Sequence[int]) -> "BooleanFunction":
-        if len(table) != 1 << arity:
-            raise ValueError(f"table length {len(table)} != 2^{arity}")
-        frozen = tuple(1 if v else 0 for v in table)
-        return cls(name, arity, lambda bits: frozen[bits_to_index(bits)])
+        n = self.arity
+        if n > ENUM_GUARD_BITS:
+            raise GuardError(f"refusing to tabulate {n} variables (guard: {ENUM_GUARD_BITS})")
+        out = np.empty(1 << n, dtype=np.uint8)
+        for start in range(0, 1 << n, _TABLE_BLOCK_ROWS):
+            stop = min(start + _TABLE_BLOCK_ROWS, 1 << n)
+            out[start:stop] = self.rule(bit_matrix(n, start, stop))
+        return out
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,7 @@ def verify_characteristic(c: Characteristic) -> VerificationReport:
     want_zero = truth == 1
 
     def first_violation(poly: LinearPolynomial) -> int | None:
-        values = poly.table()
-        if isinstance(values, np.ndarray):
-            is_zero = values == 0
-        else:
-            is_zero = np.fromiter((v == 0 for v in values), dtype=bool, count=len(values))
-        bad = np.nonzero(is_zero != want_zero)[0]
+        bad = np.nonzero((poly.table() == 0) != want_zero)[0]
         return int(bad[0]) if bad.size else None
 
     violations = [first_violation(p) for p in c.polynomials]
@@ -334,9 +330,17 @@ class FunctionInstance:
         return self.splits[0].n2
 
 
-def _bit_value(bits: Sequence[int]) -> int:
-    """Numeric value of a bit block with x_1 as the least significant bit."""
-    return sum(b << i for i, b in enumerate(bits))
+def _binary_value(b: np.ndarray) -> np.ndarray:
+    """Bit-matrix rows as binary numbers, column 0 least significant:
+    int64 up to 62 columns, exact Python ints beyond."""
+    weights = [1 << i for i in range(b.shape[1])]
+    return b @ np.array(weights, dtype=np.int64 if len(weights) <= 62 else object)
+
+
+def _divisible(values: np.ndarray, m: int) -> np.ndarray:
+    """values % m == 0 for values >= 0, exact for every m: numpy cannot
+    reduce int64 by m >= 2^63, but such an m exceeds every int64 value."""
+    return values % m == 0 if values.dtype == object or m < 1 << 63 else values == 0
 
 
 def _make_instance(
@@ -377,9 +381,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         mod = 1 << n
         coeffs = tuple(1 << i for i in range(n)) + tuple(-(1 << i) for i in range(n))
         poly = LinearPolynomial(modulus=mod, coeffs=coeffs)
-        fn = BooleanFunction(
-            f"EQ_{n}", 2 * n, lambda bits: tuple(bits[:n]) == tuple(bits[n:])
-        )
+        fn = BooleanFunction(f"EQ_{n}", 2 * n, lambda b: (b[:, :n] == b[:, n:]).all(1))
         return _make_instance(fn, [poly], n if n1 is None else n1)
 
     if name == "MOD":
@@ -388,7 +390,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         if n < 1:
             raise ValueError("MOD needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=(1,) * n)
-        fn = BooleanFunction(f"MOD_{m}", n, lambda bits: sum(bits) % m == 0)
+        fn = BooleanFunction(f"MOD_{m}", n, lambda b: _divisible(b.sum(1, dtype=np.int64), m))
         return _make_instance(fn, [poly], n // 2 if n1 is None else n1)
 
     if name == "MODBIN":
@@ -397,7 +399,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         if n < 1:
             raise ValueError("MODBIN needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=tuple((1 << i) % m for i in range(n)))
-        fn = BooleanFunction(f"MODBIN_{m}", n, lambda bits: _bit_value(bits) % m == 0)
+        fn = BooleanFunction(f"MODBIN_{m}", n, lambda b: _divisible(_binary_value(b), m))
         return _make_instance(fn, [poly], n // 2 if n1 is None else n1)
 
     if name == "PALINDROME":
@@ -412,11 +414,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         for i in range((n + 1) // 2, n + 1):
             coeffs[i - 1] -= 1 << (n - i)
         poly = LinearPolynomial(modulus=mod, coeffs=tuple(coeffs))
-        fn = BooleanFunction(
-            f"PALINDROME_{n}",
-            n,
-            lambda bits: all(bits[i] == bits[n - 1 - i] for i in range(n // 2)),
-        )
+        fn = BooleanFunction(f"PALINDROME_{n}", n, lambda b: (b == b[:, ::-1]).all(1))
         return _make_instance(fn, [poly], (n + 1) // 2 if n1 is None else n1)
 
     if name == "PERM":
@@ -434,10 +432,10 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         constant = -sum(base ** (t - 1) for t in range(1, 2 * n + 1))
         poly = LinearPolynomial(modulus=mod, coeffs=coeffs, constant=constant)
 
-        def is_perm(bits: Sequence[int], n: int = n) -> bool:
-            rows = [sum(bits[i * n + j] for j in range(n)) for i in range(n)]
-            cols = [sum(bits[i * n + j] for i in range(n)) for j in range(n)]
-            return all(s == 1 for s in rows) and all(s == 1 for s in cols)
+        def is_perm(b: np.ndarray) -> np.ndarray:
+            matrices = b.reshape(-1, n, n)
+            rows_ok = (matrices.sum(2) == 1).all(1)
+            return rows_ok & (matrices.sum(1) == 1).all(1)
 
         fn = BooleanFunction(f"PERM_{n}", n * n, is_perm)
         return _make_instance(fn, [poly], n * n // 2 if n1 is None else n1)
@@ -475,7 +473,8 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
     fn = BooleanFunction(
         f"MOD_{m_a}&MODBIN_{m_b}",
         n_a + n_b,
-        lambda bits: sum(bits[:n_a]) % m_a == 0 and _bit_value(bits[n_a:]) % m_b == 0,
+        lambda b: _divisible(b[:, :n_a].sum(1, dtype=np.int64), m_a)
+        & _divisible(_binary_value(b[:, n_a:]), m_b),
     )
     return _make_instance(fn, polys, n_a)
 
@@ -523,16 +522,10 @@ def characteristic_from_table(
         return None
 
     # Arbitrary-precision fallback: draw and check one candidate at a time.
-    from .util import rand_below
-
-    table_indices = list(assignments(n))
     for _ in range(attempts):
         coeffs = tuple(rand_below(gen, modulus) for _ in range(n))
         constant = rand_below(gen, modulus)
         poly = LinearPolynomial(modulus=modulus, coeffs=coeffs, constant=constant)
-        if all(
-            (poly.evaluate(a) == 0) == bool(w)
-            for a, w in zip(table_indices, want_zero)
-        ):
+        if np.array_equal(poly.table() == 0, want_zero):
             return Characteristic(function=function, polynomials=(poly,))
     return None

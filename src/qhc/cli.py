@@ -56,11 +56,14 @@ class _Parser(argparse.ArgumentParser):
 def _instance_from_polys(
     polys: Sequence[LinearPolynomial], n1: int | None = None
 ) -> FunctionInstance:
-    """Treat a polynomial set as its own function: f = 1 iff all vanish."""
+    """Treat a polynomial set as its own function: f = 1 iff all vanish.
+    The rule evaluates row by row, so it works past the table guard."""
     arity = polys[0].arity
-    fn = BooleanFunction(
-        "POLY", arity, lambda bits: all(p.evaluate(bits) == 0 for p in polys)
-    )
+
+    def all_vanish(b: np.ndarray) -> np.ndarray:
+        return np.array([all(p.evaluate(r) == 0 for p in polys) for r in b.tolist()], dtype=bool)
+
+    fn = BooleanFunction("POLY", arity, all_vanish)
     char = Characteristic(function=fn, polynomials=tuple(polys))
     cut = arity // 2 if n1 is None else n1
     splits = tuple(split_polynomial(p, cut) for p in polys)
@@ -76,12 +79,23 @@ def _read_json(path: Path, what: str):
         raise ConfigError(str(path), f"not valid JSON: {e}")
 
 
+def _poly_from_json(doc, where: str) -> LinearPolynomial:
+    if not isinstance(doc, dict):
+        raise ConfigError(where, "a polynomial must be a JSON object")
+    try:
+        return LinearPolynomial.from_json(doc)
+    except KeyError as e:
+        raise ConfigError(where, f"polynomial lacks {e}")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(where, f"bad polynomial: {e}")
+
+
 def _load_polys(path: Path) -> list[LinearPolynomial]:
     doc = _read_json(path, "polynomial file")
     docs = doc if isinstance(doc, list) else [doc]
     if not docs:
         raise ConfigError(str(path), "empty polynomial file")
-    return [LinearPolynomial.from_json(d) for d in docs]
+    return [_poly_from_json(d, str(path)) for d in docs]
 
 
 def _load_key_set(path: Path) -> KeySet:
@@ -96,6 +110,30 @@ def _load_key_set(path: Path) -> KeySet:
         raise ConfigError(str(path), f"bad key set: {e}")
 
 
+def _json_int(doc: dict, key: str, path: str, default: int | None = None) -> int | None:
+    """``doc[key]`` as a JSON integer (bools, floats and strings are refused),
+    or ``default`` when the key is absent."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(path, f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _check_log2_n(log2_n: int, path: str) -> int:
+    """The key-modulus width bound shared by configs and ``search-keys``."""
+    if not 1 <= log2_n <= 256:
+        raise ConfigError(path, f"log2_n out of 1..256: {log2_n}")
+    return log2_n
+
+
+def _check_positive(value: int, path: str) -> int:
+    if value < 1:
+        raise ConfigError(path, f"{path.rsplit('.', 1)[-1]} must be >= 1, got {value}")
+    return value
+
+
 def _resolve_builtin(fdoc: dict) -> FunctionInstance:
     """A builtin from its descriptor: {"name", "n", "m"}, or for CONJ
     {"n_a", "n_b", "m_a", "m_b"}.  Shared by configs and ``verify``."""
@@ -103,6 +141,7 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
     if name == "CONJ":
         if "n_a" not in fdoc or "n_b" not in fdoc:
             raise ConfigError("function", "CONJ needs n_a and n_b")
+        fields = {"n_a": None, "n_b": None, "m_a": 3, "m_b": 4}
     elif name not in _BUILTINS:
         raise ConfigError(
             "function.name",
@@ -110,17 +149,12 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
         )
     elif fdoc.get("n") is None:
         raise ConfigError("function.n", f"{name} needs n")
+    else:
+        fields = {"n": None, "m": None}
+    sizes = {k: _json_int(fdoc, k, f"function.{k}", d) for k, d in fields.items()}
     try:
-        if name == "CONJ":
-            return conjunction(
-                n_a=int(fdoc["n_a"]),
-                n_b=int(fdoc["n_b"]),
-                m_a=int(fdoc.get("m_a", 3)),
-                m_b=int(fdoc.get("m_b", 4)),
-            )
-        m = fdoc.get("m")
-        return builtin(name, int(fdoc["n"]), m=None if m is None else int(m))
-    except (TypeError, ValueError) as e:
+        return conjunction(**sizes) if name == "CONJ" else builtin(name, **sizes)
+    except ValueError as e:
         raise ConfigError("function", str(e))
 
 
@@ -155,9 +189,11 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         raise ConfigError("function", "missing function descriptor")
     if "poly" in fdoc or "poly_file" in fdoc:
         if "poly" in fdoc:
-            polys = [LinearPolynomial.from_json(fdoc["poly"])]
-        else:
+            polys = [_poly_from_json(fdoc["poly"], "function.poly")]
+        elif isinstance(fdoc["poly_file"], str):
             polys = _load_polys(base_dir / fdoc["poly_file"])
+        else:
+            raise ConfigError("function.poly_file", "poly_file must be a file name")
         instance = _instance_from_polys(polys)
     else:
         instance = _resolve_builtin(fdoc)
@@ -166,7 +202,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     sdoc = doc.get("split", {})
     if not isinstance(sdoc, dict):
         raise ConfigError("split", "split must be an object")
-    n1 = int(sdoc.get("n1", instance.n1))
+    n1 = _json_int(sdoc, "n1", "split.n1", instance.n1)
     if not 0 <= n1 <= arity:
         raise ConfigError("split.n1", f"cut {n1} outside 0..{arity}")
     forwarded = sdoc.get("forwarded", [])
@@ -183,6 +219,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
 
     delta = doc.get("delta")
     if delta is not None:
+        if not isinstance(delta, (int, float)) or isinstance(delta, bool):
+            raise ConfigError("delta", f"delta must be a JSON number, got {json.dumps(delta)}")
         delta = float(delta)
         if not 0.0 < delta < 1.0:
             raise ConfigError("delta", f"delta out of (0,1): {delta}")
@@ -196,27 +234,31 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     key_files = None
     if "search" in kdoc:
         s = kdoc["search"]
+        if not isinstance(s, dict):
+            raise ConfigError("keys.search", "search must be a JSON object")
         if delta is None:
             raise ConfigError("delta", "key search needs a delta in (0,1)")
         modulus = instance.characteristic.modulus
         if "log2_n" in s:
-            modulus = 1 << int(s["log2_n"])
+            log2_n = _json_int(s, "log2_n", "keys.search.log2_n")
+            modulus = 1 << _check_log2_n(log2_n, "keys.search.log2_n")
         elif "N" in s:
-            modulus = int(s["N"])
+            modulus = _json_int(s, "N", "keys.search.N")
         if modulus < instance.characteristic.modulus:
             raise ConfigError(
                 "keys.search",
                 f"key modulus {modulus} smaller than polynomial modulus "
                 f"{instance.characteristic.modulus}",
             )
-        attempts = int(s.get("attempts", 10))
-        if attempts < 1:
-            raise ConfigError("keys.search.attempts", f"attempts must be >= 1, got {attempts}")
         key_search = {
-            "seed": int(s.get("seed", 0)),
-            "attempts": attempts,
+            "seed": _json_int(s, "seed", "keys.search.seed", 0),
+            "attempts": _check_positive(
+                _json_int(s, "attempts", "keys.search.attempts", 10), "keys.search.attempts"
+            ),
             "modulus": modulus,
-            "trials": int(s.get("trials", 2000)),
+            "trials": _check_positive(
+                _json_int(s, "trials", "keys.search.trials", 2000), "keys.search.trials"
+            ),
         }
     else:
         names = kdoc["files"] if "files" in kdoc else [kdoc["file"]]
@@ -238,12 +280,18 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     input_bits = None
     idoc = doc.get("input")
     if idoc is not None:
-        if not isinstance(idoc, dict) or "alice" not in idoc or "bob" not in idoc:
+        if not isinstance(idoc, dict) or not all(
+            isinstance(idoc.get(party), str) for party in ("alice", "bob")
+        ):
             raise ConfigError("input", "input needs alice and bob bit strings")
         try:
-            input_bits = (parse_bits(str(idoc["alice"])), parse_bits(str(idoc["bob"])))
+            input_bits = (parse_bits(idoc["alice"]), parse_bits(idoc["bob"]))
         except ValueError as e:
             raise ConfigError("input", str(e))
+
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("out", "out must be a file name")
 
     return ExperimentConfig(
         raw=doc,
@@ -255,10 +303,10 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         delta=delta,
         key_search=key_search,
         key_files=key_files,
-        trials=int(doc.get("trials", 1)),
-        seed=int(doc["seed"]) if "seed" in doc else None,
+        trials=_json_int(doc, "trials", "trials", 1),
+        seed=_json_int(doc, "seed", "seed"),
         input_bits=input_bits,
-        out=doc.get("out"),
+        out=out,
     )
 
 
@@ -307,7 +355,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n  # CONJ splits its n total bits as n_a = n - n//2, n_b = n//2
     halves = {} if n is None else {"n_a": n - n // 2, "n_b": n // 2}
-    instance = _resolve_builtin({"name": args.function, "n": n, "m": args.m, **halves})
+    fdoc = {"name": args.function, "n": n, "m": args.m, **halves}
+    instance = _resolve_builtin({k: v for k, v in fdoc.items() if v is not None})
     if args.poly:
         polys = _load_polys(Path(args.poly))
         char = Characteristic(
@@ -329,10 +378,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search_keys(args: argparse.Namespace) -> int:
-    if args.log2_n < 1 or args.log2_n > 256:
-        raise ConfigError("log2-n", f"log2-n out of 1..256: {args.log2_n}")
-    if args.attempts < 1:
-        raise ConfigError("attempts", f"attempts must be >= 1, got {args.attempts}")
+    _check_log2_n(args.log2_n, "log2-n")
+    _check_positive(args.attempts, "attempts")
+    _check_positive(args.trials, "trials")
     key_set = search_key_set(
         1 << args.log2_n,
         args.delta,

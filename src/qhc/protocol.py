@@ -396,10 +396,7 @@ def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray
     s = spec.splits[pair]
     m = s.modulus
     u = s.g1.table()
-    u = u if isinstance(u, np.ndarray) else np.array(u, dtype=np.int64)
-    t2 = s.g2.table()
-    t2 = t2 if isinstance(t2, np.ndarray) else np.array(t2, dtype=np.int64)
-    v = (-t2.reshape(1 << s.n2, 1 << s.k).T) % m
+    v = (-s.g2.table().reshape(1 << s.n2, 1 << s.k).T) % m
     return u, v
 
 

@@ -118,11 +118,16 @@ class KeySet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "KeySet":
+        if not isinstance(doc["keys"], list):
+            raise ValueError("keys must be a JSON list")
+        certification = doc.get("certification", {})
+        if not isinstance(certification, dict):
+            raise ValueError("certification must be a JSON object")
         return cls(
             modulus=int(doc["N"]),
             keys=tuple(int(k) for k in doc["keys"]),
             delta=doc.get("delta"),
-            certification=Certification.from_json(doc.get("certification", {})),
+            certification=Certification.from_json(certification),
         )
 
 
@@ -295,10 +300,13 @@ def verify_resistance(
     exactly, so a refutation is genuine, while a pass certifies only with
     ``confidence`` = the chance that a single worst difference would have
     been drawn.  The returned report carries the key set re-annotated with
-    the verdict.
+    the verdict.  ``trials`` must be at least 1: with no trial, no
+    difference is checked.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta out of (0,1): {delta}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n = key_set.modulus
 
     if mode == "exact":

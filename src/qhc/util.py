@@ -5,15 +5,15 @@ Conventions (used everywhere, never locally overridden):
 * An *assignment* is a tuple of ints in {0, 1} of length ``n``; position 0
   holds x_1.
 * The *index* of an assignment is the integer whose most significant bit
-  is x_1, i.e. ``assignments(n)`` enumerates indices 0, 1, ..., 2**n - 1
-  in order (this is itertools.product((0, 1), repeat=n)).
+  is x_1, so index order is itertools.product((0, 1), repeat=n) order.
+* A *bit matrix* holds one assignment per row (uint8, x_1 in column 0);
+  ``bit_matrix`` builds the rows of a range of indices.
 * Bit *strings* are written the same way: "01" means x_1=0, x_2=1.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +30,6 @@ def format_bits(bits: Sequence[int]) -> str:
     return "".join(str(b) for b in bits)
 
 
-def assignments(n: int) -> Iterator[tuple[int, ...]]:
-    """All assignments of n bits, in index order (x_1 is the MSB)."""
-    return product((0, 1), repeat=n)
-
-
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     """Inverse of the index convention: bit i is x_{i+1}."""
     if not 0 <= index < 1 << n:
@@ -42,19 +37,12 @@ def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def bits_to_index(bits: Sequence[int]) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
+def bit_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """(stop - start, n) uint8 array; row r is index_to_bits(start + r, n).
 
-
-def bit_matrix(n: int) -> np.ndarray:
-    """(2**n, n) uint8 array; row i is index_to_bits(i, n).
-
-    Used for vectorized truth-table evaluation. Guarded by callers
-    (n <= 24 keeps this under 512 MiB)."""
-    idx = np.arange(1 << n, dtype=np.uint32)
+    The rows default to all 2**n indices.  Guarded by callers (n <= 24
+    keeps the full matrix under 512 MiB); truth tables take it in blocks."""
+    idx = np.arange(start, 1 << n if stop is None else stop, dtype=np.uint32)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 

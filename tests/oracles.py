@@ -26,6 +26,40 @@ def poly_table_direct(modulus: int, coeffs, constant: int) -> list[int]:
     ]
 
 
+def eq_direct(bits) -> bool:
+    """EQ: the first half of the bits equals the second half."""
+    half = len(bits) // 2
+    return list(bits[:half]) == list(bits[half:])
+
+
+def mod_direct(bits, m: int) -> bool:
+    """MOD_m: the number of ones is divisible by m."""
+    return sum(bits) % m == 0
+
+
+def modbin_direct(bits, m: int) -> bool:
+    """MODBIN_m: the bits, read as a binary number with x_1 least
+    significant, give a multiple of m."""
+    return int("".join(str(b) for b in reversed(bits)), 2) % m == 0
+
+
+def palindrome_direct(bits) -> bool:
+    """PALINDROME: the bits read the same backwards."""
+    return list(bits) == list(reversed(bits))
+
+
+def perm_direct(bits, n: int) -> bool:
+    """PERM_n: the row-major n x n 0/1 matrix has one 1 in every row and
+    every column."""
+    rows = [list(bits[i * n : (i + 1) * n]) for i in range(n)]
+    return all(sum(r) == 1 for r in rows) and all(sum(c) == 1 for c in zip(*rows))
+
+
+def conj_direct(bits, n_a: int, m_a: int, m_b: int) -> bool:
+    """MOD_{m_a} on the first n_a bits AND MODBIN_{m_b} on the rest."""
+    return mod_direct(bits[:n_a], m_a) and modbin_direct(bits[n_a:], m_b)
+
+
 def bias_direct(keys, modulus: int, difference: int) -> float:
     """Cosine-average fidelity via a bare math.cos loop."""
     total = 0.0

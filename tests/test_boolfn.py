@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,21 @@ from qhc import (
     split_polynomial,
     verify_characteristic,
 )
-from qhc.util import assignments, index_to_bits
+from qhc.util import index_to_bits
 
-from oracles import poly_eval_direct, poly_table_direct
+from oracles import (
+    conj_direct,
+    eq_direct,
+    mod_direct,
+    modbin_direct,
+    palindrome_direct,
+    perm_direct,
+    poly_eval_direct,
+    poly_table_direct,
+)
+
+# The modulus that pushes polynomial tables past int64 in the benchmark.
+BIG_M = (1 << 64) + 13
 
 
 # ----------------------------------------------------------- polynomials
@@ -74,6 +88,15 @@ class TestLinearPolynomial:
         m = (1 << 80) + 1
         p = LinearPolynomial(modulus=m, coeffs=(1 << 79, (1 << 80) - 3), constant=m - 1)
         assert list(p.table()) == poly_table_direct(m, p.coeffs, p.constant)
+
+    def test_table_past_int64_is_an_array_of_python_ints(self):
+        p = LinearPolynomial(
+            modulus=BIG_M, coeffs=(BIG_M - 1, 1 << 63, BIG_M - 7, 5, 1 << 40), constant=BIG_M - 2
+        )
+        table = p.table()
+        assert isinstance(table, np.ndarray)
+        assert all(type(v) is int for v in table)
+        assert table.tolist() == poly_table_direct(p.modulus, p.coeffs, p.constant)
 
     def test_json_round_trip(self):
         p = builtin("PERM", 3).characteristic.polynomials[0]
@@ -142,6 +165,59 @@ def test_builtin_rejects_modulus_override():
         builtin("EQ", 4, m=7)
 
 
+# ------------------------------------------------- rules against oracles
+
+
+FAMILY_ORACLES = [
+    (builtin("EQ", 1), eq_direct),
+    (builtin("EQ", 4), eq_direct),
+    (builtin("MOD", 7, m=3), lambda bits: mod_direct(bits, 3)),
+    (builtin("MOD", 6, m=BIG_M), lambda bits: mod_direct(bits, BIG_M)),
+    (builtin("MODBIN", 8, m=5), lambda bits: modbin_direct(bits, 5)),
+    (builtin("MODBIN", 7, m=BIG_M), lambda bits: modbin_direct(bits, BIG_M)),
+    (builtin("PALINDROME", 6), palindrome_direct),
+    (builtin("PALINDROME", 7), palindrome_direct),
+    (builtin("PERM", 2), lambda bits: perm_direct(bits, 2)),
+    (builtin("PERM", 3), lambda bits: perm_direct(bits, 3)),
+    (conjunction(3, 4), lambda bits: conj_direct(bits, 3, 3, 4)),
+    (conjunction(2, 5, m_a=5, m_b=3), lambda bits: conj_direct(bits, 2, 5, 3)),
+    (conjunction(4, 3, m_a=2, m_b=9), lambda bits: conj_direct(bits, 4, 2, 9)),
+]
+
+
+@pytest.mark.parametrize(
+    "instance,oracle", FAMILY_ORACLES, ids=[i.function.name for i, _ in FAMILY_ORACLES]
+)
+def test_rule_matches_oracle_on_every_input(instance, oracle):
+    fn = instance.function
+    want = [int(oracle(bits)) for bits in product((0, 1), repeat=fn.arity)]
+    assert fn.truth_table().tolist() == want
+    assert [fn(bits) for bits in product((0, 1), repeat=fn.arity)] == want
+
+
+@pytest.mark.parametrize("m", [5, BIG_M])
+def test_wide_modbin_is_exact_pointwise(m):
+    # 70 bits overflow int64; multiples of m make both outcomes appear.
+    rng = np.random.default_rng(70)
+    fn = builtin("MODBIN", 70, m=m).function
+    inputs = [tuple(int(b) for b in rng.integers(0, 2, size=70)) for _ in range(100)]
+    for _ in range(100):
+        value = m * (int(rng.integers(0, 1 << 62)) % ((1 << 70) // m))
+        inputs.append(tuple((value >> i) & 1 for i in range(70)))
+    got = [fn(bits) for bits in inputs]
+    assert got == [int(modbin_direct(bits, m)) for bits in inputs]
+    assert 0 < sum(got) < len(inputs)
+
+
+def test_wide_conjunction_is_exact_pointwise():
+    rng = np.random.default_rng(72)
+    fn = conjunction(2, 70).function
+    inputs = [tuple(int(b) for b in rng.integers(0, 2, size=72)) for _ in range(400)]
+    got = [fn(bits) for bits in inputs]
+    assert got == [int(conj_direct(bits, 2, 3, 4)) for bits in inputs]
+    assert 0 < sum(got) < len(inputs)
+
+
 # ----------------------------------------------------------- verification
 
 
@@ -179,14 +255,14 @@ def test_mismatched_pair_returns_first_violation():
     # where the zero pattern and the truth table split
     idx = next(
         i
-        for i, bits in enumerate(assignments(4))
+        for i, bits in enumerate(product((0, 1), repeat=4))
         if (eq_poly.evaluate(bits) == 0) != (mod2(bits) == 1)
     )
     assert report.counterexample == index_to_bits(idx, 4)
 
 
 def test_verify_guard_refuses_large_arity():
-    big = BooleanFunction("BIG", 25, lambda bits: True)
+    big = BooleanFunction("BIG", 25, lambda b: np.ones(len(b), dtype=bool))
     poly = LinearPolynomial(modulus=2, coeffs=(0,) * 25)
     with pytest.raises(GuardError, match="n <= 24"):
         verify_characteristic(Characteristic(function=big, polynomials=(poly,)))
@@ -215,7 +291,7 @@ def test_split_recombine_round_trip(m, n, data):
 def test_split_eval_identity_exhaustive():
     poly = builtin("MODBIN", 6, m=5).characteristic.polynomials[0]
     deco = split_polynomial(poly, 4, forwarded=(2, 4))
-    for bits in assignments(6):
+    for bits in product((0, 1), repeat=6):
         sigma, gamma = bits[:4], bits[4:]
         u = deco.g1.evaluate(sigma)
         r = deco.g2.evaluate(deco.bob_argument(sigma, gamma))
@@ -283,12 +359,12 @@ def test_characteristic_from_table_finds_eq2_over_z16():
 def test_characteristic_from_table_or_has_no_linear_form():
     # OR forces c1 = c2 = -c0 and then c0 = 0, contradicting g(00) != 0,
     # over every ring — the honest answer is None
-    or2 = BooleanFunction("OR_2", 2, lambda bits: bits[0] or bits[1])
+    or2 = BooleanFunction("OR_2", 2, lambda b: (b == 1).any(1))
     assert characteristic_from_table(or2, 16, attempts=4000, rng=0) is None
     assert characteristic_from_table(or2, 7, attempts=4000, rng=1) is None
 
 
 def test_characteristic_from_table_big_modulus_path():
-    never = BooleanFunction("NEVER", 2, lambda bits: False)
+    never = BooleanFunction("NEVER", 2, lambda b: np.zeros(len(b), dtype=bool))
     found = characteristic_from_table(never, (1 << 70) + 3, attempts=50, rng=2)
     assert found is not None and verify_characteristic(found).valid

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhc import ConfigError, KeySet, builtin
+from qhc import ConfigError, KeySet, LinearPolynomial, builtin
 from qhc.cli import main, parse_config
+
+from oracles import poly_eval_direct
 
 
 def run_cli(*argv: str) -> int:
@@ -182,6 +189,22 @@ class TestRun:
         assert json.loads(out.read_text())["result"]["f"] == 1
         assert "exact_accept=1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alice,bob", [("1" * 15, "0" * 15), ("0" * 14 + "1", "0" * 15)])
+    def test_poly_function_past_the_table_guard(self, tmp_path, capsys, alice, bob):
+        poly = LinearPolynomial(modulus=7, coeffs=tuple(range(30)))
+        doc = {
+            "function": {"poly": poly.to_json()},
+            "delta": 0.3,
+            "keys": {"search": {"log2_n": 10, "seed": 7}},
+            "input": {"alice": alice, "bob": bob},
+        }
+        assert run_cli("run", "--config", write_config(tmp_path, doc)) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        bits = [int(c) for c in alice + bob]
+        f = int(poly_eval_direct(7, poly.coeffs, 0, bits) == 0)
+        assert result["f"] == f
+        assert (result["exact_accept"] == 1.0) == (f == 1)
+
     def test_missing_input_exits_3(self, tmp_path, capsys):
         doc = {k: v for k, v in EQ2_EXACT.items() if k != "input"}
         assert run_cli("run", "--config", write_config(tmp_path, doc)) == 3
@@ -357,6 +380,52 @@ class TestMalformedInputExits3:
                 "--attempts", "0")
         self.assert_exit_3(capsys, argv, "attempts: attempts must be >= 1")
 
+    def test_key_file_keys_as_a_string(self, tmp_path, capsys):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": "16", "keys": "123"}))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, f"{keys}: bad key set: keys must be a JSON list")
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_monte_carlo_trials_flag(self, capsys, trials):
+        argv = ("search-keys", "--log2-n", "64", "--delta", "0.3", "--seed", "0",
+                "--trials", trials)
+        self.assert_exit_3(capsys, argv, f"trials: trials must be >= 1, got {trials}")
+
+    @pytest.mark.parametrize(
+        "change,where",
+        [
+            ({"keys": {"search": 5}}, "keys.search: search must be a JSON object"),
+            ({"keys": {"search": {"log2_n": 64, "trials": 0}}},
+             "keys.search.trials: trials must be >= 1, got 0"),
+            ({"keys": {"search": {"log2_n": -1}}}, "keys.search.log2_n: log2_n out of 1..256"),
+            ({"keys": {"search": {"log2_n": 300}}}, "keys.search.log2_n: log2_n out of 1..256"),
+            ({"keys": {"search": {"log2_n": 10.0}}},
+             "keys.search.log2_n: log2_n must be a JSON integer"),
+            ({"keys": {"search": {"N": "1024"}}}, "keys.search.N: N must be a JSON integer"),
+            ({"keys": {"search": {"log2_n": 10, "seed": True}}},
+             "keys.search.seed: seed must be a JSON integer"),
+            ({"keys": {"search": {"log2_n": 10, "attempts": 2.0}}},
+             "keys.search.attempts: attempts must be a JSON integer"),
+            ({"keys": {"search": {"log2_n": 10, "trials": "9"}}},
+             "keys.search.trials: trials must be a JSON integer"),
+            ({"split": {"n1": 2.7}}, "split.n1: n1 must be a JSON integer, got 2.7"),
+            ({"trials": "5"}, "trials: trials must be a JSON integer"),
+            ({"seed": None}, "seed: seed must be a JSON integer, got null"),
+            ({"function": {"name": "EQ", "n": 2.0}}, "function.n: n must be a JSON integer"),
+            ({"delta": [0.3]}, "delta: delta must be a JSON number"),
+            ({"input": {"alice": 10, "bob": "10"}}, "input: input needs alice and bob"),
+            ({"out": 5}, "out: out must be a file name"),
+            ({"function": {"poly": "x"}}, "function.poly: a polynomial must be a JSON object"),
+            ({"function": {"poly": {"modulus": "7", "coeffs": "12"}}},
+             "function.poly: bad polynomial: coeffs must be a JSON list"),
+        ],
+    )
+    def test_config_field_types(self, tmp_path, capsys, change, where):
+        argv = ("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, **change)))
+        self.assert_exit_3(capsys, argv, where)
+
     def test_forwarded_as_a_string(self, tmp_path, capsys):
         config = dict(EQ2_EXACT, split={"n1": 2, "forwarded": "12"})
         argv = ("run", "--config", write_config(tmp_path, config))
@@ -368,3 +437,86 @@ def test_version_flag(capsys):
         run_cli("--version")
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("qhc ")
+
+
+# ------------------------------------------------------------ type fuzzing
+
+# One value of each JSON type; small, so a swap changes a field's type and
+# never asks for a bigger computation.
+JSON_SAMPLES = [None, True, False, 0, 1, -1, 2.5, 1.0, "", "1", "x", [], [1], ["1"], {}, {"a": 1}]
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return {int: "int", float: "float", str: "str", list: "list", dict: "dict"}.get(
+        type(value), "null"
+    )
+
+
+def json_paths(value, path=()):
+    """Every node of a JSON document, the root included, as a key path."""
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def swap_type(doc, path, data):
+    """A copy of doc whose node at path holds a value of another JSON type."""
+    old = doc
+    for key in path:
+        old = old[key]
+    new = data.draw(st.sampled_from([v for v in JSON_SAMPLES if json_type(v) != json_type(old)]))
+    if not path:
+        return new
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+FUZZ_KEYS = KeySet(modulus=16, keys=tuple(range(16))).to_json()
+FUZZ_CONFIG = {
+    "function": {"name": "EQ", "n": 2},
+    "split": {"n1": 2, "forwarded": []},
+    "delta": 0.3,
+    "keys": {"file": "keys.json"},
+    "topology": "one-way",
+    "mode": "sampled",
+    "trials": 20,
+    "seed": 4,
+    "input": {"alice": "10", "bob": "11"},
+}
+FUZZ_VARIANTS = {
+    "file": {},
+    "search": {"keys": {"search": {"log2_n": 4, "N": 16, "seed": 1, "attempts": 2, "trials": 10}}},
+    "poly": {"function": {"poly": builtin("EQ", 2).characteristic.polynomials[0].to_json()}},
+}
+
+
+@given(data=st.data(), variant=st.sampled_from(sorted(FUZZ_VARIANTS)))
+@settings(max_examples=300, deadline=None)
+def test_type_swapped_fields_exit_cleanly(data, variant):
+    """Any JSON type in any field of a good config or key file ends in a
+    contract exit code; 1 only for a counterexample or a failed search."""
+    config = dict(FUZZ_CONFIG, **FUZZ_VARIANTS[variant])
+    docs = {"config.json": config, "keys.json": FUZZ_KEYS}
+    target = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(json_paths(docs[target]))))
+    docs[target] = swap_type(docs[target], path, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            (Path(tmp) / name).write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_cli("run", "--config", str(Path(tmp) / "config.json"))
+    message = err.getvalue()
+    assert rc in (0, 1, 2, 3), message
+    if rc == 1:
+        assert message.startswith(("counterexample:", "search failed:")), message
+    assert "Traceback" not in message

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qhc import (
     search_key_set,
     verify_resistance,
 )
-from qhc.util import assignments, index_to_bits
+from qhc.util import index_to_bits
 
 
 def full_ring(n: int) -> KeySet:
@@ -133,7 +134,7 @@ class TestRunExact:
     )
     def test_one_sided_on_every_input(self, instance, ring):
         spec = build_spec(instance, full_ring(ring))
-        for bits in assignments(instance.function.arity):
+        for bits in product((0, 1), repeat=instance.function.arity):
             sigma, gamma = bits[: spec.n1], bits[spec.n1 :]
             report = run_exact(spec, sigma, gamma)
             assert (report.exact_accept == 1.0) == (report.f_value == 1)
@@ -210,7 +211,7 @@ class TestRunSmp:
 
     def test_agrees_with_one_way_route(self, eq2_spec, certified_n64):
         spec = build_spec(builtin("EQ", 2), certified_n64)
-        for bits in assignments(4):
+        for bits in product((0, 1), repeat=4):
             want = run_exact(spec, bits[:2], bits[2:]).exact_accept
             got = run_smp(spec, bits[:2], bits[2:]).exact_accept
             assert abs(want - got) <= 1e-12
@@ -291,8 +292,8 @@ class TestErrorProfile:
         # profile must reproduce run_exact's float exactly, not just closely.
         spec = build_spec(builtin("EQ", 5), search_key_set(1 << 10, 0.3, seed=1))
         prof = error_profile(spec)
-        for i, sigma in enumerate(assignments(5)):
-            for j, gamma in enumerate(assignments(5)):
+        for i, sigma in enumerate(product((0, 1), repeat=5)):
+            for j, gamma in enumerate(product((0, 1), repeat=5)):
                 assert prof.accept_grid[i, j] == run_exact(spec, sigma, gamma).exact_accept
 
     def test_forwarding_is_a_pure_refactoring_when_moduli_match(self):
@@ -305,7 +306,7 @@ class TestErrorProfile:
         moved_spec = build_spec(inst, ks, n1=2, forwarded=(2,))
         moved = error_profile(moved_spec)
         assert np.array_equal(plain.accept_grid, moved.accept_grid)
-        for bits in assignments(4):
+        for bits in product((0, 1), repeat=4):
             direct = run_exact(moved_spec, bits[:2], bits[2:])
             i, j = int(np.dot(bits[:2], [2, 1])), int(np.dot(bits[2:], [2, 1]))
             assert direct.exact_accept == pytest.approx(moved.accept_grid[i, j], abs=1e-12)
@@ -323,7 +324,7 @@ class TestErrorProfile:
         assert moved.worst_false_accept <= moved.certified_bound + 1e-9
 
     def test_never_false_function_has_empty_profile(self):
-        fn = BooleanFunction("ONE_2", 2, lambda bits: 1)
+        fn = BooleanFunction("ONE_2", 2, lambda b: np.ones(len(b), dtype=bool))
         inst = FunctionInstance(
             function=fn,
             characteristic=Characteristic(fn, (LinearPolynomial(modulus=4, coeffs=(0, 0)),)),

@@ -310,6 +310,13 @@ class TestVerifyResistance:
         assert 0.0 <= cert.confidence < 1e-3  # 400 draws out of 2^30 - 1
         assert not report.key_set.certified  # never presented as exact
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_monte_carlo_needs_a_trial(self, trials):
+        # with no sampled difference nothing is checked, so nothing is certified
+        ks = KeySet(modulus=1 << 64, keys=(1, 2, 3))
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_resistance(ks, 0.3, mode="monte-carlo", trials=trials, rng=0)
+
     def test_certified_soundness_exhaustive(self, certified_n64):
         # |fidelity| < delta for every pair of distinct hashed values
         for diff in range(1, 64):
