@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GuardError
-from .util import bit_matrix, index_to_bits, rand_below
+from .util import bit_matrix, index_to_bits, parse_int, parse_ints, rand_below
 
 # Brute-force enumeration refuses above this many variables (16M rows).
 ENUM_GUARD_BITS = 24
@@ -107,9 +107,9 @@ class LinearPolynomial:
         if not isinstance(doc["coeffs"], list):
             raise ValueError("coeffs must be a JSON list")
         return cls(
-            modulus=int(doc["modulus"]),
-            coeffs=tuple(int(c) for c in doc["coeffs"]),
-            constant=int(doc.get("constant", "0")),
+            modulus=parse_int(doc["modulus"], "modulus"),
+            coeffs=parse_ints(doc["coeffs"], "coeffs", signed=True),
+            constant=parse_int(doc.get("constant", 0), "constant", signed=True),
         )
 
 

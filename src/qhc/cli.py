@@ -442,9 +442,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     spec = _build_spec(config)
     profile = error_profile(spec)
-    lines = ["sigma,gamma,f,exact_accept"]
-    lines += [f"{s},{g},{f},{a!r}" for s, g, f, a in profile.iter_rows()]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    with open(args.out, "w") as fh:
+        fh.writelines(profile.csv_blocks())
     total = (1 << profile.n1) * (1 << profile.n2)
     print(f"profile: {profile.function_name} {total} inputs -> {args.out}")
     if profile.attaining is None:

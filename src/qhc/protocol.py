@@ -377,17 +377,24 @@ class ErrorProfile:
     accept_grid: np.ndarray = field(compare=False, repr=False)
     f_grid: np.ndarray = field(compare=False, repr=False)
 
-    def iter_rows(self):
-        """(sigma, gamma, f, exact_accept) in assignment order."""
-        for i in range(1 << self.n1):
-            sigma = format_bits(index_to_bits(i, self.n1))
-            for j in range(1 << self.n2):
-                yield (
-                    sigma,
-                    format_bits(index_to_bits(j, self.n2)),
-                    int(self.f_grid[i, j]),
-                    float(self.accept_grid[i, j]),
-                )
+    def csv_blocks(self):
+        """The CSV text: the header, then one block of lines per sigma row.
+
+        Rows are ``sigma,gamma,f,exact_accept`` in assignment order, floats
+        written with ``repr``.  Each distinct accept value is formatted once,
+        so a block is one join over precomputed strings."""
+
+        def bits(i: int, n: int) -> str:  # an empty side is "", not format's "0"
+            return format(i, f"0{n}b") if n else ""
+
+        yield "sigma,gamma,f,exact_accept\n"
+        gammas = [bits(j, self.n2) for j in range(1 << self.n2)]
+        uniq, inv = np.unique(self.accept_grid, return_inverse=True)
+        tails = [f",{f},{a!r}\n" for a in uniq.tolist() for f in (0, 1)]
+        codes = inv.reshape(self.accept_grid.shape) * 2 + self.f_grid
+        for i, row in enumerate(codes):
+            prefix = bits(i, self.n1) + ","
+            yield "".join([prefix + g + tails[c] for g, c in zip(gammas, row.tolist())])
 
 
 def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, SearchError
-from .util import rand_below
+from .util import parse_int, parse_ints, rand_below
 
 # Exhaustive difference sweeps refuse above this modulus (2M differences).
 EXACT_SWEEP_GUARD = 1 << 21
@@ -123,10 +123,13 @@ class KeySet:
         certification = doc.get("certification", {})
         if not isinstance(certification, dict):
             raise ValueError("certification must be a JSON object")
+        delta = doc.get("delta")
+        if delta is not None and type(delta) not in (int, float):
+            raise ValueError(f"delta must be a JSON number, got {delta!r}")
         return cls(
-            modulus=int(doc["N"]),
-            keys=tuple(int(k) for k in doc["keys"]),
-            delta=doc.get("delta"),
+            modulus=parse_int(doc["N"], "N"),
+            keys=parse_ints(doc["keys"], "keys"),
+            delta=delta,
             certification=Certification.from_json(certification),
         )
 

@@ -9,6 +9,9 @@ Conventions (used everywhere, never locally overridden):
 * A *bit matrix* holds one assignment per row (uint8, x_1 in column 0);
   ``bit_matrix`` builds the rows of a range of indices.
 * Bit *strings* are written the same way: "01" means x_1=0, x_2=1.
+
+Integers read from key and polynomial files go through ``parse_int`` /
+``parse_ints``: a JSON integer or a string of decimal digits, nothing else.
 """
 
 from __future__ import annotations
@@ -35,6 +38,31 @@ def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     if not 0 <= index < 1 << n:
         raise ValueError(f"index {index} out of range for {n} bits")
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def parse_int(value, field: str, signed: bool = False) -> int:
+    """``value`` as an int if it is a JSON integer (not a bool) or a string of
+    ASCII digits, with one leading '-' when ``signed``; else ValueError naming
+    ``field``."""
+    if type(value) is str:
+        digits = value[1:] if signed and value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    elif type(value) is int:
+        return value
+    raise ValueError(f"{field} must be an integer or a string of decimal digits, got {value!r}")
+
+
+def parse_ints(values: Sequence, field: str, signed: bool = False) -> tuple[int, ...]:
+    """``parse_int`` over a list; a bad entry is named ``field[i]``."""
+    try:
+        text = "".join(values)  # TypeError unless every entry is a string
+    except TypeError:
+        text = ""
+    if text.isascii() and text.isdigit() and all(values):
+        # Nonempty digit strings, the form qhc writes, checked without a Python loop.
+        return tuple(map(int, values))
+    return tuple(parse_int(v, f"{field}[{i}]", signed) for i, v in enumerate(values))
 
 
 def bit_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:

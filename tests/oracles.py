@@ -60,6 +60,22 @@ def conj_direct(bits, n_a: int, m_a: int, m_b: int) -> bool:
     return mod_direct(bits[:n_a], m_a) and modbin_direct(bits[n_a:], m_b)
 
 
+def profile_csv_direct(n1: int, n2: int, f_grid, accept_grid) -> str:
+    """The profile CSV written one row at a time: sigma and gamma as bit
+    strings (x_1 first, empty for an empty side), f as 0/1, accept as the
+    repr of a Python float."""
+    lines = ["sigma,gamma,f,exact_accept"]
+    for i, sigma in enumerate(product((0, 1), repeat=n1)):
+        for j, gamma in enumerate(product((0, 1), repeat=n2)):
+            lines.append(
+                "".join(str(b) for b in sigma) + ","
+                + "".join(str(b) for b in gamma) + ","
+                + str(int(f_grid[i][j])) + ","
+                + repr(float(accept_grid[i][j]))
+            )
+    return "\n".join(lines) + "\n"
+
+
 def bias_direct(keys, modulus: int, difference: int) -> float:
     """Cosine-average fidelity via a bare math.cos loop."""
     total = 0.0

@@ -2,16 +2,17 @@ import contextlib
 import io
 import json
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhc import ConfigError, KeySet, LinearPolynomial, builtin
+from qhc import ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact, search_key_set
 from qhc.cli import main, parse_config
 
-from oracles import poly_eval_direct
+from oracles import poly_eval_direct, profile_csv_direct
 
 
 def run_cli(*argv: str) -> int:
@@ -266,6 +267,35 @@ class TestProfile:
                        "--out", str(out)) == 0
         assert "bounds unproven" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "function,split",
+        [
+            ({"name": "EQ", "n": 3}, {}),
+            ({"name": "CONJ", "n_a": 3, "n_b": 4}, {"n1": 3, "forwarded": [1]}),
+            ({"name": "PALINDROME", "n": 4}, {"n1": 0}),
+            ({"name": "PALINDROME", "n": 4}, {"n1": 4}),
+            # f = 1 everywhere: no 0-inputs.
+            ({"poly": {"modulus": "4", "coeffs": ["0", "0", "0"]}}, {"n1": 1}),
+        ],
+    )
+    def test_csv_equals_row_by_row_oracle(self, tmp_path, function, split):
+        ks = search_key_set(1 << 8, 0.3, seed=5)
+        (tmp_path / "keys.json").write_text(json.dumps(ks.to_json()))
+        doc = {"function": function, "split": split, "keys": {"file": "keys.json"}}
+        out = tmp_path / "profile.csv"
+        assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
+
+        config = parse_config(doc, tmp_path)
+        spec = build_spec(config.instance, ks, n1=config.n1, forwarded=config.forwarded)
+        reports = [
+            [run_exact(spec, sigma, gamma) for gamma in product((0, 1), repeat=spec.n2)]
+            for sigma in product((0, 1), repeat=spec.n1)
+        ]
+        f_grid = [[r.f_value for r in row] for row in reports]
+        accept_grid = [[r.exact_accept for r in row] for row in reports]
+        want = profile_csv_direct(spec.n1, spec.n2, f_grid, accept_grid)
+        assert out.read_bytes() == want.encode()
+
     def test_enumeration_guard_exits_2(self, tmp_path, capsys):
         doc = {
             "function": {"name": "EQ", "n": 11},
@@ -386,6 +416,58 @@ class TestMalformedInputExits3:
         config = dict(EQ2_EXACT, keys={"file": "keys.json"})
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, f"{keys}: bad key set: keys must be a JSON list")
+
+    @pytest.mark.parametrize(
+        "doc,where",
+        [
+            ({"N": "16", "keys": [1.5, 3.9]}, "keys[0] must be an integer"),
+            ({"N": 16.7, "keys": [1, 3]}, "N must be an integer"),
+            ({"N": 16, "keys": [True, 3]}, "keys[0] must be an integer"),
+            ({"N": "16", "keys": ["1", "3.0"]}, "keys[1] must be an integer"),
+            ({"N": "16", "keys": ["1", "-3"]}, "keys[1] must be an integer"),
+            ({"N": "1_6", "keys": [1, 3]}, "N must be an integer"),
+            ({"N": "16", "keys": [1, 3], "delta": "0.3"}, "delta must be a JSON number"),
+        ],
+    )
+    def test_key_file_integers_are_strict(self, tmp_path, capsys, doc, where):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps(doc))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, f"{keys}: bad key set: {where}")
+
+    def test_key_file_mixed_integer_forms_load(self, tmp_path, capsys):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": 16, "keys": [1, "3"], "delta": None}))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        assert run_cli("run", "--config", write_config(tmp_path, config)) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["spec"]["key_sets"][0]["d"] == 2
+
+    @pytest.mark.parametrize(
+        "poly,where",
+        [
+            ({"modulus": 7.0, "coeffs": ["1", "2"]}, "modulus must be an integer"),
+            ({"modulus": "-7", "coeffs": ["1", "2"]}, "modulus must be an integer"),
+            ({"modulus": "7", "coeffs": ["1", 2.5]}, "coeffs[1] must be an integer"),
+            ({"modulus": "7", "coeffs": [False, "2"]}, "coeffs[0] must be an integer"),
+            ({"modulus": "7", "coeffs": ["1", "2"], "constant": "--1"}, "constant must be an integer"),
+            ({"modulus": "7", "coeffs": ["1", "2"], "constant": 0.5}, "constant must be an integer"),
+        ],
+    )
+    def test_polynomial_integers_are_strict(self, tmp_path, capsys, poly, where):
+        config = dict(EQ2_EXACT, function={"poly": poly})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, f"function.poly: bad polynomial: {where}")
+
+    def test_polynomial_file_integers_are_strict(self, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"modulus": "4", "coeffs": ["1", "1.5"], "constant": "0"}))
+        argv = ("verify", "--function", "EQ", "--n", "2", "--poly", str(poly))
+        self.assert_exit_3(capsys, argv, f"{poly}: bad polynomial: coeffs[1] must be an integer")
+
+    def test_polynomial_signed_strings_load(self):
+        doc = {"modulus": "7", "coeffs": ["-1", 2, "3"], "constant": "-10"}
+        assert LinearPolynomial.from_json(doc) == LinearPolynomial(7, (-1, 2, 3), -10)
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_no_monte_carlo_trials_flag(self, capsys, trials):

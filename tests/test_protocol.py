@@ -273,12 +273,15 @@ class TestErrorProfile:
     def test_rows_enumerate_in_assignment_order(self, certified_n64):
         spec = build_spec(builtin("EQ", 3), certified_n64)
         prof = error_profile(spec)
-        rows = list(prof.iter_rows())
+        blocks = list(prof.csv_blocks())
+        assert len(blocks) == 1 + 8  # the header, then one block per sigma
+        header, *rows = "".join(blocks).splitlines()
+        assert header == "sigma,gamma,f,exact_accept"
         assert len(rows) == 64
-        assert rows[0] == ("000", "000", 1, 1.0)
-        assert rows[1][:3] == ("000", "001", 0)
+        assert rows[0] == "000,000,1,1.0"
+        assert rows[1].split(",")[:3] == ["000", "001", "0"]
         recomputed = run_exact(spec, (0, 0, 0), (0, 0, 1)).exact_accept
-        assert rows[1][3] == recomputed
+        assert rows[1].split(",")[3] == repr(recomputed)
 
     def test_attaining_input_is_first_in_row_major_order(self, certified_n64):
         spec = build_spec(builtin("EQ", 3), certified_n64)
