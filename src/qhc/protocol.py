@@ -34,6 +34,10 @@ from .util import format_bits, index_to_bits
 # Full-grid error profiling refuses above this many total input bits.
 PROFILE_GUARD_BITS = 20
 
+# Profiling refuses moduli above this: its value tables and grid
+# differences are int64 arrays.
+PROFILE_MODULUS_GUARD = 1 << 31
+
 _ONE_SIDED_TOL = 1e-12
 
 
@@ -423,10 +427,7 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
             f"full profile enumerates 2^{n1 + n2} inputs; guard is "
             f"{PROFILE_GUARD_BITS} total bits — use run_sampled on chosen inputs"
         )
-    if any(
-        ks.modulus > qhash._VECTOR_SAFE_N or spec.modulus > qhash._VECTOR_SAFE_N
-        for ks in spec.key_sets
-    ):
+    if any(max(ks.modulus, spec.modulus) > PROFILE_MODULUS_GUARD for ks in spec.key_sets):
         raise GuardError("profiling needs moduli within the vectorized 2^31 range")
 
     truth = spec.function.truth_table().reshape(1 << n1, 1 << n2)

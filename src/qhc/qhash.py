@@ -9,7 +9,10 @@ fidelity
 
 so delta-collision resistance is exactly: |bias(D)| < delta for every
 nonzero D mod N.  Everything here reduces k*v mod N in exact integer
-arithmetic before any float conversion; N may exceed 64 bits.
+arithmetic; the only float step is the cosine of (k*v mod N) / N.  Two
+integer tiers: wrapping uint64 products when N <= 2^32 (no product of two
+residues reaches 2^64) or N = 2^L <= 2^64 (2^64 is a multiple of N), and
+Python integers for every other N, which may exceed 64 bits.
 
 :func:`bias` is the one direct kernel: every caller (inner products, runs,
 error-profile grids, Monte Carlo certification) gets bit-identical values
@@ -31,8 +34,9 @@ from .util import parse_int, parse_ints, rand_below
 # Exhaustive difference sweeps refuse above this modulus (2M differences).
 EXACT_SWEEP_GUARD = 1 << 21
 
-# k*D stays within int64 for vectorized residue arithmetic below this N.
-_VECTOR_SAFE_N = 1 << 31
+# Differences reduce mod N as int64 up to this N; above, as Python integers
+# (callers may pass differences that are negative or >= 2^63).
+_INT64_DIFFERENCE_N = 1 << 31
 
 # Residues per block of the bias kernel (512 KiB of float64).
 _BIAS_BLOCK_CELLS = 1 << 16
@@ -67,10 +71,26 @@ class Certification:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Certification":
+        """A key file's certification object; a field of the wrong JSON type
+        is a ValueError naming it (``certification.max_bias``)."""
+        mode = doc.get("mode", "none")
+        if type(mode) is not str:
+            raise ValueError(f"certification.mode must be a JSON string, got {mode!r}")
+        for name in ("max_bias", "confidence"):
+            value = doc.get(name)
+            if value is not None and type(value) not in (int, float):
+                raise ValueError(
+                    f"certification.{name} must be a JSON number or null, got {value!r}"
+                )
+        trials = doc.get("trials")
+        if trials is not None and (type(trials) is not int or trials < 1):
+            raise ValueError(
+                f"certification.trials must be a JSON integer >= 1 or null, got {trials!r}"
+            )
         return cls(
-            mode=doc.get("mode", "none"),
+            mode=mode,
             max_bias=doc.get("max_bias"),
-            trials=doc.get("trials"),
+            trials=trials,
             confidence=doc.get("confidence"),
         )
 
@@ -84,17 +104,35 @@ class KeySet:
     delta: float | None = None
     certification: Certification = Certification()
 
+    # The keys as uint64 when N is in the uint64 tier (see _uint64_exact),
+    # else None; built once here for the checks and every residue product.
+    key_array: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
+
     def __post_init__(self) -> None:
         n = self.modulus
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
         if not self.keys:
             raise ValueError("key set must be nonempty")
-        if len(set(self.keys)) != len(self.keys):
+        arr = None
+        if _uint64_exact(n):
+            try:
+                arr = np.fromiter(self.keys, dtype=np.uint64, count=len(self.keys))
+            except OverflowError:  # a key below 0 or at least 2^64, named below
+                pass
+        if arr is None:
+            duplicated = len(set(self.keys)) != len(self.keys)
+            outside = [i for i, k in enumerate(self.keys) if not 0 <= k < n]
+        else:
+            ordered = np.sort(arr)
+            duplicated = bool((ordered[1:] == ordered[:-1]).any())
+            outside = np.flatnonzero(arr >= n) if n < 1 << 64 else []
+            arr.flags.writeable = False
+            object.__setattr__(self, "key_array", arr)
+        if duplicated:
             raise ValueError("duplicate keys (would silently skew the bias average)")
-        for k in self.keys:
-            if not 0 <= k < n:
-                raise ValueError(f"key {k} outside [0, {n})")
+        if len(outside):
+            raise ValueError(f"key {self.keys[outside[0]]} outside [0, {n})")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ValueError(f"delta out of (0,1): {self.delta}")
 
@@ -134,17 +172,30 @@ class KeySet:
         )
 
 
-def _residues(keys: Sequence[int], values: Sequence[int], modulus: int) -> np.ndarray:
-    """(k * v) mod N as float ratios in [0, 1), one row per reduced value v.
-    Exact: int64 products below N = 2^31, Python integers (row by row) above."""
-    if modulus <= _VECTOR_SAFE_N:
-        arr = np.asarray(keys, dtype=np.int64)
-        return ((np.asarray(values, dtype=np.int64)[:, None] * arr) % modulus) / modulus
-    out = np.empty((len(values), len(keys)))
+def _uint64_exact(modulus: int) -> bool:
+    """Whether k*v mod N is exact in wrapping uint64 arithmetic for k, v in
+    [0, N): every product is below 2^64 when N <= 2^32, and wrapping mod 2^64
+    keeps the residue mod N when N is a power of two up to 2^64."""
+    return modulus <= 1 << 32 or (modulus <= 1 << 64 and modulus & (modulus - 1) == 0)
+
+
+def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
+    """(k * v) mod N as float ratios in [0, 1), one row per value v in [0, N).
+
+    Exact until the residue becomes a float: uint64 products in the tier of
+    :func:`_uint64_exact` (reduced mod N unless N = 2^64), Python integers row
+    by row above.  Both round the residue to float64 as ``float(int)`` does."""
+    n = key_set.modulus
+    if key_set.key_array is not None:
+        r = np.asarray(values, dtype=np.uint64)[:, None] * key_set.key_array
+        if n < 1 << 64:
+            r %= np.uint64(n)
+        return r / float(n)
+    out = np.empty((len(values), key_set.d))
     for row, v in zip(out, values):
-        row[:] = np.array([(k * v) % modulus for k in keys], dtype=object).astype(
+        row[:] = np.array([(k * v) % n for k in key_set.keys], dtype=object).astype(
             np.float64
-        ) / float(modulus)
+        ) / float(n)
     return out
 
 
@@ -157,14 +208,14 @@ def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     not depend on the company it is computed in.
     """
     n = key_set.modulus
-    if n <= _VECTOR_SAFE_N:
+    if n <= _INT64_DIFFERENCE_N:
         diffs = np.asarray(differences, dtype=np.int64) % n
     else:
         diffs = [int(dd) % n for dd in differences]
     out = np.empty(len(diffs))
     step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
     for start in range(0, len(diffs), step):
-        ratios = _residues(key_set.keys, diffs[start : start + step], n)
+        ratios = _residues(key_set, diffs[start : start + step])
         out[start : start + step] = np.cos(2.0 * np.pi * ratios).mean(axis=1)
     return out
 
@@ -190,7 +241,7 @@ def build_hash(key_set: KeySet, value: int) -> HashState:
     """
     if not 0 <= value < key_set.modulus:
         raise ValueError(f"value {value} not reduced into [0, {key_set.modulus})")
-    angles = 2.0 * np.pi * _residues(key_set.keys, [value], key_set.modulus)[0]
+    angles = 2.0 * np.pi * _residues(key_set, [value])[0]
     amp = np.empty(2 * key_set.d)
     amp[0::2] = np.cos(angles)
     amp[1::2] = np.sin(angles)
@@ -280,7 +331,7 @@ def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int]:
     """
     n = key_set.modulus
     x = np.zeros(n)
-    x[np.fromiter(key_set.keys, dtype=np.int64, count=key_set.d)] = 1.0
+    x[key_set.key_array] = 1.0
     spectrum = np.fft.rfft(x).real[1:] / key_set.d
     magnitudes = np.abs(spectrum)
     top = float(magnitudes.max())

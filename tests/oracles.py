@@ -84,6 +84,12 @@ def bias_direct(keys, modulus: int, difference: int) -> float:
     return total / len(keys)
 
 
+def residue_ratios_direct(keys, values, modulus: int) -> list[list[float]]:
+    """(k * v) mod N over N, one row per value: the residue in Python
+    integers, rounded to float64 by float(), then divided by float(N)."""
+    return [[float((k * v) % modulus) / float(modulus) for k in keys] for v in values]
+
+
 def max_bias_direct(keys, modulus: int) -> tuple[float, int]:
     """(max |bias|, smallest attaining difference) by looping every D."""
     best, arg = -1.0, 1

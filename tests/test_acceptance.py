@@ -5,6 +5,9 @@ tolerance and prints a single PASS line (run with ``pytest -v -s`` to see
 them); a pytest failure on any test is the corresponding FAIL line.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import time
@@ -254,3 +257,51 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert c.read_bytes() == d.read_bytes()
     _pass(10, "search-keys, sampled run, and profile repeat bit-for-bit")
+
+
+# Digests of seeded outputs recorded before the uint64 residue tier replaced
+# int64 and big-int products, so a change in the arithmetic fails here
+# instead of drifting: two key files and, on each, an EQ n=16 run report
+# (exact one-way and SMP) with its wall_clock_s dropped.
+GOLDEN_SHA256 = {
+    "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
+    "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
+    "run64-smp.json": "3307b87a2d01d98f4b11c4a327eaa6c579b864975aa17df374da07b219732f35",
+    "keys21.json": "d37ae05652a8828734409ab2417ad8a98f07d68abec9a47659f7aff20a0f950e",
+    "run21-one-way.json": "1dc98fee4af12fe8096770f76fde671b46ee02f36a67ef5c80ea9c7559f7960a",
+    "run21-smp.json": "d6988ac38944b01fc51187dc8a715fc0f65dfe225844e94336eb1f2fce1553d2",
+}
+
+
+def _golden_outputs(work) -> dict[str, bytes]:
+    """The outputs GOLDEN_SHA256 pins, produced in the directory ``work``."""
+    outputs = {}
+    for log2_n, delta in ((64, 0.3), (21, 0.1)):
+        keys = f"keys{log2_n}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["search-keys", "--log2-n", str(log2_n), "--delta", str(delta),
+                         "--seed", "0", "--out", str(work / keys)]) == 0
+        outputs[keys] = (work / keys).read_bytes()
+        for topology in ("one-way", "smp"):
+            config = work / f"run{log2_n}-{topology}.json"
+            config.write_text(json.dumps({
+                "function": {"name": "EQ", "n": 16},
+                "keys": {"file": keys},
+                "topology": topology,
+                "mode": "exact",
+                "input": {"alice": "0110100110010110", "bob": "0110100110010111"},
+            }))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["run", "--config", str(config)]) == 0
+            doc = json.loads(out.getvalue())
+            doc.pop("wall_clock_s")
+            outputs[config.name] = (json.dumps(doc, indent=2) + "\n").encode()
+    return outputs
+
+
+def test_c11_seeded_outputs_match_recorded_digests(tmp_path):
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in _golden_outputs(tmp_path).items()}
+    assert digests == GOLDEN_SHA256
+    _pass(11, "key files and run reports match the recorded SHA-256 digests")

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc import ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact, search_key_set
+import qhc
 from qhc.cli import main, parse_config
 
 from oracles import poly_eval_direct, profile_csv_direct
@@ -436,6 +440,38 @@ class TestMalformedInputExits3:
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, f"{keys}: bad key set: {where}")
 
+    @pytest.mark.parametrize(
+        "field,value,where",
+        [
+            ("mode", ["exact"], "certification.mode must be a JSON string"),
+            ("max_bias", "oops", "certification.max_bias must be a JSON number or null"),
+            ("trials", [1], "certification.trials must be a JSON integer >= 1 or null"),
+            ("trials", 0, "certification.trials must be a JSON integer >= 1 or null"),
+            ("trials", 2.0, "certification.trials must be a JSON integer >= 1 or null"),
+            ("confidence", {"a": 1}, "certification.confidence must be a JSON number or null"),
+        ],
+    )
+    def test_certification_fields_are_typed(self, tmp_path, capsys, field, value, where):
+        cert = {"mode": "monte-carlo", "max_bias": 0.1, "trials": 10, "confidence": 0.5}
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": "16", "keys": ["1", "3"], "certification": cert}))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        assert run_cli(*argv) == 0  # the well-typed certificate loads
+        capsys.readouterr()
+        keys.write_text(json.dumps({"N": "16", "keys": ["1", "3"],
+                                    "certification": dict(cert, **{field: value})}))
+        self.assert_exit_3(capsys, argv, f"{keys}: bad key set: {where}")
+
+    @pytest.mark.parametrize("n", ["16", str(1 << 64)])
+    @pytest.mark.parametrize("bad", [-3, 1 << 64, 1 << 70])
+    def test_key_out_of_range_exits_3(self, tmp_path, capsys, n, bad):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": n, "keys": [1, bad, 3]}))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, f"{keys}: bad key set: key {bad} outside [0, {n})")
+
     def test_key_file_mixed_integer_forms_load(self, tmp_path, capsys):
         keys = tmp_path / "keys.json"
         keys.write_text(json.dumps({"N": 16, "keys": [1, "3"], "delta": None}))
@@ -512,6 +548,42 @@ class TestMalformedInputExits3:
         config = dict(EQ2_EXACT, split={"n1": 2, "forwarded": "12"})
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, "split.forwarded: forwarded must be a JSON list")
+
+
+def _without_wall_clock(stdout: str) -> str:
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return stdout
+    doc.pop("wall_clock_s", None)
+    return json.dumps(doc)
+
+
+def test_interleaved_calls_match_fresh_processes(tmp_path):
+    """main builds its parser once per process; no call may see another's
+    flags.  Each call gives the exit code and output of a fresh process."""
+    config = write_config(tmp_path, dict(EQ2_EXACT, mode="sampled", trials=1000, seed=13,
+                                         input={"alice": "10", "bob": "11"}))
+    calls = [
+        ["run", "--config", config, "--seed", "5"],
+        ["run", "--config", config],
+        ["verify", "--function", "EQ", "--n", "2"],
+        ["search-keys", "--log2-n", "6", "--delta", "0.3", "--seed", "0"],
+        ["run", "--config", config, "--no-such-flag"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent))
+    seen = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        fresh = subprocess.run([sys.executable, "-m", "qhc.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        got = (code, _without_wall_clock(out.getvalue()), err.getvalue())
+        assert got == (fresh.returncode, _without_wall_clock(fresh.stdout), fresh.stderr)
+        seen.append(got)
+    assert [c for c, _, _ in seen] == [0, 0, 0, 0, 3]
+    assert seen[0][1] != seen[1][1]  # the seed override took effect, then lapsed
 
 
 def test_version_flag(capsys):

@@ -25,7 +25,7 @@ from qhc import (
 )
 from qhc.qhash import ResistanceReport
 
-from oracles import bias_direct, max_bias_direct, swap_circuit_accept
+from oracles import bias_direct, max_bias_direct, residue_ratios_direct, swap_circuit_accept
 
 
 def _random_key_set(rng: np.random.Generator, max_log_n: int = 20) -> KeySet:
@@ -46,6 +46,36 @@ class TestKeySet:
     def test_key_range_checked(self):
         with pytest.raises(ValueError, match="outside"):
             KeySet(modulus=8, keys=(8,))
+
+    @pytest.mark.parametrize("n", [16, 1 << 40, 1 << 64, (1 << 40) - 87, (1 << 64) + 13])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda n: ((3, n, n + 5, 1), f"key {n} outside [0, {n})"),
+            lambda n: ((5, -2, n + 1), f"key -2 outside [0, {n})"),
+            lambda n: ((1 << 70, 2), f"key {1 << 70} outside [0, {n})"),
+            lambda n: ((n + 1, 4, 4), "duplicate keys (would silently skew the bias average)"),
+        ],
+    )
+    def test_checks_name_the_first_bad_key(self, n, case):
+        """One message per fault, naming the same key first, whether the keys
+        are checked as a uint64 array or one by one."""
+        keys, message = case(n)
+        with pytest.raises(ValueError) as info:
+            KeySet(modulus=n, keys=keys)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "n,tier", [(16, True), (1 << 32, True), ((1 << 32) + 1, False), (1 << 64, True),
+                   ((1 << 40) - 87, False), ((1 << 64) + 13, False), (1 << 65, False)]
+    )
+    def test_key_array_only_in_the_uint64_tier(self, n, tier):
+        ks = KeySet(modulus=n, keys=(n - 1, 0, 1))
+        assert (ks.key_array is not None) == tier
+        if tier:
+            assert ks.key_array.dtype == np.uint64 and ks.key_array.tolist() == [n - 1, 0, 1]
+            assert not ks.key_array.flags.writeable
+        assert ks == KeySet(modulus=n, keys=(n - 1, 0, 1))
 
     def test_needs_a_key(self):
         with pytest.raises(ValueError):
@@ -127,6 +157,62 @@ class TestBiasKernel:
         for got, dd in zip(batch, diffs):
             assert got == bias(ks, [dd])[0]
             assert abs(got - bias_direct(keys, n, dd)) < 1e-12
+
+
+class TestResidueTiers:
+    """The uint64 tier (N <= 2^32, or N = 2^L <= 2^64) and the big-int
+    fallback both equal Python-int residues bit for bit, through
+    _residues and through bias."""
+
+    @staticmethod
+    def assert_matches_oracle(ks: KeySet, diffs: list[int]) -> None:
+        n = ks.modulus
+        values = [dd % n for dd in diffs]
+        ratios = np.array(residue_ratios_direct(ks.keys, values, n))
+        got = qhc.qhash._residues(ks, values)
+        assert got.dtype == np.float64
+        assert got.tobytes() == ratios.tobytes()
+        want = np.cos(2.0 * np.pi * ratios).mean(axis=1)
+        assert bias(ks, diffs).tobytes() == want.tobytes()
+
+    @staticmethod
+    def edge_case(n: int, seed: int) -> tuple[KeySet, list[int]]:
+        rng = np.random.default_rng(seed)
+        drawn = {int(k) % n for k in rng.integers(0, 1 << 63, size=200, dtype=np.uint64)}
+        ks = KeySet(modulus=n, keys=tuple(sorted(drawn | {0, 1, n - 1})))
+        diffs = [0, 1, n - 1, -1, -(n - 1), -12345, n, 2 * n + 3]
+        diffs += [int(v) % n for v in rng.integers(0, 1 << 63, size=100, dtype=np.uint64)]
+        diffs += [-(int(v) % n) for v in rng.integers(0, 1 << 63, size=20, dtype=np.uint64)]
+        return ks, diffs
+
+    @pytest.mark.parametrize(
+        "n", [(1 << 31) + 11, (1 << 32) - 5, 1 << 32, 1 << 40, 1 << 63, 1 << 64]
+    )
+    def test_uint64_tier_equals_python_ints(self, n):
+        ks, diffs = self.edge_case(n, n % 1000)
+        assert ks.key_array is not None
+        self.assert_matches_oracle(ks, diffs)
+
+    @pytest.mark.parametrize(
+        "n,residues",
+        [
+            (1 << 63, [(1 << 53) + 1, (1 << 62) + 512, (1 << 62) + 513, (1 << 63) - 513,
+                       (1 << 63) - 512, (1 << 63) - 1]),
+            (1 << 64, [(1 << 53) + 1, (1 << 63) + 1024, (1 << 63) + 1025, (1 << 64) - 1025,
+                       (1 << 64) - 1024, (1 << 64) - 1]),
+        ],
+    )
+    @pytest.mark.parametrize("keys", [(1,), (1, 3)])
+    def test_halfway_residues_round_like_python(self, n, residues, keys):
+        """Residues past 2^53 whose dropped bits are exactly half an ulp (or
+        one either side) round to even, as float(int) does."""
+        self.assert_matches_oracle(KeySet(modulus=n, keys=keys), residues)
+
+    @pytest.mark.parametrize("n", [(1 << 64) + 13, 1 << 65, (1 << 40) - 87])
+    def test_big_int_fallback_equals_python_ints(self, n):
+        ks, diffs = self.edge_case(n, n % 1000)
+        assert ks.key_array is None
+        self.assert_matches_oracle(ks, diffs)
 
 
 class TestInnerProduct:
