@@ -12,7 +12,9 @@ nonzero D mod N.  Everything here reduces k*v mod N in exact integer
 arithmetic; the only float step is the cosine of (k*v mod N) / N.  Two
 integer tiers: wrapping uint64 products when N <= 2^32 (no product of two
 residues reaches 2^64) or N = 2^L <= 2^64 (2^64 is a multiple of N), and
-Python integers for every other N, which may exceed 64 bits.
+Python integers for every other N, which may exceed 64 bits.  A key set in
+the uint64 tier stores its keys once, as a read-only uint64 array, and a key
+file's digit strings are parsed into that array in one pass.
 
 :func:`bias` is the one direct kernel: every caller (inner products, runs,
 error-profile grids, Monte Carlo certification) gets bit-identical values
@@ -23,13 +25,13 @@ differences, is the only full-spectrum route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import GuardError, SearchError
-from .util import parse_int, parse_ints, rand_below
+from .util import parse_int, parse_ints, parse_uint64s, rand_below_many
 
 # Exhaustive difference sweeps refuse above this modulus (2M differences).
 EXACT_SWEEP_GUARD = 1 << 21
@@ -95,54 +97,89 @@ class Certification:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class KeySet:
-    """d distinct keys in [0, N), optionally certified delta-resistant."""
+    """d distinct keys in [0, N), optionally certified delta-resistant.
+
+    The keys are stored once: in the uint64 tier (see :func:`_uint64_exact`)
+    as the read-only uint64 ``key_array``, which may also be passed as
+    ``keys`` (the set then keeps that array and makes it read-only); off the
+    tier as a tuple of ints, ``key_array`` being None.  ``keys`` is that
+    tuple, built on demand in the tier.  Sets are equal when their modulus,
+    keys in order, delta and certification are."""
 
     modulus: int
-    keys: tuple[int, ...]
-    delta: float | None = None
-    certification: Certification = Certification()
+    delta: float | None
+    certification: Certification
+    _stored: np.ndarray | tuple[int, ...] = field(repr=False)
 
-    # The keys as uint64 when N is in the uint64 tier (see _uint64_exact),
-    # else None; built once here for the checks and every residue product.
-    key_array: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.modulus
+    def __init__(
+        self,
+        modulus: int,
+        keys: Sequence[int] | np.ndarray,
+        delta: float | None = None,
+        certification: Certification = Certification(),
+    ) -> None:
+        n = modulus
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
-        if not self.keys:
+        if not len(keys):
             raise ValueError("key set must be nonempty")
-        arr = None
-        if _uint64_exact(n):
-            try:
-                arr = np.fromiter(self.keys, dtype=np.uint64, count=len(self.keys))
-            except OverflowError:  # a key below 0 or at least 2^64, named below
-                pass
-        if arr is None:
-            duplicated = len(set(self.keys)) != len(self.keys)
-            outside = [i for i, k in enumerate(self.keys) if not 0 <= k < n]
+        if _uint64_exact(n) and isinstance(keys, np.ndarray) and keys.dtype == np.uint64:
+            stored = keys
+        elif _uint64_exact(n) and 0 <= min(keys) and max(keys) < 1 << 64:
+            # Range first: numpy 1.x may wrap a negative int into uint64, not raise.
+            stored = np.fromiter(keys, dtype=np.uint64, count=len(keys))
         else:
-            ordered = np.sort(arr)
+            stored = tuple(keys)
+        if isinstance(stored, tuple):
+            duplicated = len(set(stored)) != len(stored)
+            outside = [k for k in stored if not 0 <= k < n]
+        else:
+            ordered = np.sort(stored)
             duplicated = bool((ordered[1:] == ordered[:-1]).any())
-            outside = np.flatnonzero(arr >= n) if n < 1 << 64 else []
-            arr.flags.writeable = False
-            object.__setattr__(self, "key_array", arr)
+            outside = stored[stored >= n].tolist() if n < 1 << 64 else []
+            stored.flags.writeable = False
         if duplicated:
             raise ValueError("duplicate keys (would silently skew the bias average)")
-        if len(outside):
-            raise ValueError(f"key {self.keys[outside[0]]} outside [0, {n})")
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise ValueError(f"delta out of (0,1): {self.delta}")
+        if outside:
+            raise ValueError(f"key {outside[0]} outside [0, {n})")
+        if delta is not None and not 0 < delta < 1:
+            raise ValueError(f"delta out of (0,1): {delta}")
+        self.__dict__.update(modulus=n, delta=delta, certification=certification, _stored=stored)
+
+    @property
+    def key_array(self) -> np.ndarray | None:
+        return None if isinstance(self._stored, tuple) else self._stored
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        return self._stored if self.key_array is None else tuple(self._stored.tolist())
 
     @property
     def d(self) -> int:
-        return len(self.keys)
+        return len(self._stored)
 
     @property
     def certified(self) -> bool:
         return self.certification.mode == "exact" and self.delta is not None
+
+    def _same_keys(self, other: "KeySet") -> bool:
+        """Same modulus and keys in the same order: hashes comparable."""
+        if self.modulus != other.modulus:  # so both are stored the same way
+            return False
+        if self.key_array is None:
+            return self._stored == other._stored
+        return np.array_equal(self._stored, other._stored)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KeySet):
+            return NotImplemented
+        verdict = (self.delta, self.certification)
+        return self._same_keys(other) and verdict == (other.delta, other.certification)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.d, self.delta, self.certification))
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -156,6 +193,9 @@ class KeySet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "KeySet":
+        """Digit-string keys (the form :meth:`to_json` writes) go straight
+        into the uint64 key array in the uint64 tier; any other list is read
+        one key at a time."""
         if not isinstance(doc["keys"], list):
             raise ValueError("keys must be a JSON list")
         certification = doc.get("certification", {})
@@ -164,9 +204,11 @@ class KeySet:
         delta = doc.get("delta")
         if delta is not None and type(delta) not in (int, float):
             raise ValueError(f"delta must be a JSON number, got {delta!r}")
+        modulus = parse_int(doc["N"], "N")
+        keys = parse_uint64s(doc["keys"]) if _uint64_exact(modulus) else None
         return cls(
-            modulus=parse_int(doc["N"], "N"),
-            keys=parse_ints(doc["keys"], "keys"),
+            modulus=modulus,
+            keys=parse_ints(doc["keys"], "keys") if keys is None else keys,
             delta=delta,
             certification=Certification.from_json(certification),
         )
@@ -251,7 +293,7 @@ def build_hash(key_set: KeySet, value: int) -> HashState:
 
 
 def _require_same_keys(a: HashState, b: HashState) -> None:
-    if a.key_set.modulus != b.key_set.modulus or a.key_set.keys != b.key_set.keys:
+    if not a.key_set._same_keys(b.key_set):
         raise ValueError("hash states use different key sets")
 
 
@@ -378,7 +420,7 @@ def verify_resistance(
         while remaining > 0:
             chunk = min(remaining, 4096)
             remaining -= chunk
-            diffs = sorted(rand_below(gen, n - 1) + 1 for _ in range(chunk))
+            diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, chunk))
             magnitudes = np.abs(bias(key_set, diffs))
             top = int(np.argmax(magnitudes))
             if magnitudes[top] > max_bias:
@@ -389,14 +431,9 @@ def verify_resistance(
         raise ValueError(f"unknown mode {mode!r}")
 
     certified = max_bias < delta
-    if certified:
-        annotated = replace(
-            key_set,
-            delta=delta,
-            certification=Certification(mode=mode, max_bias=max_bias, **meta),
-        )
-    else:
-        annotated = replace(key_set, delta=None, certification=Certification())
+    verdict = Certification(mode=mode, max_bias=max_bias, **meta) if certified else Certification()
+    # The stored keys are passed on as they are: a key array is not copied.
+    annotated = KeySet(n, key_set._stored, delta if certified else None, verdict)
     return ResistanceReport(
         certified=certified,
         mode=mode,
@@ -426,8 +463,8 @@ def _draw_keys(gen: np.random.Generator, modulus: int, d: int) -> tuple[int, ...
         picked = gen.choice(modulus, size=d, replace=False)
         return tuple(sorted(int(k) for k in picked))
     chosen: set[int] = set()
-    while len(chosen) < d:
-        chosen.add(rand_below(gen, modulus))
+    while len(chosen) < d:  # each batch is the shortfall, so no draw is spare
+        chosen.update(rand_below_many(gen, modulus, d - len(chosen)))
     return tuple(sorted(chosen))
 
 

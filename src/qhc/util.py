@@ -12,6 +12,7 @@ Conventions (used everywhere, never locally overridden):
 
 Integers read from key and polynomial files go through ``parse_int`` /
 ``parse_ints``: a JSON integer or a string of decimal digits, nothing else.
+``parse_uint64s`` reads a list of digit strings below 2^64 in one pass.
 """
 
 from __future__ import annotations
@@ -55,14 +56,28 @@ def parse_int(value, field: str, signed: bool = False) -> int:
 
 def parse_ints(values: Sequence, field: str, signed: bool = False) -> tuple[int, ...]:
     """``parse_int`` over a list; a bad entry is named ``field[i]``."""
+    return tuple(parse_int(v, f"{field}[{i}]", signed) for i, v in enumerate(values))
+
+
+def parse_uint64s(values: Sequence) -> np.ndarray | None:
+    """A list of nonempty ASCII digit strings (the form qhc writes) as one
+    uint64 array, parsed in one pass with no Python int per entry; None for
+    any other list, or when a value is 2^64 or more.
+
+    ``np.fromstring`` reads a value of 2^64 or more as 2^64 - 1 without a
+    warning, so every entry read as 10^19 or more (every one of 20 or more
+    significant digits) is checked again with ``int``."""
     try:
         text = "".join(values)  # TypeError unless every entry is a string
     except TypeError:
-        text = ""
-    if text.isascii() and text.isdigit() and all(values):
-        # Nonempty digit strings, the form qhc writes, checked without a Python loop.
-        return tuple(map(int, values))
-    return tuple(parse_int(v, f"{field}[{i}]", signed) for i, v in enumerate(values))
+        return None
+    # bytes.isdigit tests ASCII digits as str.isdigit does here, ten times faster.
+    if not (text.isascii() and text.encode().isdigit() and all(values)):
+        return None
+    array = np.fromstring(" ".join(values), dtype=np.uint64, sep=" ")
+    if any(int(values[i]) >> 64 for i in np.flatnonzero(array >= np.uint64(10**19)).tolist()):
+        return None
+    return array
 
 
 def bit_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -76,20 +91,32 @@ def bit_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
 
 
 def rand_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound) for arbitrary-precision bounds.
+    """Uniform integer in [0, bound) for arbitrary-precision bounds."""
+    return rand_below_many(rng, bound, 1)[0]
 
-    numpy's integers() stops at 64 bits; beyond that we compose 32-bit
-    words and reject out-of-range draws (expected < 2 draws per call)."""
+
+def rand_below_many(rng: np.random.Generator, bound: int, count: int) -> list[int]:
+    """``count`` draws of :func:`rand_below`, batched.
+
+    numpy's integers() stops at 64 bits; beyond 2^63 each value is composed
+    from 32-bit words and rejected when out of range (expected < 2 tries).
+    Each call asks for the words of exactly the values still needed, and
+    32-bit draws continue one stream across calls, so the values and the
+    generator's state after them are those of drawing one value at a time."""
     if bound <= 0:
         raise ValueError("bound must be positive")
     if bound <= 1 << 63:
-        return int(rng.integers(0, bound))
+        return rng.integers(0, bound, size=count).tolist()
     nbits = bound.bit_length()
     nwords = (nbits + 31) // 32
-    while True:
-        value = 0
-        for word in rng.integers(0, 1 << 32, size=nwords, dtype=np.uint64):
-            value = (value << 32) | int(word)
-        value >>= nwords * 32 - nbits
-        if value < bound:
-            return value
+    out: list[int] = []
+    while len(out) < count:
+        words = rng.integers(0, 1 << 32, size=nwords * (count - len(out)), dtype=np.uint64)
+        for group in words.reshape(-1, nwords).tolist():
+            value = 0
+            for word in group:
+                value = (value << 32) | word
+            value >>= nwords * 32 - nbits
+            if value < bound:
+                out.append(value)
+    return out

@@ -100,6 +100,22 @@ def max_bias_direct(keys, modulus: int) -> tuple[float, int]:
     return best, arg
 
 
+def rand_below_per_call(rng: np.random.Generator, bound: int) -> int:
+    """One uniform value in [0, bound), one generator call per try: a bounded
+    integers() draw up to 2^63; above, ceil(bits / 32) 32-bit words read
+    most significant first, cut to the bound's bit length and rejected when
+    not below it."""
+    if bound <= 1 << 63:
+        return int(rng.integers(0, bound))
+    nbits = bound.bit_length()
+    nwords = -(-nbits // 32)
+    while True:
+        words = rng.integers(0, 1 << 32, size=nwords, dtype=np.uint64)
+        value = int("".join(format(int(w), "032b") for w in words), 2) >> (32 * nwords - nbits)
+        if value < bound:
+            return value
+
+
 def swap_circuit_accept(a: np.ndarray, b: np.ndarray) -> float:
     """Statevector simulation of the swap test on two real state vectors.
 

@@ -472,6 +472,34 @@ class TestMalformedInputExits3:
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, f"{keys}: bad key set: key {bad} outside [0, {n})")
 
+    @pytest.mark.parametrize("n", ["16", str(1 << 64)])
+    @pytest.mark.parametrize("bad", [str(1 << 64), str(1 << 70), "0" * 25 + str(1 << 64)])
+    def test_digit_string_key_out_of_range_exits_3(self, tmp_path, capsys, n, bad):
+        """All-digit-string keys are parsed in one pass, which reads a value of
+        2^64 or more as 2^64 - 1; the key is still refused and named."""
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": n, "keys": ["1", bad, "3"]}))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, f"{keys}: bad key set: key {int(bad)} outside [0, {n})")
+
+    def test_largest_digit_string_key_loads(self, tmp_path, capsys):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": str(1 << 64), "keys": ["1", str((1 << 64) - 1), "3"]}))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        assert run_cli("run", "--config", write_config(tmp_path, config)) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["spec"]["key_sets"][0]["d"] == 3
+
+    @pytest.mark.parametrize("n", ["16", str(1 << 64)])
+    @pytest.mark.parametrize("bad", ["", " 3", "+3", "-3", "1_6"])
+    def test_malformed_digit_string_key_exits_3(self, tmp_path, capsys, n, bad):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": n, "keys": ["1", bad, "3"]}))
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        where = f"keys[1] must be an integer or a string of decimal digits, got {bad!r}"
+        self.assert_exit_3(capsys, argv, f"{keys}: bad key set: {where}")
+
     def test_key_file_mixed_integer_forms_load(self, tmp_path, capsys):
         keys = tmp_path / "keys.json"
         keys.write_text(json.dumps({"N": 16, "keys": [1, "3"], "delta": None}))

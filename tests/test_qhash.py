@@ -24,8 +24,15 @@ from qhc import (
     verify_resistance,
 )
 from qhc.qhash import ResistanceReport
+from qhc.util import rand_below_many
 
-from oracles import bias_direct, max_bias_direct, residue_ratios_direct, swap_circuit_accept
+from oracles import (
+    bias_direct,
+    max_bias_direct,
+    rand_below_per_call,
+    residue_ratios_direct,
+    swap_circuit_accept,
+)
 
 
 def _random_key_set(rng: np.random.Generator, max_log_n: int = 20) -> KeySet:
@@ -91,6 +98,26 @@ class TestKeySet:
         doc = json.loads(json.dumps(ks.to_json()))
         assert KeySet.from_json(doc) == ks
         assert doc["N"] == str(1 << 80)
+
+    @pytest.mark.parametrize("n", [1 << 21, 1 << 64])
+    def test_json_round_trip_in_the_uint64_tier(self, n):
+        """A set built from ints and one read back from its JSON (digit
+        strings, parsed straight into the key array) are the same set."""
+        ks = KeySet(
+            modulus=n,
+            keys=(n - 1, 0, 12345, n // 3),
+            delta=0.25,
+            certification=Certification(mode="exact", max_bias=0.1),
+        )
+        text = json.dumps(ks.to_json())
+        loaded = KeySet.from_json(json.loads(text))
+        assert loaded == ks and ks == loaded and hash(loaded) == hash(ks)
+        assert json.dumps(loaded.to_json()) == text
+        assert loaded.keys == ks.keys and all(type(k) is int for k in loaded.keys)
+        assert not loaded.key_array.flags.writeable and not ks.key_array.flags.writeable
+        assert loaded != KeySet(modulus=n, keys=(0, n - 1, 12345, n // 3), delta=0.25,
+                                certification=Certification(mode="exact", max_bias=0.1))
+        assert inner_product(build_hash(loaded, 3), build_hash(ks, 3)) == 1.0
 
 
 # ------------------------------------------------------------ hash states
@@ -473,3 +500,22 @@ def test_hash_qubits(d, qubits):
     if d <= 64:
         ks = KeySet(modulus=1 << 11, keys=tuple(range(d)))
         assert hash_qubits(ks) == qubits
+
+
+# ------------------------------------------------------------ batched draws
+
+
+@pytest.mark.parametrize(
+    "bound", [5, (1 << 21) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1, 1 << 64, 3 << 100]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_draws_match_per_call_draws(bound, seed):
+    """One batched call draws the values, and leaves the generator where,
+    one call per try would; an odd 32-bit draw first leaves a spare half
+    word that both must use."""
+    per_call, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    for gen in (per_call, batched):
+        gen.integers(0, 1 << 32)
+    want = [rand_below_per_call(per_call, bound) for _ in range(257)]
+    assert rand_below_many(batched, bound, 257) == want
+    assert batched.integers(0, 1 << 32) == per_call.integers(0, 1 << 32)
