@@ -28,7 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GuardError
-from .util import bit_matrix, index_to_bits, parse_int, parse_ints, rand_below
+from .util import (
+    DIGITS, LIST, SIGNED, bit_matrix, index_to_bits, rand_below, read_field, read_items
+)
 
 # Brute-force enumeration refuses above this many variables (16M rows).
 ENUM_GUARD_BITS = 24
@@ -104,12 +106,10 @@ class LinearPolynomial:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LinearPolynomial":
-        if not isinstance(doc["coeffs"], list):
-            raise ValueError("coeffs must be a JSON list")
         return cls(
-            modulus=parse_int(doc["modulus"], "modulus"),
-            coeffs=parse_ints(doc["coeffs"], "coeffs", signed=True),
-            constant=parse_int(doc.get("constant", 0), "constant", signed=True),
+            modulus=read_field(doc, "modulus", "modulus", DIGITS),
+            coeffs=read_items(read_field(doc, "coeffs", "coeffs", LIST), "coeffs", SIGNED),
+            constant=read_field(doc, "constant", "constant", SIGNED, 0),
         )
 
 

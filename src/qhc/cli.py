@@ -41,7 +41,9 @@ from .boolfn import (
 from .errors import CharacteristicError, ConfigError, GuardError, SearchError
 from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled, run_smp
 from .qhash import KeySet, search_key_set
-from .util import parse_bits
+from .util import (
+    FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, parse_bits, read_field, read_items
+)
 
 _BUILTINS = ("EQ", "MOD", "MODBIN", "PALINDROME", "PERM")
 
@@ -80,20 +82,27 @@ def _read_json(path: Path, what: str):
         raise ConfigError(str(path), f"not valid JSON: {e}")
 
 
-def _poly_from_json(doc, where: str) -> LinearPolynomial:
-    if not isinstance(doc, dict):
-        raise ConfigError(where, "a polynomial must be a JSON object")
+def _parse_doc(parse, doc, where: str, whole: str, what: str):
+    """``parse(doc)`` for the JSON object ``doc`` (a key set or polynomial)
+    read at ``where``, a file or a config path.  An error names ``where``,
+    then the field by its path in ``doc``."""
+    read_field({whole: doc}, whole, where, OBJECT)
     try:
-        return LinearPolynomial.from_json(doc)
-    except KeyError as e:
-        raise ConfigError(where, f"polynomial lacks {e}")
-    except (TypeError, ValueError) as e:
-        raise ConfigError(where, f"bad polynomial: {e}")
+        return parse(doc)
+    except ConfigError as e:  # e.message starts with the field's own name
+        parent = e.path.rpartition(".")[0]
+        raise ConfigError(where, f"bad {what}: {parent + '.' if parent else ''}{e.message}")
+    except ValueError as e:
+        raise ConfigError(where, f"bad {what}: {e}")
+
+
+def _poly_from_json(doc, where: str) -> LinearPolynomial:
+    return _parse_doc(LinearPolynomial.from_json, doc, where, "a polynomial", "polynomial")
 
 
 def _load_polys(path: Path) -> list[LinearPolynomial]:
     doc = _read_json(path, "polynomial file")
-    docs = doc if isinstance(doc, list) else [doc]
+    docs = doc if isinstance(doc, list) else [doc]  # one polynomial or a list of them
     if not docs:
         raise ConfigError(str(path), "empty polynomial file")
     return [_poly_from_json(d, str(path)) for d in docs]
@@ -101,58 +110,32 @@ def _load_polys(path: Path) -> list[LinearPolynomial]:
 
 def _load_key_set(path: Path) -> KeySet:
     doc = _read_json(path, "key file")
-    if not isinstance(doc, dict):
-        raise ConfigError(str(path), "key file must be a JSON object")
-    try:
-        return KeySet.from_json(doc)
-    except KeyError as e:
-        raise ConfigError(str(path), f"key set lacks {e}")
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(path), f"bad key set: {e}")
+    return _parse_doc(KeySet.from_json, doc, str(path), "key file", "key set")
 
 
-def _json_int(doc: dict, key: str, path: str, default: int | None = None) -> int | None:
-    """``doc[key]`` as a JSON integer (bools, floats and strings are refused),
-    or ``default`` when the key is absent."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(path, f"{key} must be a JSON integer, got {json.dumps(value)}")
-    return value
+# Bounds of the keys.search fields, shared with the search-keys flags.
+_SEARCH_BOUNDS = {"log2_n": (1, 256), "seed": (0, None), "attempts": (1, None),
+                  "trials": (1, None)}
 
 
-def _check_log2_n(log2_n: int, path: str) -> int:
-    """The key-modulus width bound shared by configs and ``search-keys``."""
-    if not 1 <= log2_n <= 256:
-        raise ConfigError(path, f"log2_n out of 1..256: {log2_n}")
-    return log2_n
-
-
-def _check_positive(value: int, path: str) -> int:
-    if value < 1:
-        raise ConfigError(path, f"{path.rsplit('.', 1)[-1]} must be >= 1, got {value}")
-    return value
+def _search_field(doc: dict, key: str, prefix: str, default=REQUIRED) -> int:
+    return read_field(doc, key, prefix + key, INT, default, *_SEARCH_BOUNDS[key])
 
 
 def _resolve_builtin(fdoc: dict) -> FunctionInstance:
     """A builtin from its descriptor: {"name", "n", "m"}, or for CONJ
     {"n_a", "n_b", "m_a", "m_b"}.  Shared by configs and ``verify``."""
-    name = str(fdoc.get("name", "")).upper()
+    name = read_field(fdoc, "name", "function.name", STRING, "").upper()
     if name == "CONJ":
-        if "n_a" not in fdoc or "n_b" not in fdoc:
-            raise ConfigError("function", "CONJ needs n_a and n_b")
-        fields = {"n_a": None, "n_b": None, "m_a": 3, "m_b": 4}
+        fields = {"n_a": REQUIRED, "n_b": REQUIRED, "m_a": 3, "m_b": 4}
     elif name not in _BUILTINS:
         raise ConfigError(
             "function.name",
             f"unknown function {name!r} (expected {', '.join(_BUILTINS)} or CONJ)",
         )
-    elif fdoc.get("n") is None:
-        raise ConfigError("function.n", f"{name} needs n")
     else:
-        fields = {"n": None, "m": None}
-    sizes = {k: _json_int(fdoc, k, f"function.{k}", d) for k, d in fields.items()}
+        fields = {"n": REQUIRED, "m": None}
+    sizes = {k: read_field(fdoc, k, f"function.{k}", INT, d) for k, d in fields.items()}
     try:
         return conjunction(**sizes) if name == "CONJ" else builtin(name, **sizes)
     except ValueError as e:
@@ -174,7 +157,7 @@ class ExperimentConfig:
     key_search: dict | None  # {"seed", "attempts", "modulus", "trials"}
     key_files: list[Path] | None
     trials: int
-    seed: int | None
+    seed: int
     input_bits: tuple[tuple[int, ...], tuple[int, ...]] | None
     out: str | None
 
@@ -182,69 +165,41 @@ class ExperimentConfig:
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     """Validate an experiment document; the first problem wins and is
     reported with its JSON path."""
-    if not isinstance(doc, dict):
-        raise ConfigError("$", "config must be a JSON object")
-
-    fdoc = doc.get("function")
-    if not isinstance(fdoc, dict):
-        raise ConfigError("function", "missing function descriptor")
-    if "poly" in fdoc or "poly_file" in fdoc:
-        if "poly" in fdoc:
-            polys = [_poly_from_json(fdoc["poly"], "function.poly")]
-        elif isinstance(fdoc["poly_file"], str):
-            polys = _load_polys(base_dir / fdoc["poly_file"])
-        else:
-            raise ConfigError("function.poly_file", "poly_file must be a file name")
-        instance = _instance_from_polys(polys)
+    read_field({"config": doc}, "config", "$", OBJECT)
+    fdoc = read_field(doc, "function", "function", OBJECT)
+    if "poly" in fdoc:
+        instance = _instance_from_polys([_poly_from_json(fdoc["poly"], "function.poly")])
+    elif "poly_file" in fdoc:
+        poly_file = read_field(fdoc, "poly_file", "function.poly_file", FILE)
+        instance = _instance_from_polys(_load_polys(base_dir / poly_file))
     else:
         instance = _resolve_builtin(fdoc)
 
     arity = instance.function.arity
-    sdoc = doc.get("split", {})
-    if not isinstance(sdoc, dict):
-        raise ConfigError("split", "split must be an object")
-    n1 = _json_int(sdoc, "n1", "split.n1", instance.n1)
-    if not 0 <= n1 <= arity:
-        raise ConfigError("split.n1", f"cut {n1} outside 0..{arity}")
-    forwarded = sdoc.get("forwarded", [])
-    if not isinstance(forwarded, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in forwarded
-    ):
-        raise ConfigError("split.forwarded", "forwarded must be a JSON list of integers")
-    forwarded = tuple(forwarded)
-    for i in forwarded:
-        if not 1 <= i <= n1:
-            raise ConfigError("split.forwarded", f"index {i} outside Alice's 1..{n1}")
+    pairs = len(instance.characteristic.polynomials)
+    sdoc = read_field(doc, "split", "split", OBJECT, {})
+    n1 = read_field(sdoc, "n1", "split.n1", INT, instance.n1, lo=0, hi=arity)
+    forwarded = read_field(sdoc, "forwarded", "split.forwarded", LIST, [])
+    forwarded = tuple(read_items(forwarded, "split.forwarded", INT, lo=1, hi=n1))
     if len(set(forwarded)) != len(forwarded):
         raise ConfigError("split.forwarded", "indices must be distinct")
 
-    delta = doc.get("delta")
-    if delta is not None:
-        if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-            raise ConfigError("delta", f"delta must be a JSON number, got {json.dumps(delta)}")
-        delta = float(delta)
-        if not 0.0 < delta < 1.0:
-            raise ConfigError("delta", f"delta out of (0,1): {delta}")
+    delta = read_field(doc, "delta", "delta", NUMBER, None, lo=0, hi=1)
 
-    kdoc = doc.get("keys")
-    if not isinstance(kdoc, dict) or not (
-        ("search" in kdoc) ^ ("file" in kdoc or "files" in kdoc)
-    ):
+    kdoc = read_field(doc, "keys", "keys", OBJECT)
+    if ("search" in kdoc) == ("file" in kdoc or "files" in kdoc):
         raise ConfigError("keys", "need exactly one key source: search, file, or files")
     key_search = None
     key_files = None
     if "search" in kdoc:
-        s = kdoc["search"]
-        if not isinstance(s, dict):
-            raise ConfigError("keys.search", "search must be a JSON object")
+        s = read_field(kdoc, "search", "keys.search", OBJECT)
         if delta is None:
             raise ConfigError("delta", "key search needs a delta in (0,1)")
         modulus = instance.characteristic.modulus
         if "log2_n" in s:
-            log2_n = _json_int(s, "log2_n", "keys.search.log2_n")
-            modulus = 1 << _check_log2_n(log2_n, "keys.search.log2_n")
+            modulus = 1 << _search_field(s, "log2_n", "keys.search.")
         elif "N" in s:
-            modulus = _json_int(s, "N", "keys.search.N")
+            modulus = read_field(s, "N", "keys.search.N", INT)
         if modulus < instance.characteristic.modulus:
             raise ConfigError(
                 "keys.search",
@@ -252,47 +207,47 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                 f"{instance.characteristic.modulus}",
             )
         key_search = {
-            "seed": _json_int(s, "seed", "keys.search.seed", 0),
-            "attempts": _check_positive(
-                _json_int(s, "attempts", "keys.search.attempts", 10), "keys.search.attempts"
-            ),
+            "seed": _search_field(s, "seed", "keys.search.", 0),
+            "attempts": _search_field(s, "attempts", "keys.search.", 10),
             "modulus": modulus,
-            "trials": _check_positive(
-                _json_int(s, "trials", "keys.search.trials", 2000), "keys.search.trials"
-            ),
+            "trials": _search_field(s, "trials", "keys.search.", 2000),
         }
     else:
-        names = kdoc["files"] if "files" in kdoc else [kdoc["file"]]
-        key_files = [base_dir / str(p) for p in names]
-        if len(key_files) not in (1, len(instance.characteristic.polynomials)):
+        if "files" in kdoc:
+            names = read_items(read_field(kdoc, "files", "keys.files", LIST), "keys.files", FILE)
+        else:
+            names = [read_field(kdoc, "file", "keys.file", FILE)]
+        key_files = [base_dir / p for p in names]
+        if len(key_files) not in (1, pairs):
             raise ConfigError(
-                "keys.files",
-                f"need 1 or {len(instance.characteristic.polynomials)} key files, "
-                f"got {len(key_files)}",
+                "keys.files", f"need 1 or {pairs} key files, got {len(key_files)}"
             )
 
-    topology = doc.get("topology", "one-way")
+    topology = read_field(doc, "topology", "topology", STRING, "one-way")
     if topology not in ("one-way", "smp"):
         raise ConfigError("topology", f"unknown topology {topology!r}")
-    mode = doc.get("mode", "exact")
+    if topology == "smp" and forwarded:
+        raise ConfigError(
+            "split.forwarded", "forwarded variables have no receiver in the SMP topology"
+        )
+    mode = read_field(doc, "mode", "mode", STRING, "exact")
     if mode not in ("exact", "sampled"):
         raise ConfigError("mode", f"unknown mode {mode!r}")
 
     input_bits = None
-    idoc = doc.get("input")
+    idoc = read_field(doc, "input", "input", OBJECT, None)
     if idoc is not None:
-        if not isinstance(idoc, dict) or not all(
-            isinstance(idoc.get(party), str) for party in ("alice", "bob")
-        ):
-            raise ConfigError("input", "input needs alice and bob bit strings")
         try:
-            input_bits = (parse_bits(idoc["alice"]), parse_bits(idoc["bob"]))
+            input_bits = tuple(
+                parse_bits(read_field(idoc, p, f"input.{p}", STRING)) for p in ("alice", "bob")
+            )
         except ValueError as e:
-            raise ConfigError("input", str(e))
-
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", "out must be a file name")
+            raise ConfigError("input", f"input needs alice and bob bit strings ({e})")
+        for party, bits, size in zip(("alice", "bob"), input_bits, (n1, arity - n1)):
+            if len(bits) != size:
+                raise ConfigError(
+                    f"input.{party}", f"{party} input has {len(bits)} bits, split says {size}"
+                )
 
     return ExperimentConfig(
         raw=doc,
@@ -304,10 +259,10 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         delta=delta,
         key_search=key_search,
         key_files=key_files,
-        trials=_json_int(doc, "trials", "trials", 1),
-        seed=_json_int(doc, "seed", "seed"),
+        trials=read_field(doc, "trials", "trials", INT, 1, lo=1),
+        seed=read_field(doc, "seed", "seed", INT, 0, lo=0),
         input_bits=input_bits,
-        out=out,
+        out=read_field(doc, "out", "out", FILE, None),
     )
 
 
@@ -379,21 +334,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search_keys(args: argparse.Namespace) -> int:
-    _check_log2_n(args.log2_n, "log2-n")
-    _check_positive(args.attempts, "attempts")
-    _check_positive(args.trials, "trials")
+    flags = vars(args)
+    log2_n, seed, attempts, trials = (
+        _search_field(flags, k, "") for k in ("log2_n", "seed", "attempts", "trials")
+    )
     key_set = search_key_set(
-        1 << args.log2_n,
-        args.delta,
-        seed=args.seed,
-        max_attempts=args.attempts,
-        mc_trials=args.trials,
+        1 << log2_n,
+        read_field(flags, "delta", "delta", NUMBER, lo=0, hi=1),
+        seed=seed,
+        max_attempts=attempts,
+        mc_trials=trials,
     )
     cert = key_set.certification
     _write_or_print(json.dumps(key_set.to_json(), indent=2) + "\n", args.out)
     target = args.out or "stdout"
     print(
-        f"certified: N=2^{args.log2_n} d={key_set.d} delta={key_set.delta} "
+        f"certified: N=2^{log2_n} d={key_set.d} delta={key_set.delta} "
         f"max_bias={cert.max_bias:.6f} mode={cert.mode} -> {target}"
     )
     return 0
@@ -403,7 +359,7 @@ def _load_run_config(args: argparse.Namespace) -> ExperimentConfig:
     path = Path(args.config)
     config = parse_config(_read_json(path, "config"), path.parent)
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        config.seed = read_field(vars(args), "seed", "seed", INT, lo=0)
     if getattr(args, "out", None) is not None:
         config.out = args.out
     return config
@@ -418,7 +374,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     sigma, gamma = config.input_bits
     if config.mode == "sampled":
         report = run_sampled(
-            spec, sigma, gamma, seed=config.seed or 0, trials=config.trials
+            spec, sigma, gamma, seed=config.seed, trials=config.trials
         )
     elif config.topology == "smp":
         report = run_smp(spec, sigma, gamma)

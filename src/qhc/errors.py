@@ -28,8 +28,9 @@ class CharacteristicError(ValueError):
 
 
 class ConfigError(ValueError):
-    """An experiment config document failed validation at ``path``."""
+    """A config, key file, polynomial or flag failed validation at ``path``."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message

@@ -31,7 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, SearchError
-from .util import parse_int, parse_ints, parse_uint64s, rand_below_many
+from .util import (
+    DIGITS, INT, LIST, NUMBER, OBJECT, STRING, parse_uint64s, rand_below_many, read_field,
+    read_items,
+)
 
 # Exhaustive difference sweeps refuse above this modulus (2M differences).
 EXACT_SWEEP_GUARD = 1 << 21
@@ -73,27 +76,12 @@ class Certification:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Certification":
-        """A key file's certification object; a field of the wrong JSON type
-        is a ValueError naming it (``certification.max_bias``)."""
-        mode = doc.get("mode", "none")
-        if type(mode) is not str:
-            raise ValueError(f"certification.mode must be a JSON string, got {mode!r}")
-        for name in ("max_bias", "confidence"):
-            value = doc.get(name)
-            if value is not None and type(value) not in (int, float):
-                raise ValueError(
-                    f"certification.{name} must be a JSON number or null, got {value!r}"
-                )
-        trials = doc.get("trials")
-        if trials is not None and (type(trials) is not int or trials < 1):
-            raise ValueError(
-                f"certification.trials must be a JSON integer >= 1 or null, got {trials!r}"
-            )
+        """A key file's certification object."""
         return cls(
-            mode=mode,
-            max_bias=doc.get("max_bias"),
-            trials=trials,
-            confidence=doc.get("confidence"),
+            mode=read_field(doc, "mode", "certification.mode", STRING, "none"),
+            max_bias=read_field(doc, "max_bias", "certification.max_bias", NUMBER, None),
+            trials=read_field(doc, "trials", "certification.trials", INT, None, lo=1),
+            confidence=read_field(doc, "confidence", "certification.confidence", NUMBER, None),
         )
 
 
@@ -196,21 +184,16 @@ class KeySet:
         """Digit-string keys (the form :meth:`to_json` writes) go straight
         into the uint64 key array in the uint64 tier; any other list is read
         one key at a time."""
-        if not isinstance(doc["keys"], list):
-            raise ValueError("keys must be a JSON list")
-        certification = doc.get("certification", {})
-        if not isinstance(certification, dict):
-            raise ValueError("certification must be a JSON object")
-        delta = doc.get("delta")
-        if delta is not None and type(delta) not in (int, float):
-            raise ValueError(f"delta must be a JSON number, got {delta!r}")
-        modulus = parse_int(doc["N"], "N")
-        keys = parse_uint64s(doc["keys"]) if _uint64_exact(modulus) else None
+        modulus = read_field(doc, "N", "N", DIGITS)
+        values = read_field(doc, "keys", "keys", LIST)
+        keys = parse_uint64s(values) if _uint64_exact(modulus) else None
         return cls(
             modulus=modulus,
-            keys=parse_ints(doc["keys"], "keys") if keys is None else keys,
-            delta=delta,
-            certification=Certification.from_json(certification),
+            keys=read_items(values, "keys", DIGITS) if keys is None else keys,
+            delta=read_field(doc, "delta", "delta", NUMBER, None),
+            certification=Certification.from_json(
+                read_field(doc, "certification", "certification", OBJECT, {})
+            ),
         )
 
 
@@ -481,13 +464,16 @@ def search_key_set(
     own spawned seed stream and verifies them — exactly for N <= 2^21,
     by Monte Carlo above.  Returns the first certified set; raises
     :class:`SearchError` with the best bias seen if every attempt is
-    refuted.  Bit-reproducible for a fixed seed.
+    refuted, and :class:`GuardError` before any draw when d > 2^21.
+    Bit-reproducible for a fixed seed.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     d = min(required_keys(modulus, delta), modulus)
+    if d > EXACT_SWEEP_GUARD:
+        raise GuardError(f"refusing to draw {d} keys; guard is d <= {EXACT_SWEEP_GUARD}")
     mode = "exact" if modulus <= EXACT_SWEEP_GUARD else "monte-carlo"
     best = math.inf
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -10,16 +10,34 @@ Conventions (used everywhere, never locally overridden):
   ``bit_matrix`` builds the rows of a range of indices.
 * Bit *strings* are written the same way: "01" means x_1=0, x_2=1.
 
-Integers read from key and polynomial files go through ``parse_int`` /
-``parse_ints``: a JSON integer or a string of decimal digits, nothing else.
-``parse_uint64s`` reads a list of digit strings below 2^64 in one pass.
+Every field of a JSON input (config, key file, polynomial) and every
+``search-keys`` flag is read by ``read_field``, which checks its kind and bounds
+and names its JSON path on failure.  ``parse_uint64s`` reads a list of digit
+strings below 2^64 in one pass.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Sequence
 
 import numpy as np
+
+from .errors import ConfigError
+
+# The kinds of value ``read_field`` reads, spelled as its messages name them.
+INT = "a JSON integer"
+DIGITS = "an integer or a string of decimal digits"
+SIGNED = "an integer or a string of decimal digits with an optional leading '-'"
+NUMBER = "a JSON number"
+STRING = "a JSON string"
+FILE = "a file name"
+LIST = "a JSON list"
+OBJECT = "a JSON object"
+_TYPES = {INT: (int,), DIGITS: (int,), SIGNED: (int,), NUMBER: (int, float),
+          STRING: (str,), FILE: (str,), LIST: (list,), OBJECT: (dict,)}
+
+REQUIRED = object()  # the default of a field that must be present
 
 
 def parse_bits(s: str) -> tuple[int, ...]:
@@ -41,22 +59,48 @@ def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def parse_int(value, field: str, signed: bool = False) -> int:
-    """``value`` as an int if it is a JSON integer (not a bool) or a string of
-    ASCII digits, with one leading '-' when ``signed``; else ValueError naming
-    ``field``."""
-    if type(value) is str:
-        digits = value[1:] if signed and value.startswith("-") else value
+def read_field(doc, key, path: str, kind: str, default=REQUIRED, lo=None, hi=None):
+    """``doc[key]``, a field of a JSON object or an entry of a JSON list at
+    JSON path ``path``, checked as ``kind``; a DIGITS or SIGNED digit string
+    is returned as its int.  An absent key gives ``default``; a field whose
+    default is None also takes null, as None.  Bounds are inclusive for
+    integers and exclusive for numbers.
+
+    A failure raises ConfigError(path, message), the message starting with
+    the field's name (its key, or ``name[i]`` for a list entry).  A field
+    that takes null names its whole accepted form ("a JSON integer >= 1 or
+    null"); another names what failed, its kind or its bounds."""
+    value = doc[key] if type(key) is int else doc.get(key, REQUIRED)
+    if value is REQUIRED:
+        if default is REQUIRED:
+            raise ConfigError(path, f"{key} is required")
+        return default
+    if value is None and default is None:
+        return None
+    if kind in (DIGITS, SIGNED) and type(value) is str:
+        digits = value[1:] if kind == SIGNED and value.startswith("-") else value
         if digits.isascii() and digits.isdigit():
-            return int(value)
-    elif type(value) is int:
+            value = int(value)
+    typed = type(value) in _TYPES[kind]
+    closed = kind != NUMBER
+    if typed and (lo is None or (lo <= value if closed else lo < value)) and (
+        hi is None or (value <= hi if closed else value < hi)
+    ):
         return value
-    raise ValueError(f"{field} must be an integer or a string of decimal digits, got {value!r}")
+    name = key if type(key) is str else path.rpartition(".")[2]
+    shown = repr(value) if type(value) is str else json.dumps(value)
+    span = f"{lo}..{hi}" if closed else f"({lo},{hi})"
+    if default is None:
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {span}"
+        raise ConfigError(path, f"{name} must be {kind}{bounds} or null, got {shown}")
+    if typed and hi is not None:
+        raise ConfigError(path, f"{name} out of {span}: {shown}")
+    raise ConfigError(path, f"{name} must be {f'>= {lo}' if typed else kind}, got {shown}")
 
 
-def parse_ints(values: Sequence, field: str, signed: bool = False) -> tuple[int, ...]:
-    """``parse_int`` over a list; a bad entry is named ``field[i]``."""
-    return tuple(parse_int(v, f"{field}[{i}]", signed) for i, v in enumerate(values))
+def read_items(values: list, path: str, kind: str, lo=None, hi=None) -> list:
+    """``read_field`` on every entry of the JSON list ``values`` at ``path``."""
+    return [read_field(values, i, f"{path}[{i}]", kind, lo=lo, hi=hi) for i in range(len(values))]
 
 
 def parse_uint64s(values: Sequence) -> np.ndarray | None:

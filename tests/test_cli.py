@@ -125,6 +125,11 @@ class TestSearchKeys:
     def test_bad_delta_exits_3(self):
         assert run_cli("search-keys", "--log2-n", "6", "--delta", "1.5", "--seed", "0") == 3
 
+    def test_key_count_guard_exits_2(self, capsys):
+        """d = required_keys(2^64, 0.001) is about 9e7 draws: refused before any."""
+        assert run_cli("search-keys", "--log2-n", "64", "--delta", "0.001", "--seed", "0") == 2
+        assert "guard: refusing to draw 90109134 keys" in capsys.readouterr().err
+
 
 # -------------------------------------------------------------------- run
 
@@ -540,6 +545,24 @@ class TestMalformedInputExits3:
         self.assert_exit_3(capsys, argv, f"trials: trials must be >= 1, got {trials}")
 
     @pytest.mark.parametrize(
+        "flag,value,where",
+        [
+            ("--seed", "-1", "seed: seed must be >= 0, got -1"),
+            ("--delta", "1.5", "delta: delta out of (0,1): 1.5"),
+            ("--delta", "nan", "delta: delta out of (0,1): NaN"),
+            ("--delta", "0", "delta: delta out of (0,1): 0.0"),
+        ],
+    )
+    def test_search_keys_flags_name_their_field(self, capsys, flag, value, where):
+        flags = {"--log2-n": "6", "--delta": "0.3", "--seed": "0", flag: value}
+        argv = ["search-keys"] + [arg for pair in flags.items() for arg in pair]
+        self.assert_exit_3(capsys, argv, where)
+
+    def test_run_seed_override_is_checked(self, tmp_path, capsys):
+        argv = ("run", "--config", write_config(tmp_path, EQ2_EXACT), "--seed", "-1")
+        self.assert_exit_3(capsys, argv, "seed: seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize(
         "change,where",
         [
             ({"keys": {"search": 5}}, "keys.search: search must be a JSON object"),
@@ -566,6 +589,22 @@ class TestMalformedInputExits3:
             ({"function": {"poly": "x"}}, "function.poly: a polynomial must be a JSON object"),
             ({"function": {"poly": {"modulus": "7", "coeffs": "12"}}},
              "function.poly: bad polynomial: coeffs must be a JSON list"),
+            ({"mode": "sampled", "trials": 0}, "trials: trials must be >= 1, got 0"),
+            ({"trials": 0}, "trials: trials must be >= 1, got 0"),
+            ({"seed": -1}, "seed: seed must be >= 0, got -1"),
+            ({"keys": {"search": {"log2_n": 10, "seed": -1}}},
+             "keys.search.seed: seed must be >= 0, got -1"),
+            ({"input": {"alice": "1", "bob": "10"}},
+             "input.alice: alice input has 1 bits, split says 2"),
+            ({"input": {"alice": "10", "bob": "101"}},
+             "input.bob: bob input has 3 bits, split says 2"),
+            ({"topology": "smp", "split": {"n1": 2, "forwarded": [1]}},
+             "split.forwarded: forwarded variables have no receiver in the SMP topology"),
+            ({"keys": {"files": "keys.json"}}, "keys.files: files must be a JSON list"),
+            ({"keys": {"files": [5]}}, "keys.files[0]: files[0] must be a file name, got 5"),
+            ({"keys": {"files": ["keys.json", None]}},
+             "keys.files[1]: files[1] must be a file name, got null"),
+            ({"keys": {"file": ["keys.json"]}}, "keys.file: file must be a file name"),
         ],
     )
     def test_config_field_types(self, tmp_path, capsys, change, where):

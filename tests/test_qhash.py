@@ -400,6 +400,12 @@ class TestVerifyResistance:
         with pytest.raises(GuardError, match="monte-carlo"):
             verify_resistance(ks, 0.5)
 
+    @pytest.mark.parametrize("log2_n,delta", [(64, 0.001), (64, 1e-9), (22, 0.001)])
+    def test_key_count_guard_refuses_before_drawing(self, log2_n, delta):
+        """d above 2^21 is refused, also where required_keys exceeds N = 2^64."""
+        with pytest.raises(GuardError, match=r"refusing to draw \d+ keys; guard is d <= 2097152"):
+            search_key_set(1 << log2_n, delta, seed=0)
+
     def test_monte_carlo_refutation_is_genuine(self):
         # arithmetic-progression keys have a near-1 bias spike that uniform
         # difference sampling finds quickly
