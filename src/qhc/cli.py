@@ -38,7 +38,7 @@ from .boolfn import (
     split_polynomial,
     verify_characteristic,
 )
-from .errors import CharacteristicError, ConfigError, GuardError, SearchError
+from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
 from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled, run_smp
 from .qhash import KeySet, search_key_set
 from .util import (
@@ -73,13 +73,22 @@ def _instance_from_polys(
     return FunctionInstance(function=fn, characteristic=char, splits=splits)
 
 
-def _read_json(path: Path, what: str):
+def _read_text(path: Path, what: str) -> str:
     try:
-        return json.loads(path.read_text())
+        return path.read_text()
     except OSError as e:
         raise ConfigError(str(path), f"cannot read {what}: {e}")
+
+
+def _json_loads(text: str, where: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(str(path), f"not valid JSON: {e}")
+        raise ConfigError(where, f"not valid JSON: {e}")
+
+
+def _read_json(path: Path, what: str):
+    return _json_loads(_read_text(path, what), str(path))
 
 
 def _parse_doc(parse, doc, where: str, whole: str, what: str):
@@ -108,9 +117,26 @@ def _load_polys(path: Path) -> list[LinearPolynomial]:
     return [_poly_from_json(d, str(path)) for d in docs]
 
 
+# Key sets kept per process by _key_set_from_text.
+_KEY_SET_CACHE_SIZE = 8
+
+
 def _load_key_set(path: Path) -> KeySet:
-    doc = _read_json(path, "key file")
-    return _parse_doc(KeySet.from_json, doc, str(path), "key file", "key set")
+    """The key set in the file at ``path``, read on every call.
+
+    A process keeps the last few key sets it has built, keyed on the file's
+    whole text and its path, so loading an unchanged file again costs one
+    read and one string hash; a rewritten file is parsed and checked anew.
+    Sharing a set is safe: a ``KeySet``, its certification and its key
+    array are immutable.  A failed load is not kept, so it fails alike each
+    time."""
+    return _key_set_from_text(_read_text(path, "key file"), str(path))
+
+
+@functools.lru_cache(maxsize=_KEY_SET_CACHE_SIZE)
+def _key_set_from_text(text: str, where: str) -> KeySet:
+    doc = _json_loads(text, where)
+    return _parse_doc(KeySet.from_json, doc, where, "key file", "key set")
 
 
 # Bounds of the keys.search fields, shared with the search-keys flags.
@@ -471,7 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SearchError as e:
         print(f"search failed: {e}", file=sys.stderr)
         return 1
-    except CharacteristicError as e:
+    except (CharacteristicError, BoundError) as e:
         print(f"counterexample: {e}", file=sys.stderr)
         return 1
     except ConfigError as e:

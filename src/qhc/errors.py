@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract:
-counterexamples and refuted bounds are ordinary return values (exit 1),
+The CLI maps these onto its exit-code contract: counterexamples raise
+:class:`CharacteristicError` and refuted bounds :class:`BoundError` (exit 1),
 guard refusals raise :class:`GuardError` (exit 2), and malformed input
 raises :class:`ConfigError` or plain ``ValueError`` (exit 3).
 """
@@ -25,6 +25,11 @@ class SearchError(RuntimeError):
 class CharacteristicError(ValueError):
     """A polynomial presentation disagrees with its target function: some
     polynomial fails to vanish on an input the function maps to 1."""
+
+
+class BoundError(RuntimeError):
+    """An exact acceptance probability on a 0-input exceeds the false-accept
+    bound that the key sets' certificates promise: a certificate is false."""
 
 
 class ConfigError(ValueError):

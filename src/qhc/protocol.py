@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qhash
 from .boolfn import BooleanFunction, Decomposition, FunctionInstance, split_polynomial
-from .errors import CharacteristicError, GuardError
+from .errors import BoundError, CharacteristicError, GuardError
 from .qhash import KeySet, bias, build_hash, hash_qubits
 from .util import format_bits, index_to_bits
 
@@ -38,6 +38,7 @@ PROFILE_GUARD_BITS = 20
 # differences are int64 arrays.
 PROFILE_MODULUS_GUARD = 1 << 31
 
+# Slack for float rounding in the one-sided and certified-bound checks.
 _ONE_SIDED_TOL = 1e-12
 
 
@@ -113,6 +114,15 @@ class ProtocolSpec:
         if not self.bounds_certified:
             return None
         return max(ks.delta for ks in self.key_sets)  # type: ignore[type-var]
+
+    @property
+    def certified_bound(self) -> float | None:
+        """(1 + delta^2)/2 at the certified delta.  On a 0-input some pair's
+        values differ, and that pair alone accepts with at most this, so no
+        false accept may exceed it (the l-th power needs every pair to
+        differ, which a polynomial list need not give)."""
+        delta = self.certified_delta
+        return None if delta is None else 0.5 * (1.0 + delta * delta)
 
     def summary(self) -> dict:
         return {
@@ -286,6 +296,20 @@ def _hash_points(
     return points
 
 
+def _check_bound(
+    spec: ProtocolSpec, accept: float, sigma: Sequence[int], gamma: Sequence[int]
+) -> None:
+    """Refute the key sets' certificates if the 0-input (sigma, gamma)
+    accepts above the certified bound."""
+    bound = spec.certified_bound
+    if bound is not None and accept > bound + _ONE_SIDED_TOL:
+        raise BoundError(
+            f"accept probability {accept} on the 0-input "
+            f"{format_bits(sigma)},{format_bits(gamma)} exceeds the certified bound "
+            f"{bound} — a key set's delta certificate is false"
+        )
+
+
 def _report(
     spec: ProtocolSpec,
     sigma: Sequence[int],
@@ -301,6 +325,8 @@ def _report(
             f"accept probability {accept} on a 1-input — the polynomial set is "
             f"not a characteristic of {spec.function.name}"
         )
+    if f_value == 0:
+        _check_bound(spec, accept, sigma, gamma)
     return RunReport(
         alice=tuple(sigma),
         bob=tuple(gamma),
@@ -413,7 +439,8 @@ def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray
 
 def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     """Enumerate every (sigma, gamma), assert acceptance 1 on f = 1, and
-    report the worst false accept (smallest attaining input) over f = 0.
+    report the worst false accept (smallest attaining input) over f = 0,
+    refusing it if it exceeds the certified bound.
 
     Each pair's fidelities come from one :func:`qhash.bias` call over the
     distinct differences of the grid, so every cell equals the
@@ -469,8 +496,8 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         i, j = divmod(flat, 1 << n2)
         attaining = (index_to_bits(i, n1), index_to_bits(j, n2))
         hist, _ = np.histogram(accept[zero_mask], bins=20, range=(0.0, 1.0))
+        _check_bound(spec, worst, *attaining)
 
-    delta = spec.certified_delta
     return ErrorProfile(
         function_name=spec.function.name,
         n1=n1,
@@ -479,7 +506,7 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         attaining=attaining,
         false_inputs=false_inputs,
         histogram=tuple(int(c) for c in hist),
-        certified_bound=None if delta is None else 0.5 * (1.0 + delta * delta),
+        certified_bound=spec.certified_bound,
         accept_grid=accept,
         f_grid=truth,
     )

@@ -19,6 +19,7 @@ strings below 2^64 in one pass.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -64,7 +65,7 @@ def read_field(doc, key, path: str, kind: str, default=REQUIRED, lo=None, hi=Non
     JSON path ``path``, checked as ``kind``; a DIGITS or SIGNED digit string
     is returned as its int.  An absent key gives ``default``; a field whose
     default is None also takes null, as None.  Bounds are inclusive for
-    integers and exclusive for numbers.
+    integers and exclusive for numbers; a number must be finite.
 
     A failure raises ConfigError(path, message), the message starting with
     the field's name (its key, or ``name[i]`` for a list entry).  A field
@@ -83,7 +84,8 @@ def read_field(doc, key, path: str, kind: str, default=REQUIRED, lo=None, hi=Non
             value = int(value)
     typed = type(value) in _TYPES[kind]
     closed = kind != NUMBER
-    if typed and (lo is None or (lo <= value if closed else lo < value)) and (
+    finite = type(value) is not float or math.isfinite(value)  # json reads NaN, Infinity
+    if typed and finite and (lo is None or (lo <= value if closed else lo < value)) and (
         hi is None or (value <= hi if closed else value < hi)
     ):
         return value

@@ -454,6 +454,13 @@ class TestMalformedInputExits3:
             ("trials", 0, "certification.trials must be a JSON integer >= 1 or null"),
             ("trials", 2.0, "certification.trials must be a JSON integer >= 1 or null"),
             ("confidence", {"a": 1}, "certification.confidence must be a JSON number or null"),
+            # json reads these tokens, which are not JSON; a report would echo them.
+            ("max_bias", float("nan"),
+             "certification.max_bias must be a JSON number or null, got NaN"),
+            ("max_bias", float("-inf"),
+             "certification.max_bias must be a JSON number or null, got -Infinity"),
+            ("confidence", float("inf"),
+             "certification.confidence must be a JSON number or null, got Infinity"),
         ],
     )
     def test_certification_fields_are_typed(self, tmp_path, capsys, field, value, where):
@@ -626,6 +633,19 @@ def _without_wall_clock(stdout: str) -> str:
     return json.dumps(doc)
 
 
+def _in_process_and_fresh(argv: list[str]) -> tuple:
+    """(exit code, stdout without the wall clock, stderr) of ``main(argv)``
+    in this process, then of a fresh ``python -m qhc.cli`` process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent))
+    fresh = subprocess.run([sys.executable, "-m", "qhc.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    return ((code, _without_wall_clock(out.getvalue()), err.getvalue()),
+            (fresh.returncode, _without_wall_clock(fresh.stdout), fresh.stderr))
+
+
 def test_interleaved_calls_match_fresh_processes(tmp_path):
     """main builds its parser once per process; no call may see another's
     flags.  Each call gives the exit code and output of a fresh process."""
@@ -638,19 +658,105 @@ def test_interleaved_calls_match_fresh_processes(tmp_path):
         ["search-keys", "--log2-n", "6", "--delta", "0.3", "--seed", "0"],
         ["run", "--config", config, "--no-such-flag"],
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent))
     seen = []
     for argv in calls:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        fresh = subprocess.run([sys.executable, "-m", "qhc.cli", *argv], env=env,
-                               capture_output=True, text=True, timeout=60)
-        got = (code, _without_wall_clock(out.getvalue()), err.getvalue())
-        assert got == (fresh.returncode, _without_wall_clock(fresh.stdout), fresh.stderr)
+        got, fresh = _in_process_and_fresh(argv)
+        assert got == fresh
         seen.append(got)
     assert [c for c, _, _ in seen] == [0, 0, 0, 0, 3]
     assert seen[0][1] != seen[1][1]  # the seed override took effect, then lapsed
+
+
+class TestKeySetCache:
+    """A process keeps the key sets it has loaded, keyed on each file's
+    whole text: an unchanged file is not parsed again, a rewritten one is."""
+
+    def run_key_file(self, tmp_path, keys_doc: str | None = None) -> list[str]:
+        if keys_doc is not None:
+            (tmp_path / "keys.json").write_text(keys_doc)
+        config = dict(EQ2_EXACT, keys={"file": "keys.json"})
+        return ["run", "--config", write_config(tmp_path, config)]
+
+    def test_unchanged_file_gives_the_same_key_set(self, tmp_path, capsys, monkeypatch):
+        loaded = []
+        build = qhc.cli.build_spec
+
+        def recording_build_spec(instance, sets, **kw):
+            loaded.append(sets)
+            return build(instance, sets, **kw)
+
+        monkeypatch.setattr(qhc.cli, "build_spec", recording_build_spec)
+        argv = self.run_key_file(tmp_path, json.dumps(KeySet(16, (1, 3, 5)).to_json()))
+        assert run_cli(*argv) == 0 and run_cli(*argv) == 0
+        assert loaded[0][0] is loaded[1][0]
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        """Same path, same byte length, same modification time: only the
+        content tells the two key sets apart."""
+        def keys_doc(keys, max_bias):
+            cert = {"mode": "monte-carlo", "max_bias": max_bias}
+            return json.dumps({"N": "16", "keys": keys, "certification": cert})
+
+        first, second = keys_doc(["1", "3", "5"], 0.5), keys_doc(["7", "9"], 0.25)
+        second += " " * (len(first) - len(second))
+        assert len(first) == len(second)
+        argv = self.run_key_file(tmp_path)
+        path = tmp_path / "keys.json"
+        reports = []
+        for doc in (first, second):
+            path.write_text(doc)
+            os.utime(path, ns=(10**18, 10**18))
+            got, fresh = _in_process_and_fresh(argv)
+            assert got == fresh and got[0] == 0
+            reports.append(json.loads(got[1])["result"]["spec"]["key_sets"][0])
+        assert [(r["d"], r["certification"]["max_bias"]) for r in reports] == [(3, 0.5), (2, 0.25)]
+
+    def test_search_keys_then_run_match_fresh_processes(self, tmp_path):
+        keys = str(tmp_path / "keys.json")
+        argv = self.run_key_file(tmp_path)
+        seen = []
+        for seed in ("0", "1"):
+            for call in (["search-keys", "--log2-n", "10", "--delta", "0.3", "--seed", seed,
+                          "--out", keys], argv):
+                got, fresh = _in_process_and_fresh(call)
+                assert got == fresh and got[0] == 0
+                seen.append(got)
+        assert seen[1][1] != seen[3][1]  # the second search's keys reached the run
+
+    @pytest.mark.parametrize("keys_doc", ['{"N": "16", "keys": "123"}', '{"N": "16", "keys": [1,'])
+    def test_malformed_file_fails_alike_each_time(self, tmp_path, capsys, keys_doc):
+        argv = self.run_key_file(tmp_path, keys_doc)
+        errors = []
+        for _ in range(2):
+            assert run_cli(*argv) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("config error: ")
+
+
+class TestForgedCertificate:
+    """A key file's exact certificate is checked against every run: a false
+    accept above (1+delta^2)/2 refutes it."""
+
+    FORGED = {"N": "16", "keys": ["1"], "certification": {"mode": "exact"}, "delta": 0.3}
+
+    def config(self, tmp_path) -> str:
+        (tmp_path / "keys.json").write_text(json.dumps(self.FORGED))
+        return write_config(tmp_path, dict(EQ2_EXACT, keys={"file": "keys.json"},
+                                           input={"alice": "10", "bob": "00"}))
+
+    def test_run_exits_1(self, tmp_path, capsys):
+        assert run_cli("run", "--config", self.config(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("counterexample: accept probability 0.92")
+        assert "0-input 10,00 exceeds the certified bound 0.545" in captured.err
+
+    def test_profile_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run_cli("profile", "--config", self.config(tmp_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("counterexample: ") and "0-input 01,10" in err
+        assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from qhc import (
     BooleanFunction,
+    BoundError,
+    Certification,
     Characteristic,
     CharacteristicError,
     FunctionInstance,
@@ -360,6 +362,39 @@ class TestErrorProfile:
         spec = build_spec(builtin("EQ", 2), KeySet(modulus=1 << 33, keys=(1, 5)))
         with pytest.raises(GuardError, match="2\\^31"):
             error_profile(spec)
+
+
+class TestCertifiedBound:
+    """Every false accept is checked against (1+delta^2)/2 at the certified
+    delta, so a false exact certificate is refuted, not reported."""
+
+    @staticmethod
+    def forged_spec() -> ProtocolSpec:
+        # bias(D) = cos(2 pi D / 16) for the single key 1: 0.92 at D = 1.
+        forged = KeySet(16, (1,), delta=0.3, certification=Certification(mode="exact"))
+        return build_spec(builtin("EQ", 2), forged)
+
+    @pytest.mark.parametrize("run", [run_exact, run_smp,
+                                     lambda *a: run_sampled(*a, seed=0, trials=10)])
+    def test_runs_refute_a_false_certificate(self, run):
+        spec = self.forged_spec()
+        assert run(spec, (1, 0), (1, 0)).exact_accept == 1.0
+        with pytest.raises(BoundError, match="0-input 10,00 exceeds the certified bound 0.545"):
+            run(spec, (1, 0), (0, 0))
+
+    def test_profile_refutes_a_false_certificate(self):
+        with pytest.raises(BoundError, match="0-input 01,10"):
+            error_profile(self.forged_spec())
+
+    def test_bound_holds_per_pair_not_per_polynomial(self, certified_n64):
+        # A zero polynomial adds a pair that always collides, so a 0-input may
+        # differ in one pair only: ((1+delta^2)/2)^2 fails, (1+delta^2)/2 holds.
+        base = builtin("EQ", 2)
+        eq = base.characteristic.polynomials[0]
+        zero = LinearPolynomial(modulus=eq.modulus, coeffs=(0,) * eq.arity)
+        inst = FunctionInstance(base.function, Characteristic(base.function, (eq, zero)), ())
+        prof = error_profile(build_spec(inst, certified_n64, n1=2))
+        assert (0.5 * (1 + 0.3**2)) ** 2 < prof.worst_false_accept <= prof.certified_bound
 
 
 # --------------------------------------------------- cross-route agreement
