@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -188,9 +189,26 @@ class ExperimentConfig:
     out: str | None
 
 
+def _refuse_nonfinite(doc: dict) -> None:
+    """Refuse the first NaN or Infinity anywhere in ``doc``, read or not, in
+    document order: ``json`` reads those tokens, and ``run`` echoes the
+    whole config into its report, which must stay strict JSON."""
+    stack = [(doc, "")]
+    while stack:
+        value, path = stack.pop()
+        if type(value) is float and not math.isfinite(value):
+            name = path.rpartition(".")[2]
+            raise ConfigError(path, f"{name} must be a finite JSON number, got {json.dumps(value)}")
+        if type(value) is dict:
+            stack.extend((value[k], f"{path}.{k}" if path else k) for k in reversed(list(value)))
+        elif type(value) is list:
+            stack.extend((value[i], f"{path}[{i}]") for i in reversed(range(len(value))))
+
+
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     """Validate an experiment document; the first problem wins and is
-    reported with its JSON path."""
+    reported with its JSON path.  Its fields are read first, so a field's
+    own message wins; then any other NaN or Infinity is refused."""
     read_field({"config": doc}, "config", "$", OBJECT)
     fdoc = read_field(doc, "function", "function", OBJECT)
     if "poly" in fdoc:
@@ -275,7 +293,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                     f"input.{party}", f"{party} input has {len(bits)} bits, split says {size}"
                 )
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         raw=doc,
         instance=instance,
         n1=n1,
@@ -290,6 +308,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         input_bits=input_bits,
         out=read_field(doc, "out", "out", FILE, None),
     )
+    _refuse_nonfinite(doc)
+    return config
 
 
 def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:

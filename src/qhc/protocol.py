@@ -394,7 +394,12 @@ def run_smp(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) -> R
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """Exact acceptance over the full input grid, summarized over f = 0."""
+    """Exact acceptance over the full input grid, summarized over f = 0.
+
+    ``values`` holds the distinct products of per-pair acceptances that
+    occur, and ``codes`` the index of each cell's product in it, so
+    ``accept_grid == values[codes]``; ``values`` is never longer than the
+    grid has cells."""
 
     function_name: str
     n1: int
@@ -406,25 +411,30 @@ class ErrorProfile:
     certified_bound: float | None
     accept_grid: np.ndarray = field(compare=False, repr=False)
     f_grid: np.ndarray = field(compare=False, repr=False)
+    values: np.ndarray = field(compare=False, repr=False)
+    codes: np.ndarray = field(compare=False, repr=False)
 
     def csv_blocks(self):
         """The CSV text: the header, then one block of lines per sigma row.
 
         Rows are ``sigma,gamma,f,exact_accept`` in assignment order, floats
-        written with ``repr``.  Each distinct accept value is formatted once,
-        so a block is one join over precomputed strings."""
+        written with ``repr``.  Each ``values`` entry is formatted once and a
+        cell picks its tail by its code, so nothing is sorted here and a
+        block is one join over a template whose gamma slots never change."""
 
         def bits(i: int, n: int) -> str:  # an empty side is "", not format's "0"
             return format(i, f"0{n}b") if n else ""
 
         yield "sigma,gamma,f,exact_accept\n"
-        gammas = [bits(j, self.n2) for j in range(1 << self.n2)]
-        uniq, inv = np.unique(self.accept_grid, return_inverse=True)
-        tails = [f",{f},{a!r}\n" for a in uniq.tolist() for f in (0, 1)]
-        codes = inv.reshape(self.accept_grid.shape) * 2 + self.f_grid
-        for i, row in enumerate(codes):
-            prefix = bits(i, self.n1) + ","
-            yield "".join([prefix + g + tails[c] for g, c in zip(gammas, row.tolist())])
+        cols = 1 << self.n2
+        tails = np.array([f",{f},{a!r}\n" for a in self.values.tolist() for f in (0, 1)],
+                         dtype=object)
+        line = [""] * (3 * cols)  # sigma + ",", gamma, tail for each cell
+        line[1::3] = [bits(j, self.n2) for j in range(cols)]
+        for i, (row, f) in enumerate(zip(self.codes, self.f_grid)):
+            line[0::3] = [bits(i, self.n1) + ","] * cols
+            line[2::3] = tails[row * 2 + f].tolist()
+            yield "".join(line)
 
 
 def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray]:
@@ -467,12 +477,25 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         bit = (np.arange(1 << n1) >> (n1 - i)) & 1
         pattern |= bit << (k - 1 - pos)
 
-    accept = np.ones((1 << n1, 1 << n2))
+    # Each cell's acceptance is (a_0 * a_1) * ..., a_j its pair-j term, in
+    # the order run_exact multiplies them.  Pair j's terms come per distinct
+    # difference (``inv`` indexes them), and the products so far per
+    # distinct code; the (code, inv) pairs that occur are compacted to new
+    # codes, so no table outgrows the grid and each product is formed once.
+    shape = (1 << n1, 1 << n2)
     for j, ks in enumerate(spec.key_sets):
         u, v = _value_tables(spec, j)
         uniq, inv = np.unique((u[:, None] - v[pattern, :]) % ks.modulus, return_inverse=True)
-        fid = bias(ks, uniq)[inv].reshape(accept.shape)
-        accept *= 0.5 * (1.0 + fid * fid)
+        fid = bias(ks, uniq)
+        terms = 0.5 * (1.0 + fid * fid)
+        inv = inv.reshape(shape)  # numpy 2 keeps the input's shape, 1.x flattens
+        if j == 0:
+            values, codes = terms, inv
+        else:
+            used, codes = np.unique(codes * terms.size + inv, return_inverse=True)
+            values = values[used // terms.size] * terms[used % terms.size]
+            codes = codes.reshape(shape)
+    accept = values[codes]
 
     ones_bad = (truth == 1) & (accept < 1.0 - _ONE_SIDED_TOL)
     if ones_bad.any():
@@ -509,4 +532,6 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         certified_bound=spec.certified_bound,
         accept_grid=accept,
         f_grid=truth,
+        values=values,
+        codes=codes,
     )

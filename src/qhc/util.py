@@ -130,10 +130,10 @@ def bit_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """(stop - start, n) uint8 array; row r is index_to_bits(start + r, n).
 
     The rows default to all 2**n indices.  Guarded by callers (n <= 24
-    keeps the full matrix under 512 MiB); truth tables take it in blocks."""
-    idx = np.arange(start, 1 << n if stop is None else stop, dtype=np.uint32)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    keeps the full matrix within 512 MiB); truth tables take it in blocks.
+    The rows are the last n of the 32 bits of each big-endian index."""
+    idx = np.arange(start, 1 << n if stop is None else stop, dtype=">u4")
+    return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
 
 
 def rand_below(rng: np.random.Generator, bound: int) -> int:

@@ -13,6 +13,18 @@ from itertools import product
 import numpy as np
 
 
+# Three polynomials over Z_7 on 6 bits that all vanish exactly when
+# x_1 x_2 x_3 = x_4 x_5 x_6, in the JSON form of a ``poly_file``: each
+# e_i = x_i - x_{i+3} is -1, 0 or 1, so e_1 + 2 e_2 = 0 and e_2 + 3 e_3 = 0
+# (mod 7) force all three to 0.  A three-pair characteristic of EQ whose
+# pairs take different values.
+THREE_POLYS = [
+    {"modulus": "7", "coeffs": ["1", "2", "0", "-1", "-2", "0"]},
+    {"modulus": "7", "coeffs": ["0", "1", "3", "0", "-1", "-3"]},
+    {"modulus": "7", "coeffs": ["1", "0", "1", "-1", "0", "-1"]},
+]
+
+
 def poly_eval_direct(modulus: int, coeffs, constant: int, bits) -> int:
     """Plain big-int evaluation of constant + sum coeff_i * bit_i mod m."""
     return (constant + sum(c * b for c, b in zip(coeffs, bits))) % modulus

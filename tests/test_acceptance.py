@@ -35,7 +35,7 @@ from qhc.cli import main
 from qhc.qhash import build_hash
 from qhc.util import rand_below
 
-from oracles import swap_circuit_accept
+from oracles import THREE_POLYS, swap_circuit_accept
 
 
 def _pass(num: int, text: str) -> None:
@@ -262,7 +262,9 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
 # Digests of seeded outputs recorded before the uint64 residue tier replaced
 # int64 and big-int products, so a change in the arithmetic fails here
 # instead of drifting: two key files and, on each, an EQ n=16 run report
-# (exact one-way and SMP) with its wall_clock_s dropped.
+# (exact one-way and SMP) with its wall_clock_s dropped.  The three profile
+# CSVs were recorded before profiles moved to per-pair codes: one pair, one
+# pair with a forwarded bit, and three pairs from a polynomial file.
 GOLDEN_SHA256 = {
     "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
     "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
@@ -270,6 +272,16 @@ GOLDEN_SHA256 = {
     "keys21.json": "d37ae05652a8828734409ab2417ad8a98f07d68abec9a47659f7aff20a0f950e",
     "run21-one-way.json": "1dc98fee4af12fe8096770f76fde671b46ee02f36a67ef5c80ea9c7559f7960a",
     "run21-smp.json": "d6988ac38944b01fc51187dc8a715fc0f65dfe225844e94336eb1f2fce1553d2",
+    "profile-eq6.csv": "ed1092861dd92a8ba281f6a2de40c9c2a1e48fcbc530f6cd6fb479dff737d7dd",
+    "profile-conj34.csv": "55527daea9eeb4e8d84b1e16264deea7c58f6e4c8a83298538d4d4655f901bb3",
+    "profile-poly3.csv": "1dc41d3f86f0104e4ffdbb0b5fecae06e5f88b256a5b60ad0949b1ba29230fbe",
+}
+
+GOLDEN_PROFILES = {
+    "profile-eq6.csv": {"function": {"name": "EQ", "n": 6}},
+    "profile-conj34.csv": {"function": {"name": "CONJ", "n_a": 3, "n_b": 4},
+                           "split": {"n1": 3, "forwarded": [1]}},
+    "profile-poly3.csv": {"function": {"poly_file": "polys.json"}},
 }
 
 
@@ -297,6 +309,14 @@ def _golden_outputs(work) -> dict[str, bytes]:
             doc = json.loads(out.getvalue())
             doc.pop("wall_clock_s")
             outputs[config.name] = (json.dumps(doc, indent=2) + "\n").encode()
+    (work / "polys.json").write_text(json.dumps(THREE_POLYS))
+    for name, doc in GOLDEN_PROFILES.items():
+        config = work / f"{name}.json"
+        config.write_text(json.dumps(
+            {**doc, "delta": 0.3, "keys": {"search": {"log2_n": 10, "seed": 7}}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["profile", "--config", str(config), "--out", str(work / name)]) == 0
+        outputs[name] = (work / name).read_bytes()
     return outputs
 
 
@@ -304,4 +324,4 @@ def test_c11_seeded_outputs_match_recorded_digests(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in _golden_outputs(tmp_path).items()}
     assert digests == GOLDEN_SHA256
-    _pass(11, "key files and run reports match the recorded SHA-256 digests")
+    _pass(11, "key files, run reports and profile CSVs match the recorded SHA-256 digests")

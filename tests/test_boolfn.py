@@ -16,7 +16,7 @@ from qhc import (
     split_polynomial,
     verify_characteristic,
 )
-from qhc.util import index_to_bits
+from qhc.util import bit_matrix, index_to_bits
 
 from oracles import (
     conj_direct,
@@ -193,6 +193,23 @@ def test_rule_matches_oracle_on_every_input(instance, oracle):
     want = [int(oracle(bits)) for bits in product((0, 1), repeat=fn.arity)]
     assert fn.truth_table().tolist() == want
     assert [fn(bits) for bits in product((0, 1), repeat=fn.arity)] == want
+
+
+@pytest.mark.parametrize(
+    "n,start,stop",
+    [
+        (0, 0, None),
+        (1, 0, None),
+        (7, 0, None),
+        (24, (1 << 16) - 40, (1 << 16) + 40),  # across a 2^16 boundary
+        (24, (1 << 24) - 3, None),
+    ],
+)
+def test_bit_matrix_rows_are_index_to_bits(n, start, stop):
+    rows = bit_matrix(n, start, stop)
+    indices = range(start, 1 << n if stop is None else stop)
+    assert rows.dtype == np.uint8 and rows.shape == (len(indices), n)
+    assert [tuple(r) for r in rows.tolist()] == [index_to_bits(i, n) for i in indices]
 
 
 @pytest.mark.parametrize("m", [5, BIG_M])

@@ -16,7 +16,7 @@ from qhc import ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_
 import qhc
 from qhc.cli import main, parse_config
 
-from oracles import poly_eval_direct, profile_csv_direct
+from oracles import THREE_POLYS, poly_eval_direct, profile_csv_direct
 
 
 def run_cli(*argv: str) -> int:
@@ -285,11 +285,14 @@ class TestProfile:
             ({"name": "PALINDROME", "n": 4}, {"n1": 4}),
             # f = 1 everywhere: no 0-inputs.
             ({"poly": {"modulus": "4", "coeffs": ["0", "0", "0"]}}, {"n1": 1}),
+            # three pairs: the per-pair codes are compacted twice
+            ({"poly_file": "polys.json"}, {}),
         ],
     )
     def test_csv_equals_row_by_row_oracle(self, tmp_path, function, split):
         ks = search_key_set(1 << 8, 0.3, seed=5)
         (tmp_path / "keys.json").write_text(json.dumps(ks.to_json()))
+        (tmp_path / "polys.json").write_text(json.dumps(THREE_POLYS))
         doc = {"function": function, "split": split, "keys": {"file": "keys.json"}}
         out = tmp_path / "profile.csv"
         assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
@@ -568,6 +571,23 @@ class TestMalformedInputExits3:
     def test_run_seed_override_is_checked(self, tmp_path, capsys):
         argv = ("run", "--config", write_config(tmp_path, EQ2_EXACT), "--seed", "-1")
         self.assert_exit_3(capsys, argv, "seed: seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize(
+        "extra,where",
+        [
+            ({"note": float("nan")}, "note: note must be a finite JSON number, got NaN"),
+            ({"meta": {"x": [1.5, float("-inf")], "y": float("nan")}},
+             "meta.x[1]: x[1] must be a finite JSON number, got -Infinity"),
+            # a field that is read keeps its own message
+            ({"delta": float("inf"), "note": float("nan")}, "delta: delta must be"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_nonfinite_numbers_anywhere_exit_3(self, tmp_path, capsys, command, extra, where):
+        argv = (command, "--config", write_config(tmp_path, dict(EQ2_EXACT, **extra)),
+                "--out", str(tmp_path / "out"))
+        self.assert_exit_3(capsys, argv, where)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "change,where",

@@ -30,6 +30,8 @@ from qhc import (
 )
 from qhc.util import index_to_bits
 
+from oracles import THREE_POLYS
+
 
 def full_ring(n: int) -> KeySet:
     return KeySet(modulus=n, keys=tuple(range(n)))
@@ -299,6 +301,20 @@ class TestErrorProfile:
         prof = error_profile(spec)
         for i, sigma in enumerate(product((0, 1), repeat=5)):
             for j, gamma in enumerate(product((0, 1), repeat=5)):
+                assert prof.accept_grid[i, j] == run_exact(spec, sigma, gamma).exact_accept
+
+    def test_three_pairs_compact_into_codes(self):
+        fn = builtin("EQ", 3).function
+        polys = tuple(LinearPolynomial.from_json(doc) for doc in THREE_POLYS)
+        inst = FunctionInstance(fn, Characteristic(fn, polys), ())
+        sets = [search_key_set(1 << 8, 0.3, seed=s) for s in (1, 2, 3)]
+        spec = build_spec(inst, sets, n1=3)
+        prof = error_profile(spec)
+        assert len(prof.values) <= prof.codes.size
+        assert np.array_equal(np.unique(prof.codes), np.arange(len(prof.values)))
+        assert np.array_equal(prof.accept_grid, prof.values[prof.codes])
+        for i, sigma in enumerate(product((0, 1), repeat=3)):
+            for j, gamma in enumerate(product((0, 1), repeat=3)):
                 assert prof.accept_grid[i, j] == run_exact(spec, sigma, gamma).exact_accept
 
     def test_forwarding_is_a_pure_refactoring_when_moduli_match(self):
