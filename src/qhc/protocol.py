@@ -399,7 +399,8 @@ class ErrorProfile:
     ``values`` holds the distinct products of per-pair acceptances that
     occur, and ``codes`` the index of each cell's product in it, so
     ``accept_grid == values[codes]``; ``values`` is never longer than the
-    grid has cells."""
+    grid has cells.  The f = 0 summaries are read from how many 0-cells
+    hold each code."""
 
     function_name: str
     n1: int
@@ -447,6 +448,20 @@ def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray
     return u, v
 
 
+def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(keys, return_inverse=True)`` gives for integer keys
+    in [0, size): the ascending distinct keys, and an intp inverse shaped
+    like ``keys``.  When a table of ``size`` flags is no larger than
+    ``keys``, the keys that occur are marked in it and ranked by a running
+    count, with no sort; wider keys fall back to ``np.unique``."""
+    if size > keys.size:
+        uniq, inv = np.unique(keys, return_inverse=True)
+        return uniq, inv.reshape(keys.shape)  # numpy 1.x flattens the inverse
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
 def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     """Enumerate every (sigma, gamma), assert acceptance 1 on f = 1, and
     report the worst false accept (smallest attaining input) over f = 0,
@@ -454,7 +469,10 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
 
     Each pair's fidelities come from one :func:`qhash.bias` call over the
     distinct differences of the grid, so every cell equals the
-    ``exact_accept`` that :func:`run_exact` reports for that input.
+    ``exact_accept`` that :func:`run_exact` reports for that input.  The
+    distinct differences and codes are ranked with a counting table
+    (:func:`_rank`), so nothing is sorted when a key modulus, and each
+    product of table sizes, is no larger than the grid.
 
     Guarded at n1 + n2 <= 20; use sampled runs beyond that.
     """
@@ -482,19 +500,16 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     # difference (``inv`` indexes them), and the products so far per
     # distinct code; the (code, inv) pairs that occur are compacted to new
     # codes, so no table outgrows the grid and each product is formed once.
-    shape = (1 << n1, 1 << n2)
     for j, ks in enumerate(spec.key_sets):
         u, v = _value_tables(spec, j)
-        uniq, inv = np.unique((u[:, None] - v[pattern, :]) % ks.modulus, return_inverse=True)
+        uniq, inv = _rank((u[:, None] - v[pattern, :]) % ks.modulus, ks.modulus)
         fid = bias(ks, uniq)
         terms = 0.5 * (1.0 + fid * fid)
-        inv = inv.reshape(shape)  # numpy 2 keeps the input's shape, 1.x flattens
         if j == 0:
             values, codes = terms, inv
         else:
-            used, codes = np.unique(codes * terms.size + inv, return_inverse=True)
+            used, codes = _rank(codes * terms.size + inv, values.size * terms.size)
             values = values[used // terms.size] * terms[used % terms.size]
-            codes = codes.reshape(shape)
     accept = values[codes]
 
     ones_bad = (truth == 1) & (accept < 1.0 - _ONE_SIDED_TOL)
@@ -508,17 +523,18 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         )
 
     zero_mask = truth == 0
-    false_inputs = int(zero_mask.sum())
+    counts = np.bincount(codes[zero_mask], minlength=values.size)
+    false_inputs = int(counts.sum())
+    hist, _ = np.histogram(values, bins=20, range=(0.0, 1.0), weights=counts)
     if false_inputs == 0:
         worst, attaining = 0.0, None
-        hist = np.zeros(20, dtype=np.int64)
     else:
-        masked = np.where(zero_mask, accept, -1.0)
-        worst = float(masked.max())
-        flat = int(np.argmax(masked == worst))
+        worst = float(values[counts > 0].max())
+        # Distinct codes can share a value (bias(D) = bias(N - D)), so the
+        # first attaining input is searched among the cells, not the codes.
+        flat = int(np.argmax(zero_mask & (accept == worst)))
         i, j = divmod(flat, 1 << n2)
         attaining = (index_to_bits(i, n1), index_to_bits(j, n2))
-        hist, _ = np.histogram(accept[zero_mask], bins=20, range=(0.0, 1.0))
         _check_bound(spec, worst, *attaining)
 
     return ErrorProfile(

@@ -47,7 +47,8 @@ _INT64_DIFFERENCE_N = 1 << 31
 _BIAS_BLOCK_CELLS = 1 << 16
 
 # FFT magnitudes this close to the maximum count as ties; rounding noise
-# (~1e-16 per bin) must not decide which of equal biases is reported.
+# (~1e-16 per bin) must not decide which of equal biases is reported.  The
+# exact sweep's certificate also keeps this much room below delta.
 _SWEEP_TIE_TOLERANCE = 1e-12
 
 
@@ -374,13 +375,14 @@ def verify_resistance(
     """Certify or refute |bias(D)| < delta over nonzero differences.
 
     Exact mode sweeps every D in [1, N) and is refused (with a pointer at
-    Monte Carlo mode) above N = 2^21.  Monte Carlo mode samples ``trials``
-    uniform nonzero differences; each sampled bias is still computed
-    exactly, so a refutation is genuine, while a pass certifies only with
-    ``confidence`` = the chance that a single worst difference would have
-    been drawn.  The returned report carries the key set re-annotated with
-    the verdict.  ``trials`` must be at least 1: with no trial, no
-    difference is checked.
+    Monte Carlo mode) above N = 2^21; it certifies only when the FFT's
+    max bias plus _SWEEP_TIE_TOLERANCE stays below delta.  Monte Carlo mode
+    samples ``trials`` uniform nonzero differences; each sampled bias is
+    still computed exactly, so a refutation is genuine, while a pass
+    certifies only with ``confidence`` = the chance that a single worst
+    difference would have been drawn.  The returned report carries the key
+    set re-annotated with the verdict.  ``trials`` must be at least 1: with
+    no trial, no difference is checked.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta out of (0,1): {delta}")
@@ -413,7 +415,10 @@ def verify_resistance(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    certified = max_bias < delta
+    # The FFT's magnitudes may be off by rounding; exact mode keeps its
+    # tie tolerance as an allowance, Monte Carlo's biases are direct.
+    allowance = _SWEEP_TIE_TOLERANCE if mode == "exact" else 0.0
+    certified = max_bias + allowance < delta
     verdict = Certification(mode=mode, max_bias=max_bias, **meta) if certified else Certification()
     # The stored keys are passed on as they are: a key array is not copied.
     annotated = KeySet(n, key_set._stored, delta if certified else None, verdict)

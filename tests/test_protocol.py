@@ -28,6 +28,8 @@ from qhc import (
     search_key_set,
     verify_resistance,
 )
+from qhc import protocol
+from qhc.protocol import _rank
 from qhc.util import index_to_bits
 
 from oracles import THREE_POLYS
@@ -288,9 +290,13 @@ class TestErrorProfile:
         assert rows[1].split(",")[3] == repr(recomputed)
 
     def test_attaining_input_is_first_in_row_major_order(self, certified_n64):
+        # bias(D) = bias(N - D): here the worst value is held by several
+        # codes, and the first row-major cell among all of them is reported.
         spec = build_spec(builtin("EQ", 3), certified_n64)
         prof = error_profile(spec)
-        hits = np.argwhere((prof.accept_grid == prof.worst_false_accept) & (prof.f_grid == 0))
+        worst = (prof.accept_grid == prof.worst_false_accept) & (prof.f_grid == 0)
+        assert np.unique(prof.codes[worst]).size >= 2
+        hits = np.argwhere(worst)
         i, j = (int(x) for x in hits[0])
         assert prof.attaining == (index_to_bits(i, 3), index_to_bits(j, 3))
 
@@ -316,6 +322,27 @@ class TestErrorProfile:
         for i, sigma in enumerate(product((0, 1), repeat=3)):
             for j, gamma in enumerate(product((0, 1), repeat=3)):
                 assert prof.accept_grid[i, j] == run_exact(spec, sigma, gamma).exact_accept
+
+    @pytest.mark.parametrize("log2_n,table", [(12, False), (6, True)])
+    def test_both_rank_branches_match_run_exact(self, log2_n, table, monkeypatch):
+        # 64 cells: N = 2^12 keys are ranked by np.unique, N = 64 by the table;
+        # the sizes error_profile hands _rank select the branch.
+        branches = []
+
+        def spy(keys, size):
+            branches.append(size <= keys.size)
+            return _rank(keys, size)
+
+        monkeypatch.setattr(protocol, "_rank", spy)
+        spec = build_spec(builtin("EQ", 3), search_key_set(1 << log2_n, 0.3, seed=1))
+        prof = error_profile(spec)
+        assert branches == [table]
+        assert prof.codes.shape == (8, 8)
+        for i, sigma in enumerate(product((0, 1), repeat=3)):
+            for j, gamma in enumerate(product((0, 1), repeat=3)):
+                assert prof.accept_grid[i, j] == run_exact(spec, sigma, gamma).exact_accept
+        hist, _ = np.histogram(prof.accept_grid[prof.f_grid == 0], 20, (0, 1))
+        assert prof.histogram == tuple(hist.tolist())
 
     def test_forwarding_is_a_pure_refactoring_when_moduli_match(self):
         # With the key modulus equal to the polynomial modulus, moving a
@@ -411,6 +438,29 @@ class TestCertifiedBound:
         inst = FunctionInstance(base.function, Characteristic(base.function, (eq, zero)), ())
         prof = error_profile(build_spec(inst, certified_n64, n1=2))
         assert (0.5 * (1 + 0.3**2)) ** 2 < prof.worst_false_accept <= prof.certified_bound
+
+
+@pytest.mark.parametrize("table", [True, False])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_equals_np_unique(table, data):
+    # table: size <= keys.size, ranked by flags; otherwise np.unique's sort.
+    shape = data.draw(st.sampled_from([(1,), (7,), (12,), (1, 1), (3, 4), (5, 2)]))
+    count = int(np.prod(shape))
+    size = data.draw(st.integers(1, count) if table else st.integers(count + 1, 4 * count))
+    form = data.draw(st.sampled_from(["any", "equal", "top"]))
+    if form == "equal":
+        keys = [data.draw(st.integers(0, size - 1))] * count
+    else:
+        keys = data.draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count))
+        if form == "top":
+            keys[data.draw(st.integers(0, count - 1))] = size - 1
+    keys = np.array(keys, dtype=np.int64).reshape(shape)
+    uniq, inv = _rank(keys, size)
+    want_uniq, want_inv = np.unique(keys, return_inverse=True)
+    assert np.array_equal(uniq, want_uniq) and uniq.dtype.kind == want_uniq.dtype.kind
+    assert inv.shape == keys.shape and inv.dtype.kind == want_inv.dtype.kind
+    assert np.array_equal(inv, want_inv.reshape(shape))
 
 
 # --------------------------------------------------- cross-route agreement

@@ -395,6 +395,34 @@ class TestVerifyResistance:
             )
             assert report.worst_difference == want_arg
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fft_sweep_within_allowance_of_fsum(self, seed):
+        # The certificate's allowance must cover the FFT's rounding: the
+        # sweep's max bias is checked against correctly rounded sums.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 1 << 10, endpoint=True))
+        d = int(rng.integers(1, min(64, n), endpoint=True))
+        keys = sorted(rng.choice(n, size=d, replace=False).tolist())
+        top, _ = qhc.qhash._exact_bias_sweep(KeySet(modulus=n, keys=keys))
+        want = max(
+            abs(math.fsum(math.cos(2.0 * math.pi * ((k * diff) % n) / n) for k in keys)) / d
+            for diff in range(1, n)
+        )
+        assert abs(top - want) <= 1e-12
+
+    def test_exact_certificate_keeps_the_allowance(self):
+        ks = KeySet(modulus=64, keys=tuple(range(1, 41)))
+        max_bias = verify_resistance(ks, 0.999).max_bias
+        assert not verify_resistance(ks, max_bias + 5e-13).certified
+        assert verify_resistance(ks, max_bias + 2e-12).certified
+
+    def test_monte_carlo_certificate_has_no_allowance(self):
+        # Monte Carlo biases come from the direct kernel, not an FFT.
+        ks = KeySet(modulus=1 << 20, keys=tuple(range(1, 300, 7)))
+        max_bias = verify_resistance(ks, 0.999, mode="monte-carlo", trials=50, rng=4).max_bias
+        report = verify_resistance(ks, max_bias + 5e-13, mode="monte-carlo", trials=50, rng=4)
+        assert report.certified
+
     def test_exact_guard_points_at_monte_carlo(self):
         ks = KeySet(modulus=1 << 22, keys=(1, 2, 3))
         with pytest.raises(GuardError, match="monte-carlo"):
