@@ -34,16 +34,13 @@ from .qhash import (
     HashState,
     KeySet,
     ResistanceReport,
-    SwapOutcome,
     amplitude_overlap,
     bias,
     build_hash,
     hash_qubits,
-    inner_product,
     required_keys,
-    sample_swap,
     search_key_set,
-    swap_test,
+    swap_accept,
     verify_resistance,
 )
 
@@ -68,7 +65,6 @@ __all__ = [
     "ResistanceReport",
     "RunReport",
     "SearchError",
-    "SwapOutcome",
     "VerificationReport",
     "amplitude_overlap",
     "bias",
@@ -80,15 +76,13 @@ __all__ = [
     "conjunction",
     "error_profile",
     "hash_qubits",
-    "inner_product",
     "required_keys",
     "run_exact",
     "run_sampled",
     "run_smp",
-    "sample_swap",
     "search_key_set",
     "split_polynomial",
-    "swap_test",
+    "swap_accept",
     "verify_characteristic",
     "verify_resistance",
 ]

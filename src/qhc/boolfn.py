@@ -270,18 +270,6 @@ class Decomposition:
         """Bob's evaluation point: his own bits, then the forwarded ones."""
         return tuple(gamma) + tuple(sigma[i - 1] for i in self.forwarded)
 
-    def recombined(self) -> LinearPolynomial:
-        """The joint polynomial over x_1..x_{n1}, y_1..y_{n2}."""
-        m = self.modulus
-        coeffs = list(self.g1.coeffs) + list(self.g2.coeffs[: self.n2])
-        for pos, i in enumerate(self.forwarded):
-            coeffs[i - 1] = (coeffs[i - 1] + self.g2.coeffs[self.n2 + pos]) % m
-        return LinearPolynomial(
-            modulus=m,
-            coeffs=tuple(coeffs),
-            constant=(self.g1.constant + self.g2.constant) % m,
-        )
-
 
 def split_polynomial(
     poly: LinearPolynomial, n1: int, forwarded: Sequence[int] = ()

@@ -57,9 +57,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("argv", message)
 
 
-def _instance_from_polys(
-    polys: Sequence[LinearPolynomial], n1: int | None = None
-) -> FunctionInstance:
+def _characteristic(
+    function: BooleanFunction, polys: Sequence[LinearPolynomial], where: str
+) -> Characteristic:
+    """``polys``, read at ``where``, as a characteristic of ``function``;
+    polynomials that disagree on modulus or arity are refused naming ``where``."""
+    try:
+        return Characteristic(function=function, polynomials=tuple(polys))
+    except ValueError as e:
+        raise ConfigError(where, f"bad polynomial set: {e}")
+
+
+def _instance_from_polys(polys: Sequence[LinearPolynomial], where: str) -> FunctionInstance:
     """Treat a polynomial set as its own function: f = 1 iff all vanish.
     The rule evaluates row by row, so it works past the table guard."""
     arity = polys[0].arity
@@ -68,9 +77,8 @@ def _instance_from_polys(
         return np.array([all(p.evaluate(r) == 0 for p in polys) for r in b.tolist()], dtype=bool)
 
     fn = BooleanFunction("POLY", arity, all_vanish)
-    char = Characteristic(function=fn, polynomials=tuple(polys))
-    cut = arity // 2 if n1 is None else n1
-    splits = tuple(split_polynomial(p, cut) for p in polys)
+    char = _characteristic(fn, polys, where)
+    splits = tuple(split_polynomial(p, arity // 2) for p in polys)
     return FunctionInstance(function=fn, characteristic=char, splits=splits)
 
 
@@ -212,10 +220,11 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     read_field({"config": doc}, "config", "$", OBJECT)
     fdoc = read_field(doc, "function", "function", OBJECT)
     if "poly" in fdoc:
-        instance = _instance_from_polys([_poly_from_json(fdoc["poly"], "function.poly")])
+        poly = _poly_from_json(fdoc["poly"], "function.poly")
+        instance = _instance_from_polys([poly], "function.poly")
     elif "poly_file" in fdoc:
-        poly_file = read_field(fdoc, "poly_file", "function.poly_file", FILE)
-        instance = _instance_from_polys(_load_polys(base_dir / poly_file))
+        path = base_dir / read_field(fdoc, "poly_file", "function.poly_file", FILE)
+        instance = _instance_from_polys(_load_polys(path), str(path))
     else:
         instance = _resolve_builtin(fdoc)
 
@@ -359,13 +368,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     halves = {} if n is None else {"n_a": n - n // 2, "n_b": n // 2}
     fdoc = {"name": args.function, "n": n, "m": args.m, **halves}
     instance = _resolve_builtin({k: v for k, v in fdoc.items() if v is not None})
+    char = instance.characteristic
     if args.poly:
-        polys = _load_polys(Path(args.poly))
-        char = Characteristic(
-            function=instance.function, polynomials=tuple(polys)
-        )
-    else:
-        char = instance.characteristic
+        path = Path(args.poly)
+        char = _characteristic(instance.function, _load_polys(path), str(path))
     report = verify_characteristic(char)
     name = instance.function.name
     if report.valid:

@@ -5,9 +5,10 @@ for each polynomial g_j = g1_j + g2_j, Alice hashes u_j = g1_j(sigma), Bob
 (or a referee) compares against the hash of v_j = -g2_j(gamma, forwarded
 bits) mod m, and the verdict is the AND of one swap test per pair.  On
 f = 1 inputs every pair collides exactly and the protocol accepts with
-certainty; on f = 0 inputs every pair differs (that is what makes the
-polynomial set a characteristic), so the acceptance probability is the
-product of the per-pair (1 + F_j^2)/2 terms.
+certainty; on f = 0 inputs some pair differs (that is what makes the
+polynomial set a characteristic).  The acceptance probability is the product
+of the per-pair terms (1 + F_j^2)/2 of :func:`qhash.swap_accept`, the one
+rule that every route (exact, sampled, SMP, profile) and the bound apply.
 
 Key sets may live over a modulus N larger than the polynomial modulus m:
 residues of Z_m embed as themselves into [0, N), which preserves both
@@ -25,14 +26,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import qhash
 from .boolfn import BooleanFunction, Decomposition, FunctionInstance, split_polynomial
 from .errors import BoundError, CharacteristicError, GuardError
-from .qhash import KeySet, bias, build_hash, hash_qubits
+from .qhash import KeySet, amplitude_overlap, bias, build_hash, hash_qubits, swap_accept
 from .util import format_bits, index_to_bits
 
 # Full-grid error profiling refuses above this many total input bits.
 PROFILE_GUARD_BITS = 20
+
+# Sampled runs refuse above this many Bernoulli draws (pairs x trials).
+SAMPLE_GUARD_DRAWS = 1 << 24
 
 # Profiling refuses moduli above this: its value tables and grid
 # differences are int64 arrays.
@@ -122,7 +125,7 @@ class ProtocolSpec:
         false accept may exceed it (the l-th power needs every pair to
         differ, which a polynomial list need not give)."""
         delta = self.certified_delta
-        return None if delta is None else 0.5 * (1.0 + delta * delta)
+        return None if delta is None else swap_accept(delta)
 
     def summary(self) -> dict:
         return {
@@ -236,8 +239,7 @@ class RunReport:
     fidelities: tuple[float, ...]
     exact_accept: float
     cost: CommCost
-    bounds_certified: bool
-    certified_delta: float | None = None
+    certified_delta: float | None = None  # None unless every key set is certified
     sampled_bit: int | None = None
     sample_trials: int | None = None
     sample_accepts: int | None = None
@@ -253,11 +255,11 @@ class RunReport:
         }
         if spec_summary is not None:
             doc = {"spec": spec_summary, **doc}
-        if self.bounds_certified and self.certified_delta is not None:
+        if self.certified_delta is not None:
             delta = self.certified_delta
             doc["bounds"] = {
                 "certified": True,
-                "false_accept": 0.5 * (1.0 + delta * delta),
+                "false_accept": swap_accept(delta),
                 # looser comparison line sometimes quoted for this test
                 "false_accept_linear": 0.5 * (1.0 + delta),
             }
@@ -318,7 +320,7 @@ def _report(
 ) -> RunReport:
     accept = 1.0
     for f in fidelities:
-        accept *= 0.5 * (1.0 + f * f)
+        accept *= swap_accept(f)
     f_value = spec.function(tuple(sigma) + tuple(gamma))
     if f_value == 1 and accept < 1.0 - _ONE_SIDED_TOL:
         raise CharacteristicError(
@@ -334,7 +336,6 @@ def _report(
         fidelities=tuple(fidelities),
         exact_accept=accept,
         cost=comm_cost(spec),
-        bounds_certified=spec.bounds_certified,
         certified_delta=spec.certified_delta,
     )
 
@@ -357,11 +358,14 @@ def run_sampled(
     trials: int = 1,
 ) -> RunReport:
     """Simulate measured swap outcomes: per trial, AND of one Bernoulli draw
-    per pair.  Identical seeds give identical reports."""
+    per pair.  Identical seeds give identical reports.  Refused before any
+    draw when pairs x trials exceeds SAMPLE_GUARD_DRAWS."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if spec.l * trials > SAMPLE_GUARD_DRAWS:
+        raise GuardError(f"sampled run of {spec.l} x {trials} draws; guard is {SAMPLE_GUARD_DRAWS}")
     base = run_exact(spec, sigma, gamma)
-    probs = np.array([0.5 * (1.0 + f * f) for f in base.fidelities])
+    probs = swap_accept(np.array(base.fidelities))
     gen = np.random.default_rng(seed)
     draws = gen.random((spec.l, trials)) < probs[:, None]
     accepted = draws.all(axis=0)
@@ -386,7 +390,7 @@ def run_smp(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) -> R
     _check_input(spec, sigma, gamma)
     smp_spec = spec if spec.topology == "smp" else replace(spec, topology="smp")
     fidelities = [
-        qhash.amplitude_overlap(build_hash(ks, u), build_hash(ks, v))
+        amplitude_overlap(build_hash(ks, u), build_hash(ks, v))
         for ks, (u, v) in zip(spec.key_sets, _hash_points(spec, sigma, gamma))
     ]
     return _report(smp_spec, sigma, gamma, fidelities)
@@ -503,8 +507,7 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     for j, ks in enumerate(spec.key_sets):
         u, v = _value_tables(spec, j)
         uniq, inv = _rank((u[:, None] - v[pattern, :]) % ks.modulus, ks.modulus)
-        fid = bias(ks, uniq)
-        terms = 0.5 * (1.0 + fid * fid)
+        terms = swap_accept(bias(ks, uniq))
         if j == 0:
             values, codes = terms, inv
         else:

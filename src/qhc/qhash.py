@@ -16,10 +16,11 @@ Python integers for every other N, which may exceed 64 bits.  A key set in
 the uint64 tier stores its keys once, as a read-only uint64 array, and a key
 file's digit strings are parsed into that array in one pass.
 
-:func:`bias` is the one direct kernel: every caller (inner products, runs,
-error-profile grids, Monte Carlo certification) gets bit-identical values
-for the same difference.  :func:`_exact_bias_sweep`, one FFT over all N
-differences, is the only full-spectrum route.
+:func:`bias` is the one direct kernel: every caller (runs, error-profile
+grids, Monte Carlo certification) gets bit-identical values for the same
+difference.  :func:`_exact_bias_sweep`, one FFT over all N differences, is
+the only full-spectrum route.  :func:`swap_accept` is the one SWAP-test
+accept rule, (1 + F^2)/2, that every protocol route and bound applies.
 """
 
 from __future__ import annotations
@@ -281,46 +282,21 @@ def _require_same_keys(a: HashState, b: HashState) -> None:
         raise ValueError("hash states use different key sets")
 
 
-def inner_product(a: HashState, b: HashState) -> float:
-    """<a|b> via the cosine average at the exact difference (u - v) mod N."""
-    _require_same_keys(a, b)
-    return float(bias(a.key_set, [a.value - b.value])[0])
-
-
 def amplitude_overlap(a: HashState, b: HashState) -> float:
     """<a|b> as a literal dot product of the stored amplitude vectors.
 
-    Numerically independent route used to cross-check :func:`inner_product`
-    and to drive the referee in the SMP topology.
+    Numerically independent route used to cross-check :func:`bias` and to
+    drive the referee in the SMP topology.
     """
     _require_same_keys(a, b)
     return float(np.dot(a.amplitudes, b.amplitudes))
 
 
-@dataclass(frozen=True)
-class SwapOutcome:
-    fidelity: float
-    accept_probability: float
-
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity {self.fidelity} outside [-1, 1]")
-
-
-def swap_test(a: HashState, b: HashState) -> SwapOutcome:
-    """Analytic swap-test statistics: accept with probability (1 + F^2)/2."""
-    f = inner_product(a, b)
-    return SwapOutcome(fidelity=f, accept_probability=0.5 * (1.0 + f * f))
-
-
-def sample_swap(
-    outcome: SwapOutcome, rng: np.random.Generator | int | None, trials: int
-) -> int:
-    """Count acceptances over ``trials`` seeded Bernoulli draws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    gen = np.random.default_rng(rng)
-    return int((gen.random(trials) < outcome.accept_probability).sum())
+def swap_accept(fidelity: float | np.ndarray) -> float | np.ndarray:
+    """SWAP-test accept probability (1 + F^2)/2 of states with fidelity F,
+    elementwise on arrays (Buhrman, Cleve, Watrous & de Wolf,
+    quant-ph/0102001).  The one place the rule is written."""
+    return 0.5 * (1.0 + fidelity * fidelity)
 
 
 def hash_qubits(key_set: KeySet | int) -> int:

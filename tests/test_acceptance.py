@@ -28,11 +28,11 @@ from qhc import (
     run_sampled,
     run_smp,
     search_key_set,
-    swap_test,
+    swap_accept,
     verify_resistance,
 )
 from qhc.cli import main
-from qhc.qhash import build_hash
+from qhc.qhash import bias, build_hash
 from qhc.util import rand_below
 
 from oracles import THREE_POLYS, swap_circuit_accept
@@ -113,10 +113,10 @@ def test_c05_swap_formula_matches_statevector(d):
         n = int(rng.integers(max(d, 2), 1 << 12))
         keys = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
         ks = KeySet(modulus=n, keys=keys)
-        a = build_hash(ks, int(rng.integers(n)))
-        b = build_hash(ks, int(rng.integers(n)))
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        a, b = build_hash(ks, u), build_hash(ks, v)
         circuit = swap_circuit_accept(a.amplitudes, b.amplitudes)
-        closed_form = swap_test(a, b).accept_probability
+        closed_form = swap_accept(bias(ks, [u - v])[0])
         assert abs(circuit - closed_form) <= 1e-10
     _pass(5, f"SWAP circuit statevector == (1+F^2)/2 on 20 instances (d={d})")
 

@@ -155,6 +155,17 @@ class TestRun:
         assert report["sampled"]["seed"] == 9
         assert report["sampled"]["trials"] == 50
 
+    def test_oversized_sampled_run_exits_2(self, tmp_path):
+        """Refused by the draw guard before allocating, in a fresh process
+        so that an escaped exception would show as a traceback."""
+        config = write_config(tmp_path, dict(EQ2_EXACT, mode="sampled", trials=10**13))
+        env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "qhc.cli", "run", "--config", config],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("guard: sampled run of 1 x 10000000000000 draws")
+        assert "Traceback" not in proc.stderr
+
     def test_repeat_runs_identical_up_to_wall_clock(self, tmp_path, capsys):
         doc = dict(EQ2_EXACT, mode="sampled", trials=40, seed=5,
                    input={"alice": "11", "bob": "00"})
@@ -543,6 +554,33 @@ class TestMalformedInputExits3:
         poly.write_text(json.dumps({"modulus": "4", "coeffs": ["1", "1.5"], "constant": "0"}))
         argv = ("verify", "--function", "EQ", "--n", "2", "--poly", str(poly))
         self.assert_exit_3(capsys, argv, f"{poly}: bad polynomial: coeffs[1] must be an integer")
+
+    @pytest.mark.parametrize(
+        "command,polys,why",
+        [
+            (command, [{"modulus": "7", "coeffs": ["1", "0", "-1", "0"]}, other], why)
+            for other, why in [
+                ({"modulus": "5", "coeffs": ["0", "1", "0", "-1"]},
+                 "characteristic polynomials must share one modulus"),
+                ({"modulus": "7", "coeffs": ["0", "1", "-1"]},
+                 "polynomial arity 3 != function arity 4"),
+            ]
+            for command in ("run", "verify")
+        ] + [
+            # verify checks a file's polynomials against the builtin's arity.
+            ("verify", [{"modulus": "7", "coeffs": ["1", "0", "-1"]}],
+             "polynomial arity 3 != function arity 4"),
+        ],
+    )
+    def test_mismatched_polynomials_name_their_file(self, tmp_path, capsys, command, polys, why):
+        poly = tmp_path / "polys.json"
+        poly.write_text(json.dumps(polys))
+        if command == "run":
+            config = dict(EQ2_EXACT, function={"poly_file": "polys.json"})
+            argv = ("run", "--config", write_config(tmp_path, config))
+        else:
+            argv = ("verify", "--function", "EQ", "--n", "2", "--poly", str(poly))
+        self.assert_exit_3(capsys, argv, f"{poly}: bad polynomial set: {why}")
 
     def test_polynomial_signed_strings_load(self):
         doc = {"modulus": "7", "coeffs": ["-1", 2, "3"], "constant": "-10"}

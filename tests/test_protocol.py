@@ -169,7 +169,6 @@ class TestRunExact:
     def test_uncertified_keys_flagged(self):
         spec = build_spec(builtin("EQ", 2), KeySet(modulus=4, keys=(1, 2)))
         report = run_exact(spec, (0, 1), (0, 0))
-        assert not report.bounds_certified
         assert report.certified_delta is None
         assert report.to_json()["bounds"] == {
             "certified": False,
@@ -206,6 +205,25 @@ class TestRunSampled:
     def test_trials_floor(self, eq2_spec):
         with pytest.raises(ValueError):
             run_sampled(eq2_spec, (0, 0), (0, 0), seed=0, trials=0)
+
+    def test_draw_guard_refuses_before_any_draw(self, monkeypatch):
+        """pairs x trials may reach SAMPLE_GUARD_DRAWS and not pass it; a
+        stand-in generator shows where a run would start drawing, so
+        neither case allocates."""
+
+        class WouldDraw(Exception):
+            pass
+
+        def no_generator(seed):
+            raise WouldDraw
+
+        spec = build_spec(two_pair_eq2(), full_ring(4))
+        most = protocol.SAMPLE_GUARD_DRAWS // 2
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(WouldDraw):
+            run_sampled(spec, (0, 1), (0, 0), seed=0, trials=most)
+        with pytest.raises(GuardError, match="of 2 x 8388609 draws; guard is 16777216"):
+            run_sampled(spec, (0, 1), (0, 0), seed=0, trials=most + 1)
 
 
 class TestRunSmp:

@@ -16,11 +16,9 @@ from qhc import (
     bias,
     build_hash,
     hash_qubits,
-    inner_product,
     required_keys,
-    sample_swap,
     search_key_set,
-    swap_test,
+    swap_accept,
     verify_resistance,
 )
 from qhc.qhash import ResistanceReport
@@ -117,7 +115,7 @@ class TestKeySet:
         assert not loaded.key_array.flags.writeable and not ks.key_array.flags.writeable
         assert loaded != KeySet(modulus=n, keys=(0, n - 1, 12345, n // 3), delta=0.25,
                                 certification=Certification(mode="exact", max_bias=0.1))
-        assert inner_product(build_hash(loaded, 3), build_hash(ks, 3)) == 1.0
+        assert abs(amplitude_overlap(build_hash(loaded, 3), build_hash(ks, 3)) - 1.0) < 1e-12
 
 
 # ------------------------------------------------------------ hash states
@@ -243,26 +241,31 @@ class TestResidueTiers:
 
 
 class TestInnerProduct:
+    """<a|b> of two hashes two ways: bias at their difference, and the
+    literal amplitude dot product."""
+
     def test_identical_states(self):
         ks = KeySet(modulus=32, keys=(3, 7, 9))
         h = build_hash(ks, 17)
-        assert inner_product(h, h) == 1.0
+        assert bias(ks, [17 - 17])[0] == 1.0
+        assert abs(amplitude_overlap(h, h) - 1.0) < 1e-12
 
     def test_antipodal_rotation(self):
         ks = KeySet(modulus=4, keys=(1,))
-        assert abs(inner_product(build_hash(ks, 3), build_hash(ks, 1)) + 1.0) < 1e-12
+        assert abs(bias(ks, [3 - 1])[0] + 1.0) < 1e-12
+        assert abs(amplitude_overlap(build_hash(ks, 3), build_hash(ks, 1)) + 1.0) < 1e-12
 
     def test_two_term_cosine_sum(self):
         ks = KeySet(modulus=4, keys=(1, 2))
         a, b = build_hash(ks, 1), build_hash(ks, 0)
-        assert abs(inner_product(a, b) + 0.5) < 1e-12
+        assert abs(bias(ks, [1 - 0])[0] + 0.5) < 1e-12
         assert abs(amplitude_overlap(a, b) + 0.5) < 1e-10
 
     def test_mismatched_key_sets(self):
         a = build_hash(KeySet(modulus=8, keys=(1,)), 0)
         b = build_hash(KeySet(modulus=8, keys=(2,)), 0)
         with pytest.raises(ValueError, match="different key sets"):
-            inner_product(a, b)
+            amplitude_overlap(a, b)
 
     @given(st.integers(0, 10**9), st.data())
     @settings(max_examples=50)
@@ -271,7 +274,7 @@ class TestInnerProduct:
         ks = _random_key_set(rng)
         u, v = int(rng.integers(ks.modulus)), int(rng.integers(ks.modulus))
         a, b = build_hash(ks, u), build_hash(ks, v)
-        assert abs(inner_product(a, b) - amplitude_overlap(a, b)) < 1e-10
+        assert abs(bias(ks, [u - v])[0] - amplitude_overlap(a, b)) < 1e-10
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=50)
@@ -280,40 +283,45 @@ class TestInnerProduct:
         ks = _random_key_set(rng)
         n = ks.modulus
         u, v, c = (int(rng.integers(n)) for _ in range(3))
-        base = inner_product(build_hash(ks, u), build_hash(ks, v))
-        shifted = inner_product(build_hash(ks, (u + c) % n), build_hash(ks, (v + c) % n))
+        base = bias(ks, [u - v])[0]
+        shifted = bias(ks, [(u + c) % n - (v + c) % n])[0]
         assert abs(base - shifted) < 1e-12
 
 
 class TestSwapTest:
+    """The accept rule swap_accept applied to the fidelity bias gives."""
+
     def test_equal_values_accept_with_certainty(self):
         ks = KeySet(modulus=64, keys=(5, 9))
-        out = swap_test(build_hash(ks, 11), build_hash(ks, 11))
-        assert out.accept_probability == 1.0
+        assert swap_accept(bias(ks, [11 - 11])[0]) == 1.0
 
     def test_zero_overlap_is_coin_flip(self):
         ks = KeySet(modulus=4, keys=(1,))
-        out = swap_test(build_hash(ks, 1), build_hash(ks, 0))
-        assert abs(out.fidelity) < 1e-12
-        assert abs(out.accept_probability - 0.5) < 1e-12
+        f = bias(ks, [1 - 0])[0]
+        assert abs(f) < 1e-12
+        assert abs(swap_accept(f) - 0.5) < 1e-12
 
     def test_half_negative_fidelity(self):
         ks = KeySet(modulus=4, keys=(1, 2))
-        out = swap_test(build_hash(ks, 1), build_hash(ks, 0))
-        assert abs(out.fidelity + 0.5) < 1e-12
-        assert abs(out.accept_probability - 0.625) < 1e-12
+        f = bias(ks, [1 - 0])[0]
+        assert abs(f + 0.5) < 1e-12
+        assert abs(swap_accept(f) - 0.625) < 1e-12
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=50)
     def test_accept_probability_range(self, seed):
         rng = np.random.default_rng(seed)
         ks = _random_key_set(rng)
-        out = swap_test(
-            build_hash(ks, int(rng.integers(ks.modulus))),
-            build_hash(ks, int(rng.integers(ks.modulus))),
-        )
-        assert 0.5 <= out.accept_probability <= 1.0
-        assert (out.accept_probability == 1.0) == (abs(out.fidelity) == 1.0)
+        f = bias(ks, [int(rng.integers(ks.modulus)) - int(rng.integers(ks.modulus))])[0]
+        p = swap_accept(f)
+        assert 0.5 <= p <= 1.0
+        assert (p == 1.0) == (abs(f) == 1.0)
+
+    def test_elementwise_on_arrays(self):
+        ks = KeySet(modulus=97, keys=(3, 10, 40))
+        fid = bias(ks, range(97))
+        want = [swap_accept(float(f)) for f in fid]
+        assert swap_accept(fid).tolist() == want and swap_accept(-fid).tolist() == want
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_matches_statevector_circuit(self, d):
@@ -322,33 +330,10 @@ class TestSwapTest:
             n = int(rng.integers(2, 4096))
             keys = tuple(sorted(rng.choice(n, size=min(d, n), replace=False).tolist()))
             ks = KeySet(modulus=n, keys=keys)
-            a, b = build_hash(ks, int(rng.integers(n))), build_hash(ks, int(rng.integers(n)))
+            u, v = int(rng.integers(n)), int(rng.integers(n))
+            a, b = build_hash(ks, u), build_hash(ks, v)
             circuit = swap_circuit_accept(a.amplitudes, b.amplitudes)
-            assert abs(circuit - swap_test(a, b).accept_probability) < 1e-10
-
-
-class TestSampleSwap:
-    def test_certain_acceptance(self):
-        ks = KeySet(modulus=8, keys=(1, 2))
-        out = swap_test(build_hash(ks, 3), build_hash(ks, 3))
-        assert sample_swap(out, 0, 1000) == 1000
-
-    def test_three_sigma_band(self):
-        ks = KeySet(modulus=4, keys=(1,))
-        out = swap_test(build_hash(ks, 1), build_hash(ks, 0))  # p = 0.5
-        count = sample_swap(out, 7, 10**5)
-        assert abs(count - 50000) <= 3 * math.sqrt(10**5 * 0.25)
-
-    def test_seeded_determinism(self):
-        ks = KeySet(modulus=4, keys=(1, 2))
-        out = swap_test(build_hash(ks, 1), build_hash(ks, 0))  # p = 0.625
-        assert sample_swap(out, 42, 100) == sample_swap(out, 42, 100)
-
-    def test_trials_floor(self):
-        ks = KeySet(modulus=4, keys=(1,))
-        out = swap_test(build_hash(ks, 0), build_hash(ks, 0))
-        with pytest.raises(ValueError):
-            sample_swap(out, 0, 0)
+            assert abs(circuit - swap_accept(bias(ks, [u - v])[0])) < 1e-10
 
 
 # ---------------------------------------------------- collision resistance
