@@ -14,9 +14,10 @@ All arithmetic is exact over Python integers; moduli routinely exceed 64
 bits (PERM_n uses (n+1)^(2n)).  numpy fast paths are used only when the
 modulus provably fits.
 
-A Boolean function is one array ``rule`` over rows of a bit matrix (see
-:class:`BooleanFunction`).  Rules stay exact at any width and modulus:
-``run`` evaluates functions far past the table guard.
+A Boolean function is one array ``rule`` over a :class:`Block` of
+assignments: their indices, plus their bit matrix built only when the rule
+reads it (see :class:`BooleanFunction`).  Rules stay exact at any width and
+modulus: ``run`` evaluates functions far past the table guard.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ ENUM_GUARD_BITS = 24
 # numpy int64 is safe while sums of two canonical residues cannot overflow.
 _INT64_SAFE_MODULUS = 1 << 62
 
-# Truth tables evaluate their rule on blocks of this many bit-matrix rows.
+# Truth tables evaluate their rule on blocks of this many assignments.
 _TABLE_BLOCK_ROWS = 1 << 14
+
+# Indices of up to this many bits are int64; wider ones are exact Python ints.
+_INT64_INDEX_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -113,23 +117,55 @@ class LinearPolynomial:
         )
 
 
+class Block:
+    """Assignments of n variables that a rule is evaluated on.
+
+    ``index`` holds their indices (see :mod:`qhc.util`): int64 up to 62
+    bits, exact Python ints (dtype object) above.  ``bits`` is their
+    (rows, n) uint8 bit matrix, x_1 in column 0.  It is built on first read
+    unless given; a block built without it holds a contiguous index range.
+    """
+
+    __slots__ = ("n", "index", "_bits")
+
+    def __init__(self, n: int, index: np.ndarray, bits: np.ndarray | None = None) -> None:
+        self.n = n
+        self.index = index
+        self._bits = bits
+
+    @property
+    def bits(self) -> np.ndarray:
+        if self._bits is None:
+            start = int(self.index[0])
+            self._bits = bit_matrix(self.n, start, start + len(self.index))
+        return self._bits
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """A total function {0,1}^n -> {0,1} with a printable name.
 
-    ``rule`` maps a (rows, n) uint8 0/1 matrix, one assignment per row with
-    x_1 in column 0, to one bool per row.  Pointwise calls pass one row;
-    truth tables pass blocks of :func:`qhc.util.bit_matrix` rows.
+    ``rule`` maps a :class:`Block` of assignments to one bool per
+    assignment; it reads ``block.index``, or ``block.bits`` when the rule
+    is simpler over bits.  Pointwise calls pass one assignment with its
+    bits; truth tables pass blocks of consecutive indices, whose bits are
+    built only if the rule reads them.
     """
 
     name: str
     arity: int
-    rule: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    rule: Callable[[Block], np.ndarray] = field(compare=False, repr=False)
 
     def __call__(self, bits: Sequence[int]) -> int:
-        if len(bits) != self.arity:
-            raise ValueError(f"{self.name} takes {self.arity} bits, got {len(bits)}")
-        return int(self.rule(np.array(bits, dtype=np.uint8).reshape(1, self.arity))[0])
+        n = self.arity
+        if len(bits) != n:
+            raise ValueError(f"{self.name} takes {n} bits, got {len(bits)}")
+        row = np.array(bits, dtype=np.uint8).reshape(1, n)
+        value = 0
+        for b in row[0].tolist():
+            value = value << 1 | b
+        index = np.array([value], dtype=np.int64 if n <= _INT64_INDEX_BITS else object)
+        return int(self.rule(Block(n, index, row))[0])
 
     def truth_table(self) -> np.ndarray:
         """uint8 vector of length 2^n in index order."""
@@ -139,7 +175,7 @@ class BooleanFunction:
         out = np.empty(1 << n, dtype=np.uint8)
         for start in range(0, 1 << n, _TABLE_BLOCK_ROWS):
             stop = min(start + _TABLE_BLOCK_ROWS, 1 << n)
-            out[start:stop] = self.rule(bit_matrix(n, start, stop))
+            out[start:stop] = self.rule(Block(n, np.arange(start, stop, dtype=np.int64)))
         return out
 
 
@@ -322,7 +358,17 @@ def _binary_value(b: np.ndarray) -> np.ndarray:
     """Bit-matrix rows as binary numbers, column 0 least significant:
     int64 up to 62 columns, exact Python ints beyond."""
     weights = [1 << i for i in range(b.shape[1])]
-    return b @ np.array(weights, dtype=np.int64 if len(weights) <= 62 else object)
+    return b @ np.array(weights, dtype=np.int64 if len(weights) <= _INT64_INDEX_BITS else object)
+
+
+def _reversed(values: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of each value in reverse order, by shifts that
+    are exact on int64 and on Python ints alike."""
+    out = values & 0
+    for _ in range(width):
+        out = out << 1 | values & 1
+        values = values >> 1
+    return out
 
 
 def _divisible(values: np.ndarray, m: int) -> np.ndarray:
@@ -369,7 +415,8 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         mod = 1 << n
         coeffs = tuple(1 << i for i in range(n)) + tuple(-(1 << i) for i in range(n))
         poly = LinearPolynomial(modulus=mod, coeffs=coeffs)
-        fn = BooleanFunction(f"EQ_{n}", 2 * n, lambda b: (b[:, :n] == b[:, n:]).all(1))
+        low = (1 << n) - 1
+        fn = BooleanFunction(f"EQ_{n}", 2 * n, lambda b: b.index >> n == b.index & low)
         return _make_instance(fn, [poly], n if n1 is None else n1)
 
     if name == "MOD":
@@ -378,7 +425,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         if n < 1:
             raise ValueError("MOD needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=(1,) * n)
-        fn = BooleanFunction(f"MOD_{m}", n, lambda b: _divisible(b.sum(1, dtype=np.int64), m))
+        fn = BooleanFunction(f"MOD_{m}", n, lambda b: _divisible(b.bits.sum(1, dtype=np.int64), m))
         return _make_instance(fn, [poly], n // 2 if n1 is None else n1)
 
     if name == "MODBIN":
@@ -387,7 +434,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         if n < 1:
             raise ValueError("MODBIN needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=tuple((1 << i) % m for i in range(n)))
-        fn = BooleanFunction(f"MODBIN_{m}", n, lambda b: _divisible(_binary_value(b), m))
+        fn = BooleanFunction(f"MODBIN_{m}", n, lambda b: _divisible(_binary_value(b.bits), m))
         return _make_instance(fn, [poly], n // 2 if n1 is None else n1)
 
     if name == "PALINDROME":
@@ -402,7 +449,12 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         for i in range((n + 1) // 2, n + 1):
             coeffs[i - 1] -= 1 << (n - i)
         poly = LinearPolynomial(modulus=mod, coeffs=tuple(coeffs))
-        fn = BooleanFunction(f"PALINDROME_{n}", n, lambda b: (b == b[:, ::-1]).all(1))
+        half, low = n // 2, (1 << n // 2) - 1
+
+        def is_palindrome(b: Block) -> np.ndarray:
+            return b.index >> (n - half) == _reversed(b.index & low, half)
+
+        fn = BooleanFunction(f"PALINDROME_{n}", n, is_palindrome)
         return _make_instance(fn, [poly], (n + 1) // 2 if n1 is None else n1)
 
     if name == "PERM":
@@ -420,8 +472,8 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         constant = -sum(base ** (t - 1) for t in range(1, 2 * n + 1))
         poly = LinearPolynomial(modulus=mod, coeffs=coeffs, constant=constant)
 
-        def is_perm(b: np.ndarray) -> np.ndarray:
-            matrices = b.reshape(-1, n, n)
+        def is_perm(b: Block) -> np.ndarray:
+            matrices = b.bits.reshape(-1, n, n)
             rows_ok = (matrices.sum(2) == 1).all(1)
             return rows_ok & (matrices.sum(1) == 1).all(1)
 
@@ -461,8 +513,8 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
     fn = BooleanFunction(
         f"MOD_{m_a}&MODBIN_{m_b}",
         n_a + n_b,
-        lambda b: _divisible(b[:, :n_a].sum(1, dtype=np.int64), m_a)
-        & _divisible(_binary_value(b[:, n_a:]), m_b),
+        lambda b: _divisible(b.bits[:, :n_a].sum(1, dtype=np.int64), m_a)
+        & _divisible(_binary_value(b.bits[:, n_a:]), m_b),
     )
     return _make_instance(fn, polys, n_a)
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .boolfn import (
+    Block,
     BooleanFunction,
     Characteristic,
     FunctionInstance,
@@ -73,8 +74,9 @@ def _instance_from_polys(polys: Sequence[LinearPolynomial], where: str) -> Funct
     The rule evaluates row by row, so it works past the table guard."""
     arity = polys[0].arity
 
-    def all_vanish(b: np.ndarray) -> np.ndarray:
-        return np.array([all(p.evaluate(r) == 0 for p in polys) for r in b.tolist()], dtype=bool)
+    def all_vanish(b: Block) -> np.ndarray:
+        rows = b.bits.tolist()
+        return np.array([all(p.evaluate(r) == 0 for p in polys) for r in rows], dtype=bool)
 
     fn = BooleanFunction("POLY", arity, all_vanish)
     char = _characteristic(fn, polys, where)

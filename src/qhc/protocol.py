@@ -37,6 +37,9 @@ PROFILE_GUARD_BITS = 20
 # Sampled runs refuse above this many Bernoulli draws (pairs x trials).
 SAMPLE_GUARD_DRAWS = 1 << 24
 
+# Sampled runs draw at most this many uniforms at a time.
+_SAMPLE_CHUNK = 1 << 16
+
 # Profiling refuses moduli above this: its value tables and grid
 # differences are int64 arrays.
 PROFILE_MODULUS_GUARD = 1 << 31
@@ -366,9 +369,7 @@ def run_sampled(
         raise GuardError(f"sampled run of {spec.l} x {trials} draws; guard is {SAMPLE_GUARD_DRAWS}")
     base = run_exact(spec, sigma, gamma)
     probs = swap_accept(np.array(base.fidelities))
-    gen = np.random.default_rng(seed)
-    draws = gen.random((spec.l, trials)) < probs[:, None]
-    accepted = draws.all(axis=0)
+    accepted = _accepted_trials(np.random.default_rng(seed), probs, trials)
     return replace(
         base,
         sampled_bit=int(accepted[0]),
@@ -378,12 +379,29 @@ def run_sampled(
     )
 
 
+def _accepted_trials(
+    gen: np.random.Generator, probs: np.ndarray, trials: int, chunk: int = _SAMPLE_CHUNK
+) -> np.ndarray:
+    """Per trial, whether every pair's uniform draw fell below its accept
+    probability.  The draws are those of ``gen.random((len(probs), trials))``
+    in its row-major order, taken ``chunk`` at a time, so no pairs x trials
+    array is ever held."""
+    accepted = np.ones(trials, dtype=bool)
+    for p in probs.tolist():
+        for start in range(0, trials, chunk):
+            stop = min(start + chunk, trials)
+            accepted[start:stop] &= gen.random(stop - start) < p
+    return accepted
+
+
 def run_smp(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) -> RunReport:
     """Referee route: both parties send hashes, the referee swap-tests them.
 
     The fidelities come from literal amplitude dot products here — a
     numerically distinct path from run_exact's cosine averages — yet the
-    acceptance probabilities must agree to 1e-12 on every input.
+    acceptance probabilities must agree to 1e-12 on every input.  Each dot
+    product is summed in one fixed order, so reports do not depend on the
+    machine's BLAS thread count.
     """
     if spec.k > 0:
         raise ValueError("forwarded variables have no receiver in the SMP topology")

@@ -286,10 +286,12 @@ def amplitude_overlap(a: HashState, b: HashState) -> float:
     """<a|b> as a literal dot product of the stored amplitude vectors.
 
     Numerically independent route used to cross-check :func:`bias` and to
-    drive the referee in the SMP topology.
+    drive the referee in the SMP topology.  The products are summed in one
+    fixed order (numpy's pairwise sum), so the result does not depend on how
+    many threads a BLAS ``dot`` would use.
     """
     _require_same_keys(a, b)
-    return float(np.dot(a.amplitudes, b.amplitudes))
+    return float(np.add.reduce(a.amplitudes * b.amplitudes))
 
 
 def swap_accept(fidelity: float | np.ndarray) -> float | np.ndarray:

@@ -7,7 +7,9 @@ Conventions (used everywhere, never locally overridden):
 * The *index* of an assignment is the integer whose most significant bit
   is x_1, so index order is itertools.product((0, 1), repeat=n) order.
 * A *bit matrix* holds one assignment per row (uint8, x_1 in column 0);
-  ``bit_matrix`` builds the rows of a range of indices.
+  ``bit_matrix`` builds the rows of a range of indices.  A Boolean
+  function's rule reads a block of indices and builds these rows only on
+  demand (``qhc.boolfn.Block``).
 * Bit *strings* are written the same way: "01" means x_1=0, x_2=1.
 
 Every field of a JSON input (config, key file, polynomial) and every
@@ -130,7 +132,8 @@ def bit_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """(stop - start, n) uint8 array; row r is index_to_bits(start + r, n).
 
     The rows default to all 2**n indices.  Guarded by callers (n <= 24
-    keeps the full matrix within 512 MiB); truth tables take it in blocks.
+    keeps the full matrix within 512 MiB); a truth-table block builds the
+    rows of its range when its rule first reads them.
     The rows are the last n of the 32 bits of each big-endian index."""
     idx = np.arange(start, 1 << n if stop is None else stop, dtype=">u4")
     return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]

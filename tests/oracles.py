@@ -84,6 +84,12 @@ def conj_direct(bits, n_a: int, m_a: int, m_b: int) -> bool:
     return mod_direct(bits[:n_a], m_a) and modbin_direct(bits[n_a:], m_b)
 
 
+def all_vanish_direct(polys, bits) -> bool:
+    """A polynomial set read as a function: every (modulus, coeffs,
+    constant) in ``polys`` evaluates to 0 on the bits."""
+    return all(poly_eval_direct(m, coeffs, c, bits) == 0 for m, coeffs, c in polys)
+
+
 def profile_csv_direct(n1: int, n2: int, f_grid, accept_grid) -> str:
     """The profile CSV written one row at a time: sigma and gamma as bit
     strings (x_1 first, empty for an empty side), f as 0/1, accept as the

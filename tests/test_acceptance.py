@@ -264,14 +264,16 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
 # instead of drifting: two key files and, on each, an EQ n=16 run report
 # (exact one-way and SMP) with its wall_clock_s dropped.  The three profile
 # CSVs were recorded before profiles moved to per-pair codes: one pair, one
-# pair with a forwarded bit, and three pairs from a polynomial file.
+# pair with a forwarded bit, and three pairs from a polynomial file.  The two
+# SMP reports were re-recorded when the referee's overlap became a fixed-order
+# sum (it was a BLAS dot, whose order depends on the thread count).
 GOLDEN_SHA256 = {
     "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
     "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
-    "run64-smp.json": "3307b87a2d01d98f4b11c4a327eaa6c579b864975aa17df374da07b219732f35",
+    "run64-smp.json": "f86adbe1c578c9093e9094381db02db7a81d1fcb421f8ba12246ab4e3e2d4db7",
     "keys21.json": "d37ae05652a8828734409ab2417ad8a98f07d68abec9a47659f7aff20a0f950e",
     "run21-one-way.json": "1dc98fee4af12fe8096770f76fde671b46ee02f36a67ef5c80ea9c7559f7960a",
-    "run21-smp.json": "d6988ac38944b01fc51187dc8a715fc0f65dfe225844e94336eb1f2fce1553d2",
+    "run21-smp.json": "ba0fb0cdebc554fad001d008afe67efd73b929f04a5a63f7ef401d57796037e2",
     "profile-eq6.csv": "ed1092861dd92a8ba281f6a2de40c9c2a1e48fcbc530f6cd6fb479dff737d7dd",
     "profile-conj34.csv": "55527daea9eeb4e8d84b1e16264deea7c58f6e4c8a83298538d4d4655f901bb3",
     "profile-poly3.csv": "1dc41d3f86f0104e4ffdbb0b5fecae06e5f88b256a5b60ad0949b1ba29230fbe",

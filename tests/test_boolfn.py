@@ -16,9 +16,12 @@ from qhc import (
     split_polynomial,
     verify_characteristic,
 )
+from qhc import boolfn
+from qhc.cli import _instance_from_polys
 from qhc.util import bit_matrix, index_to_bits
 
 from oracles import (
+    all_vanish_direct,
     conj_direct,
     eq_direct,
     mod_direct,
@@ -236,6 +239,87 @@ def test_wide_conjunction_is_exact_pointwise():
     assert 0 < sum(got) < len(inputs)
 
 
+@st.composite
+def small_functions(draw):
+    """A builtin, a conjunction or a polynomial-set (``poly_file``) function
+    of at most 10 variables, with its oracle."""
+    kind = draw(st.sampled_from(["EQ", "MOD", "MODBIN", "PALINDROME", "PERM", "CONJ", "POLY"]))
+    if kind == "EQ":
+        return builtin("EQ", draw(st.integers(1, 5))).function, eq_direct
+    if kind in ("MOD", "MODBIN"):
+        n, m = draw(st.integers(1, 10)), draw(st.one_of(st.integers(2, 40), st.just(BIG_M)))
+        oracle = mod_direct if kind == "MOD" else modbin_direct
+        return builtin(kind, n, m=m).function, lambda bits: oracle(bits, m)
+    if kind == "PALINDROME":
+        return builtin("PALINDROME", draw(st.integers(2, 10))).function, palindrome_direct
+    if kind == "PERM":
+        n = draw(st.integers(1, 3))
+        return builtin("PERM", n).function, lambda bits: perm_direct(bits, n)
+    if kind == "CONJ":
+        n_a, n_b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        m_a, m_b = draw(st.sampled_from([(3, 4), (2, 9), (5, 3), (7, 2)]))
+        fn = conjunction(n_a, n_b, m_a=m_a, m_b=m_b).function
+        return fn, lambda bits: conj_direct(bits, n_a, m_a, m_b)
+    n, m = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    residue = st.integers(0, m - 1)
+    polys = [(m, tuple(draw(residue) for _ in range(n)), draw(residue))
+             for _ in range(draw(st.integers(1, 3)))]
+    fn = _instance_from_polys([LinearPolynomial(*p) for p in polys], "polys.json").function
+    return fn, lambda bits: all_vanish_direct(polys, bits)
+
+
+@given(case=small_functions())
+@settings(max_examples=80, deadline=None)
+def test_table_pointwise_and_oracle_agree_at_every_index(case):
+    fn, oracle = case
+    table = fn.truth_table()
+    for i in range(1 << fn.arity):
+        bits = index_to_bits(i, fn.arity)
+        assert table[i] == fn(bits) == int(oracle(bits)), (fn.name, bits)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pointwise_past_62_bits_matches_oracle(data):
+    """Indices of 70 and 80 bits are exact Python ints; each case is drawn
+    as a 1-input or as arbitrary bits, so both outcomes occur."""
+    kind = data.draw(st.sampled_from(["EQ", "PALINDROME", "MODBIN"]))
+    one = data.draw(st.booleans())
+    if kind == "EQ":
+        fn, oracle = builtin("EQ", 40).function, eq_direct
+        half = data.draw(st.lists(st.integers(0, 1), min_size=40, max_size=40))
+        other = half if one else data.draw(st.lists(st.integers(0, 1), min_size=40, max_size=40))
+        bits = tuple(half + other)
+    elif kind == "PALINDROME":
+        fn, oracle = builtin("PALINDROME", 70).function, palindrome_direct
+        half = data.draw(st.lists(st.integers(0, 1), min_size=35, max_size=35))
+        other = half[::-1] if one else data.draw(
+            st.lists(st.integers(0, 1), min_size=35, max_size=35))
+        bits = tuple(half + other)
+    else:
+        m = data.draw(st.integers((1 << 63) + 1, 1 << 70))
+        fn = builtin("MODBIN", 70, m=m).function
+        value = m * data.draw(st.integers(0, (1 << 70) // m - 1)) if one else data.draw(
+            st.integers(0, (1 << 70) - 1))
+        bits = tuple((value >> i) & 1 for i in range(70))  # x_1 least significant
+        oracle = lambda b: modbin_direct(b, m)  # noqa: E731
+    got = fn(bits)
+    assert got == int(oracle(bits))
+    if one:
+        assert got == 1
+
+
+@pytest.mark.parametrize("instance", [builtin("EQ", 10), builtin("PALINDROME", 15)],
+                         ids=["EQ_10", "PALINDROME_15"])
+def test_index_rules_build_no_bit_rows(instance, monkeypatch):
+    calls = []
+    monkeypatch.setattr(boolfn, "bit_matrix", lambda *a: calls.append(a) or bit_matrix(*a))
+    table = instance.function.truth_table()
+    assert calls == [] and table.sum() > 0
+    builtin("MOD", 15, m=3).function.truth_table()  # a rule that reads bits
+    assert len(calls) == 2
+
+
 # ----------------------------------------------------------- verification
 
 
@@ -280,7 +364,7 @@ def test_mismatched_pair_returns_first_violation():
 
 
 def test_verify_guard_refuses_large_arity():
-    big = BooleanFunction("BIG", 25, lambda b: np.ones(len(b), dtype=bool))
+    big = BooleanFunction("BIG", 25, lambda b: np.ones(len(b.bits), dtype=bool))
     poly = LinearPolynomial(modulus=2, coeffs=(0,) * 25)
     with pytest.raises(GuardError, match="n <= 24"):
         verify_characteristic(Characteristic(function=big, polynomials=(poly,)))
@@ -377,12 +461,12 @@ def test_characteristic_from_table_finds_eq2_over_z16():
 def test_characteristic_from_table_or_has_no_linear_form():
     # OR forces c1 = c2 = -c0 and then c0 = 0, contradicting g(00) != 0,
     # over every ring — the honest answer is None
-    or2 = BooleanFunction("OR_2", 2, lambda b: (b == 1).any(1))
+    or2 = BooleanFunction("OR_2", 2, lambda b: (b.bits == 1).any(1))
     assert characteristic_from_table(or2, 16, attempts=4000, rng=0) is None
     assert characteristic_from_table(or2, 7, attempts=4000, rng=1) is None
 
 
 def test_characteristic_from_table_big_modulus_path():
-    never = BooleanFunction("NEVER", 2, lambda b: np.zeros(len(b), dtype=bool))
+    never = BooleanFunction("NEVER", 2, lambda b: np.zeros(len(b.bits), dtype=bool))
     found = characteristic_from_table(never, (1 << 70) + 3, attempts=50, rng=2)
     assert found is not None and verify_characteristic(found).valid

@@ -166,6 +166,31 @@ class TestRun:
         assert proc.stderr.startswith("guard: sampled run of 1 x 10000000000000 draws")
         assert "Traceback" not in proc.stderr
 
+    def test_smp_report_does_not_depend_on_blas_threads(self, tmp_path, capsys):
+        """d = 6225 gives amplitude vectors of 12 450 entries, past the size
+        at which OpenBLAS splits a dot product over threads."""
+        assert run_cli("search-keys", "--log2-n", "21", "--delta", "0.07", "--seed", "0",
+                       "--out", str(tmp_path / "keys.json")) == 0
+        assert "d=6225" in capsys.readouterr().out
+        doc = {
+            "function": {"name": "EQ", "n": 16},
+            "keys": {"file": "keys.json"},
+            "topology": "smp",
+            "input": {"alice": "0110100110010110", "bob": "0110100110010111"},
+        }
+        config = write_config(tmp_path, doc)
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "qhc.cli", "run", "--config", config],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            report.pop("wall_clock_s")
+            reports.append(json.dumps(report, indent=2))
+        assert reports[0] == reports[1]
+
     def test_repeat_runs_identical_up_to_wall_clock(self, tmp_path, capsys):
         doc = dict(EQ2_EXACT, mode="sampled", trials=40, seed=5,
                    input={"alice": "11", "bob": "00"})

@@ -29,7 +29,7 @@ from qhc import (
     verify_resistance,
 )
 from qhc import protocol
-from qhc.protocol import _rank
+from qhc.protocol import _accepted_trials, _rank
 from qhc.util import index_to_bits
 
 from oracles import THREE_POLYS
@@ -205,6 +205,16 @@ class TestRunSampled:
     def test_trials_floor(self, eq2_spec):
         with pytest.raises(ValueError):
             run_sampled(eq2_spec, (0, 0), (0, 0), seed=0, trials=0)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_chunked_draws_match_one_shot(self, pairs):
+        """Chunks of 64 that do not divide 1000 trials read the same uniforms
+        as one pairs x trials draw, in the same row-major order."""
+        probs = np.random.default_rng(pairs).uniform(0.3, 0.9, size=pairs)
+        whole = (np.random.default_rng(7).random((pairs, 1000)) < probs[:, None]).all(axis=0)
+        chunked = _accepted_trials(np.random.default_rng(7), probs, 1000, chunk=64)
+        assert chunked.dtype == bool and np.array_equal(chunked, whole)
+        assert 0 < whole.sum() < 1000
 
     def test_draw_guard_refuses_before_any_draw(self, monkeypatch):
         """pairs x trials may reach SAMPLE_GUARD_DRAWS and not pass it; a
@@ -390,7 +400,7 @@ class TestErrorProfile:
         assert moved.worst_false_accept <= moved.certified_bound + 1e-9
 
     def test_never_false_function_has_empty_profile(self):
-        fn = BooleanFunction("ONE_2", 2, lambda b: np.ones(len(b), dtype=bool))
+        fn = BooleanFunction("ONE_2", 2, lambda b: np.ones(len(b.bits), dtype=bool))
         inst = FunctionInstance(
             function=fn,
             characteristic=Characteristic(fn, (LinearPolynomial(modulus=4, coeffs=(0, 0)),)),
