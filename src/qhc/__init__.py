@@ -32,12 +32,9 @@ from .protocol import (
 )
 from .qhash import (
     Certification,
-    HashState,
     KeySet,
     ResistanceReport,
-    amplitude_overlap,
     bias,
-    build_hash,
     hash_qubits,
     required_keys,
     search_key_set,
@@ -60,7 +57,6 @@ __all__ = [
     "ErrorProfile",
     "FunctionInstance",
     "GuardError",
-    "HashState",
     "KeySet",
     "LinearPolynomial",
     "ProtocolSpec",
@@ -68,9 +64,7 @@ __all__ = [
     "RunReport",
     "SearchError",
     "VerificationReport",
-    "amplitude_overlap",
     "bias",
-    "build_hash",
     "build_spec",
     "builtin",
     "characteristic_from_table",

@@ -42,6 +42,9 @@ _INT64_SAFE_MODULUS = 1 << 62
 # Truth tables evaluate their rule on blocks of this many assignments.
 _TABLE_BLOCK_ROWS = 1 << 14
 
+# A characteristic search scores its candidates on this many rows at a time.
+_SCORE_BLOCK_ROWS = 256
+
 # Indices of up to this many bits are int64; wider ones are exact Python ints.
 _INT64_INDEX_BITS = 62
 
@@ -528,7 +531,8 @@ def characteristic_from_table(
     """Randomized search for a single linear characteristic polynomial.
 
     Draws uniform coefficient vectors over Z_modulus and verifies each one
-    exactly against the full truth table.  Not every function has a linear
+    exactly against the full truth table, _SCORE_BLOCK_ROWS rows at a time
+    so that memory does not grow with it.  Not every function has a linear
     characteristic over a given ring (OR already has none over Z_4), so
     failure is an honest answer: returns None after ``attempts`` draws.
     """
@@ -542,15 +546,20 @@ def characteristic_from_table(
     want_zero = truth == 1
 
     if modulus * (n + 1) < _INT64_SAFE_MODULUS:
-        bits = bit_matrix(n).astype(np.int64)
         remaining = attempts
         while remaining > 0:
             batch = min(remaining, 2048)
             remaining -= batch
             coeffs = gen.integers(0, modulus, size=(batch, n), dtype=np.int64)
             consts = gen.integers(0, modulus, size=batch, dtype=np.int64)
-            values = (bits @ coeffs.T + consts) % modulus
-            ok = np.nonzero(((values == 0) == want_zero[:, None]).all(axis=0))[0]
+            fit = np.ones(batch, dtype=bool)
+            for start in range(0, truth.size, _SCORE_BLOCK_ROWS):
+                stop = min(start + _SCORE_BLOCK_ROWS, truth.size)
+                values = (bit_matrix(n, start, stop).astype(np.int64) @ coeffs.T + consts) % modulus
+                fit &= ((values == 0) == want_zero[start:stop, None]).all(axis=0)
+                if not fit.any():
+                    break
+            ok = np.flatnonzero(fit)
             if ok.size:
                 j = int(ok[0])
                 poly = LinearPolynomial(

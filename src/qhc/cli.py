@@ -41,7 +41,7 @@ from .boolfn import (
     verify_characteristic,
 )
 from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
-from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled, run_smp
+from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled
 from .qhash import KeySet, search_key_set
 from .util import (
     FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, parse_bits, read_field, read_items
@@ -430,8 +430,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = run_sampled(
             spec, sigma, gamma, seed=config.seed, trials=config.trials
         )
-    elif config.topology == "smp":
-        report = run_smp(spec, sigma, gamma)
     else:
         report = run_exact(spec, sigma, gamma)
     envelope = {

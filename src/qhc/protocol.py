@@ -8,7 +8,8 @@ f = 1 inputs every pair collides exactly and the protocol accepts with
 certainty; on f = 0 inputs some pair differs (that is what makes the
 polynomial set a characteristic).  The acceptance probability is the product
 of the per-pair terms (1 + F_j^2)/2 of :func:`qhash.swap_accept`, the one
-rule that every route (exact, sampled, SMP, profile) and the bound apply.
+rule that every route (exact, sampled, SMP, profile) and the bound apply
+to fidelities F_j from :func:`qhash.bias`, the one fidelity kernel.
 
 Key sets may live over a modulus N larger than the polynomial modulus m:
 residues of Z_m embed as themselves into [0, N), which preserves both
@@ -28,7 +29,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, Decomposition, FunctionInstance, split_polynomial
 from .errors import BoundError, CharacteristicError, GuardError
-from .qhash import KeySet, amplitude_overlap, bias, build_hash, hash_qubits, swap_accept
+from .qhash import KeySet, bias, hash_qubits, swap_accept
 from .util import format_bits, index_to_bits
 
 # Full-grid error profiling refuses above this many total input bits.
@@ -315,12 +316,13 @@ def _check_bound(
         )
 
 
-def _report(
-    spec: ProtocolSpec,
-    sigma: Sequence[int],
-    gamma: Sequence[int],
-    fidelities: Sequence[float],
-) -> RunReport:
+def run_exact(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) -> RunReport:
+    """Closed-form acceptance probability on one input."""
+    _check_input(spec, sigma, gamma)
+    fidelities = [
+        float(bias(ks, [u - v])[0])
+        for ks, (u, v) in zip(spec.key_sets, _hash_points(spec, sigma, gamma))
+    ]
     accept = 1.0
     for f in fidelities:
         accept *= swap_accept(f)
@@ -341,16 +343,6 @@ def _report(
         cost=comm_cost(spec),
         certified_delta=spec.certified_delta,
     )
-
-
-def run_exact(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) -> RunReport:
-    """Closed-form acceptance probability on one input."""
-    _check_input(spec, sigma, gamma)
-    fidelities = [
-        float(bias(ks, [u - v])[0])
-        for ks, (u, v) in zip(spec.key_sets, _hash_points(spec, sigma, gamma))
-    ]
-    return _report(spec, sigma, gamma, fidelities)
 
 
 def run_sampled(
@@ -397,21 +389,9 @@ def _accepted_trials(
 def run_smp(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) -> RunReport:
     """Referee route: both parties send hashes, the referee swap-tests them.
 
-    The fidelities come from literal amplitude dot products here — a
-    numerically distinct path from run_exact's cosine averages — yet the
-    acceptance probabilities must agree to 1e-12 on every input.  Each dot
-    product is summed in one fixed order, so reports do not depend on the
-    machine's BLAS thread count.
-    """
-    if spec.k > 0:
-        raise ValueError("forwarded variables have no receiver in the SMP topology")
-    _check_input(spec, sigma, gamma)
-    smp_spec = spec if spec.topology == "smp" else replace(spec, topology="smp")
-    fidelities = [
-        amplitude_overlap(build_hash(ks, u), build_hash(ks, v))
-        for ks, (u, v) in zip(spec.key_sets, _hash_points(spec, sigma, gamma))
-    ]
-    return _report(smp_spec, sigma, gamma, fidelities)
+    The same kernel and rule as :func:`run_exact` price each pair, so the
+    report equals the one-way route's bit for bit except in its cost."""
+    return run_exact(replace(spec, topology="smp"), sigma, gamma)
 
 
 @dataclass(frozen=True)

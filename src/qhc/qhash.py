@@ -16,11 +16,12 @@ Python integers for every other N, which may exceed 64 bits.  A key set in
 the uint64 tier stores its keys once, as a read-only uint64 array, and a key
 file's digit strings are parsed into that array in one pass.
 
-:func:`bias` is the one direct kernel: every caller (runs, error-profile
-grids, Monte Carlo certification) gets bit-identical values for the same
-difference.  :func:`_exact_bias_sweep`, one FFT over all N differences, is
-the only full-spectrum route.  :func:`swap_accept` is the one SWAP-test
-accept rule, (1 + F^2)/2, that every protocol route and bound applies.
+:func:`bias` is the one direct kernel: every caller (one-way and SMP runs,
+error-profile grids, Monte Carlo certification) gets bit-identical values for
+the same difference, and no hash state is ever built as a vector.
+:func:`_exact_bias_sweep`, one FFT over all N differences, is the only
+full-spectrum route.  :func:`swap_accept` is the one SWAP-test accept rule,
+(1 + F^2)/2, that every protocol route and bound applies.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class KeySet:
         return self.certification.mode == "exact" and self.delta is not None
 
     def _same_keys(self, other: "KeySet") -> bool:
-        """Same modulus and keys in the same order: hashes comparable."""
+        """Same modulus and keys in the same order."""
         if self.modulus != other.modulus:  # so both are stored the same way
             return False
         if self.key_array is None:
@@ -245,53 +246,6 @@ def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
         ratios = _residues(key_set, diffs[start : start + step])
         out[start : start + step] = np.cos(2.0 * np.pi * ratios).mean(axis=1)
     return out
-
-
-@dataclass(frozen=True)
-class HashState:
-    """The hash of one value: interleaved (cos, sin) amplitude pairs."""
-
-    key_set: KeySet
-    value: int
-    amplitudes: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.key_set.d
-
-
-def build_hash(key_set: KeySet, value: int) -> HashState:
-    """Hash a value already reduced into [0, N).
-
-    Callers must reduce: accepting out-of-range values here would hide a
-    double reduction and make transcripts ambiguous.
-    """
-    if not 0 <= value < key_set.modulus:
-        raise ValueError(f"value {value} not reduced into [0, {key_set.modulus})")
-    angles = 2.0 * np.pi * _residues(key_set, [value])[0]
-    amp = np.empty(2 * key_set.d)
-    amp[0::2] = np.cos(angles)
-    amp[1::2] = np.sin(angles)
-    amp /= math.sqrt(key_set.d)
-    amp.flags.writeable = False
-    return HashState(key_set=key_set, value=value, amplitudes=amp)
-
-
-def _require_same_keys(a: HashState, b: HashState) -> None:
-    if not a.key_set._same_keys(b.key_set):
-        raise ValueError("hash states use different key sets")
-
-
-def amplitude_overlap(a: HashState, b: HashState) -> float:
-    """<a|b> as a literal dot product of the stored amplitude vectors.
-
-    Numerically independent route used to cross-check :func:`bias` and to
-    drive the referee in the SMP topology.  The products are summed in one
-    fixed order (numpy's pairwise sum), so the result does not depend on how
-    many threads a BLAS ``dot`` would use.
-    """
-    _require_same_keys(a, b)
-    return float(np.add.reduce(a.amplitudes * b.amplitudes))
 
 
 def swap_accept(fidelity: float | np.ndarray) -> float | np.ndarray:

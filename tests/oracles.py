@@ -114,6 +114,18 @@ def bias_direct(keys, modulus: int, difference: int) -> float:
     return total / len(keys)
 
 
+def hash_amplitudes_direct(keys, modulus: int, value: int) -> np.ndarray:
+    """The hash state of ``value`` as its 2d amplitudes: for each key k the
+    pair cos(2 pi r / N), sin(2 pi r / N), r = (k * value) mod N taken in
+    Python integers, each scaled by 1/sqrt(d)."""
+    scale = 1.0 / math.sqrt(len(keys))
+    amps = []
+    for k in keys:
+        angle = 2.0 * math.pi * ((k * value) % modulus) / modulus
+        amps += [math.cos(angle) * scale, math.sin(angle) * scale]
+    return np.array(amps)
+
+
 def residue_ratios_direct(keys, values, modulus: int) -> list[list[float]]:
     """(k * v) mod N over N, one row per value: the residue in Python
     integers, rounded to float64 by float(), then divided by float(N)."""

@@ -32,10 +32,10 @@ from qhc import (
     verify_resistance,
 )
 from qhc.cli import main
-from qhc.qhash import bias, build_hash
+from qhc.qhash import bias
 from qhc.util import rand_below
 
-from oracles import THREE_POLYS, swap_circuit_accept
+from oracles import THREE_POLYS, hash_amplitudes_direct, swap_circuit_accept
 
 
 def _pass(num: int, text: str) -> None:
@@ -114,8 +114,8 @@ def test_c05_swap_formula_matches_statevector(d):
         keys = tuple(sorted(rng.choice(n, size=d, replace=False).tolist()))
         ks = KeySet(modulus=n, keys=keys)
         u, v = int(rng.integers(n)), int(rng.integers(n))
-        a, b = build_hash(ks, u), build_hash(ks, v)
-        circuit = swap_circuit_accept(a.amplitudes, b.amplitudes)
+        a, b = hash_amplitudes_direct(keys, n, u), hash_amplitudes_direct(keys, n, v)
+        circuit = swap_circuit_accept(a, b)
         closed_form = swap_accept(bias(ks, [u - v])[0])
         assert abs(circuit - closed_form) <= 1e-10
     _pass(5, f"SWAP circuit statevector == (1+F^2)/2 on 20 instances (d={d})")
@@ -181,14 +181,12 @@ def test_c08_referee_route_agrees_with_one_way(certified_n64):
         for _ in range(50):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=instance.function.arity))
             sigma, gamma = bits[: spec.n1], bits[spec.n1 :]
-            gap = abs(
-                run_smp(spec, sigma, gamma).exact_accept
-                - run_exact(spec, sigma, gamma).exact_accept
-            )
-            assert gap <= 1e-12
+            referee, one_way = run_smp(spec, sigma, gamma), run_exact(spec, sigma, gamma)
+            assert referee.fidelities == one_way.fidelities
+            assert referee.exact_accept == one_way.exact_accept
             checked += 1
     assert checked == 100
-    _pass(8, "SMP and one-way acceptance agree to 1e-12 on 100 random inputs")
+    _pass(8, "SMP and one-way fidelities and acceptance equal on 100 random inputs")
 
 
 def test_c09_two_polynomial_conjunction(certified_n64):
@@ -266,14 +264,17 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
 # CSVs were recorded before profiles moved to per-pair codes: one pair, one
 # pair with a forwarded bit, and three pairs from a polynomial file.  The two
 # SMP reports were re-recorded when the referee's overlap became a fixed-order
-# sum (it was a BLAS dot, whose order depends on the thread count).
+# sum (it was a BLAS dot, whose order depends on the thread count), and again
+# when the referee began to price each pair with bias, as the one-way route
+# does: each SMP result now equals its one-way result but for topology and
+# qubits, which the test also checks.
 GOLDEN_SHA256 = {
     "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
     "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
-    "run64-smp.json": "f86adbe1c578c9093e9094381db02db7a81d1fcb421f8ba12246ab4e3e2d4db7",
+    "run64-smp.json": "94439cd0c958cc962416f02b72257196d2b9edd3f0ee1e3083c5ec79e9de934f",
     "keys21.json": "d37ae05652a8828734409ab2417ad8a98f07d68abec9a47659f7aff20a0f950e",
     "run21-one-way.json": "1dc98fee4af12fe8096770f76fde671b46ee02f36a67ef5c80ea9c7559f7960a",
-    "run21-smp.json": "ba0fb0cdebc554fad001d008afe67efd73b929f04a5a63f7ef401d57796037e2",
+    "run21-smp.json": "0491d22749f1b623368dfea806333fce9f689c91b5202804fc89f953801b6d19",
     "profile-eq6.csv": "ed1092861dd92a8ba281f6a2de40c9c2a1e48fcbc530f6cd6fb479dff737d7dd",
     "profile-conj34.csv": "55527daea9eeb4e8d84b1e16264deea7c58f6e4c8a83298538d4d4655f901bb3",
     "profile-poly3.csv": "1dc41d3f86f0104e4ffdbb0b5fecae06e5f88b256a5b60ad0949b1ba29230fbe",
@@ -323,7 +324,13 @@ def _golden_outputs(work) -> dict[str, bytes]:
 
 
 def test_c11_seeded_outputs_match_recorded_digests(tmp_path):
-    digests = {name: hashlib.sha256(data).hexdigest()
-               for name, data in _golden_outputs(tmp_path).items()}
+    outputs = _golden_outputs(tmp_path)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_SHA256
+    for log2_n in (64, 21):
+        one_way, smp = (json.loads(outputs[f"run{log2_n}-{topology}.json"])["result"]
+                        for topology in ("one-way", "smp"))
+        assert smp["spec"].pop("topology") == "smp" and smp.pop("qubits") != one_way["qubits"]
+        del one_way["spec"]["topology"], one_way["qubits"]
+        assert smp == one_way
     _pass(11, "key files, run reports and profile CSVs match the recorded SHA-256 digests")

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -464,6 +465,42 @@ def test_characteristic_from_table_or_has_no_linear_form():
     or2 = BooleanFunction("OR_2", 2, lambda b: (b.bits == 1).any(1))
     assert characteristic_from_table(or2, 16, attempts=4000, rng=0) is None
     assert characteristic_from_table(or2, 7, attempts=4000, rng=1) is None
+
+
+# What the search found before it scored candidates in row blocks, for
+# rng = 0..3: EQ_2 over Z_16 (many characteristics, so the draw order shows)
+# and x_1 = x_9 over Z_2 (one characteristic, refuted only past row 256).
+RECORDED_SEARCHES = {
+    "EQ_2": [(15, 9, 1, 7), (3, 4, 13, 12), (9, 10, 7, 6), (3, 14, 13, 2)],
+    "ENDS_9": [(1, 0, 0, 0, 0, 0, 0, 0, 1)] * 4,
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_characteristic_from_table_blocks_keep_recorded_results(monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(boolfn, "_SCORE_BLOCK_ROWS", block_rows)
+    functions = {
+        "EQ_2": (builtin("EQ", 2).function, 16),
+        "ENDS_9": (BooleanFunction("ENDS_9", 9, lambda b: b.bits[:, 0] == b.bits[:, 8]), 2),
+    }
+    for name, (function, modulus) in functions.items():
+        for seed, coeffs in enumerate(RECORDED_SEARCHES[name]):
+            (poly,) = characteristic_from_table(function, modulus, rng=seed).polynomials
+            assert (poly.modulus, poly.coeffs, poly.constant) == (modulus, coeffs, 0)
+
+
+def test_characteristic_from_table_memory_is_bounded():
+    """2048 candidates against 2^12 rows took a 128 MiB peak when the whole
+    table was scored at once."""
+    mod3 = builtin("MOD", 12, m=3).function
+    tracemalloc.start()
+    try:
+        assert characteristic_from_table(mod3, 7, attempts=2048, rng=0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_characteristic_from_table_big_modulus_path():

@@ -8,6 +8,7 @@ import tempfile
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,8 +168,8 @@ class TestRun:
         assert "Traceback" not in proc.stderr
 
     def test_smp_report_does_not_depend_on_blas_threads(self, tmp_path, capsys):
-        """d = 6225 gives amplitude vectors of 12 450 entries, past the size
-        at which OpenBLAS splits a dot product over threads."""
+        """d = 6225 keys are past the size at which OpenBLAS would split a
+        dot product over threads."""
         assert run_cli("search-keys", "--log2-n", "21", "--delta", "0.07", "--seed", "0",
                        "--out", str(tmp_path / "keys.json")) == 0
         assert "d=6225" in capsys.readouterr().out
@@ -202,6 +203,28 @@ class TestRun:
             env.pop("wall_clock_s")
             envelopes.append(env)
         assert envelopes[0] == envelopes[1]
+
+    def test_smp_exact_and_sampled_modes_agree(self, tmp_path, capsys):
+        """One SMP config gives the same fidelities and exact_accept in both
+        modes, on 1-inputs and 0-inputs alike."""
+        assert run_cli("search-keys", "--log2-n", "21", "--delta", "0.1", "--seed", "0",
+                       "--out", str(tmp_path / "keys.json")) == 0
+        capsys.readouterr()
+        rng = np.random.default_rng(16)
+        for i in range(12):
+            alice = "".join(map(str, rng.integers(0, 2, size=16)))
+            bob = alice if i % 3 == 0 else "".join(map(str, rng.integers(0, 2, size=16)))
+            results = []
+            for mode in ("exact", "sampled"):
+                doc = {"function": {"name": "EQ", "n": 16}, "keys": {"file": "keys.json"},
+                       "topology": "smp", "mode": mode, "input": {"alice": alice, "bob": bob}}
+                assert run_cli("run", "--config", write_config(tmp_path, doc)) == 0
+                results.append(json.loads(capsys.readouterr().out)["result"])
+            exact, sampled = results
+            assert sampled["fidelities"] == exact["fidelities"]
+            assert sampled["exact_accept"] == exact["exact_accept"]
+            assert exact["f"] == int(alice == bob)
+            assert (exact["exact_accept"] == 1.0) == (alice == bob)
 
     def test_smp_topology_routes_to_referee(self, tmp_path, capsys):
         doc = dict(EQ2_EXACT, topology="smp")

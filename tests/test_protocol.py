@@ -246,9 +246,19 @@ class TestRunSmp:
     def test_agrees_with_one_way_route(self, eq2_spec, certified_n64):
         spec = build_spec(builtin("EQ", 2), certified_n64)
         for bits in product((0, 1), repeat=4):
-            want = run_exact(spec, bits[:2], bits[2:]).exact_accept
-            got = run_smp(spec, bits[:2], bits[2:]).exact_accept
-            assert abs(want - got) <= 1e-12
+            want = run_exact(spec, bits[:2], bits[2:])
+            got = run_smp(spec, bits[:2], bits[2:])
+            assert got.fidelities == want.fidelities
+            assert got.exact_accept == want.exact_accept
+
+    def test_one_inputs_accept_with_certainty(self):
+        """Every 1-input of EQ 3+3 accepts with probability exactly 1 on the
+        README's key set, as on the one-way route."""
+        spec = build_spec(builtin("EQ", 3), search_key_set(2**10, 0.3, seed=7), topology="smp")
+        for sigma in product((0, 1), repeat=3):
+            report = run_smp(spec, sigma, sigma)
+            assert report.f_value == 1
+            assert report.exact_accept == 1.0 and report.fidelities == (1.0,)
 
     def test_forwarding_rejected(self):
         spec = build_spec(builtin("EQ", 2), full_ring(4), n1=3, forwarded=(3,))
@@ -503,4 +513,6 @@ def test_smp_and_one_way_agree_on_random_inputs(seed):
     spec = build_spec(inst, KeySet(modulus=256, keys=keys))
     bits = tuple(int(b) for b in rng.integers(0, 2, size=6))
     a, b = bits[: spec.n1], bits[spec.n1 :]
-    assert abs(run_exact(spec, a, b).exact_accept - run_smp(spec, a, b).exact_accept) <= 1e-12
+    one_way, referee = run_exact(spec, a, b), run_smp(spec, a, b)
+    assert referee.fidelities == one_way.fidelities
+    assert referee.exact_accept == one_way.exact_accept

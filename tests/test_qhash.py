@@ -12,9 +12,7 @@ from qhc import (
     GuardError,
     KeySet,
     SearchError,
-    amplitude_overlap,
     bias,
-    build_hash,
     hash_qubits,
     required_keys,
     search_key_set,
@@ -26,6 +24,7 @@ from qhc.util import rand_below_many
 
 from oracles import (
     bias_direct,
+    hash_amplitudes_direct,
     max_bias_direct,
     rand_below_per_call,
     residue_ratios_direct,
@@ -115,43 +114,48 @@ class TestKeySet:
         assert not loaded.key_array.flags.writeable and not ks.key_array.flags.writeable
         assert loaded != KeySet(modulus=n, keys=(0, n - 1, 12345, n // 3), delta=0.25,
                                 certification=Certification(mode="exact", max_bias=0.1))
-        assert abs(amplitude_overlap(build_hash(loaded, 3), build_hash(ks, 3)) - 1.0) < 1e-12
+        diffs = [3, 1, n - 1, 12345, -7]
+        assert bias(loaded, diffs).tobytes() == bias(ks, diffs).tobytes()
 
 
 # ------------------------------------------------------------ hash states
 
 
 class TestBuildHash:
+    """Hash states written out as amplitudes by the oracle: the known
+    states, and bias as the overlap of two of them."""
+
     def test_value_zero_all_cosines(self):
-        h = build_hash(KeySet(modulus=16, keys=(2, 5, 11)), 0)
-        assert np.allclose(h.amplitudes[0::2], 1 / math.sqrt(3))
-        assert np.allclose(h.amplitudes[1::2], 0.0)
+        amps = hash_amplitudes_direct((2, 5, 11), 16, 0)
+        assert np.allclose(amps[0::2], 1 / math.sqrt(3))
+        assert np.allclose(amps[1::2], 0.0)
+        assert bias(KeySet(modulus=16, keys=(2, 5, 11)), [0])[0] == 1.0
 
     def test_quarter_turn(self):
-        h = build_hash(KeySet(modulus=4, keys=(1,)), 1)
-        assert np.allclose(h.amplitudes, [0.0, 1.0], atol=1e-15)
+        amps = hash_amplitudes_direct((1,), 4, 1)
+        assert np.allclose(amps, [0.0, 1.0], atol=1e-15)
+        # orthogonal to the hash of 0, which is (1, 0)
+        assert abs(bias(KeySet(modulus=4, keys=(1,)), [1 - 0])[0]) < 1e-15
 
     def test_two_key_example(self):
-        h = build_hash(KeySet(modulus=8, keys=(1, 3)), 2)
+        amps = hash_amplitudes_direct((1, 3), 8, 2)
         r = 1 / math.sqrt(2)
-        assert np.allclose(h.amplitudes, [0.0, r, 0.0, -r], atol=1e-15)
-
-    def test_rejects_unreduced_value(self):
-        ks = KeySet(modulus=8, keys=(1,))
-        with pytest.raises(ValueError, match="reduced"):
-            build_hash(ks, 8)
-        with pytest.raises(ValueError, match="reduced"):
-            build_hash(ks, -1)
+        assert np.allclose(amps, [0.0, r, 0.0, -r], atol=1e-15)
+        overlap = np.dot(amps, hash_amplitudes_direct((1, 3), 8, 0))
+        assert abs(bias(KeySet(modulus=8, keys=(1, 3)), [2 - 0])[0] - overlap) < 1e-15
 
     @given(st.integers(0, 60), st.data())
     @settings(max_examples=40)
     def test_unit_norm_up_to_2_64(self, shift, data):
+        """The state has unit norm, and bias at difference 0, its overlap
+        with itself, is exactly 1."""
         n = data.draw(st.integers(2, 1 << 64))
         d = data.draw(st.integers(1, 30))
         keys = sorted({data.draw(st.integers(0, n - 1)) for _ in range(d)})
         v = data.draw(st.integers(0, n - 1))
-        h = build_hash(KeySet(modulus=n, keys=tuple(keys)), v)
-        assert abs(np.dot(h.amplitudes, h.amplitudes) - 1.0) < 1e-12
+        amps = hash_amplitudes_direct(keys, n, v)
+        assert abs(np.dot(amps, amps) - 1.0) < 1e-12
+        assert bias(KeySet(modulus=n, keys=tuple(keys)), [v - v])[0] == 1.0
 
 
 # ------------------------------------------------------------- fidelities
@@ -241,40 +245,36 @@ class TestResidueTiers:
 
 
 class TestInnerProduct:
-    """<a|b> of two hashes two ways: bias at their difference, and the
-    literal amplitude dot product."""
+    """<a|b> of two hashes two ways: bias at their difference, and the dot
+    product of the oracle's amplitude vectors."""
 
     def test_identical_states(self):
         ks = KeySet(modulus=32, keys=(3, 7, 9))
-        h = build_hash(ks, 17)
+        h = hash_amplitudes_direct(ks.keys, 32, 17)
         assert bias(ks, [17 - 17])[0] == 1.0
-        assert abs(amplitude_overlap(h, h) - 1.0) < 1e-12
+        assert abs(np.dot(h, h) - 1.0) < 1e-12
 
     def test_antipodal_rotation(self):
         ks = KeySet(modulus=4, keys=(1,))
+        a, b = hash_amplitudes_direct(ks.keys, 4, 3), hash_amplitudes_direct(ks.keys, 4, 1)
         assert abs(bias(ks, [3 - 1])[0] + 1.0) < 1e-12
-        assert abs(amplitude_overlap(build_hash(ks, 3), build_hash(ks, 1)) + 1.0) < 1e-12
+        assert abs(np.dot(a, b) + 1.0) < 1e-12
 
     def test_two_term_cosine_sum(self):
         ks = KeySet(modulus=4, keys=(1, 2))
-        a, b = build_hash(ks, 1), build_hash(ks, 0)
+        a, b = hash_amplitudes_direct(ks.keys, 4, 1), hash_amplitudes_direct(ks.keys, 4, 0)
         assert abs(bias(ks, [1 - 0])[0] + 0.5) < 1e-12
-        assert abs(amplitude_overlap(a, b) + 0.5) < 1e-10
-
-    def test_mismatched_key_sets(self):
-        a = build_hash(KeySet(modulus=8, keys=(1,)), 0)
-        b = build_hash(KeySet(modulus=8, keys=(2,)), 0)
-        with pytest.raises(ValueError, match="different key sets"):
-            amplitude_overlap(a, b)
+        assert abs(np.dot(a, b) + 0.5) < 1e-10
 
     @given(st.integers(0, 10**9), st.data())
     @settings(max_examples=50)
     def test_analytic_agrees_with_amplitude_dot(self, seed, data):
         rng = np.random.default_rng(seed)
         ks = _random_key_set(rng)
-        u, v = int(rng.integers(ks.modulus)), int(rng.integers(ks.modulus))
-        a, b = build_hash(ks, u), build_hash(ks, v)
-        assert abs(bias(ks, [u - v])[0] - amplitude_overlap(a, b)) < 1e-10
+        n = ks.modulus
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        a, b = hash_amplitudes_direct(ks.keys, n, u), hash_amplitudes_direct(ks.keys, n, v)
+        assert abs(bias(ks, [u - v])[0] - np.dot(a, b)) < 1e-10
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=50)
@@ -331,8 +331,8 @@ class TestSwapTest:
             keys = tuple(sorted(rng.choice(n, size=min(d, n), replace=False).tolist()))
             ks = KeySet(modulus=n, keys=keys)
             u, v = int(rng.integers(n)), int(rng.integers(n))
-            a, b = build_hash(ks, u), build_hash(ks, v)
-            circuit = swap_circuit_accept(a.amplitudes, b.amplitudes)
+            a, b = hash_amplitudes_direct(keys, n, u), hash_amplitudes_direct(keys, n, v)
+            circuit = swap_circuit_accept(a, b)
             assert abs(circuit - swap_accept(bias(ks, [u - v])[0])) < 1e-10
 
 
