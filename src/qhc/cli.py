@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Sequence
 
@@ -84,11 +87,17 @@ def _instance_from_polys(polys: Sequence[LinearPolynomial], where: str) -> Funct
     return FunctionInstance(function=fn, characteristic=char, splits=splits)
 
 
-def _read_text(path: Path, what: str) -> str:
+def _read_bytes(path: Path, what: str) -> bytes:
     try:
-        return path.read_text()
+        return path.read_bytes()
     except OSError as e:
         raise ConfigError(str(path), f"cannot read {what}: {e}")
+
+
+def _decode(data: bytes) -> str:
+    """``data`` as ``Path.read_text`` decodes a file: the default encoding,
+    universal newlines, the same error on bytes that do not decode."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def _json_loads(text: str, where: str):
@@ -99,7 +108,7 @@ def _json_loads(text: str, where: str):
 
 
 def _read_json(path: Path, what: str):
-    return _json_loads(_read_text(path, what), str(path))
+    return _json_loads(_decode(_read_bytes(path, what)), str(path))
 
 
 def _parse_doc(parse, doc, where: str, whole: str, what: str):
@@ -128,26 +137,31 @@ def _load_polys(path: Path) -> list[LinearPolynomial]:
     return [_poly_from_json(d, str(path)) for d in docs]
 
 
-# Key sets kept per process by _key_set_from_text.
+# Key files whose key sets a process keeps, the most recently loaded last:
+# path -> (the file's bytes, the key set parsed from them).
 _KEY_SET_CACHE_SIZE = 8
+_key_sets: OrderedDict[str, tuple[bytes, KeySet]] = OrderedDict()
 
 
 def _load_key_set(path: Path) -> KeySet:
     """The key set in the file at ``path``, read on every call.
 
-    A process keeps the last few key sets it has built, keyed on the file's
-    whole text and its path, so loading an unchanged file again costs one
-    read and one string hash; a rewritten file is parsed and checked anew.
-    Sharing a set is safe: a ``KeySet``, its certification and its key
-    array are immutable.  A failed load is not kept, so it fails alike each
-    time."""
-    return _key_set_from_text(_read_text(path, "key file"), str(path))
-
-
-@functools.lru_cache(maxsize=_KEY_SET_CACHE_SIZE)
-def _key_set_from_text(text: str, where: str) -> KeySet:
-    doc = _json_loads(text, where)
-    return _parse_doc(KeySet.from_json, doc, where, "key file", "key set")
+    A process keeps the key sets of the last few files it has loaded, each
+    with the bytes it was parsed from, so loading an unchanged file again
+    costs one read and one byte comparison; a rewritten file is parsed and
+    checked anew.  Sharing a set is safe: a ``KeySet``, its certification
+    and its key array are immutable.  A failed load is not kept, so it
+    fails alike each time."""
+    where = str(path)
+    data = _read_bytes(path, "key file")
+    kept = _key_sets.pop(where, None)
+    if kept is None or kept[0] != data:
+        doc = _json_loads(_decode(data), where)
+        kept = (data, _parse_doc(KeySet.from_json, doc, where, "key file", "key set"))
+    _key_sets[where] = kept
+    if len(_key_sets) > _KEY_SET_CACHE_SIZE:
+        _key_sets.popitem(last=False)
+    return kept[1]
 
 
 # Bounds of the keys.search fields, shared with the search-keys flags.
@@ -172,11 +186,19 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
         )
     else:
         fields = {"n": REQUIRED, "m": None}
-    sizes = {k: read_field(fdoc, k, f"function.{k}", INT, d) for k, d in fields.items()}
+    sizes = tuple(read_field(fdoc, k, f"function.{k}", INT, d) for k, d in fields.items())
     try:
-        return conjunction(**sizes) if name == "CONJ" else builtin(name, **sizes)
+        return _builtin_instance(name, sizes)
     except ValueError as e:
         raise ConfigError("function", str(e))
+
+
+@functools.lru_cache(maxsize=16)
+def _builtin_instance(name: str, sizes: tuple) -> FunctionInstance:
+    """A builtin by name and its sizes in descriptor order.  A process keeps
+    the last 16 it built, so a repeated descriptor costs no rebuild (an
+    instance is immutable); a ValueError is raised anew each time."""
+    return conjunction(*sizes) if name == "CONJ" else builtin(name, *sizes)
 
 
 # ---------------------------------------------------------------- configs
@@ -355,6 +377,41 @@ def _build_spec(config: ExperimentConfig) -> ProtocolSpec:
     )
 
 
+def _json_text(doc, pad: str = "") -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document of dicts
+    with string keys, lists, tuples, strings, ints, floats, bools and None;
+    ``json`` writes indented text with its pure-Python encoder, this with
+    one join per container.  ``pad`` is the indent of the line ``doc``
+    starts on."""
+    if isinstance(doc, str):
+        return _escape(doc)
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [_escape(k) + ": " + _json_text(v, inner) for k, v in doc.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        if all(type(v) is str for v in doc):  # a key file's keys, in one join
+            items = map(_escape, doc)
+        else:
+            items = [_json_text(v, inner) for v in doc]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float):  # NaN and the infinities as json writes them
+        return float.__repr__(doc) if math.isfinite(doc) else json.dumps(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -400,7 +457,7 @@ def cmd_search_keys(args: argparse.Namespace) -> int:
         mc_trials=trials,
     )
     cert = key_set.certification
-    _write_or_print(json.dumps(key_set.to_json(), indent=2) + "\n", args.out)
+    _write_or_print(_json_text(key_set.to_json()) + "\n", args.out)
     target = args.out or "stdout"
     print(
         f"certified: N=2^{log2_n} d={key_set.d} delta={key_set.delta} "
@@ -439,7 +496,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "result": report.to_json(spec.summary()),
         "wall_clock_s": round(time.perf_counter() - start, 6),
     }
-    _write_or_print(json.dumps(envelope, indent=2) + "\n", config.out)
+    _write_or_print(_json_text(envelope) + "\n", config.out)
     if config.out:
         print(
             f"f={report.f_value} exact_accept={report.exact_accept!r} -> {config.out}"

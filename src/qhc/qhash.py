@@ -211,13 +211,16 @@ def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
     """(k * v) mod N as float ratios in [0, 1), one row per value v in [0, N).
 
     Exact until the residue becomes a float: uint64 products in the tier of
-    :func:`_uint64_exact` (reduced mod N unless N = 2^64), Python integers row
-    by row above.  Both round the residue to float64 as ``float(int)`` does."""
+    :func:`_uint64_exact` (reduced mod N unless N = 2^64, by a mask when N is
+    a power of two), Python integers row by row above.  Both round the
+    residue to float64 as ``float(int)`` does."""
     n = key_set.modulus
     if key_set.key_array is not None:
         r = np.asarray(values, dtype=np.uint64)[:, None] * key_set.key_array
-        if n < 1 << 64:
+        if n & (n - 1):
             r %= np.uint64(n)
+        elif n < 1 << 64:
+            r &= np.uint64(n - 1)
         return r / float(n)
     out = np.empty((len(values), key_set.d))
     for row, v in zip(out, values):
@@ -230,21 +233,26 @@ def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
 def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """Fidelity between hashes of values differing by each difference.
 
-    Residues are exact integers until the final ratio.  Differences go in
-    blocks of about _BIAS_BLOCK_CELLS residues; each row's d cosines are
-    averaged in one order whatever the block, so a difference's bias does
-    not depend on the company it is computed in.
+    Residues are exact integers until the final ratio.  A difference of 0
+    mod N gives exactly 1.0 (d cosines of 0, averaged) without a row.  The
+    others go in blocks of about _BIAS_BLOCK_CELLS residues; each row's d
+    cosines are averaged in one order whatever the block, so a difference's
+    bias does not depend on the company it is computed in.
     """
     n = key_set.modulus
     if n <= _INT64_DIFFERENCE_N:
         diffs = np.asarray(differences, dtype=np.int64) % n
+        live = np.flatnonzero(diffs)
+        diffs = diffs[live]
     else:
         diffs = [int(dd) % n for dd in differences]
-    out = np.empty(len(diffs))
+        live = [i for i, dd in enumerate(diffs) if dd]
+        diffs = [diffs[i] for i in live]
+    out = np.ones(len(differences))
     step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
     for start in range(0, len(diffs), step):
         ratios = _residues(key_set, diffs[start : start + step])
-        out[start : start + step] = np.cos(2.0 * np.pi * ratios).mean(axis=1)
+        out[live[start : start + step]] = np.cos(2.0 * np.pi * ratios).mean(axis=1)
     return out
 
 

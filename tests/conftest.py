@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,18 @@ import pytest
 from qhc import KeySet, verify_resistance
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` work
+
+# A failing hypothesis test imports hypothesis.extra._patching to build its
+# failure report, and that import chain (libcst -> mypy_extensions) can warn
+# on import.  Under `pytest -W error` the warning would abort the session
+# instead of reporting the failure, so the module is imported here, with its
+# import-time warnings ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # an older hypothesis, or libcst missing: nothing to import
+        pass
 
 
 @pytest.fixture(scope="session")

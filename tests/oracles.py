@@ -181,3 +181,16 @@ def swap_circuit_accept(a: np.ndarray, b: np.ndarray) -> float:
     psi = np.kron(np.array([1.0, 0.0]), np.kron(a, b))
     psi = h_anc @ (cswap @ (h_anc @ psi))
     return float(np.sum(psi[:joint] ** 2))
+
+
+def bias_rows_direct(keys, modulus: int, differences) -> np.ndarray:
+    """bias at each difference, one row at a time: D and every k * D reduced
+    with % in Python integers, each residue rounded to float64 by float()
+    and divided by float(N), then the row's cosines of 2 pi times that
+    ratio averaged with numpy's mean."""
+    out = np.empty(len(differences))
+    for i, difference in enumerate(differences):
+        dd = int(difference) % modulus
+        ratios = np.array([float((k * dd) % modulus) for k in keys]) / float(modulus)
+        out[i] = np.cos(2.0 * np.pi * ratios).mean()
+    return out

@@ -839,6 +839,128 @@ class TestKeySetCache:
         assert errors[0] == errors[1] and errors[0].startswith("config error: ")
 
 
+    def test_evicted_file_is_parsed_again(self, tmp_path):
+        """Nine distinct files through a cache of eight: the first is
+        evicted and parsed anew, the last is still kept."""
+        paths = []
+        for i in range(qhc.cli._KEY_SET_CACHE_SIZE + 1):
+            paths.append(tmp_path / f"keys{i}.json")
+            paths[-1].write_text(json.dumps(KeySet(16, (1, 3, 5 + i)).to_json()))
+        first = [qhc.cli._load_key_set(p) for p in paths]
+        assert qhc.cli._load_key_set(paths[-1]) is first[-1]
+        again = qhc.cli._load_key_set(paths[0])
+        assert again is not first[0] and again == first[0]
+
+    def test_crlf_rewrite_is_read_again(self, tmp_path):
+        path = tmp_path / "keys.json"
+        text = json.dumps(KeySet(16, (1, 3, 5)).to_json(), indent=2)
+        path.write_bytes(text.encode())
+        first = qhc.cli._load_key_set(path)
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        second = qhc.cli._load_key_set(path)
+        assert second is not first and second == first
+        assert qhc.cli._load_key_set(path) is second
+
+    @pytest.mark.parametrize("replace", ["remove", "directory"])
+    def test_unreadable_file_exits_3_after_a_load(self, tmp_path, capsys, replace):
+        """A kept key set is never served for a file that cannot be read."""
+        argv = self.run_key_file(tmp_path, json.dumps(KeySet(16, (1, 3, 5)).to_json()))
+        assert run_cli(*argv) == 0
+        path = tmp_path / "keys.json"
+        path.unlink()
+        if replace == "directory":
+            path.mkdir()
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: cannot read key file: ")
+        assert str(path) in err.partition("cannot read key file: ")[2]
+
+
+class TestBuiltinReuse:
+    """A repeated builtin descriptor gives the instance built the first time;
+    a bad one fails alike each time."""
+
+    @staticmethod
+    def instance(tmp_path, function: dict):
+        doc = {"function": function, "keys": {"file": "keys.json"}}
+        return parse_config(doc, tmp_path).instance
+
+    def test_same_descriptor_shares_one_instance(self, tmp_path):
+        first = self.instance(tmp_path, {"name": "EQ", "n": 16})
+        assert self.instance(tmp_path, {"name": "eq", "n": 16}) is first
+        assert self.instance(tmp_path, {"name": "EQ", "n": 3}) is not self.instance(
+            tmp_path, {"name": "EQ", "n": 4}
+        )
+        conj = {"name": "CONJ", "n_a": 2, "n_b": 3}
+        assert self.instance(tmp_path, conj) is self.instance(tmp_path, conj)
+
+    def test_bad_descriptor_fails_alike_each_time(self, capsys):
+        errors = []
+        for _ in range(2):
+            assert run_cli("verify", "--function", "EQ", "--n", "2", "--m", "3") == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "config error: function: EQ's modulus is fixed at 2^n\n"
+
+
+# ---------------------------------------------------------- JSON writer
+
+_JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, 0.1 + 0.2])
+_JSON_INTS = st.integers() | st.integers(min_value=1 << 64) | st.integers(max_value=-(1 << 64))
+_JSON_SCALARS = st.none() | st.booleans() | _JSON_INTS | _JSON_FLOATS | st.text()
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner) | st.lists(st.text()),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """The report and key-file writer gives json.dumps(doc, indent=2) byte
+    for byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_JSON_DOCS)
+    def test_equals_json_dumps(self, doc):
+        assert qhc.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, [], (), {"": [{}, [], ""]}, ["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\"\\/"],
+         {"\"q\"\n": [True, False, None, 1 << 64, -(1 << 70), 5e-324, -0.0, 1e308, 0.1 + 0.2]},
+         [float("nan"), float("inf"), -float("inf")], (1, ("a", (2.5,)))],
+    )
+    def test_edge_documents(self, doc):
+        assert qhc.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_numpy_float_is_written_as_a_float(self):
+        doc = {"x": np.float64(0.1), "y": [np.float64(-0.0)]}
+        assert qhc.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_unserializable_value_raises(self):
+        with pytest.raises(TypeError):
+            qhc.cli._json_text({"x": np.int64(1)})
+
+    def test_search_keys_file(self, tmp_path):
+        out = tmp_path / "keys.json"
+        argv = ["search-keys", "--log2-n", "21", "--delta", "0.05", "--seed", "1"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert len(doc["keys"]) == 12200
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+    def test_run_envelope(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(EQ2_EXACT, note={"s": "\u00e9", "t": [1, 2.5]}))
+        out = tmp_path / "report.json"
+        assert run_cli("run", "--config", config, "--out", str(out)) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert doc["result"]["fidelities"] and doc["config"]["note"]["s"] == "\u00e9"
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+
 class TestForgedCertificate:
     """A key file's exact certificate is checked against every run: a false
     accept above (1+delta^2)/2 refutes it."""

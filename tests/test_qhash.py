@@ -24,6 +24,7 @@ from qhc.util import rand_below_many
 
 from oracles import (
     bias_direct,
+    bias_rows_direct,
     hash_amplitudes_direct,
     max_bias_direct,
     rand_below_per_call,
@@ -186,6 +187,54 @@ class TestBiasKernel:
         for got, dd in zip(batch, diffs):
             assert got == bias(ks, [dd])[0]
             assert abs(got - bias_direct(keys, n, dd)) < 1e-12
+
+
+class TestBiasZeros:
+    """A zero difference costs no row and gives exactly 1.0; every other
+    difference keeps the bits of the row-at-a-time oracle, wherever the
+    zeros fall among the kernel's blocks."""
+
+    D = 700  # keys per set: blocks of _BIAS_BLOCK_CELLS // 700 = 93 differences
+
+    @staticmethod
+    def key_set(n: int, d: int, seed: int) -> KeySet:
+        rng = np.random.default_rng(seed)
+        keys = {int(k) % n for k in rng.integers(0, 1 << 63, size=d, dtype=np.uint64)}
+        return KeySet(modulus=n, keys=tuple(sorted(keys | {1, n - 1})))
+
+    @pytest.mark.parametrize(
+        "n", [1 << 10, 1 << 21, 1 << 64, (1 << 32) - 5, 1_000_003, (1 << 64) + 13]
+    )
+    def test_equals_row_oracle_with_zeros_at_block_edges(self, n):
+        ks = self.key_set(n, self.D, n % 997)
+        step = qhc.qhash._BIAS_BLOCK_CELLS // ks.d
+        rng = np.random.default_rng(n % 991)
+        diffs = [int(v) % n for v in rng.integers(1, 1 << 62, size=3 * step + 7)]
+        for i in (0, step - 1, step, step + 1, 2 * step, len(diffs) - 1):
+            diffs[i] = 0
+        diffs[5] = n  # zero mod N
+        diffs[7] = -n
+        want = bias_rows_direct(ks.keys, n, diffs)
+        got = bias(ks, diffs)
+        assert got.tobytes() == want.tobytes()
+        zero = np.array([dd % n == 0 for dd in diffs])
+        assert (got[zero] == 1.0).all() and (got[~zero] != 1.0).all()
+
+    @pytest.mark.parametrize("n", [1 << 21, 1 << 64, (1 << 64) + 13])
+    def test_all_zero_and_empty(self, n):
+        ks = self.key_set(n, 50, 3)
+        got = bias(ks, [0, n, 0, -n])
+        assert got.dtype == np.float64 and got.tolist() == [1.0] * 4
+        empty = bias(ks, [])
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+    def test_zeros_compute_no_row(self, monkeypatch):
+        ks = self.key_set(1 << 21, 50, 4)
+        rows = []
+        residues = qhc.qhash._residues
+        monkeypatch.setattr(qhc.qhash, "_residues", lambda k, v: rows.append(len(v)) or residues(k, v))
+        bias(ks, [0, 5, 1 << 21, 0, 7])
+        assert rows == [2]
 
 
 class TestResidueTiers:
