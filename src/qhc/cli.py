@@ -349,6 +349,11 @@ def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:
     pairs = len(config.instance.characteristic.polynomials)
     if config.key_files is not None:
         sets = [_load_key_set(p) for p in config.key_files]
+        least = config.instance.characteristic.modulus
+        for path, ks in zip(config.key_files, sets):
+            if ks.modulus < least:
+                raise ConfigError(str(path), f"key modulus {ks.modulus} smaller than polynomial "
+                                  f"modulus {least}: differences would wrap")
         if len(sets) == 1:
             sets = sets * pairs
         return sets

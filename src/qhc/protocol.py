@@ -399,10 +399,9 @@ class ErrorProfile:
     """Exact acceptance over the full input grid, summarized over f = 0.
 
     ``values`` holds the distinct products of per-pair acceptances that
-    occur, and ``codes`` the index of each cell's product in it, so
-    ``accept_grid == values[codes]``; ``values`` is never longer than the
-    grid has cells.  The f = 0 summaries are read from how many 0-cells
-    hold each code."""
+    occur, and ``codes`` the index of each cell's product in it;
+    ``values`` is never longer than the grid has cells.  The f = 0
+    summaries are read from how many 0-cells hold each code."""
 
     function_name: str
     n1: int
@@ -412,10 +411,13 @@ class ErrorProfile:
     false_inputs: int
     histogram: tuple[int, ...]  # 20 equal bins over [0, 1]
     certified_bound: float | None
-    accept_grid: np.ndarray = field(compare=False, repr=False)
     f_grid: np.ndarray = field(compare=False, repr=False)
     values: np.ndarray = field(compare=False, repr=False)
     codes: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def accept_grid(self) -> np.ndarray:  # built anew on each read
+        return self.values[self.codes]
 
     def csv_blocks(self):
         """The CSV text: the header, then one block of lines per sigma row.
@@ -511,13 +513,12 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         else:
             used, codes = _rank(codes * terms.size + inv, values.size * terms.size)
             values = values[used // terms.size] * terms[used % terms.size]
-    accept = values[codes]
 
-    ones_bad = (truth == 1) & (accept < 1.0 - _ONE_SIDED_TOL)
+    ones_bad = (truth == 1) & (values < 1.0 - _ONE_SIDED_TOL)[codes]
     if ones_bad.any():
         i, j = np.unravel_index(int(np.argmax(ones_bad)), ones_bad.shape)
         raise CharacteristicError(
-            f"accept probability {accept[i, j]} on the 1-input "
+            f"accept probability {values[codes[i, j]]} on the 1-input "
             f"{format_bits(index_to_bits(int(i), n1))},"
             f"{format_bits(index_to_bits(int(j), n2))} — polynomial set is not "
             f"a characteristic of {spec.function.name}"
@@ -533,7 +534,7 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         worst = float(values[counts > 0].max())
         # Distinct codes can share a value (bias(D) = bias(N - D)), so the
         # first attaining input is searched among the cells, not the codes.
-        flat = int(np.argmax(zero_mask & (accept == worst)))
+        flat = int(np.argmax(zero_mask & (values == worst)[codes]))
         i, j = divmod(flat, 1 << n2)
         attaining = (index_to_bits(i, n1), index_to_bits(j, n2))
         _check_bound(spec, worst, *attaining)
@@ -547,7 +548,6 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         false_inputs=false_inputs,
         histogram=tuple(int(c) for c in hist),
         certified_bound=spec.certified_bound,
-        accept_grid=accept,
         f_grid=truth,
         values=values,
         codes=codes,

@@ -9,12 +9,12 @@ fidelity
 
 so delta-collision resistance is exactly: |bias(D)| < delta for every
 nonzero D mod N.  Everything here reduces k*v mod N in exact integer
-arithmetic; the only float step is the cosine of (k*v mod N) / N.  Two
-integer tiers: wrapping uint64 products when N <= 2^32 (no product of two
-residues reaches 2^64) or N = 2^L <= 2^64 (2^64 is a multiple of N), and
-Python integers for every other N, which may exceed 64 bits.  A key set in
-the uint64 tier stores its keys once, as a read-only uint64 array, and a key
-file's digit strings are parsed into that array in one pass.
+arithmetic; the only float step is the cosine of (k*v mod N) / N.  A key
+set stores its keys once, as one read-only array whose dtype N chooses:
+uint64, with wrapping products, when N <= 2^32 (no product of two residues
+reaches 2^64) or N = 2^L <= 2^64 (2^64 is a multiple of N), and object,
+holding Python integers of any size, for every other N; one code path
+serves both.  A key file's digit strings are parsed into uint64 in one pass.
 
 :func:`bias` is the one direct kernel: every caller (one-way and SMP runs,
 error-profile grids, Monte Carlo certification) gets bit-identical values for
@@ -41,8 +41,8 @@ from .util import (
 # Exhaustive difference sweeps refuse above this modulus (2M differences).
 EXACT_SWEEP_GUARD = 1 << 21
 
-# Differences reduce mod N as int64 up to this N; above, as Python integers
-# (callers may pass differences that are negative or >= 2^63).
+# Differences reduce mod N as int64 up to this N; above, as an object array
+# of Python ints (callers may pass differences that are negative or >= 2^63).
 _INT64_DIFFERENCE_N = 1 << 31
 
 # Residues per block of the bias kernel (512 KiB of float64).
@@ -92,17 +92,17 @@ class Certification:
 class KeySet:
     """d distinct keys in [0, N), optionally certified delta-resistant.
 
-    The keys are stored once: in the uint64 tier (see :func:`_uint64_exact`)
-    as the read-only uint64 ``key_array``, which may also be passed as
-    ``keys`` (the set then keeps that array and makes it read-only); off the
-    tier as a tuple of ints, ``key_array`` being None.  ``keys`` is that
-    tuple, built on demand in the tier.  Sets are equal when their modulus,
+    The keys are stored once, as the read-only array ``key_array``: uint64
+    in the tier of :func:`_uint64_exact`, where a uint64 array may also be
+    passed as ``keys`` (the set then keeps that array and makes it
+    read-only), and dtype object holding Python ints above it.  ``keys`` is
+    the tuple of ints, built on demand.  Sets are equal when their modulus,
     keys in order, delta and certification are."""
 
     modulus: int
     delta: float | None
     certification: Certification
-    _stored: np.ndarray | tuple[int, ...] = field(repr=False)
+    key_array: np.ndarray = field(repr=False)
 
     def __init__(
         self,
@@ -121,53 +121,37 @@ class KeySet:
         elif _uint64_exact(n) and 0 <= min(keys) and max(keys) < 1 << 64:
             # Range first: numpy 1.x may wrap a negative int into uint64, not raise.
             stored = np.fromiter(keys, dtype=np.uint64, count=len(keys))
-        else:
-            stored = tuple(keys)
-        if isinstance(stored, tuple):
-            duplicated = len(set(stored)) != len(stored)
-            outside = [k for k in stored if not 0 <= k < n]
-        else:
-            ordered = np.sort(stored)
-            duplicated = bool((ordered[1:] == ordered[:-1]).any())
-            outside = stored[stored >= n].tolist() if n < 1 << 64 else []
-            stored.flags.writeable = False
-        if duplicated:
+        else:  # out-of-range keys land here too, and are refused below
+            stored = _int_array(keys)
+        ordered = np.sort(stored)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate keys (would silently skew the bias average)")
-        if outside:
-            raise ValueError(f"key {outside[0]} outside [0, {n})")
+        if int(ordered[0]) < 0 or int(ordered[-1]) >= n:
+            bad = next(k for k in stored.tolist() if not 0 <= k < n)
+            raise ValueError(f"key {bad} outside [0, {n})")
         if delta is not None and not 0 < delta < 1:
             raise ValueError(f"delta out of (0,1): {delta}")
-        self.__dict__.update(modulus=n, delta=delta, certification=certification, _stored=stored)
-
-    @property
-    def key_array(self) -> np.ndarray | None:
-        return None if isinstance(self._stored, tuple) else self._stored
+        stored.flags.writeable = False
+        self.__dict__.update(modulus=n, delta=delta, certification=certification, key_array=stored)
 
     @property
     def keys(self) -> tuple[int, ...]:
-        return self._stored if self.key_array is None else tuple(self._stored.tolist())
+        return tuple(self.key_array.tolist())
 
     @property
     def d(self) -> int:
-        return len(self._stored)
+        return len(self.key_array)
 
     @property
     def certified(self) -> bool:
         return self.certification.mode == "exact" and self.delta is not None
 
-    def _same_keys(self, other: "KeySet") -> bool:
-        """Same modulus and keys in the same order."""
-        if self.modulus != other.modulus:  # so both are stored the same way
-            return False
-        if self.key_array is None:
-            return self._stored == other._stored
-        return np.array_equal(self._stored, other._stored)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KeySet):
             return NotImplemented
-        verdict = (self.delta, self.certification)
-        return self._same_keys(other) and verdict == (other.delta, other.certification)
+        scalars = (self.modulus, self.delta, self.certification)
+        same = scalars == (other.modulus, other.delta, other.certification)
+        return same and np.array_equal(self.key_array, other.key_array)
 
     def __hash__(self) -> int:
         return hash((self.modulus, self.d, self.delta, self.certification))
@@ -207,47 +191,42 @@ def _uint64_exact(modulus: int) -> bool:
     return modulus <= 1 << 32 or (modulus <= 1 << 64 and modulus & (modulus - 1) == 0)
 
 
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """An object array of Python ints (numpy integers in it would overflow)."""
+    return np.array([int(v) for v in values], dtype=object)
+
+
 def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
     """(k * v) mod N as float ratios in [0, 1), one row per value v in [0, N).
 
-    Exact until the residue becomes a float: uint64 products in the tier of
-    :func:`_uint64_exact` (reduced mod N unless N = 2^64, by a mask when N is
-    a power of two), Python integers row by row above.  Both round the
-    residue to float64 as ``float(int)`` does."""
-    n = key_set.modulus
-    if key_set.key_array is not None:
-        r = np.asarray(values, dtype=np.uint64)[:, None] * key_set.key_array
-        if n & (n - 1):
-            r %= np.uint64(n)
-        elif n < 1 << 64:
-            r &= np.uint64(n - 1)
-        return r / float(n)
-    out = np.empty((len(values), key_set.d))
-    for row, v in zip(out, values):
-        row[:] = np.array([(k * v) % n for k in key_set.keys], dtype=object).astype(
-            np.float64
-        ) / float(n)
-    return out
+    One outer product in the keys' dtype (wrapping uint64 or Python ints),
+    reduced mod N, by a mask when N is a power of two (the wrap alone for
+    N = 2^64); exact until each residue is rounded to float64 as
+    ``float(int)`` does."""
+    n, keys = key_set.modulus, key_set.key_array
+    scalar = keys.dtype.type  # np.uint64, or for dtype object the int itself
+    r = np.asarray(values, dtype=keys.dtype)[:, None] * keys
+    if n & (n - 1):
+        r %= scalar(n)
+    elif n != 1 << 64:
+        r &= scalar(n - 1)
+    return r.astype(np.float64) / float(n)
 
 
 def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """Fidelity between hashes of values differing by each difference.
 
-    Residues are exact integers until the final ratio.  A difference of 0
-    mod N gives exactly 1.0 (d cosines of 0, averaged) without a row.  The
-    others go in blocks of about _BIAS_BLOCK_CELLS residues; each row's d
-    cosines are averaged in one order whatever the block, so a difference's
-    bias does not depend on the company it is computed in.
+    Differences are reduced mod N as one array (int64 up to N = 2^31, Python
+    ints above); residues stay exact until the final ratio.  A difference of
+    0 mod N gives exactly 1.0 without a row.  The others go in blocks of
+    about _BIAS_BLOCK_CELLS residues, each row's d cosines averaged in one
+    order whatever the block: a difference's bias ignores its company.
     """
     n = key_set.modulus
-    if n <= _INT64_DIFFERENCE_N:
-        diffs = np.asarray(differences, dtype=np.int64) % n
-        live = np.flatnonzero(diffs)
-        diffs = diffs[live]
-    else:
-        diffs = [int(dd) % n for dd in differences]
-        live = [i for i, dd in enumerate(diffs) if dd]
-        diffs = [diffs[i] for i in live]
+    small = n <= _INT64_DIFFERENCE_N
+    diffs = (np.asarray(differences, dtype=np.int64) if small else _int_array(differences)) % n
+    live = np.flatnonzero(diffs)
+    diffs = diffs[live]
     out = np.ones(len(differences))
     step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
     for start in range(0, len(diffs), step):
@@ -360,8 +339,8 @@ def verify_resistance(
     allowance = _SWEEP_TIE_TOLERANCE if mode == "exact" else 0.0
     certified = max_bias + allowance < delta
     verdict = Certification(mode=mode, max_bias=max_bias, **meta) if certified else Certification()
-    # The stored keys are passed on as they are: a key array is not copied.
-    annotated = KeySet(n, key_set._stored, delta if certified else None, verdict)
+    # A uint64 key array is passed on as it is, not copied.
+    annotated = KeySet(n, key_set.key_array, delta if certified else None, verdict)
     return ResistanceReport(
         certified=certified,
         mode=mode,

@@ -267,7 +267,10 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
 # sum (it was a BLAS dot, whose order depends on the thread count), and again
 # when the referee began to price each pair with bias, as the one-way route
 # does: each SMP result now equals its one-way result but for topology and
-# qubits, which the test also checks.
+# qubits, which the test also checks.  The key file at N = 2^80 (delta 0.5, so d
+# stays small), its one-way run and a run searching keys at N = 2^40 - 87
+# pin the exact big-integer tier, above uint64; they were recorded before
+# its keys moved from a tuple into an object array.
 GOLDEN_SHA256 = {
     "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
     "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
@@ -275,6 +278,9 @@ GOLDEN_SHA256 = {
     "keys21.json": "d37ae05652a8828734409ab2417ad8a98f07d68abec9a47659f7aff20a0f950e",
     "run21-one-way.json": "1dc98fee4af12fe8096770f76fde671b46ee02f36a67ef5c80ea9c7559f7960a",
     "run21-smp.json": "0491d22749f1b623368dfea806333fce9f689c91b5202804fc89f953801b6d19",
+    "keys80.json": "74757be77329dbb9dfa08379a9983a2938817aabb8cf10bc579522a061b11b18",
+    "run80-one-way.json": "dd79dd6706e3946ddc70c5b86c70dd18353d6b29045fd737c91a28d488b70554",
+    "run-search-n40m87.json": "8717dd479a08b0e822eddaf71123995e0c1834c12a6ab0c783e0b5a860c886e3",
     "profile-eq6.csv": "ed1092861dd92a8ba281f6a2de40c9c2a1e48fcbc530f6cd6fb479dff737d7dd",
     "profile-conj34.csv": "55527daea9eeb4e8d84b1e16264deea7c58f6e4c8a83298538d4d4655f901bb3",
     "profile-poly3.csv": "1dc41d3f86f0104e4ffdbb0b5fecae06e5f88b256a5b60ad0949b1ba29230fbe",
@@ -288,30 +294,41 @@ GOLDEN_PROFILES = {
 }
 
 
+def _run_report(config, doc: dict) -> bytes:
+    """The report of an EQ n=16 exact run under ``doc``'s keys and topology,
+    its wall_clock_s dropped."""
+    config.write_text(json.dumps({
+        "function": {"name": "EQ", "n": 16},
+        **doc,
+        "mode": "exact",
+        "input": {"alice": "0110100110010110", "bob": "0110100110010111"},
+    }))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", "--config", str(config)]) == 0
+    report = json.loads(out.getvalue())
+    report.pop("wall_clock_s")
+    return (json.dumps(report, indent=2) + "\n").encode()
+
+
 def _golden_outputs(work) -> dict[str, bytes]:
     """The outputs GOLDEN_SHA256 pins, produced in the directory ``work``."""
     outputs = {}
-    for log2_n, delta in ((64, 0.3), (21, 0.1)):
+    for log2_n, delta, topologies in ((64, 0.3, ("one-way", "smp")),
+                                      (21, 0.1, ("one-way", "smp")),
+                                      (80, 0.5, ("one-way",))):
         keys = f"keys{log2_n}.json"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["search-keys", "--log2-n", str(log2_n), "--delta", str(delta),
                          "--seed", "0", "--out", str(work / keys)]) == 0
         outputs[keys] = (work / keys).read_bytes()
-        for topology in ("one-way", "smp"):
-            config = work / f"run{log2_n}-{topology}.json"
-            config.write_text(json.dumps({
-                "function": {"name": "EQ", "n": 16},
-                "keys": {"file": keys},
-                "topology": topology,
-                "mode": "exact",
-                "input": {"alice": "0110100110010110", "bob": "0110100110010111"},
-            }))
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(["run", "--config", str(config)]) == 0
-            doc = json.loads(out.getvalue())
-            doc.pop("wall_clock_s")
-            outputs[config.name] = (json.dumps(doc, indent=2) + "\n").encode()
+        for topology in topologies:
+            name = f"run{log2_n}-{topology}.json"
+            outputs[name] = _run_report(work / name, {"keys": {"file": keys},
+                                                      "topology": topology})
+    outputs["run-search-n40m87.json"] = _run_report(
+        work / "run-search-n40m87.json",
+        {"delta": 0.5, "keys": {"search": {"N": (1 << 40) - 87, "seed": 0}}})
     (work / "polys.json").write_text(json.dumps(THREE_POLYS))
     for name, doc in GOLDEN_PROFILES.items():
         config = work / f"{name}.json"

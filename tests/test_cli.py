@@ -488,6 +488,18 @@ class TestMalformedInputExits3:
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, f"{keys}: bad key set: keys must be a JSON list")
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_key_file_modulus_below_the_polynomial_modulus(self, tmp_path, capsys, command):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": "16", "keys": ["1", "3"]}))
+        config = {"function": {"name": "EQ", "n": 5}, "keys": {"file": "keys.json"},
+                  "input": {"alice": "10110", "bob": "10111"}}
+        argv = (command, "--config", write_config(tmp_path, config))
+        if command == "profile":
+            argv += ("--out", str(tmp_path / "profile.csv"))
+        self.assert_exit_3(capsys, argv, f"{keys}: key modulus 16 smaller than polynomial "
+                                         "modulus 32: differences would wrap")
+
     @pytest.mark.parametrize(
         "doc,where",
         [

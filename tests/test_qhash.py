@@ -75,11 +75,16 @@ class TestKeySet:
                    ((1 << 40) - 87, False), ((1 << 64) + 13, False), (1 << 65, False)]
     )
     def test_key_array_only_in_the_uint64_tier(self, n, tier):
+        """A uint64 key array in the tier, an object array of Python ints
+        above it; read-only either way."""
         ks = KeySet(modulus=n, keys=(n - 1, 0, 1))
-        assert (ks.key_array is not None) == tier
         if tier:
-            assert ks.key_array.dtype == np.uint64 and ks.key_array.tolist() == [n - 1, 0, 1]
-            assert not ks.key_array.flags.writeable
+            assert ks.key_array.dtype == np.uint64
+        else:
+            assert ks.key_array.dtype == object
+            assert all(type(k) is int for k in ks.key_array)
+        assert ks.key_array.tolist() == [n - 1, 0, 1]
+        assert not ks.key_array.flags.writeable
         assert ks == KeySet(modulus=n, keys=(n - 1, 0, 1))
 
     def test_needs_a_key(self):
@@ -268,7 +273,7 @@ class TestResidueTiers:
     )
     def test_uint64_tier_equals_python_ints(self, n):
         ks, diffs = self.edge_case(n, n % 1000)
-        assert ks.key_array is not None
+        assert ks.key_array.dtype == np.uint64
         self.assert_matches_oracle(ks, diffs)
 
     @pytest.mark.parametrize(
@@ -289,8 +294,26 @@ class TestResidueTiers:
     @pytest.mark.parametrize("n", [(1 << 64) + 13, 1 << 65, (1 << 40) - 87])
     def test_big_int_fallback_equals_python_ints(self, n):
         ks, diffs = self.edge_case(n, n % 1000)
-        assert ks.key_array is None
+        assert ks.key_array.dtype == object
+        assert not ks.key_array.flags.writeable
         self.assert_matches_oracle(ks, diffs)
+
+    @pytest.mark.parametrize("n", [(1 << 64) + 13, 1 << 80, (1 << 40) - 87])
+    def test_numpy_integer_keys_and_differences_price_like_python_ints(self, n):
+        """Above the tier, numpy integers become Python ints: an int64 key
+        times a difference past 2^63 must not overflow."""
+        keys = [1, 2, 3, 12345, min(n, 1 << 63) - 2]
+        diffs = [1 << 63, 5, -7, 0, (1 << 63) - 1, -(1 << 62)]
+        ks, plain = KeySet(modulus=n, keys=np.array(keys)), KeySet(modulus=n, keys=keys)
+        assert ks == plain and all(type(k) is int for k in ks.key_array)
+        self.assert_matches_oracle(ks, diffs)
+        assert bias(ks, diffs).tobytes() == bias(plain, diffs).tobytes()
+        for numpy_diffs in ([np.int64(dd) if -(1 << 63) <= dd < 1 << 63 else np.uint64(dd)
+                             for dd in diffs],
+                            np.array(diffs[1:], dtype=np.int64),
+                            np.array([1 << 63, 5, 0], dtype=np.uint64)):
+            python_diffs = [int(dd) for dd in numpy_diffs]
+            assert bias(ks, numpy_diffs).tobytes() == bias(plain, python_diffs).tobytes()
 
 
 class TestInnerProduct:
