@@ -28,7 +28,6 @@ from .protocol import (
     error_profile,
     run_exact,
     run_sampled,
-    run_smp,
 )
 from .qhash import (
     Certification,
@@ -75,7 +74,6 @@ __all__ = [
     "required_keys",
     "run_exact",
     "run_sampled",
-    "run_smp",
     "search_key_set",
     "split_polynomial",
     "swap_accept",

@@ -3,8 +3,9 @@
 A *characteristic polynomial* of f: {0,1}^n -> {0,1} is a polynomial g over
 some residue ring Z_m with g(sigma) = 0 exactly when f(sigma) = 1.  A
 *characteristic* is a nonempty set of such polynomials, each individually
-vanishing exactly on f^{-1}(1); they are tested conjunctively by the
-protocols in :mod:`qhc.protocol`.
+vanishing exactly on f^{-1}(1).  A :class:`FunctionInstance` adds the
+natural Alice/Bob cut; :mod:`qhc.protocol` splits the polynomials there (or
+at any other cut) and tests them conjunctively.
 
 Only linear polynomials are represented: every builtin family here is
 linear, and the protocol layer evaluates polynomials pointwise, so degree
@@ -208,9 +209,6 @@ class Characteristic:
     def __len__(self) -> int:
         return len(self.polynomials)
 
-    def to_json(self) -> list[dict]:
-        return [p.to_json() for p in self.polynomials]
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -270,24 +268,13 @@ class Decomposition:
     variables followed by k forwarded Alice variables (1-based indices into
     Alice's block, listed in ``forwarded``).  k = 0 is the pure split; any
     linear polynomial splits cleanly at any cut, so forwarding is only ever
-    a choice here, never a necessity.
+    a choice here, never a necessity.  Built by :func:`split_polynomial`,
+    which checks the cut and the forwarded indices.
     """
 
     g1: LinearPolynomial
     g2: LinearPolynomial
     forwarded: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.g1.modulus != self.g2.modulus:
-            raise ValueError("decomposition halves must share one modulus")
-        k = len(self.forwarded)
-        if len(set(self.forwarded)) != k:
-            raise ValueError("forwarded indices must be distinct")
-        for i in self.forwarded:
-            if not 1 <= i <= self.g1.arity:
-                raise ValueError(f"forwarded index {i} outside Alice's 1..{self.g1.arity}")
-        if self.g2.arity < k:
-            raise ValueError("g2 must cover the forwarded variables")
 
     @property
     def modulus(self) -> int:
@@ -317,7 +304,8 @@ def split_polynomial(
 
     Coefficients of forwarded variables move into g2 (appended after Bob's),
     so g1(sigma) + g2(gamma, forwarded bits) = poly(sigma gamma) identically.
-    The joint constant travels with g2.
+    The joint constant travels with g2.  The forwarded indices must be
+    distinct positions in Alice's 1..n1.
     """
     if not 0 <= n1 <= poly.arity:
         raise ValueError(f"cut {n1} outside 0..{poly.arity}")
@@ -325,6 +313,8 @@ def split_polynomial(
     for i in fwd:
         if not 1 <= i <= n1:
             raise ValueError(f"forwarded index {i} outside Alice's 1..{n1}")
+    if len(set(fwd)) != len(fwd):
+        raise ValueError("forwarded indices must be distinct")
     m = poly.modulus
     alice = [poly.coeffs[i] for i in range(n1)]
     for i in fwd:
@@ -340,21 +330,17 @@ def split_polynomial(
 
 @dataclass(frozen=True)
 class FunctionInstance:
-    """A function bundled with a verified-by-construction characteristic
-    and its natural Alice/Bob split (one Decomposition per polynomial,
-    all sharing the same cut)."""
+    """A characteristic and its natural Alice/Bob cut: Alice holds the
+    first ``n1`` variables.  :class:`qhc.protocol.ProtocolSpec` makes the
+    cut; nothing here verifies the characteristic (see
+    :func:`verify_characteristic`)."""
 
-    function: BooleanFunction
     characteristic: Characteristic
-    splits: tuple[Decomposition, ...]
+    n1: int
 
     @property
-    def n1(self) -> int:
-        return self.splits[0].n1
-
-    @property
-    def n2(self) -> int:
-        return self.splits[0].n2
+    def function(self) -> BooleanFunction:
+        return self.characteristic.function
 
 
 def _binary_value(b: np.ndarray) -> np.ndarray:
@@ -380,17 +366,7 @@ def _divisible(values: np.ndarray, m: int) -> np.ndarray:
     return values % m == 0 if values.dtype == object or m < 1 << 63 else values == 0
 
 
-def _make_instance(
-    function: BooleanFunction,
-    polys: Sequence[LinearPolynomial],
-    n1: int,
-) -> FunctionInstance:
-    characteristic = Characteristic(function=function, polynomials=tuple(polys))
-    splits = tuple(split_polynomial(p, n1) for p in polys)
-    return FunctionInstance(function=function, characteristic=characteristic, splits=splits)
-
-
-def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> FunctionInstance:
+def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
     """Construct one of the five builtin function families.
 
     EQ(n): equality of two n-bit blocks; g = sum x_i 2^(i-1) - sum y_i 2^(i-1)
@@ -406,8 +382,8 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         Z_((n+1)^(2n)) — digit sums never carry, so g = 0 exactly when every
         row and column sum is 1.
 
-    ``n1`` overrides the natural Alice/Bob cut; the polynomials are plain
-    sums, so any cut splits cleanly.
+    Each instance carries its natural Alice/Bob cut; the polynomials are
+    plain sums, so any other cut splits them as cleanly.
     """
     name = name.upper()
     if name == "EQ":
@@ -420,7 +396,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
         poly = LinearPolynomial(modulus=mod, coeffs=coeffs)
         low = (1 << n) - 1
         fn = BooleanFunction(f"EQ_{n}", 2 * n, lambda b: b.index >> n == b.index & low)
-        return _make_instance(fn, [poly], n if n1 is None else n1)
+        return FunctionInstance(Characteristic(fn, (poly,)), n)
 
     if name == "MOD":
         if m is None or m < 2:
@@ -429,7 +405,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
             raise ValueError("MOD needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=(1,) * n)
         fn = BooleanFunction(f"MOD_{m}", n, lambda b: _divisible(b.bits.sum(1, dtype=np.int64), m))
-        return _make_instance(fn, [poly], n // 2 if n1 is None else n1)
+        return FunctionInstance(Characteristic(fn, (poly,)), n // 2)
 
     if name == "MODBIN":
         if m is None or m < 2:
@@ -438,7 +414,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
             raise ValueError("MODBIN needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=tuple((1 << i) % m for i in range(n)))
         fn = BooleanFunction(f"MODBIN_{m}", n, lambda b: _divisible(_binary_value(b.bits), m))
-        return _make_instance(fn, [poly], n // 2 if n1 is None else n1)
+        return FunctionInstance(Characteristic(fn, (poly,)), n // 2)
 
     if name == "PALINDROME":
         if m is not None:
@@ -458,7 +434,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
             return b.index >> (n - half) == _reversed(b.index & low, half)
 
         fn = BooleanFunction(f"PALINDROME_{n}", n, is_palindrome)
-        return _make_instance(fn, [poly], (n + 1) // 2 if n1 is None else n1)
+        return FunctionInstance(Characteristic(fn, (poly,)), (n + 1) // 2)
 
     if name == "PERM":
         if m is not None:
@@ -481,7 +457,7 @@ def builtin(name: str, n: int, m: int | None = None, n1: int | None = None) -> F
             return rows_ok & (matrices.sum(1) == 1).all(1)
 
         fn = BooleanFunction(f"PERM_{n}", n * n, is_perm)
-        return _make_instance(fn, [poly], n * n // 2 if n1 is None else n1)
+        return FunctionInstance(Characteristic(fn, (poly,)), n * n // 2)
 
     raise ValueError(f"unknown builtin {name!r} (expected EQ, MOD, MODBIN, PALINDROME, PERM)")
 
@@ -519,7 +495,7 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
         lambda b: _divisible(b.bits[:, :n_a].sum(1, dtype=np.int64), m_a)
         & _divisible(_binary_value(b.bits[:, n_a:]), m_b),
     )
-    return _make_instance(fn, polys, n_a)
+    return FunctionInstance(Characteristic(fn, tuple(polys)), n_a)
 
 
 def characteristic_from_table(

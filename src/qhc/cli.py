@@ -38,9 +38,9 @@ from .boolfn import (
     Characteristic,
     FunctionInstance,
     LinearPolynomial,
+    _INT64_SAFE_MODULUS,
     builtin,
     conjunction,
-    split_polynomial,
     verify_characteristic,
 )
 from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
@@ -74,17 +74,18 @@ def _characteristic(
 
 def _instance_from_polys(polys: Sequence[LinearPolynomial], where: str) -> FunctionInstance:
     """Treat a polynomial set as its own function: f = 1 iff all vanish.
-    The rule evaluates row by row, so it works past the table guard."""
-    arity = polys[0].arity
+    The rule is one matrix product per block of bit rows: int64 when no sum
+    can overflow it, exact Python ints otherwise, past the table guard too."""
 
     def all_vanish(b: Block) -> np.ndarray:
-        rows = b.bits.tolist()
-        return np.array([all(p.evaluate(r) == 0 for p in polys) for r in rows], dtype=bool)
+        return ((b.bits @ coeffs + constants) % char.modulus == 0).all(1)
 
-    fn = BooleanFunction("POLY", arity, all_vanish)
-    char = _characteristic(fn, polys, where)
-    splits = tuple(split_polynomial(p, arity // 2) for p in polys)
-    return FunctionInstance(function=fn, characteristic=char, splits=splits)
+    fn = BooleanFunction("POLY", polys[0].arity, all_vanish)
+    char = _characteristic(fn, polys, where)  # refuses mixed moduli or arities first
+    dtype = np.int64 if char.modulus * (fn.arity + 1) < _INT64_SAFE_MODULUS else object
+    coeffs = np.array([p.coeffs for p in polys], dtype=dtype).T
+    constants = np.array([p.constant for p in polys], dtype=dtype)
+    return FunctionInstance(char, fn.arity // 2)
 
 
 def _read_bytes(path: Path, what: str) -> bytes:

@@ -1,15 +1,16 @@
 """One-way and SMP communication protocols built on quantum hashing.
 
-A protocol spec pairs a Boolean function with a decomposed characteristic:
-for each polynomial g_j = g1_j + g2_j, Alice hashes u_j = g1_j(sigma), Bob
-(or a referee) compares against the hash of v_j = -g2_j(gamma, forwarded
-bits) mod m, and the verdict is the AND of one swap test per pair.  On
-f = 1 inputs every pair collides exactly and the protocol accepts with
-certainty; on f = 0 inputs some pair differs (that is what makes the
-polynomial set a characteristic).  The acceptance probability is the product
-of the per-pair terms (1 + F_j^2)/2 of :func:`qhash.swap_accept`, the one
-rule that every route (exact, sampled, SMP, profile) and the bound apply
-to fidelities F_j from :func:`qhash.bias`, the one fidelity kernel.
+A protocol spec is a characteristic, a cut and a forward list; it splits
+each polynomial as g_j = g1_j + g2_j.  Alice hashes u_j = g1_j(sigma), Bob
+(or, in the SMP topology, a referee) compares against the hash of
+v_j = -g2_j(gamma, forwarded bits) mod m, and the verdict is the AND of one
+swap test per pair; :func:`run_exact` serves both topologies.  On f = 1
+inputs every pair collides exactly and the protocol accepts with certainty;
+on f = 0 inputs some pair differs (that is what makes the polynomial set a
+characteristic).  The acceptance probability is the product of the per-pair
+terms (1 + F_j^2)/2 of :func:`qhash.swap_accept`, the one rule that every
+route (exact, sampled, profile) and the bound apply to fidelities F_j from
+:func:`qhash.bias`, the one fidelity kernel.
 
 Key sets may live over a modulus N larger than the polynomial modulus m:
 residues of Z_m embed as themselves into [0, N), which preserves both
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Decomposition, FunctionInstance, split_polynomial
+from .boolfn import BooleanFunction, Characteristic, Decomposition, FunctionInstance, split_polynomial
 from .errors import BoundError, CharacteristicError, GuardError
 from .qhash import KeySet, bias, hash_qubits, swap_accept
 from .util import format_bits, index_to_bits
@@ -51,64 +52,55 @@ _ONE_SIDED_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A function, its decomposed characteristic, and one key set per pair."""
+    """A characteristic, cut after Alice's ``n1`` variables, and one key set
+    per polynomial; the Alice variables in ``forwarded`` also go to Bob as
+    bits.  ``splits`` holds each polynomial's Decomposition at that cut,
+    made here and nowhere else."""
 
-    function: BooleanFunction
-    splits: tuple[Decomposition, ...]
+    characteristic: Characteristic
+    n1: int
     key_sets: tuple[KeySet, ...]
+    forwarded: tuple[int, ...] = ()
     topology: str = "one-way"
+    splits: tuple[Decomposition, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.splits:
-            raise ValueError("spec needs at least one polynomial pair")
-        if len(self.splits) != len(self.key_sets):
-            raise ValueError(
-                f"{len(self.splits)} polynomial pairs but {len(self.key_sets)} key sets"
-            )
-        first = self.splits[0]
-        for s in self.splits:
-            if (s.n1, s.n2, s.forwarded, s.modulus) != (
-                first.n1,
-                first.n2,
-                first.forwarded,
-                first.modulus,
-            ):
-                raise ValueError("all pairs must share one split and one modulus")
-        if self.function.arity != first.n1 + first.n2:
-            raise ValueError(
-                f"function takes {self.function.arity} bits but split covers "
-                f"{first.n1}+{first.n2}"
-            )
+        splits = tuple(
+            split_polynomial(p, self.n1, self.forwarded) for p in self.characteristic.polynomials
+        )
+        object.__setattr__(self, "splits", splits)
+        if len(splits) != len(self.key_sets):
+            raise ValueError(f"{len(splits)} polynomial pairs but {len(self.key_sets)} key sets")
         for ks in self.key_sets:
-            if ks.modulus < first.modulus:
+            if ks.modulus < self.modulus:
                 raise ValueError(
                     f"key modulus {ks.modulus} smaller than polynomial modulus "
-                    f"{first.modulus}: differences would wrap"
+                    f"{self.modulus}: differences would wrap"
                 )
         if self.topology not in ("one-way", "smp"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.topology == "smp" and first.k > 0:
+        if self.topology == "smp" and self.forwarded:
             raise ValueError("forwarded variables have no receiver in the SMP topology")
+
+    @property
+    def function(self) -> BooleanFunction:
+        return self.characteristic.function
 
     @property
     def l(self) -> int:
         return len(self.splits)
 
     @property
-    def n1(self) -> int:
-        return self.splits[0].n1
-
-    @property
     def n2(self) -> int:
-        return self.splits[0].n2
+        return self.function.arity - self.n1
 
     @property
     def k(self) -> int:
-        return self.splits[0].k
+        return len(self.forwarded)
 
     @property
     def modulus(self) -> int:
-        return self.splits[0].modulus
+        return self.characteristic.modulus
 
     @property
     def bounds_certified(self) -> bool:
@@ -136,7 +128,7 @@ class ProtocolSpec:
             "function": self.function.name,
             "n1": self.n1,
             "n2": self.n2,
-            "forwarded": list(self.splits[0].forwarded),
+            "forwarded": list(self.forwarded),
             "pairs": self.l,
             "modulus": str(self.modulus),
             "topology": self.topology,
@@ -159,26 +151,16 @@ def build_spec(
     n1: int | None = None,
     forwarded: Sequence[int] = (),
 ) -> ProtocolSpec:
-    """Assemble a spec from a function instance, re-splitting on demand.
+    """Assemble a spec from a function instance, cut at ``n1`` (default: the
+    instance's natural cut).
 
     A single key set is shared across all pairs; pass a sequence to give
     each polynomial its own.
     """
-    if n1 is None and not forwarded:
-        splits = instance.splits
-    else:
-        cut = instance.n1 if n1 is None else n1
-        splits = tuple(
-            split_polynomial(p, cut, forwarded)
-            for p in instance.characteristic.polynomials
-        )
     if isinstance(key_sets, KeySet):
-        sets = (key_sets,) * len(splits)
-    else:
-        sets = tuple(key_sets)
-    return ProtocolSpec(
-        function=instance.function, splits=splits, key_sets=sets, topology=topology
-    )
+        key_sets = (key_sets,) * len(instance.characteristic)
+    cut = instance.n1 if n1 is None else n1
+    return ProtocolSpec(instance.characteristic, cut, tuple(key_sets), tuple(forwarded), topology)
 
 
 @dataclass(frozen=True)
@@ -386,14 +368,6 @@ def _accepted_trials(
     return accepted
 
 
-def run_smp(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) -> RunReport:
-    """Referee route: both parties send hashes, the referee swap-tests them.
-
-    The same kernel and rule as :func:`run_exact` price each pair, so the
-    report equals the one-way route's bit for bit except in its cost."""
-    return run_exact(replace(spec, topology="smp"), sigma, gamma)
-
-
 @dataclass(frozen=True)
 class ErrorProfile:
     """Exact acceptance over the full input grid, summarized over f = 0.
@@ -493,9 +467,8 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
 
     # Forward pattern of each sigma row (k = 0 collapses to a single group).
     k = spec.k
-    fwd = spec.splits[0].forwarded
     pattern = np.zeros(1 << n1, dtype=np.int64)
-    for pos, i in enumerate(fwd):
+    for pos, i in enumerate(spec.forwarded):
         bit = (np.arange(1 << n1) >> (n1 - i)) & 1
         pattern |= bit << (k - 1 - pos)
 

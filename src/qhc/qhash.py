@@ -27,6 +27,7 @@ full-spectrum route.  :func:`swap_accept` is the one SWAP-test accept rule,
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,8 +42,8 @@ from .util import (
 # Exhaustive difference sweeps refuse above this modulus (2M differences).
 EXACT_SWEEP_GUARD = 1 << 21
 
-# Differences reduce mod N as int64 up to this N; above, as an object array
-# of Python ints (callers may pass differences that are negative or >= 2^63).
+# An int64 array of differences reduces mod N in int64 up to this N; other
+# differences reduce as Python ints (they may be negative or >= 2^63).
 _INT64_DIFFERENCE_N = 1 << 31
 
 # Residues per block of the bias kernel (512 KiB of float64).
@@ -118,11 +119,11 @@ class KeySet:
             raise ValueError("key set must be nonempty")
         if _uint64_exact(n) and isinstance(keys, np.ndarray) and keys.dtype == np.uint64:
             stored = keys
-        elif _uint64_exact(n) and 0 <= min(keys) and max(keys) < 1 << 64:
-            # Range first: numpy 1.x may wrap a negative int into uint64, not raise.
-            stored = np.fromiter(keys, dtype=np.uint64, count=len(keys))
-        else:  # out-of-range keys land here too, and are refused below
+        else:  # out-of-range keys stay Python ints, and are refused below
             stored = _int_array(keys)
+            # Range first: numpy 1.x may wrap a negative int into uint64, not raise.
+            if _uint64_exact(n) and 0 <= stored.min() and stored.max() < 1 << 64:
+                stored = stored.astype(np.uint64)
         ordered = np.sort(stored)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate keys (would silently skew the bias average)")
@@ -192,8 +193,12 @@ def _uint64_exact(modulus: int) -> bool:
 
 
 def _int_array(values: Sequence[int]) -> np.ndarray:
-    """An object array of Python ints (numpy integers in it would overflow)."""
-    return np.array([int(v) for v in values], dtype=object)
+    """An object array of Python ints (numpy integers in it would overflow);
+    a value ``operator.index`` refuses, such as a float, raises ValueError."""
+    try:
+        return np.array([operator.index(v) for v in values], dtype=object)
+    except TypeError as e:
+        raise ValueError(f"keys and differences must be integers: {e}") from None
 
 
 def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
@@ -216,15 +221,16 @@ def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
 def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """Fidelity between hashes of values differing by each difference.
 
-    Differences are reduced mod N as one array (int64 up to N = 2^31, Python
-    ints above); residues stay exact until the final ratio.  A difference of
-    0 mod N gives exactly 1.0 without a row.  The others go in blocks of
-    about _BIAS_BLOCK_CELLS residues, each row's d cosines averaged in one
-    order whatever the block: a difference's bias ignores its company.
+    Differences are reduced mod N as one array (an int64 array up to N = 2^31,
+    else Python ints; a float is refused); residues stay exact until the
+    final ratio.  A difference of 0 mod N gives exactly 1.0 without a row.
+    The others go in blocks of about _BIAS_BLOCK_CELLS residues, each row's
+    d cosines averaged in one order whatever the block: a difference's bias
+    ignores its company.
     """
     n = key_set.modulus
-    small = n <= _INT64_DIFFERENCE_N
-    diffs = (np.asarray(differences, dtype=np.int64) if small else _int_array(differences)) % n
+    fast = n <= _INT64_DIFFERENCE_N and getattr(differences, "dtype", None) == np.int64
+    diffs = (differences if fast else _int_array(differences)) % n
     live = np.flatnonzero(diffs)
     diffs = diffs[live]
     out = np.ones(len(differences))

@@ -26,7 +26,6 @@ from qhc import (
     required_keys,
     run_exact,
     run_sampled,
-    run_smp,
     search_key_set,
     swap_accept,
     verify_resistance,
@@ -178,10 +177,11 @@ def test_c08_referee_route_agrees_with_one_way(certified_n64):
     checked = 0
     for instance in (builtin("EQ", 3), builtin("PALINDROME", 6)):
         spec = build_spec(instance, certified_n64)
+        smp = build_spec(instance, certified_n64, topology="smp")
         for _ in range(50):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=instance.function.arity))
             sigma, gamma = bits[: spec.n1], bits[spec.n1 :]
-            referee, one_way = run_smp(spec, sigma, gamma), run_exact(spec, sigma, gamma)
+            referee, one_way = run_exact(smp, sigma, gamma), run_exact(spec, sigma, gamma)
             assert referee.fidelities == one_way.fidelities
             assert referee.exact_accept == one_way.exact_accept
             checked += 1

@@ -243,7 +243,9 @@ def test_wide_conjunction_is_exact_pointwise():
 @st.composite
 def small_functions(draw):
     """A builtin, a conjunction or a polynomial-set (``poly_file``) function
-    of at most 10 variables, with its oracle."""
+    of at most 10 variables, with its oracle.  Polynomial sets are drawn over
+    a small ring and over BIG_M, so their rule runs in int64 and in Python
+    ints."""
     kind = draw(st.sampled_from(["EQ", "MOD", "MODBIN", "PALINDROME", "PERM", "CONJ", "POLY"]))
     if kind == "EQ":
         return builtin("EQ", draw(st.integers(1, 5))).function, eq_direct
@@ -261,7 +263,7 @@ def small_functions(draw):
         m_a, m_b = draw(st.sampled_from([(3, 4), (2, 9), (5, 3), (7, 2)]))
         fn = conjunction(n_a, n_b, m_a=m_a, m_b=m_b).function
         return fn, lambda bits: conj_direct(bits, n_a, m_a, m_b)
-    n, m = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    n, m = draw(st.integers(1, 8)), draw(st.one_of(st.integers(2, 12), st.just(BIG_M)))
     residue = st.integers(0, m - 1)
     polys = [(m, tuple(draw(residue) for _ in range(n)), draw(residue))
              for _ in range(draw(st.integers(1, 3)))]
@@ -412,7 +414,8 @@ def test_split_forwarded_validation():
 
 
 def test_pure_split_has_empty_g1_constant():
-    deco = builtin("EQ", 4).splits[0]
+    inst = builtin("EQ", 4)
+    deco = split_polynomial(inst.characteristic.polynomials[0], inst.n1)
     assert deco.k == 0
     assert deco.g1.constant == 0
     assert deco.n1 == deco.n2 == 4

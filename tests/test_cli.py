@@ -367,6 +367,21 @@ class TestProfile:
         want = profile_csv_direct(spec.n1, spec.n2, f_grid, accept_grid)
         assert out.read_bytes() == want.encode()
 
+    def test_polynomial_file_profiles_like_its_builtin(self, tmp_path):
+        """EQ 5's polynomial read from a file is a function of its own, whose
+        f and accept columns equal the builtin's cell for cell."""
+        poly = builtin("EQ", 5).characteristic.polynomials[0]
+        (tmp_path / "eq.json").write_text(json.dumps([poly.to_json()]))
+        columns = []
+        for function in ({"poly_file": "eq.json"}, {"name": "EQ", "n": 5}):
+            doc = {"function": function, "delta": 0.3,
+                   "keys": {"search": {"log2_n": 8, "seed": 3}}}
+            out = tmp_path / "profile.csv"
+            assert run_cli("profile", "--config", write_config(tmp_path, doc),
+                           "--out", str(out)) == 0
+            columns.append([line.split(",")[2:] for line in out.read_text().splitlines()])
+        assert len(columns[0]) == 1 + (1 << 10) and columns[0] == columns[1]
+
     def test_enumeration_guard_exits_2(self, tmp_path, capsys):
         doc = {
             "function": {"name": "EQ", "n": 11},

@@ -1,5 +1,8 @@
 import math
+import re
+from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from qhc import (
     error_profile,
     run_exact,
     run_sampled,
-    run_smp,
     search_key_set,
     verify_resistance,
 )
@@ -49,11 +51,7 @@ def eq2_spec():
 def two_pair_eq2() -> FunctionInstance:
     base = builtin("EQ", 2)
     poly = base.characteristic.polynomials[0]
-    return FunctionInstance(
-        function=base.function,
-        characteristic=Characteristic(base.function, (poly, poly)),
-        splits=base.splits + base.splits,
-    )
+    return FunctionInstance(Characteristic(base.function, (poly, poly)), base.n1)
 
 
 # ---------------------------------------------------------------- wiring
@@ -67,19 +65,7 @@ class TestProtocolSpec:
     def test_pair_counts_must_match(self):
         inst = two_pair_eq2()
         with pytest.raises(ValueError, match="key sets"):
-            ProtocolSpec(
-                function=inst.function,
-                splits=inst.splits,
-                key_sets=(full_ring(4),),
-            )
-
-    def test_arity_must_match_split(self):
-        with pytest.raises(ValueError, match="split covers"):
-            ProtocolSpec(
-                function=builtin("EQ", 3).function,
-                splits=builtin("EQ", 2).splits,
-                key_sets=(full_ring(4),),
-            )
+            ProtocolSpec(inst.characteristic, inst.n1, key_sets=(full_ring(4),))
 
     def test_smp_cannot_forward(self):
         inst = builtin("EQ", 2)
@@ -149,12 +135,8 @@ class TestRunExact:
         base = builtin("EQ", 2)
         poly = base.characteristic.polynomials[0]
         bad = LinearPolynomial(modulus=4, coeffs=poly.coeffs, constant=1)
-        inst = FunctionInstance(
-            function=base.function,
-            characteristic=Characteristic(base.function, (bad,)),
-            splits=(),
-        )
-        spec = build_spec(inst, full_ring(4), n1=2)
+        inst = FunctionInstance(Characteristic(base.function, (bad,)), 2)
+        spec = build_spec(inst, full_ring(4))
         with pytest.raises(CharacteristicError, match="EQ_2"):
             run_exact(spec, (1, 1), (1, 1))
 
@@ -239,15 +221,16 @@ class TestRunSampled:
 class TestRunSmp:
     def test_equal_inputs_accept_with_certainty(self):
         spec = build_spec(builtin("EQ", 2), full_ring(4), topology="smp")
-        report = run_smp(spec, (1, 0), (1, 0))
+        report = run_exact(spec, (1, 0), (1, 0))
         assert report.exact_accept == 1.0
         assert report.cost.topology == "smp"
 
     def test_agrees_with_one_way_route(self, eq2_spec, certified_n64):
         spec = build_spec(builtin("EQ", 2), certified_n64)
+        smp = replace(spec, topology="smp")
         for bits in product((0, 1), repeat=4):
             want = run_exact(spec, bits[:2], bits[2:])
-            got = run_smp(spec, bits[:2], bits[2:])
+            got = run_exact(smp, bits[:2], bits[2:])
             assert got.fidelities == want.fidelities
             assert got.exact_accept == want.exact_accept
 
@@ -256,14 +239,14 @@ class TestRunSmp:
         README's key set, as on the one-way route."""
         spec = build_spec(builtin("EQ", 3), search_key_set(2**10, 0.3, seed=7), topology="smp")
         for sigma in product((0, 1), repeat=3):
-            report = run_smp(spec, sigma, sigma)
+            report = run_exact(spec, sigma, sigma)
             assert report.f_value == 1
             assert report.exact_accept == 1.0 and report.fidelities == (1.0,)
 
     def test_forwarding_rejected(self):
         spec = build_spec(builtin("EQ", 2), full_ring(4), n1=3, forwarded=(3,))
         with pytest.raises(ValueError, match="SMP"):
-            run_smp(spec, (1, 0, 1), (0,))
+            run_exact(replace(spec, topology="smp"), (1, 0, 1), (0,))
 
 
 # ----------------------------------------------------------- accounting
@@ -350,9 +333,9 @@ class TestErrorProfile:
     def test_three_pairs_compact_into_codes(self):
         fn = builtin("EQ", 3).function
         polys = tuple(LinearPolynomial.from_json(doc) for doc in THREE_POLYS)
-        inst = FunctionInstance(fn, Characteristic(fn, polys), ())
+        inst = FunctionInstance(Characteristic(fn, polys), 3)
         sets = [search_key_set(1 << 8, 0.3, seed=s) for s in (1, 2, 3)]
-        spec = build_spec(inst, sets, n1=3)
+        spec = build_spec(inst, sets)
         prof = error_profile(spec)
         assert len(prof.values) <= prof.codes.size
         assert np.array_equal(np.unique(prof.codes), np.arange(len(prof.values)))
@@ -411,12 +394,9 @@ class TestErrorProfile:
 
     def test_never_false_function_has_empty_profile(self):
         fn = BooleanFunction("ONE_2", 2, lambda b: np.ones(len(b.bits), dtype=bool))
-        inst = FunctionInstance(
-            function=fn,
-            characteristic=Characteristic(fn, (LinearPolynomial(modulus=4, coeffs=(0, 0)),)),
-            splits=(),
-        )
-        prof = error_profile(build_spec(inst, full_ring(4), n1=1))
+        zero = LinearPolynomial(modulus=4, coeffs=(0, 0))
+        inst = FunctionInstance(Characteristic(fn, (zero,)), 1)
+        prof = error_profile(build_spec(inst, full_ring(4)))
         assert prof.false_inputs == 0
         assert prof.worst_false_accept == 0.0
         assert prof.attaining is None
@@ -426,13 +406,9 @@ class TestErrorProfile:
         base = builtin("MOD", 4, m=3)
         poly = base.characteristic.polynomials[0]
         bad = LinearPolynomial(modulus=3, coeffs=poly.coeffs, constant=2)
-        inst = FunctionInstance(
-            function=base.function,
-            characteristic=Characteristic(base.function, (bad,)),
-            splits=(),
-        )
+        inst = FunctionInstance(Characteristic(base.function, (bad,)), 2)
         with pytest.raises(CharacteristicError, match="MOD"):
-            error_profile(build_spec(inst, full_ring(3), n1=2))
+            error_profile(build_spec(inst, full_ring(3)))
 
     def test_enumeration_guard(self):
         spec = build_spec(builtin("EQ", 11), full_ring(1 << 11))
@@ -455,8 +431,11 @@ class TestCertifiedBound:
         forged = KeySet(16, (1,), delta=0.3, certification=Certification(mode="exact"))
         return build_spec(builtin("EQ", 2), forged)
 
-    @pytest.mark.parametrize("run", [run_exact, run_smp,
-                                     lambda *a: run_sampled(*a, seed=0, trials=10)])
+    @pytest.mark.parametrize("run", [
+        run_exact,
+        pytest.param(lambda spec, *a: run_exact(replace(spec, topology="smp"), *a), id="run_smp"),
+        lambda *a: run_sampled(*a, seed=0, trials=10),
+    ])
     def test_runs_refute_a_false_certificate(self, run):
         spec = self.forged_spec()
         assert run(spec, (1, 0), (1, 0)).exact_accept == 1.0
@@ -473,8 +452,8 @@ class TestCertifiedBound:
         base = builtin("EQ", 2)
         eq = base.characteristic.polynomials[0]
         zero = LinearPolynomial(modulus=eq.modulus, coeffs=(0,) * eq.arity)
-        inst = FunctionInstance(base.function, Characteristic(base.function, (eq, zero)), ())
-        prof = error_profile(build_spec(inst, certified_n64, n1=2))
+        inst = FunctionInstance(Characteristic(base.function, (eq, zero)), 2)
+        prof = error_profile(build_spec(inst, certified_n64))
         assert (0.5 * (1 + 0.3**2)) ** 2 < prof.worst_false_accept <= prof.certified_bound
 
 
@@ -513,6 +492,17 @@ def test_smp_and_one_way_agree_on_random_inputs(seed):
     spec = build_spec(inst, KeySet(modulus=256, keys=keys))
     bits = tuple(int(b) for b in rng.integers(0, 2, size=6))
     a, b = bits[: spec.n1], bits[spec.n1 :]
-    one_way, referee = run_exact(spec, a, b), run_smp(spec, a, b)
+    one_way, referee = run_exact(spec, a, b), run_exact(replace(spec, topology="smp"), a, b)
     assert referee.fidelities == one_way.fidelities
     assert referee.exact_accept == one_way.exact_accept
+
+
+def test_readme_tour_prints_what_it_claims(capsys):
+    """README.md's library tour runs as written and prints 1.0, then 9
+    qubits, then a worst false accept within (1 + 0.3^2)/2."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(tour, "README.md", "exec"), {})
+    accept, qubits, worst = capsys.readouterr().out.split()
+    assert (accept, qubits) == ("1.0", "9")
+    assert 0 < float(worst) <= (1 + 0.3**2) / 2

@@ -91,6 +91,32 @@ class TestKeySet:
         with pytest.raises(ValueError):
             KeySet(modulus=8, keys=())
 
+    @pytest.mark.parametrize("n", [16, (1 << 64) + 13])
+    def test_non_integer_keys_and_differences_are_refused(self, n):
+        """On both tiers a float key or difference raises ValueError, as
+        operator.index refuses it, and is never truncated; numpy integers and
+        an empty difference list (a float64 array to numpy) still work."""
+        for keys in ([1.5, 2.7], [1, 2.0], np.array([1.0, 3.0])):
+            with pytest.raises(ValueError, match="must be integers"):
+                KeySet(n, keys)
+        ks = KeySet(n, np.array([1, 3, 5]))
+        assert ks == KeySet(n, [1, 3, 5])
+        for diffs in ([0.5, 1.9], np.array([0.5]), [np.float64(2.0)]):
+            with pytest.raises(ValueError, match="must be integers"):
+                bias(ks, diffs)
+        assert bias(ks, []).shape == (0,) and bias(ks, np.array([])).shape == (0,)
+        want = bias(ks, [3, -1, 0]).tobytes()
+        for diffs in (np.array([3, -1, 0]), np.array([3, -1, 0], dtype=np.int32),
+                      [np.int64(3), np.int8(-1), np.uint64(0)]):
+            assert bias(ks, diffs).tobytes() == want
+
+    def test_key_file_digits_skip_the_per_key_path(self, monkeypatch):
+        """In the uint64 tier a key file's digit strings are parsed into the
+        key array in one pass, with no per-key Python conversion."""
+        monkeypatch.setattr(qhc.qhash, "_int_array", None)
+        ks = KeySet.from_json({"N": str(1 << 21), "keys": ["7", "1", "3"]})
+        assert ks.key_array.dtype == np.uint64 and ks.keys == (7, 1, 3)
+
     def test_json_round_trip_with_big_modulus(self):
         ks = KeySet(
             modulus=1 << 80,
