@@ -373,14 +373,29 @@ def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:
     ]
 
 
-def _build_spec(config: ExperimentConfig) -> ProtocolSpec:
-    return build_spec(
-        config.instance,
-        _resolve_key_sets(config),
-        topology=config.topology,
-        n1=config.n1,
-        forwarded=config.forwarded,
-    )
+class _Rendered(str):
+    """JSON text that :func:`_json_text` splices in verbatim; rendered with
+    the ``pad`` of the line it starts on, it reads as its document would."""
+
+
+# A run report's "spec" value starts on a line indented this much.
+_SUMMARY_PAD = "    "
+
+
+def _build_spec(config: ExperimentConfig) -> tuple[ProtocolSpec, _Rendered]:
+    """The spec of ``config`` and its summary as a run report writes it.
+    The key files are read on every call; the spec is built on a miss."""
+    key_sets = tuple(_resolve_key_sets(config))
+    return _spec(config.instance, key_sets, config.topology, config.n1, config.forwarded)
+
+
+@functools.lru_cache(maxsize=16)
+def _spec(instance, key_sets, topology, n1, forwarded) -> tuple[ProtocolSpec, _Rendered]:
+    """A process keeps the last 16 specs it built, each with its rendered
+    summary, keyed by what builds them (a spec is immutable; key sets are
+    compared by value); a ValueError is raised anew each time."""
+    spec = build_spec(instance, key_sets, topology=topology, n1=n1, forwarded=forwarded)
+    return spec, _Rendered(_json_text(spec.summary(), _SUMMARY_PAD))
 
 
 def _json_text(doc, pad: str = "") -> str:
@@ -388,9 +403,9 @@ def _json_text(doc, pad: str = "") -> str:
     with string keys, lists, tuples, strings, ints, floats, bools and None;
     ``json`` writes indented text with its pure-Python encoder, this with
     one join per container.  ``pad`` is the indent of the line ``doc``
-    starts on."""
+    starts on; a :class:`_Rendered` value is written as it is."""
     if isinstance(doc, str):
-        return _escape(doc)
+        return doc if type(doc) is _Rendered else _escape(doc)
     inner = pad + "  "
     if isinstance(doc, dict):
         if not doc:
@@ -487,7 +502,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     if config.input_bits is None:
         raise ConfigError("input", "run needs an input")
-    spec = _build_spec(config)
+    spec, summary = _build_spec(config)
     sigma, gamma = config.input_bits
     if config.mode == "sampled":
         report = run_sampled(
@@ -499,7 +514,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "tool": "qhc",
         "version": __version__,
         "config": config.raw,
-        "result": report.to_json(spec.summary()),
+        "result": report.to_json(summary),
         "wall_clock_s": round(time.perf_counter() - start, 6),
     }
     _write_or_print(_json_text(envelope) + "\n", config.out)
@@ -512,7 +527,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    spec = _build_spec(config)
+    spec, _ = _build_spec(config)
     profile = error_profile(spec)
     with open(args.out, "w") as fh:
         fh.writelines(profile.csv_blocks())

@@ -24,6 +24,7 @@ measurement statistics, never to establish bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +56,8 @@ class ProtocolSpec:
     """A characteristic, cut after Alice's ``n1`` variables, and one key set
     per polynomial; the Alice variables in ``forwarded`` also go to Bob as
     bits.  ``splits`` holds each polynomial's Decomposition at that cut,
-    made here and nowhere else."""
+    made here and nowhere else; the qubit cost and certified delta are
+    computed on first use and kept, as a spec is immutable."""
 
     characteristic: Characteristic
     n1: int
@@ -107,7 +109,7 @@ class ProtocolSpec:
         """True when every key set carries an exact delta certification."""
         return all(ks.certified for ks in self.key_sets)
 
-    @property
+    @cached_property
     def certified_delta(self) -> float | None:
         """The weakest (largest) certified delta across pairs, if all have one."""
         if not self.bounds_certified:
@@ -122,6 +124,10 @@ class ProtocolSpec:
         differ, which a polynomial list need not give)."""
         delta = self.certified_delta
         return None if delta is None else swap_accept(delta)
+
+    @cached_property
+    def cost(self) -> "CommCost":
+        return comm_cost(self)
 
     def summary(self) -> dict:
         return {
@@ -231,7 +237,7 @@ class RunReport:
     sample_accepts: int | None = None
     seed: int | None = None
 
-    def to_json(self, spec_summary: dict | None = None) -> dict:
+    def to_json(self, spec_summary: dict | str | None = None) -> dict:
         doc: dict = {
             "input": {"alice": format_bits(self.alice), "bob": format_bits(self.bob)},
             "f": self.f_value,
@@ -322,7 +328,7 @@ def run_exact(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) ->
         f_value=f_value,
         fidelities=tuple(fidelities),
         exact_accept=accept,
-        cost=comm_cost(spec),
+        cost=spec.cost,
         certified_delta=spec.certified_delta,
     )
 

@@ -192,13 +192,16 @@ def _uint64_exact(modulus: int) -> bool:
     return modulus <= 1 << 32 or (modulus <= 1 << 64 and modulus & (modulus - 1) == 0)
 
 
-def _int_array(values: Sequence[int]) -> np.ndarray:
-    """An object array of Python ints (numpy integers in it would overflow);
-    a value ``operator.index`` refuses, such as a float, raises ValueError."""
+def _int_array(values: Sequence[int], modulus: int = 0, dtype=object) -> np.ndarray:
+    """``values`` as Python ints, each reduced mod ``modulus`` if one is
+    given, in one array of ``dtype`` (numpy integers in an object array
+    would overflow); a value ``operator.index`` refuses, such as a float,
+    raises ValueError."""
     try:
-        return np.array([operator.index(v) for v in values], dtype=object)
+        ints = [operator.index(v) % modulus if modulus else operator.index(v) for v in values]
     except TypeError as e:
         raise ValueError(f"keys and differences must be integers: {e}") from None
+    return np.array(ints, dtype=dtype)
 
 
 def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
@@ -215,29 +218,37 @@ def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
         r %= scalar(n)
     elif n != 1 << 64:
         r &= scalar(n - 1)
-    return r.astype(np.float64) / float(n)
+    ratios = r.astype(np.float64)
+    ratios /= float(n)
+    return ratios
 
 
 def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """Fidelity between hashes of values differing by each difference.
 
-    Differences are reduced mod N as one array (an int64 array up to N = 2^31,
-    else Python ints; a float is refused); residues stay exact until the
-    final ratio.  A difference of 0 mod N gives exactly 1.0 without a row.
-    The others go in blocks of about _BIAS_BLOCK_CELLS residues, each row's
-    d cosines averaged in one order whatever the block: a difference's bias
-    ignores its company.
+    Differences are reduced mod N as one array: an int64 array up to
+    N = 2^31 in int64, any other input one Python int at a time straight
+    into the keys' dtype (a float is refused); residues stay exact until
+    the final ratio.  A difference of 0 mod N gives exactly 1.0 without a
+    row.  The others go in blocks of about _BIAS_BLOCK_CELLS residues, each
+    row's d cosines scaled and summed in place, in one order whatever the
+    block (the sum over d is bitwise ``mean``): a difference's bias ignores
+    its company.
     """
     n = key_set.modulus
-    fast = n <= _INT64_DIFFERENCE_N and getattr(differences, "dtype", None) == np.int64
-    diffs = (differences if fast else _int_array(differences)) % n
+    if n <= _INT64_DIFFERENCE_N and getattr(differences, "dtype", None) == np.int64:
+        diffs = differences % n
+    else:
+        diffs = _int_array(differences, n, key_set.key_array.dtype)
     live = np.flatnonzero(diffs)
     diffs = diffs[live]
     out = np.ones(len(differences))
     step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
     for start in range(0, len(diffs), step):
-        ratios = _residues(key_set, diffs[start : start + step])
-        out[live[start : start + step]] = np.cos(2.0 * np.pi * ratios).mean(axis=1)
+        angles = _residues(key_set, diffs[start : start + step])
+        angles *= 2.0 * np.pi
+        np.cos(angles, out=angles)
+        out[live[start : start + step]] = np.add.reduce(angles, axis=1) / key_set.d
     return out
 
 
@@ -283,6 +294,7 @@ def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int]:
     n = key_set.modulus
     x = np.zeros(n)
     x[key_set.key_array] = 1.0
+    # rfft alone sets the peak memory (~48 MB over its input at 2^21), not these copies.
     spectrum = np.fft.rfft(x).real[1:] / key_set.d
     magnitudes = np.abs(spectrum)
     top = float(magnitudes.max())
@@ -369,12 +381,13 @@ def required_keys(modulus: int, delta: float) -> int:
     return math.ceil((2.0 / (delta * delta)) * math.log(2 * modulus))
 
 
-def _draw_keys(gen: np.random.Generator, modulus: int, d: int) -> tuple[int, ...]:
+def _draw_keys(gen: np.random.Generator, modulus: int, d: int) -> np.ndarray | tuple[int, ...]:
+    """d distinct keys in ascending order: a uint64 array up to N = 2^24,
+    which a KeySet keeps as it is, and Python ints above."""
     if d == modulus:
-        return tuple(range(modulus))
+        return np.arange(modulus, dtype=np.uint64)
     if modulus <= 1 << 24:
-        picked = gen.choice(modulus, size=d, replace=False)
-        return tuple(sorted(int(k) for k in picked))
+        return np.sort(gen.choice(modulus, size=d, replace=False)).astype(np.uint64)
     chosen: set[int] = set()
     while len(chosen) < d:  # each batch is the shortfall, so no draw is spare
         chosen.update(rand_below_many(gen, modulus, d - len(chosen)))

@@ -812,13 +812,13 @@ class TestKeySetCache:
 
     def test_unchanged_file_gives_the_same_key_set(self, tmp_path, capsys, monkeypatch):
         loaded = []
-        build = qhc.cli.build_spec
+        resolve = qhc.cli._resolve_key_sets
 
-        def recording_build_spec(instance, sets, **kw):
-            loaded.append(sets)
-            return build(instance, sets, **kw)
+        def recording_resolve(config):
+            loaded.append(resolve(config))
+            return loaded[-1]
 
-        monkeypatch.setattr(qhc.cli, "build_spec", recording_build_spec)
+        monkeypatch.setattr(qhc.cli, "_resolve_key_sets", recording_resolve)
         argv = self.run_key_file(tmp_path, json.dumps(KeySet(16, (1, 3, 5)).to_json()))
         assert run_cli(*argv) == 0 and run_cli(*argv) == 0
         assert loaded[0][0] is loaded[1][0]
@@ -930,6 +930,79 @@ class TestBuiltinReuse:
         assert errors[0] == errors[1] == "config error: function: EQ's modulus is fixed at 2^n\n"
 
 
+class TestSpecReuse:
+    """A process keeps the last specs it built, each with its rendered
+    summary; every run still reads its key files, and gives the output of
+    a fresh process."""
+
+    @staticmethod
+    def write_keys(tmp_path, name: str, seed: int) -> None:
+        ks = search_key_set(1 << 10, 0.3, seed=seed)
+        (tmp_path / name).write_text(json.dumps(ks.to_json()))
+
+    def test_mixed_runs_match_fresh_processes(self, tmp_path):
+        self.write_keys(tmp_path, "a.json", 1)
+        self.write_keys(tmp_path, "b.json", 2)
+        eq = {"function": {"name": "EQ", "n": 3}, "input": {"alice": "101", "bob": "100"}}
+        perm = {"function": {"name": "PERM", "n": 2}, "input": {"alice": "10", "bob": "01"}}
+        sampled = {"mode": "sampled", "trials": 500, "seed": 9}
+
+        def run(name, base, keys, **extra):
+            doc = dict(base, keys={"file": keys}, **extra)
+            return ["run", "--config", write_config(tmp_path, doc, name)]
+
+        calls = [
+            run("c0.json", eq, "a.json"),
+            run("c1.json", perm, "b.json", topology="smp"),
+            run("c2.json", eq, "b.json", **sampled),
+            "rewrite b.json",
+            run("c1.json", perm, "b.json", topology="smp"),
+            run("c0.json", eq, "a.json"),
+            run("c2.json", eq, "b.json", **sampled),
+            run("c3.json", perm, "a.json"),
+            run("c4.json", eq, "a.json", topology="smp"),
+        ]
+        hits = qhc.cli._spec.cache_info().hits
+        seen = []
+        for argv in calls:
+            if argv == "rewrite b.json":
+                self.write_keys(tmp_path, "b.json", 3)
+                continue
+            got, fresh = _in_process_and_fresh(argv)
+            assert got == fresh and got[0] == 0
+            seen.append(got)
+        assert qhc.cli._spec.cache_info().hits > hits
+        assert seen[1] != seen[3] and seen[2] != seen[5]  # the rewritten file reached the runs
+        assert seen[0] == seen[4]
+
+    def test_evicted_spec_is_built_again(self, tmp_path):
+        """Seventeen distinct specs through a cache of sixteen: the first is
+        evicted and built anew, equal to the first build; the last is kept."""
+        configs = []
+        for i in range(qhc.cli._spec.cache_info().maxsize + 1):
+            (tmp_path / f"keys{i}.json").write_text(json.dumps(KeySet(64, (1, 3, 5 + i)).to_json()))
+            doc = {"function": {"name": "EQ", "n": 2}, "keys": {"file": f"keys{i}.json"}}
+            configs.append(parse_config(doc, tmp_path))
+        first = [qhc.cli._build_spec(c) for c in configs]
+        assert qhc.cli._build_spec(configs[-1])[0] is first[-1][0]
+        again = qhc.cli._build_spec(configs[0])
+        assert again[0] is not first[0][0] and again == first[0]
+        assert again[0].cost == first[0][0].cost
+
+    def test_key_file_below_the_polynomial_modulus_after_a_kept_spec(self, tmp_path, capsys):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps(KeySet(64, (1, 3, 9)).to_json()))
+        config = {"function": {"name": "EQ", "n": 5}, "keys": {"file": "keys.json"},
+                  "input": {"alice": "10110", "bob": "10111"}}
+        argv = ("run", "--config", write_config(tmp_path, config))
+        assert run_cli(*argv) == 0 and run_cli(*argv) == 0
+        keys.write_text(json.dumps(KeySet(16, (1, 3, 9)).to_json()))
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == (f"config error: {keys}: key modulus 16 smaller than "
+                                           "polynomial modulus 32: differences would wrap\n")
+
+
 # ---------------------------------------------------------- JSON writer
 
 _JSON_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, 0.1 + 0.2])
@@ -960,6 +1033,17 @@ class TestJsonText:
     )
     def test_edge_documents(self, doc):
         assert qhc.cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_JSON_DOCS, st.dictionaries(st.text(), _JSON_DOCS, max_size=3), _JSON_DOCS)
+    def test_spliced_summary_equals_json_dumps(self, summary, extra, config):
+        """A summary rendered once at a report's spec indent, then spliced
+        into an envelope, reads as json.dumps of the whole envelope."""
+        result = {"spec": summary, **{k: v for k, v in extra.items() if k != "spec"}}
+        envelope = {"tool": "qhc", "config": config, "result": result, "wall_clock_s": 0.5}
+        rendered = qhc.cli._Rendered(qhc.cli._json_text(summary, qhc.cli._SUMMARY_PAD))
+        spliced = dict(envelope, result=dict(result, spec=rendered))
+        assert qhc.cli._json_text(spliced) == json.dumps(envelope, indent=2)
 
     def test_numpy_float_is_written_as_a_float(self):
         doc = {"x": np.float64(0.1), "y": [np.float64(-0.0)]}

@@ -342,6 +342,55 @@ class TestResidueTiers:
             assert bias(ks, numpy_diffs).tobytes() == bias(plain, python_diffs).tobytes()
 
 
+class TestBiasPrologue:
+    """One difference at a time, as a run prices it, and a whole batch give
+    the same bits on every tier, whatever form each difference takes."""
+
+    TIERS = [1 << 21, 1 << 64, (1 << 64) + 13, 1 << 80]
+
+    @staticmethod
+    def key_set(n: int) -> KeySet:
+        rng = np.random.default_rng(n % 1009)
+        drawn = {int(k) % n for k in rng.integers(0, 1 << 63, size=300, dtype=np.uint64)}
+        return KeySet(modulus=n, keys=tuple(sorted(drawn | {1, n - 1})))
+
+    @pytest.mark.parametrize("n", TIERS)
+    def test_one_difference_equals_the_batch(self, n):
+        ks = self.key_set(n)
+        diffs = [0, 1, -1, 12345, -12345, n, -n, n + 7, 3 * n - 1, n - 1, (1 << 63) + 5,
+                 np.int64(-9), np.int8(3), np.uint64((1 << 64) - 1), np.int64(0), True]
+        batch = bias(ks, diffs)
+        singles = np.array([bias(ks, [dd])[0] for dd in diffs])
+        assert singles.tobytes() == batch.tobytes()
+        want = bias_rows_direct(ks.keys, n, [int(dd) for dd in diffs])
+        assert batch.tobytes() == want.tobytes()
+        assert batch[0] == batch[5] == batch[6] == batch[14] == 1.0
+
+    def test_int64_array_equals_one_difference_calls(self):
+        ks = self.key_set(1 << 21)
+        diffs = np.array([0, 5, -5, 1 << 21, (1 << 40) + 3, -(1 << 50)], dtype=np.int64)
+        singles = np.array([bias(ks, [int(dd)])[0] for dd in diffs])
+        assert bias(ks, diffs).tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("n", TIERS)
+    def test_float_is_refused_with_the_same_message(self, n):
+        ks = self.key_set(n)
+        for diffs, kind in (([1.5], "float"), ([3, 2.0], "float"), ([np.float64(4.0)], "numpy.float64")):
+            with pytest.raises(ValueError) as info:
+                bias(ks, diffs)
+            assert str(info.value) == (f"keys and differences must be integers: '{kind}' object "
+                                       "cannot be interpreted as an integer")
+
+
+def test_drawn_keys_stay_one_uint64_array():
+    """Up to N = 2^24 a draw is one sorted uint64 array, which the key set
+    keeps as its key array."""
+    drawn = qhc.qhash._draw_keys(np.random.default_rng(3), 1 << 21, 500)
+    assert drawn.dtype == np.uint64 and (np.diff(drawn.astype(np.int64)) > 0).all()
+    ks = KeySet(modulus=1 << 21, keys=drawn)
+    assert ks.key_array is drawn and not drawn.flags.writeable
+
+
 class TestInnerProduct:
     """<a|b> of two hashes two ways: bias at their difference, and the dot
     product of the oracle's amplitude vectors."""
