@@ -12,7 +12,6 @@ from .boolfn import (
     LinearPolynomial,
     VerificationReport,
     builtin,
-    characteristic_from_table,
     conjunction,
     split_polynomial,
     verify_characteristic,
@@ -66,7 +65,6 @@ __all__ = [
     "bias",
     "build_spec",
     "builtin",
-    "characteristic_from_table",
     "comm_cost",
     "conjunction",
     "error_profile",

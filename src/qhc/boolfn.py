@@ -5,7 +5,8 @@ some residue ring Z_m with g(sigma) = 0 exactly when f(sigma) = 1.  A
 *characteristic* is a nonempty set of such polynomials, each individually
 vanishing exactly on f^{-1}(1).  A :class:`FunctionInstance` adds the
 natural Alice/Bob cut; :mod:`qhc.protocol` splits the polynomials there (or
-at any other cut) and tests them conjunctively.
+at any other cut) and tests them conjunctively.  A polynomial set given
+without a function is its own function (:func:`polynomial_instance`).
 
 Only linear polynomials are represented: every builtin family here is
 linear, and the protocol layer evaluates polynomials pointwise, so degree
@@ -30,9 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GuardError
-from .util import (
-    DIGITS, LIST, SIGNED, bit_matrix, index_to_bits, rand_below, read_field, read_items
-)
+from .util import DIGITS, LIST, SIGNED, bit_matrix, index_to_bits, read_field, read_items
 
 # Brute-force enumeration refuses above this many variables (16M rows).
 ENUM_GUARD_BITS = 24
@@ -42,9 +41,6 @@ _INT64_SAFE_MODULUS = 1 << 62
 
 # Truth tables evaluate their rule on blocks of this many assignments.
 _TABLE_BLOCK_ROWS = 1 << 14
-
-# A characteristic search scores its candidates on this many rows at a time.
-_SCORE_BLOCK_ROWS = 256
 
 # Indices of up to this many bits are int64; wider ones are exact Python ints.
 _INT64_INDEX_BITS = 62
@@ -498,59 +494,19 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
     return FunctionInstance(Characteristic(fn, tuple(polys)), n_a)
 
 
-def characteristic_from_table(
-    function: BooleanFunction,
-    modulus: int,
-    attempts: int = 20000,
-    rng: np.random.Generator | int | None = None,
-) -> Characteristic | None:
-    """Randomized search for a single linear characteristic polynomial.
+def polynomial_instance(polys: Sequence[LinearPolynomial]) -> FunctionInstance:
+    """A polynomial set as its own function POLY: f = 1 iff all vanish,
+    cut at the half.  Polynomials that disagree on modulus or arity raise
+    ValueError.  The rule is one matrix product per block of bit rows:
+    int64 when no sum can overflow it, exact Python ints otherwise, past
+    the table guard too."""
 
-    Draws uniform coefficient vectors over Z_modulus and verifies each one
-    exactly against the full truth table, _SCORE_BLOCK_ROWS rows at a time
-    so that memory does not grow with it.  Not every function has a linear
-    characteristic over a given ring (OR already has none over Z_4), so
-    failure is an honest answer: returns None after ``attempts`` draws.
-    """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    gen = np.random.default_rng(rng)
-    n = function.arity
-    truth = function.truth_table()
-    want_zero = truth == 1
+    def all_vanish(b: Block) -> np.ndarray:
+        return ((b.bits @ coeffs + constants) % char.modulus == 0).all(1)
 
-    if modulus * (n + 1) < _INT64_SAFE_MODULUS:
-        remaining = attempts
-        while remaining > 0:
-            batch = min(remaining, 2048)
-            remaining -= batch
-            coeffs = gen.integers(0, modulus, size=(batch, n), dtype=np.int64)
-            consts = gen.integers(0, modulus, size=batch, dtype=np.int64)
-            fit = np.ones(batch, dtype=bool)
-            for start in range(0, truth.size, _SCORE_BLOCK_ROWS):
-                stop = min(start + _SCORE_BLOCK_ROWS, truth.size)
-                values = (bit_matrix(n, start, stop).astype(np.int64) @ coeffs.T + consts) % modulus
-                fit &= ((values == 0) == want_zero[start:stop, None]).all(axis=0)
-                if not fit.any():
-                    break
-            ok = np.flatnonzero(fit)
-            if ok.size:
-                j = int(ok[0])
-                poly = LinearPolynomial(
-                    modulus=modulus,
-                    coeffs=tuple(int(c) for c in coeffs[j]),
-                    constant=int(consts[j]),
-                )
-                return Characteristic(function=function, polynomials=(poly,))
-        return None
-
-    # Arbitrary-precision fallback: draw and check one candidate at a time.
-    for _ in range(attempts):
-        coeffs = tuple(rand_below(gen, modulus) for _ in range(n))
-        constant = rand_below(gen, modulus)
-        poly = LinearPolynomial(modulus=modulus, coeffs=coeffs, constant=constant)
-        if np.array_equal(poly.table() == 0, want_zero):
-            return Characteristic(function=function, polynomials=(poly,))
-    return None
+    fn = BooleanFunction("POLY", polys[0].arity if polys else 0, all_vanish)
+    char = Characteristic(fn, tuple(polys))  # refuses mixed moduli or arities first
+    dtype = np.int64 if char.modulus * (fn.arity + 1) < _INT64_SAFE_MODULUS else object
+    coeffs = np.array([p.coeffs for p in polys], dtype=dtype).T
+    constants = np.array([p.constant for p in polys], dtype=dtype)
+    return FunctionInstance(char, fn.arity // 2)

@@ -33,14 +33,12 @@ import numpy as np
 
 from . import __version__
 from .boolfn import (
-    Block,
-    BooleanFunction,
     Characteristic,
     FunctionInstance,
     LinearPolynomial,
-    _INT64_SAFE_MODULUS,
     builtin,
     conjunction,
+    polynomial_instance,
     verify_characteristic,
 )
 from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
@@ -61,31 +59,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("argv", message)
 
 
-def _characteristic(
-    function: BooleanFunction, polys: Sequence[LinearPolynomial], where: str
-) -> Characteristic:
-    """``polys``, read at ``where``, as a characteristic of ``function``;
+def _polynomial_set(make, polys: Sequence[LinearPolynomial], where: str):
+    """``make(polys)`` for the polynomials ``polys`` read at ``where``;
     polynomials that disagree on modulus or arity are refused naming ``where``."""
     try:
-        return Characteristic(function=function, polynomials=tuple(polys))
+        return make(tuple(polys))
     except ValueError as e:
         raise ConfigError(where, f"bad polynomial set: {e}")
-
-
-def _instance_from_polys(polys: Sequence[LinearPolynomial], where: str) -> FunctionInstance:
-    """Treat a polynomial set as its own function: f = 1 iff all vanish.
-    The rule is one matrix product per block of bit rows: int64 when no sum
-    can overflow it, exact Python ints otherwise, past the table guard too."""
-
-    def all_vanish(b: Block) -> np.ndarray:
-        return ((b.bits @ coeffs + constants) % char.modulus == 0).all(1)
-
-    fn = BooleanFunction("POLY", polys[0].arity, all_vanish)
-    char = _characteristic(fn, polys, where)  # refuses mixed moduli or arities first
-    dtype = np.int64 if char.modulus * (fn.arity + 1) < _INT64_SAFE_MODULUS else object
-    coeffs = np.array([p.coeffs for p in polys], dtype=dtype).T
-    constants = np.array([p.constant for p in polys], dtype=dtype)
-    return FunctionInstance(char, fn.arity // 2)
 
 
 def _read_bytes(path: Path, what: str) -> bytes:
@@ -246,10 +226,10 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     fdoc = read_field(doc, "function", "function", OBJECT)
     if "poly" in fdoc:
         poly = _poly_from_json(fdoc["poly"], "function.poly")
-        instance = _instance_from_polys([poly], "function.poly")
+        instance = _polynomial_set(polynomial_instance, [poly], "function.poly")
     elif "poly_file" in fdoc:
         path = base_dir / read_field(fdoc, "poly_file", "function.poly_file", FILE)
-        instance = _instance_from_polys(_load_polys(path), str(path))
+        instance = _polynomial_set(polynomial_instance, _load_polys(path), str(path))
     else:
         instance = _resolve_builtin(fdoc)
 
@@ -451,7 +431,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     char = instance.characteristic
     if args.poly:
         path = Path(args.poly)
-        char = _characteristic(instance.function, _load_polys(path), str(path))
+        make = functools.partial(Characteristic, instance.function)
+        char = _polynomial_set(make, _load_polys(path), str(path))
     report = verify_characteristic(char)
     name = instance.function.name
     if report.valid:

@@ -43,8 +43,8 @@ SAMPLE_GUARD_DRAWS = 1 << 24
 # Sampled runs draw at most this many uniforms at a time.
 _SAMPLE_CHUNK = 1 << 16
 
-# Profiling refuses moduli above this: its value tables and grid
-# differences are int64 arrays.
+# Profiling refuses polynomial moduli above this: its value tables and
+# grid differences are int64 arrays.  Key moduli are not limited.
 PROFILE_MODULUS_GUARD = 1 << 31
 
 # Slack for float rounding in the one-sided and certified-bound checks.
@@ -424,7 +424,8 @@ class ErrorProfile:
 
 def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray]:
     """u over all sigma (2^n1,) and v over (forward pattern, gamma) (2^k, 2^n2),
-    embedded into [0, N) as int64.  Callers guarantee int64 safety."""
+    both int64 in [0, m), so a cell's difference u - v lies in (-m, m).
+    Callers guarantee int64 safety."""
     s = spec.splits[pair]
     m = s.modulus
     u = s.g1.table()
@@ -454,11 +455,13 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     Each pair's fidelities come from one :func:`qhash.bias` call over the
     distinct differences of the grid, so every cell equals the
     ``exact_accept`` that :func:`run_exact` reports for that input.  The
-    distinct differences and codes are ranked with a counting table
-    (:func:`_rank`), so nothing is sorted when a key modulus, and each
-    product of table sizes, is no larger than the grid.
+    signed differences u - v + m and the codes are ranked with a counting
+    table (:func:`_rank`): 2m flags for the differences, whatever the key
+    modulus, since ``bias`` reduces them mod N itself.  Nothing is sorted
+    when 2m, and each product of table sizes, is no larger than the grid.
 
-    Guarded at n1 + n2 <= 20; use sampled runs beyond that.
+    Guarded at n1 + n2 <= 20 and at polynomial moduli m <= 2^31; use
+    sampled runs beyond that.
     """
     n1, n2 = spec.n1, spec.n2
     if n1 + n2 > PROFILE_GUARD_BITS:
@@ -466,8 +469,9 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
             f"full profile enumerates 2^{n1 + n2} inputs; guard is "
             f"{PROFILE_GUARD_BITS} total bits — use run_sampled on chosen inputs"
         )
-    if any(max(ks.modulus, spec.modulus) > PROFILE_MODULUS_GUARD for ks in spec.key_sets):
-        raise GuardError("profiling needs moduli within the vectorized 2^31 range")
+    m = spec.modulus
+    if m > PROFILE_MODULUS_GUARD:
+        raise GuardError("profiling needs a polynomial modulus within the vectorized 2^31 range")
 
     truth = spec.function.truth_table().reshape(1 << n1, 1 << n2)
 
@@ -485,8 +489,8 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     # codes, so no table outgrows the grid and each product is formed once.
     for j, ks in enumerate(spec.key_sets):
         u, v = _value_tables(spec, j)
-        uniq, inv = _rank((u[:, None] - v[pattern, :]) % ks.modulus, ks.modulus)
-        terms = swap_accept(bias(ks, uniq))
+        uniq, inv = _rank(u[:, None] - v[pattern, :] + m, 2 * m)
+        terms = swap_accept(bias(ks, uniq - m))
         if j == 0:
             values, codes = terms, inv
         else:

@@ -44,9 +44,10 @@ REQUIRED = object()  # the default of a field that must be present
 
 
 def parse_bits(s: str) -> tuple[int, ...]:
-    """Parse "0110" into (0, 1, 1, 0). Whitespace is ignored."""
+    """Parse "0110" into (0, 1, 1, 0), and "" (an empty side) into ().
+    Whitespace is ignored."""
     s = "".join(s.split())
-    if not s or any(c not in "01" for c in s):
+    if any(c not in "01" for c in s):
         raise ValueError(f"not a bit string: {s!r}")
     return tuple(int(c) for c in s)
 
@@ -139,13 +140,8 @@ def bit_matrix(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
 
 
-def rand_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound) for arbitrary-precision bounds."""
-    return rand_below_many(rng, bound, 1)[0]
-
-
 def rand_below_many(rng: np.random.Generator, bound: int, count: int) -> list[int]:
-    """``count`` draws of :func:`rand_below`, batched.
+    """``count`` uniform integers in [0, bound) for arbitrary-precision bounds.
 
     numpy's integers() stops at 64 bits; beyond 2^63 each value is composed
     from 32-bit words and rejected when out of range (expected < 2 tries).

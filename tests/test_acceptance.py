@@ -32,7 +32,7 @@ from qhc import (
 )
 from qhc.cli import main
 from qhc.qhash import bias
-from qhc.util import rand_below
+from qhc.util import rand_below_many
 
 from oracles import THREE_POLYS, hash_amplitudes_direct, swap_circuit_accept
 
@@ -164,7 +164,7 @@ def test_c07_qubit_cost_beats_sending_the_input():
         modulus = 1 << n
         keys: set[int] = set()
         while len(keys) < expected[n]:
-            keys.add(rand_below(rng, modulus))
+            keys.update(rand_below_many(rng, modulus, 1))
         ks = KeySet(modulus=modulus, keys=tuple(sorted(keys)))
         cost = comm_cost(build_spec(builtin("EQ", n), ks))
         assert cost.total == costs[n]

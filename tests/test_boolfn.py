@@ -1,4 +1,3 @@
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -12,13 +11,12 @@ from qhc import (
     GuardError,
     LinearPolynomial,
     builtin,
-    characteristic_from_table,
     conjunction,
     split_polynomial,
     verify_characteristic,
 )
 from qhc import boolfn
-from qhc.cli import _instance_from_polys
+from qhc.boolfn import polynomial_instance
 from qhc.util import bit_matrix, index_to_bits
 
 from oracles import (
@@ -267,7 +265,7 @@ def small_functions(draw):
     residue = st.integers(0, m - 1)
     polys = [(m, tuple(draw(residue) for _ in range(n)), draw(residue))
              for _ in range(draw(st.integers(1, 3)))]
-    fn = _instance_from_polys([LinearPolynomial(*p) for p in polys], "polys.json").function
+    fn = polynomial_instance([LinearPolynomial(*p) for p in polys]).function
     return fn, lambda bits: all_vanish_direct(polys, bits)
 
 
@@ -449,64 +447,11 @@ def test_conjunction_rejects_common_factor():
         conjunction(2, 2, m_a=4, m_b=6)
 
 
-# --------------------------------------------- search for characteristics
-
-
-def test_characteristic_from_table_finds_eq2_over_z16():
-    eq2 = builtin("EQ", 2)
-    found = characteristic_from_table(eq2.function, 16, rng=0)
-    assert found is not None
-    assert verify_characteristic(found).valid
-    # determinism: same seed, same polynomial
-    again = characteristic_from_table(eq2.function, 16, rng=0)
-    assert again.polynomials == found.polynomials
-
-
-def test_characteristic_from_table_or_has_no_linear_form():
-    # OR forces c1 = c2 = -c0 and then c0 = 0, contradicting g(00) != 0,
-    # over every ring — the honest answer is None
-    or2 = BooleanFunction("OR_2", 2, lambda b: (b.bits == 1).any(1))
-    assert characteristic_from_table(or2, 16, attempts=4000, rng=0) is None
-    assert characteristic_from_table(or2, 7, attempts=4000, rng=1) is None
-
-
-# What the search found before it scored candidates in row blocks, for
-# rng = 0..3: EQ_2 over Z_16 (many characteristics, so the draw order shows)
-# and x_1 = x_9 over Z_2 (one characteristic, refuted only past row 256).
-RECORDED_SEARCHES = {
-    "EQ_2": [(15, 9, 1, 7), (3, 4, 13, 12), (9, 10, 7, 6), (3, 14, 13, 2)],
-    "ENDS_9": [(1, 0, 0, 0, 0, 0, 0, 0, 1)] * 4,
-}
-
-
-@pytest.mark.parametrize("block_rows", [1, 3, None])
-def test_characteristic_from_table_blocks_keep_recorded_results(monkeypatch, block_rows):
-    if block_rows is not None:
-        monkeypatch.setattr(boolfn, "_SCORE_BLOCK_ROWS", block_rows)
-    functions = {
-        "EQ_2": (builtin("EQ", 2).function, 16),
-        "ENDS_9": (BooleanFunction("ENDS_9", 9, lambda b: b.bits[:, 0] == b.bits[:, 8]), 2),
-    }
-    for name, (function, modulus) in functions.items():
-        for seed, coeffs in enumerate(RECORDED_SEARCHES[name]):
-            (poly,) = characteristic_from_table(function, modulus, rng=seed).polynomials
-            assert (poly.modulus, poly.coeffs, poly.constant) == (modulus, coeffs, 0)
-
-
-def test_characteristic_from_table_memory_is_bounded():
-    """2048 candidates against 2^12 rows took a 128 MiB peak when the whole
-    table was scored at once."""
-    mod3 = builtin("MOD", 12, m=3).function
-    tracemalloc.start()
-    try:
-        assert characteristic_from_table(mod3, 7, attempts=2048, rng=0) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 << 20
-
-
-def test_characteristic_from_table_big_modulus_path():
-    never = BooleanFunction("NEVER", 2, lambda b: np.zeros(len(b.bits), dtype=bool))
-    found = characteristic_from_table(never, (1 << 70) + 3, attempts=50, rng=2)
-    assert found is not None and verify_characteristic(found).valid
+@pytest.mark.parametrize("polys,why", [
+    ([LinearPolynomial(5, (1, 2)), LinearPolynomial(7, (1, 2))], "share one modulus"),
+    ([LinearPolynomial(5, (1, 2)), LinearPolynomial(5, (1, 2, 3))], "arity 3 != function arity 2"),
+    ([], "at least one polynomial"),
+])
+def test_polynomial_instance_refuses_mixed_sets(polys, why):
+    with pytest.raises(ValueError, match=why):
+        polynomial_instance(polys)

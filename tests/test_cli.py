@@ -274,6 +274,38 @@ class TestRun:
         assert result["f"] == f
         assert (result["exact_accept"] == 1.0) == (f == 1)
 
+    PALINDROME_4 = {
+        "function": {"name": "PALINDROME", "n": 4},
+        "delta": 0.3,
+        "keys": {"search": {"log2_n": 8, "seed": 3}},
+    }
+
+    @pytest.mark.parametrize("n1", [0, 4])
+    def test_empty_side_runs_as_profile_writes_it(self, tmp_path, capsys, n1):
+        """At a cut that leaves one side no bits, that side's input is "",
+        and each run's exact_accept equals its profile cell."""
+        base = dict(self.PALINDROME_4, split={"n1": n1})
+        out = tmp_path / "profile.csv"
+        assert run_cli("profile", "--config", write_config(tmp_path, base), "--out", str(out)) == 0
+        capsys.readouterr()
+        cells = {}
+        for line in out.read_text().splitlines()[1:]:
+            sigma, gamma, f, accept = line.split(",")
+            cells[sigma, gamma] = (int(f), accept)
+        assert len(cells) == 16
+        for bits in ("0110", "0111", "1000"):
+            alice, bob = bits[:n1], bits[n1:]
+            doc = dict(base, input={"alice": alice, "bob": bob})
+            assert run_cli("run", "--config", write_config(tmp_path, doc)) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert (result["f"], repr(result["exact_accept"])) == cells[alice, bob]
+
+    def test_empty_side_where_bits_are_needed_exits_3(self, tmp_path, capsys):
+        doc = dict(self.PALINDROME_4, split={"n1": 3}, input={"alice": "", "bob": "0"})
+        assert run_cli("run", "--config", write_config(tmp_path, doc)) == 3
+        err = capsys.readouterr().err
+        assert "input.alice: alice input has 0 bits, split says 3" in err
+
     def test_missing_input_exits_3(self, tmp_path, capsys):
         doc = {k: v for k, v in EQ2_EXACT.items() if k != "input"}
         assert run_cli("run", "--config", write_config(tmp_path, doc)) == 3
@@ -381,6 +413,16 @@ class TestProfile:
                            "--out", str(out)) == 0
             columns.append([line.split(",")[2:] for line in out.read_text().splitlines()])
         assert len(columns[0]) == 1 + (1 << 10) and columns[0] == columns[1]
+
+    def test_key_file_past_2_31_profiles(self, tmp_path, capsys):
+        keys = tmp_path / "keys.json"
+        assert run_cli("search-keys", "--log2-n", "64", "--delta", "0.3", "--seed", "0",
+                       "--out", str(keys)) == 0
+        doc = {"function": {"name": "EQ", "n": 4}, "keys": {"file": "keys.json"}}
+        out = tmp_path / "profile.csv"
+        assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 1 + 256
+        assert "worst false accept:" in capsys.readouterr().out
 
     def test_enumeration_guard_exits_2(self, tmp_path, capsys):
         doc = {

@@ -346,7 +346,8 @@ class TestErrorProfile:
 
     @pytest.mark.parametrize("log2_n,table", [(12, False), (6, True)])
     def test_both_rank_branches_match_run_exact(self, log2_n, table, monkeypatch):
-        # 64 cells: N = 2^12 keys are ranked by np.unique, N = 64 by the table;
+        # 64 cells: EQ 3+3's differences span 2m = 16 and are ranked by the
+        # table, MODBIN_1009's span 2m = 2018 and are ranked by np.unique;
         # the sizes error_profile hands _rank select the branch.
         branches = []
 
@@ -355,7 +356,8 @@ class TestErrorProfile:
             return _rank(keys, size)
 
         monkeypatch.setattr(protocol, "_rank", spy)
-        spec = build_spec(builtin("EQ", 3), search_key_set(1 << log2_n, 0.3, seed=1))
+        instance = builtin("EQ", 3) if table else builtin("MODBIN", 6, m=1009)
+        spec = build_spec(instance, search_key_set(1 << log2_n, 0.3, seed=1))
         prof = error_profile(spec)
         assert branches == [table]
         assert prof.codes.shape == (8, 8)
@@ -416,9 +418,23 @@ class TestErrorProfile:
             error_profile(spec)
 
     def test_wide_modulus_guard(self):
-        spec = build_spec(builtin("EQ", 2), KeySet(modulus=1 << 33, keys=(1, 5)))
-        with pytest.raises(GuardError, match="2\\^31"):
+        # The polynomial modulus is guarded; the key modulus is not.
+        spec = build_spec(builtin("MODBIN", 4, m=(1 << 31) + 11), KeySet(1 << 33, (1, 5)))
+        with pytest.raises(GuardError, match="polynomial modulus .* 2\\^31"):
             error_profile(spec)
+
+    @pytest.mark.parametrize("n", [1 << 64, (1 << 32) - 5, (1 << 80) + 7],
+                             ids=["2^64", "2^32-5", "2^80+7"])
+    def test_key_moduli_past_2_31_match_run_exact(self, n):
+        # Signed differences u - v lie in (-m, m) whatever N; bias reduces them.
+        spec = build_spec(builtin("EQ", 8), search_key_set(n, 0.3, seed=2))
+        prof = error_profile(spec)
+        cells = np.random.default_rng(0).integers(0, 256, size=(200, 2)).tolist()
+        for i, j in cells + [[3, 3]]:
+            report = run_exact(spec, index_to_bits(i, 8), index_to_bits(j, 8))
+            assert prof.accept_grid[i, j] == report.exact_accept
+        assert prof.worst_false_accept == run_exact(spec, *prof.attaining).exact_accept
+        assert prof.false_inputs == (1 << 16) - (1 << 8)
 
 
 class TestCertifiedBound:
