@@ -18,12 +18,10 @@ from .boolfn import (
 )
 from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
 from .protocol import (
-    CommCost,
     ErrorProfile,
     ProtocolSpec,
     RunReport,
     build_spec,
-    comm_cost,
     error_profile,
     run_exact,
     run_sampled,
@@ -49,7 +47,6 @@ __all__ = [
     "Characteristic",
     "CharacteristicError",
     "Certification",
-    "CommCost",
     "ConfigError",
     "Decomposition",
     "ErrorProfile",
@@ -65,7 +62,6 @@ __all__ = [
     "bias",
     "build_spec",
     "builtin",
-    "comm_cost",
     "conjunction",
     "error_profile",
     "hash_qubits",

@@ -254,6 +254,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         if delta is None:
             raise ConfigError("delta", "key search needs a delta in (0,1)")
         modulus = instance.characteristic.modulus
+        if "log2_n" in s and "N" in s:
+            raise ConfigError("keys.search", "give log2_n or N, not both")
         if "log2_n" in s:
             modulus = 1 << _search_field(s, "log2_n", "keys.search.")
         elif "N" in s:
@@ -460,10 +462,11 @@ def cmd_search_keys(args: argparse.Namespace) -> int:
     )
     cert = key_set.certification
     _write_or_print(_json_text(key_set.to_json()) + "\n", args.out)
-    target = args.out or "stdout"
+    # With the key set on stdout, the line goes to stderr: stdout stays one JSON document.
     print(
         f"certified: N=2^{log2_n} d={key_set.d} delta={key_set.delta} "
-        f"max_bias={cert.max_bias:.6f} mode={cert.mode} -> {target}"
+        f"max_bias={cert.max_bias:.6f} mode={cert.mode} -> {args.out or 'stdout'}",
+        file=sys.stdout if args.out else sys.stderr,
     )
     return 0
 
@@ -512,19 +515,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
     profile = error_profile(spec)
     with open(args.out, "w") as fh:
         fh.writelines(profile.csv_blocks())
-    total = (1 << profile.n1) * (1 << profile.n2)
-    print(f"profile: {profile.function_name} {total} inputs -> {args.out}")
+    total = 1 << (spec.n1 + spec.n2)
+    print(f"profile: {spec.function.name} {total} inputs -> {args.out}")
     if profile.attaining is None:
         print("worst false accept: none (no 0-inputs)")
     else:
         sig, gam = profile.attaining
         bits = "".join(str(b) for b in sig) + "," + "".join(str(b) for b in gam)
         print(f"worst false accept: {profile.worst_false_accept!r} at {bits}")
-    if profile.certified_bound is not None:
-        delta = spec.certified_delta
+    bounds = spec.bounds()
+    if bounds["certified"]:
         print(
-            f"certified bound: (1+delta^2)/2 = {profile.certified_bound!r} "
-            f"(delta={delta}); linear comparison (1+delta)/2 = {0.5 * (1 + delta)!r}"
+            f"certified bound: (1+delta^2)/2 = {bounds['false_accept']!r} (delta="
+            f"{spec.certified_delta}); linear comparison (1+delta)/2 = "
+            f"{bounds['false_accept_linear']!r}"
         )
     else:
         print("bounds unproven: key sets lack exact certification")

@@ -56,8 +56,12 @@ class ProtocolSpec:
     """A characteristic, cut after Alice's ``n1`` variables, and one key set
     per polynomial; the Alice variables in ``forwarded`` also go to Bob as
     bits.  ``splits`` holds each polynomial's Decomposition at that cut,
-    made here and nowhere else; the qubit cost and certified delta are
-    computed on first use and kept, as a spec is immutable."""
+    made here and nowhere else.
+
+    The spec is the one owner of the protocol's qubit cost and certified
+    bound: run reports and profiles keep their spec and read both from it.
+    The per-party hash qubits and the certified delta are computed on first
+    use and kept, as a spec is immutable."""
 
     characteristic: Characteristic
     n1: int
@@ -104,15 +108,11 @@ class ProtocolSpec:
     def modulus(self) -> int:
         return self.characteristic.modulus
 
-    @property
-    def bounds_certified(self) -> bool:
-        """True when every key set carries an exact delta certification."""
-        return all(ks.certified for ks in self.key_sets)
-
     @cached_property
     def certified_delta(self) -> float | None:
-        """The weakest (largest) certified delta across pairs, if all have one."""
-        if not self.bounds_certified:
+        """The weakest (largest) delta across pairs, or None unless every
+        key set carries an exact delta certification."""
+        if not all(ks.certified for ks in self.key_sets):
             return None
         return max(ks.delta for ks in self.key_sets)  # type: ignore[type-var]
 
@@ -125,9 +125,35 @@ class ProtocolSpec:
         delta = self.certified_delta
         return None if delta is None else swap_accept(delta)
 
+    def bounds(self) -> dict:
+        """The false-accept bounds as a run report writes them, with the
+        looser linear line (1 + delta)/2 sometimes quoted for this test."""
+        delta = self.certified_delta
+        if delta is None:
+            return {"certified": False, "note": "key sets not exactly certified"}
+        return {"certified": True, "false_accept": self.certified_bound,
+                "false_accept_linear": 0.5 * (1.0 + delta)}
+
     @cached_property
-    def cost(self) -> "CommCost":
-        return comm_cost(self)
+    def party_qubits(self) -> int:
+        """Qubits of one party's hashes, ceil(log2 d) + 1 per pair: Alice's
+        message one way, and each of Alice's and Bob's in SMP."""
+        return sum(hash_qubits(ks) for ks in self.key_sets)
+
+    @property
+    def total_qubits(self) -> int:
+        """Qubits sent in all; forwarded bits ride along at one qubit each
+        (computational-basis states)."""
+        if self.topology == "smp":
+            return 2 * self.party_qubits
+        return self.party_qubits + self.k
+
+    def qubits(self) -> dict:
+        """The message sizes as a run report writes them."""
+        if self.topology == "smp":
+            q = self.party_qubits
+            return {"forwarded_bits": 0, "alice_to_referee": q, "bob_to_referee": q}
+        return {"forwarded_bits": self.k, "alice_to_bob": self.total_qubits}
 
     def summary(self) -> dict:
         return {
@@ -170,68 +196,16 @@ def build_spec(
 
 
 @dataclass(frozen=True)
-class CommCost:
-    """Message sizes in qubits; forwarded classical bits ride along at one
-    qubit each (computational-basis states)."""
-
-    topology: str
-    pair_qubits: tuple[int, ...]
-    forwarded_bits: int
-    classical_baseline: int
-    alice_to_bob: int | None = None
-    alice_to_referee: int | None = None
-    bob_to_referee: int | None = None
-
-    @property
-    def total(self) -> int:
-        if self.topology == "one-way":
-            return self.alice_to_bob or 0
-        return (self.alice_to_referee or 0) + (self.bob_to_referee or 0)
-
-    def to_json(self) -> dict:
-        doc: dict = {"forwarded_bits": self.forwarded_bits}
-        if self.topology == "one-way":
-            doc["alice_to_bob"] = self.alice_to_bob
-        else:
-            doc["alice_to_referee"] = self.alice_to_referee
-            doc["bob_to_referee"] = self.bob_to_referee
-        return doc
-
-
-def comm_cost(spec: ProtocolSpec) -> CommCost:
-    """Qubit accounting: each hash costs ceil(log2 d) + 1, plus k forwarded
-    bits; the classical baseline is Alice sending her n1 input bits."""
-    per_pair = tuple(hash_qubits(ks) for ks in spec.key_sets)
-    hashes = sum(per_pair)
-    if spec.topology == "one-way":
-        return CommCost(
-            topology="one-way",
-            pair_qubits=per_pair,
-            forwarded_bits=spec.k,
-            classical_baseline=spec.n1,
-            alice_to_bob=hashes + spec.k,
-        )
-    return CommCost(
-        topology="smp",
-        pair_qubits=per_pair,
-        forwarded_bits=0,
-        classical_baseline=spec.n1,
-        alice_to_referee=hashes,
-        bob_to_referee=hashes,
-    )
-
-
-@dataclass(frozen=True)
 class RunReport:
-    """One protocol execution on one input, exact and optionally sampled."""
+    """One protocol execution on one input, exact and optionally sampled;
+    its qubit cost and bounds are read from ``spec`` when it is written."""
 
+    spec: ProtocolSpec = field(repr=False)
     alice: tuple[int, ...]
     bob: tuple[int, ...]
     f_value: int
     fidelities: tuple[float, ...]
     exact_accept: float
-    cost: CommCost
-    certified_delta: float | None = None  # None unless every key set is certified
     sampled_bit: int | None = None
     sample_trials: int | None = None
     sample_accepts: int | None = None
@@ -243,20 +217,11 @@ class RunReport:
             "f": self.f_value,
             "exact_accept": self.exact_accept,
             "fidelities": list(self.fidelities),
-            "qubits": self.cost.to_json(),
+            "qubits": self.spec.qubits(),
+            "bounds": self.spec.bounds(),
         }
         if spec_summary is not None:
             doc = {"spec": spec_summary, **doc}
-        if self.certified_delta is not None:
-            delta = self.certified_delta
-            doc["bounds"] = {
-                "certified": True,
-                "false_accept": swap_accept(delta),
-                # looser comparison line sometimes quoted for this test
-                "false_accept_linear": 0.5 * (1.0 + delta),
-            }
-        else:
-            doc["bounds"] = {"certified": False, "note": "key sets not exactly certified"}
         if self.sampled_bit is not None:
             doc["sampled"] = {
                 "seed": self.seed,
@@ -323,13 +288,12 @@ def run_exact(spec: ProtocolSpec, sigma: Sequence[int], gamma: Sequence[int]) ->
     if f_value == 0:
         _check_bound(spec, accept, sigma, gamma)
     return RunReport(
+        spec=spec,
         alice=tuple(sigma),
         bob=tuple(gamma),
         f_value=f_value,
         fidelities=tuple(fidelities),
         exact_accept=accept,
-        cost=spec.cost,
-        certified_delta=spec.certified_delta,
     )
 
 
@@ -376,21 +340,20 @@ def _accepted_trials(
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """Exact acceptance over the full input grid, summarized over f = 0.
+    """Exact acceptance over the full input grid of ``spec``, summarized
+    over f = 0; the function, the cut and the certified bound are those of
+    ``spec``.
 
     ``values`` holds the distinct products of per-pair acceptances that
     occur, and ``codes`` the index of each cell's product in it;
     ``values`` is never longer than the grid has cells.  The f = 0
     summaries are read from how many 0-cells hold each code."""
 
-    function_name: str
-    n1: int
-    n2: int
+    spec: ProtocolSpec = field(repr=False)
     worst_false_accept: float
     attaining: tuple[tuple[int, ...], tuple[int, ...]] | None
     false_inputs: int
     histogram: tuple[int, ...]  # 20 equal bins over [0, 1]
-    certified_bound: float | None
     f_grid: np.ndarray = field(compare=False, repr=False)
     values: np.ndarray = field(compare=False, repr=False)
     codes: np.ndarray = field(compare=False, repr=False)
@@ -410,14 +373,15 @@ class ErrorProfile:
         def bits(i: int, n: int) -> str:  # an empty side is "", not format's "0"
             return format(i, f"0{n}b") if n else ""
 
+        n1, n2 = self.spec.n1, self.spec.n2
         yield "sigma,gamma,f,exact_accept\n"
-        cols = 1 << self.n2
+        cols = 1 << n2
         tails = np.array([f",{f},{a!r}\n" for a in self.values.tolist() for f in (0, 1)],
                          dtype=object)
         line = [""] * (3 * cols)  # sigma + ",", gamma, tail for each cell
-        line[1::3] = [bits(j, self.n2) for j in range(cols)]
+        line[1::3] = [bits(j, n2) for j in range(cols)]
         for i, (row, f) in enumerate(zip(self.codes, self.f_grid)):
-            line[0::3] = [bits(i, self.n1) + ","] * cols
+            line[0::3] = [bits(i, n1) + ","] * cols
             line[2::3] = tails[row * 2 + f].tolist()
             yield "".join(line)
 
@@ -523,14 +487,11 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         _check_bound(spec, worst, *attaining)
 
     return ErrorProfile(
-        function_name=spec.function.name,
-        n1=n1,
-        n2=n2,
+        spec=spec,
         worst_false_accept=worst,
         attaining=attaining,
         false_inputs=false_inputs,
         histogram=tuple(int(c) for c in hist),
-        certified_bound=spec.certified_bound,
         f_grid=truth,
         values=values,
         codes=codes,

@@ -19,7 +19,6 @@ from qhc import (
     KeySet,
     build_spec,
     builtin,
-    comm_cost,
     conjunction,
     error_profile,
     hash_qubits,
@@ -166,9 +165,9 @@ def test_c07_qubit_cost_beats_sending_the_input():
         while len(keys) < expected[n]:
             keys.update(rand_below_many(rng, modulus, 1))
         ks = KeySet(modulus=modulus, keys=tuple(sorted(keys)))
-        cost = comm_cost(build_spec(builtin("EQ", n), ks))
-        assert cost.total == costs[n]
-        assert cost.classical_baseline == n
+        spec = build_spec(builtin("EQ", n), ks)
+        assert spec.total_qubits == costs[n]
+        assert spec.n1 == n  # the classical baseline: Alice sends her input
     _pass(7, "EQ costs 12/13/14/15 qubits for n=8/16/32/64 (vs n classical bits)")
 
 
@@ -195,12 +194,11 @@ def test_c09_two_polynomial_conjunction(certified_n64):
     prof = error_profile(spec)  # raises if any 1-input is not accepted surely
     bound = 0.5 * (1 + 0.3**2)
     assert prof.worst_false_accept <= bound + 1e-9
-    cost = comm_cost(spec)
-    assert cost.total == spec.l * hash_qubits(certified_n64)
+    assert spec.total_qubits == spec.l * hash_qubits(certified_n64)
     _pass(
         9,
         f"conjunction: one-sided, worst {prof.worst_false_accept:.4f} <= {bound}, "
-        f"cost {cost.total} = 2 hashes",
+        f"cost {spec.total_qubits} = 2 hashes",
     )
 
 
@@ -270,7 +268,11 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
 # qubits, which the test also checks.  The key file at N = 2^80 (delta 0.5, so d
 # stays small), its one-way run and a run searching keys at N = 2^40 - 87
 # pin the exact big-integer tier, above uint64; they were recorded before
-# its keys moved from a tuple into an object array.
+# its keys moved from a tuple into an object array.  A CONJ 3+4 run with
+# Alice's bit 1 forwarded, and the stdout of two EQ n=6 profiles (a certified
+# key search, then the N = 2^64 Monte Carlo key file), were recorded before
+# run reports and profiles began to read qubit cost and certified bound from
+# their spec.
 GOLDEN_SHA256 = {
     "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
     "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
@@ -284,6 +286,9 @@ GOLDEN_SHA256 = {
     "profile-eq6.csv": "ed1092861dd92a8ba281f6a2de40c9c2a1e48fcbc530f6cd6fb479dff737d7dd",
     "profile-conj34.csv": "55527daea9eeb4e8d84b1e16264deea7c58f6e4c8a83298538d4d4655f901bb3",
     "profile-poly3.csv": "1dc41d3f86f0104e4ffdbb0b5fecae06e5f88b256a5b60ad0949b1ba29230fbe",
+    "run-conj34-forwarded.json": "1a8a4de4be4f6ad375ca41c9f25a708a7a94c3e987470c165dc3e8ab512888e9",
+    "profile-eq6.stdout": "05401f21df2dbb2a18faa0ecbfc1dd74d482773ddccb5cab4d474e2dd1d447bb",
+    "profile-eq6-keys64.stdout": "86d50e8cb8cbf6ef124ea7be57a8461e162e3df643accfc76016ba51437cc6d4",
 }
 
 GOLDEN_PROFILES = {
@@ -294,14 +299,18 @@ GOLDEN_PROFILES = {
 }
 
 
-def _run_report(config, doc: dict) -> bytes:
-    """The report of an EQ n=16 exact run under ``doc``'s keys and topology,
-    its wall_clock_s dropped."""
+EQ16 = {"name": "EQ", "n": 16}
+EQ16_INPUT = {"alice": "0110100110010110", "bob": "0110100110010111"}
+
+
+def _run_report(config, doc: dict, function: dict = EQ16, bits: dict = EQ16_INPUT) -> bytes:
+    """The report of an exact run of ``function`` on ``bits`` under ``doc``'s
+    keys, split and topology, its wall_clock_s dropped."""
     config.write_text(json.dumps({
-        "function": {"name": "EQ", "n": 16},
+        "function": function,
         **doc,
         "mode": "exact",
-        "input": {"alice": "0110100110010110", "bob": "0110100110010111"},
+        "input": bits,
     }))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -309,6 +318,17 @@ def _run_report(config, doc: dict) -> bytes:
     report = json.loads(out.getvalue())
     report.pop("wall_clock_s")
     return (json.dumps(report, indent=2) + "\n").encode()
+
+
+def _profile(work, name: str, doc: dict) -> tuple[bytes, bytes]:
+    """The CSV ``name`` and the stdout of ``profile`` under ``doc``, run in
+    the directory ``work``; the stdout names that directory ``<work>``."""
+    config = work / f"{name}.json"
+    config.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["profile", "--config", str(config), "--out", str(work / name)]) == 0
+    return (work / name).read_bytes(), out.getvalue().replace(str(work), "<work>").encode()
 
 
 def _golden_outputs(work) -> dict[str, bytes]:
@@ -329,14 +349,18 @@ def _golden_outputs(work) -> dict[str, bytes]:
     outputs["run-search-n40m87.json"] = _run_report(
         work / "run-search-n40m87.json",
         {"delta": 0.5, "keys": {"search": {"N": (1 << 40) - 87, "seed": 0}}})
+    search = {"delta": 0.3, "keys": {"search": {"log2_n": 10, "seed": 7}}}
+    outputs["run-conj34-forwarded.json"] = _run_report(
+        work / "run-conj34-forwarded.json", {"split": {"n1": 3, "forwarded": [1]}, **search},
+        {"name": "CONJ", "n_a": 3, "n_b": 4}, {"alice": "110", "bob": "0100"})
     (work / "polys.json").write_text(json.dumps(THREE_POLYS))
     for name, doc in GOLDEN_PROFILES.items():
-        config = work / f"{name}.json"
-        config.write_text(json.dumps(
-            {**doc, "delta": 0.3, "keys": {"search": {"log2_n": 10, "seed": 7}}}))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["profile", "--config", str(config), "--out", str(work / name)]) == 0
-        outputs[name] = (work / name).read_bytes()
+        outputs[name], stdout = _profile(work, name, {**doc, **search})
+        if name == "profile-eq6.csv":  # its key set is exactly certified
+            outputs["profile-eq6.stdout"] = stdout
+    _, outputs["profile-eq6-keys64.stdout"] = _profile(  # a Monte Carlo key file
+        work, "profile-eq6-keys64.csv",
+        {"function": {"name": "EQ", "n": 6}, "keys": {"file": "keys64.json"}})
     return outputs
 
 
@@ -350,4 +374,6 @@ def test_c11_seeded_outputs_match_recorded_digests(tmp_path):
         assert smp["spec"].pop("topology") == "smp" and smp.pop("qubits") != one_way["qubits"]
         del one_way["spec"]["topology"], one_way["qubits"]
         assert smp == one_way
+    conj = json.loads(outputs["run-conj34-forwarded.json"])["result"]
+    assert conj["qubits"] == {"forwarded_bits": 1, "alice_to_bob": 2 * hash_qubits(170) + 1}
     _pass(11, "key files, run reports and profile CSVs match the recorded SHA-256 digests")

@@ -115,10 +115,18 @@ class TestSearchKeys:
 
     def test_stdout_mode(self, capsys):
         assert run_cli("search-keys", "--log2-n", "6", "--delta", "0.3", "--seed", "0") == 0
-        out = capsys.readouterr().out
-        doc = json.loads(out[: out.rindex("}") + 1])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)  # stdout is the key set alone, loadable as a key file
         assert doc["N"] == str(64)
-        assert "-> stdout" in out
+        assert captured.err.startswith("certified: ") and "-> stdout" in captured.err
+
+    def test_stdout_key_set_loads_in_run(self, tmp_path, capsys):
+        """``search-keys ... > k.json`` writes a key file that ``run`` loads."""
+        assert run_cli("search-keys", "--log2-n", "6", "--delta", "0.5", "--seed", "7") == 0
+        (tmp_path / "k.json").write_text(capsys.readouterr().out)
+        config = dict(EQ2_EXACT, keys={"file": "k.json"})
+        assert run_cli("run", "--config", write_config(tmp_path, config)) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["f"] == 1
 
     def test_bad_width_exits_3(self, capsys):
         assert run_cli("search-keys", "--log2-n", "0", "--delta", "0.3", "--seed", "0") == 3
@@ -793,6 +801,12 @@ class TestMalformedInputExits3:
         argv = ("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, **change)))
         self.assert_exit_3(capsys, argv, where)
 
+    def test_search_with_log2_n_and_n(self, tmp_path, capsys):
+        """Two key widths are refused; neither is silently dropped."""
+        config = dict(EQ2_EXACT, keys={"search": {"log2_n": 4, "N": 1000}})
+        argv = ("run", "--config", write_config(tmp_path, config))
+        self.assert_exit_3(capsys, argv, "keys.search: give log2_n or N, not both")
+
     def test_forwarded_as_a_string(self, tmp_path, capsys):
         config = dict(EQ2_EXACT, split={"n1": 2, "forwarded": "12"})
         argv = ("run", "--config", write_config(tmp_path, config))
@@ -1029,7 +1043,7 @@ class TestSpecReuse:
         assert qhc.cli._build_spec(configs[-1])[0] is first[-1][0]
         again = qhc.cli._build_spec(configs[0])
         assert again[0] is not first[0][0] and again == first[0]
-        assert again[0].cost == first[0][0].cost
+        assert again[0].qubits() == first[0][0].qubits()
 
     def test_key_file_below_the_polynomial_modulus_after_a_kept_spec(self, tmp_path, capsys):
         keys = tmp_path / "keys.json"
@@ -1202,7 +1216,8 @@ FUZZ_CONFIG = {
 }
 FUZZ_VARIANTS = {
     "file": {},
-    "search": {"keys": {"search": {"log2_n": 4, "N": 16, "seed": 1, "attempts": 2, "trials": 10}}},
+    "search-log2_n": {"keys": {"search": {"log2_n": 4, "seed": 1, "attempts": 2, "trials": 10}}},
+    "search-N": {"keys": {"search": {"N": 16, "seed": 1, "attempts": 2, "trials": 10}}},
     "poly": {"function": {"poly": builtin("EQ", 2).characteristic.polynomials[0].to_json()}},
 }
 

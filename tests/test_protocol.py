@@ -22,7 +22,6 @@ from qhc import (
     ProtocolSpec,
     build_spec,
     builtin,
-    comm_cost,
     conjunction,
     error_profile,
     run_exact,
@@ -80,7 +79,7 @@ class TestProtocolSpec:
         a = verify_resistance(KeySet(modulus=4, keys=(1, 2)), 0.51).key_set
         b = verify_resistance(KeySet(modulus=4, keys=(1, 2)), 0.7).key_set
         spec = build_spec(two_pair_eq2(), [a, b])
-        assert spec.bounds_certified and spec.certified_delta == 0.7
+        assert spec.certified_delta == 0.7  # not None: every set is certified
 
     def test_summary_shape(self, eq2_spec):
         doc = eq2_spec.summary()
@@ -151,7 +150,7 @@ class TestRunExact:
     def test_uncertified_keys_flagged(self):
         spec = build_spec(builtin("EQ", 2), KeySet(modulus=4, keys=(1, 2)))
         report = run_exact(spec, (0, 1), (0, 0))
-        assert report.certified_delta is None
+        assert report.spec.certified_delta is None
         assert report.to_json()["bounds"] == {
             "certified": False,
             "note": "key sets not exactly certified",
@@ -223,7 +222,8 @@ class TestRunSmp:
         spec = build_spec(builtin("EQ", 2), full_ring(4), topology="smp")
         report = run_exact(spec, (1, 0), (1, 0))
         assert report.exact_accept == 1.0
-        assert report.cost.topology == "smp"
+        assert report.spec.topology == "smp"
+        assert "alice_to_referee" in report.to_json()["qubits"]
 
     def test_agrees_with_one_way_route(self, eq2_spec, certified_n64):
         spec = build_spec(builtin("EQ", 2), certified_n64)
@@ -255,28 +255,26 @@ class TestRunSmp:
 class TestCommCost:
     def test_single_pair_one_way(self):
         spec = build_spec(builtin("EQ", 3), KeySet(modulus=32, keys=tuple(range(16))))
-        cost = comm_cost(spec)
-        assert cost.pair_qubits == (5,)
-        assert cost.alice_to_bob == 5 and cost.total == 5
-        assert cost.classical_baseline == 3
-        assert cost.to_json() == {"forwarded_bits": 0, "alice_to_bob": 5}
+        assert spec.party_qubits == 5
+        assert spec.qubits()["alice_to_bob"] == 5 and spec.total_qubits == 5
+        assert spec.n1 == 3  # the classical baseline: Alice sends her input
+        assert spec.qubits() == {"forwarded_bits": 0, "alice_to_bob": 5}
 
     def test_forwarded_bits_ride_along(self):
         ks = KeySet(modulus=32, keys=tuple(range(16)))
         spec = build_spec(two_pair_eq2(), ks, n1=2, forwarded=(1, 2))
-        cost = comm_cost(spec)
-        assert cost.pair_qubits == (5, 5)
-        assert cost.forwarded_bits == 2
-        assert cost.total == 12
+        assert spec.party_qubits == 5 + 5
+        assert spec.qubits()["forwarded_bits"] == 2
+        assert spec.total_qubits == 12
 
     def test_smp_counts_both_parties(self):
         spec = build_spec(
             builtin("EQ", 3), KeySet(modulus=32, keys=tuple(range(16))), topology="smp"
         )
-        cost = comm_cost(spec)
-        assert cost.alice_to_referee == 5 and cost.bob_to_referee == 5
-        assert cost.total == 10
-        assert cost.to_json() == {
+        qubits = spec.qubits()
+        assert qubits["alice_to_referee"] == 5 and qubits["bob_to_referee"] == 5
+        assert spec.total_qubits == 10
+        assert qubits == {
             "forwarded_bits": 0,
             "alice_to_referee": 5,
             "bob_to_referee": 5,
@@ -290,8 +288,8 @@ class TestErrorProfile:
     def test_worst_false_accept_under_certified_bound(self, certified_n64):
         spec = build_spec(builtin("EQ", 3), certified_n64)
         prof = error_profile(spec)
-        assert prof.certified_bound == 0.5 * (1 + 0.3**2)
-        assert prof.worst_false_accept <= prof.certified_bound + 1e-9
+        assert prof.spec is spec and spec.certified_bound == 0.5 * (1 + 0.3**2)
+        assert prof.worst_false_accept <= spec.certified_bound + 1e-9
         assert prof.false_inputs == 64 - 8
         assert sum(prof.histogram) == prof.false_inputs
         assert prof.accept_grid.shape == (8, 8)
@@ -392,7 +390,7 @@ class TestErrorProfile:
         )
         assert np.array_equal(np.diag(moved.f_grid), np.ones(4, dtype=np.uint8))
         assert np.allclose(np.diag(moved.accept_grid), 1.0)
-        assert moved.worst_false_accept <= moved.certified_bound + 1e-9
+        assert moved.worst_false_accept <= moved.spec.certified_bound + 1e-9
 
     def test_never_false_function_has_empty_profile(self):
         fn = BooleanFunction("ONE_2", 2, lambda b: np.ones(len(b.bits), dtype=bool))
@@ -470,7 +468,7 @@ class TestCertifiedBound:
         zero = LinearPolynomial(modulus=eq.modulus, coeffs=(0,) * eq.arity)
         inst = FunctionInstance(Characteristic(base.function, (eq, zero)), 2)
         prof = error_profile(build_spec(inst, certified_n64))
-        assert (0.5 * (1 + 0.3**2)) ** 2 < prof.worst_false_accept <= prof.certified_bound
+        assert (0.5 * (1 + 0.3**2)) ** 2 < prof.worst_false_accept <= prof.spec.certified_bound
 
 
 @pytest.mark.parametrize("table", [True, False])
