@@ -416,10 +416,11 @@ def _json_text(doc, pad: str = "") -> str:
 
 
 def _write_or_print(text: str, out: str | None) -> None:
+    """``text`` into the file ``out``, or as it is on stdout: the same bytes."""
     if out:
         Path(out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 # ------------------------------------------------------------ subcommands

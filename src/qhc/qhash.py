@@ -18,7 +18,10 @@ serves both.  A key file's digit strings are parsed into uint64 in one pass.
 
 :func:`bias` is the one direct kernel: every caller (one-way and SMP runs,
 error-profile grids, Monte Carlo certification) gets bit-identical values for
-the same difference, and no hash state is ever built as a vector.
+the same difference, and no hash state is ever built as a vector.  Monte
+Carlo certification screens its samples with :func:`_rough_bias`, float32
+cosines of the same exact residues, and prices with :func:`bias` only those
+that may hold the maximum; no rough value leaves this module.
 :func:`_exact_bias_sweep`, one FFT over all N differences, is the only
 full-spectrum route.  :func:`swap_accept` is the one SWAP-test accept rule,
 (1 + F^2)/2, that every protocol route and bound applies.
@@ -48,6 +51,10 @@ _INT64_DIFFERENCE_N = 1 << 31
 
 # Residues per block of the bias kernel (512 KiB of float64).
 _BIAS_BLOCK_CELLS = 1 << 16
+
+# Bound on |rough - exact| |bias| of the Monte Carlo screen (_rough_bias
+# derives 8.4e-7; the worst seen on random rows is 5.6e-7, at d = 1).
+_SCREEN_EPSILON = 1e-4
 
 # FFT magnitudes this close to the maximum count as ties; rounding noise
 # (~1e-16 per bin) must not decide which of equal biases is reported.  The
@@ -223,23 +230,27 @@ def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
     return ratios
 
 
+def _reduced(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
+    """Differences reduced mod N as one array: an int64 array up to
+    N = 2^31 in int64, any other input one Python int at a time straight
+    into the keys' dtype (a float is refused)."""
+    n = key_set.modulus
+    if n <= _INT64_DIFFERENCE_N and getattr(differences, "dtype", None) == np.int64:
+        return differences % n
+    return _int_array(differences, n, key_set.key_array.dtype)
+
+
 def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """Fidelity between hashes of values differing by each difference.
 
-    Differences are reduced mod N as one array: an int64 array up to
-    N = 2^31 in int64, any other input one Python int at a time straight
-    into the keys' dtype (a float is refused); residues stay exact until
-    the final ratio.  A difference of 0 mod N gives exactly 1.0 without a
-    row.  The others go in blocks of about _BIAS_BLOCK_CELLS residues, each
-    row's d cosines scaled and summed in place, in one order whatever the
-    block (the sum over d is bitwise ``mean``): a difference's bias ignores
-    its company.
+    Differences are reduced mod N by :func:`_reduced`; residues stay exact
+    until the final ratio.  A difference of 0 mod N gives exactly 1.0
+    without a row.  The others go in blocks of about _BIAS_BLOCK_CELLS
+    residues, each row's d cosines scaled and summed in place, in one order
+    whatever the block (the sum over d is bitwise ``mean``): a difference's
+    bias ignores its company.
     """
-    n = key_set.modulus
-    if n <= _INT64_DIFFERENCE_N and getattr(differences, "dtype", None) == np.int64:
-        diffs = differences % n
-    else:
-        diffs = _int_array(differences, n, key_set.key_array.dtype)
+    diffs = _reduced(key_set, differences)
     live = np.flatnonzero(diffs)
     diffs = diffs[live]
     out = np.ones(len(differences))
@@ -249,6 +260,33 @@ def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
         angles *= 2.0 * np.pi
         np.cos(angles, out=angles)
         out[live[start : start + step]] = np.add.reduce(angles, axis=1) / key_set.d
+    return out
+
+
+def _rough_bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
+    """|bias| at each difference within _SCREEN_EPSILON, for screening only.
+
+    The same exact reduction and residue ratios as :func:`bias`, in the
+    same blocks; only the angle and its cosine are float32, and each row
+    is summed in float64.  Its error, per cosine and so per row average:
+    rounding the float64 ratio in [0, 1) to float32 moves the angle by at
+    most 2 pi * 2^-25 (1.9e-7), float32(2 pi) is 1.7e-7 above 2 pi, the
+    float32 product rounds by at most 2^-22 (2.4e-7, half an ulp below 8),
+    and cos is 1-Lipschitz; numpy's float32 cosines stay within a few ulp,
+    2.4e-7 at 4 ulp.  The float64 sum adds below 1e-12 for d <= 2^21, and
+    bias's own float64 rounding far less, so |rough - |bias|| <= 8.4e-7.
+    """
+    diffs = _reduced(key_set, differences)
+    out = np.empty(len(diffs))
+    step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
+    two_pi = np.float32(2.0 * np.pi)
+    for start in range(0, len(diffs), step):
+        angles = _residues(key_set, diffs[start : start + step]).astype(np.float32)
+        angles *= two_pi
+        np.cos(angles, out=angles)
+        out[start : start + step] = np.add.reduce(angles, axis=1, dtype=np.float64)
+    np.abs(out, out=out)
+    out /= key_set.d
     return out
 
 
@@ -314,12 +352,18 @@ def verify_resistance(
     Exact mode sweeps every D in [1, N) and is refused (with a pointer at
     Monte Carlo mode) above N = 2^21; it certifies only when the FFT's
     max bias plus _SWEEP_TIE_TOLERANCE stays below delta.  Monte Carlo mode
-    samples ``trials`` uniform nonzero differences; each sampled bias is
-    still computed exactly, so a refutation is genuine, while a pass
-    certifies only with ``confidence`` = the chance that a single worst
-    difference would have been drawn.  The returned report carries the key
-    set re-annotated with the verdict.  ``trials`` must be at least 1: with
-    no trial, no difference is checked.
+    samples ``trials`` uniform nonzero differences in chunks of 4096; the
+    maximum is still priced exactly, so a refutation is genuine, while a
+    pass certifies only with ``confidence`` = the chance that a single worst
+    difference would have been drawn.  In each chunk, :func:`_rough_bias`
+    is within _SCREEN_EPSILON of every exact |bias|, so a difference that
+    attains the chunk's exact maximum has a rough value within 2 epsilon of
+    the rough maximum; only those rows go to :func:`bias`, in ascending
+    order, and the first exact maximum among them is the chunk's first.
+    ``max_bias`` and ``worst_difference`` are those of pricing every sampled
+    difference with :func:`bias`, bit for bit.  The returned report carries
+    the key set re-annotated with the verdict.  ``trials`` must be at least
+    1: with no trial, no difference is checked.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta out of (0,1): {delta}")
@@ -343,10 +387,12 @@ def verify_resistance(
             chunk = min(remaining, 4096)
             remaining -= chunk
             diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, chunk))
-            magnitudes = np.abs(bias(key_set, diffs))
+            rough = _rough_bias(key_set, diffs)
+            rows = np.flatnonzero(rough >= rough.max() - 2.0 * _SCREEN_EPSILON)
+            magnitudes = np.abs(bias(key_set, [diffs[i] for i in rows]))
             top = int(np.argmax(magnitudes))
             if magnitudes[top] > max_bias:
-                max_bias, worst = float(magnitudes[top]), diffs[top]
+                max_bias, worst = float(magnitudes[top]), diffs[rows[top]]
         confidence = -math.expm1(trials * math.log1p(-1.0 / (n - 1)))
         meta = {"trials": trials, "confidence": confidence}
     else:

@@ -120,6 +120,15 @@ class TestSearchKeys:
         assert doc["N"] == str(64)
         assert captured.err.startswith("certified: ") and "-> stdout" in captured.err
 
+    def test_stdout_equals_the_out_file(self, tmp_path, capsys):
+        """Without --out, stdout holds exactly the bytes --out writes."""
+        argv = ("search-keys", "--log2-n", "6", "--delta", "0.5", "--seed", "7")
+        assert run_cli(*argv) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli(*argv, "--out", str(tmp_path / "k.json")) == 0
+        assert stdout.encode() == (tmp_path / "k.json").read_bytes()
+        assert stdout.endswith("}\n")
+
     def test_stdout_key_set_loads_in_run(self, tmp_path, capsys):
         """``search-keys ... > k.json`` writes a key file that ``run`` loads."""
         assert run_cli("search-keys", "--log2-n", "6", "--delta", "0.5", "--seed", "7") == 0
@@ -154,6 +163,20 @@ class TestRun:
         assert result["f"] == 1 and result["exact_accept"] == 1.0
         assert result["bounds"]["certified"] is True
         assert result["qubits"]["alice_to_bob"] == 9  # d = 170 -> 9 qubits
+
+    def test_stdout_equals_the_out_file(self, tmp_path, capsys):
+        """Without --out, stdout holds exactly the bytes --out writes, but
+        for the wall_clock_s line."""
+        config = write_config(tmp_path, EQ2_EXACT)
+        assert run_cli("run", "--config", config) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli("run", "--config", config, "--out", str(tmp_path / "report.json")) == 0
+        written = (tmp_path / "report.json").read_text()
+        assert stdout.endswith("}\n") and written.endswith("}\n")
+        clock = '  "wall_clock_s": '
+        assert ([ln for ln in stdout.splitlines(True) if not ln.startswith(clock)]
+                == [ln for ln in written.splitlines(True) if not ln.startswith(clock)])
+        assert len(stdout.splitlines()) == len(written.splitlines())
 
     def test_sampled_seed_override_wins(self, tmp_path, capsys):
         doc = dict(EQ2_EXACT, mode="sampled", trials=50, seed=1,

@@ -602,6 +602,88 @@ class TestVerifyResistance:
             assert abs(bias(certified_n64, [diff])[0]) < certified_n64.delta
 
 
+class TestMonteCarloScreen:
+    """Monte Carlo mode prices exactly only the sampled rows whose rough
+    |bias| is within 2 epsilon of the chunk's rough maximum; its verdicts
+    must equal pricing every sampled row with bias, from the same draws."""
+
+    MODULI = [1 << 22, (1 << 33) + 1, (1 << 40) - 87, 1 << 64, (1 << 64) + 13, 1 << 80]
+
+    @staticmethod
+    def key_set(n: int, d: int, seed: int) -> KeySet:
+        """About d random keys; above the uint64 tier, where every residue is
+        a Python int, d / 32 of them keep an example within a second."""
+        if not qhc.qhash._uint64_exact(n):
+            d = 1 + d // 32
+        keys = set(rand_below_many(np.random.default_rng(seed), n, d))
+        return KeySet(modulus=n, keys=sorted(keys))
+
+    @staticmethod
+    def unscreened(key_set: KeySet, trials: int, seed: int) -> tuple[float, int]:
+        """(max |bias|, first sampled difference attaining it), every sampled
+        row priced by bias, drawn in chunks of 4096 as verify_resistance does."""
+        gen = np.random.default_rng(seed)
+        n = key_set.modulus
+        best, worst = 0.0, 1
+        for start in range(0, trials, 4096):
+            diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, min(4096, trials - start)))
+            magnitudes = np.abs(bias(key_set, diffs))
+            top = int(np.argmax(magnitudes))
+            if magnitudes[top] > best:
+                best, worst = float(magnitudes[top]), diffs[top]
+        return best, worst
+
+    @given(st.sampled_from(MODULI), st.integers(1, 2000), st.integers(0, 2**32 - 1),
+           st.floats(0.5, 1.5))
+    @settings(max_examples=12, deadline=None)
+    def test_verdict_equals_pricing_every_row(self, n, d, seed, scale):
+        ks = self.key_set(n, d, seed)
+        want_max, want_worst = self.unscreened(ks, 5000, seed + 1)
+        for delta in (min(max(want_max * scale, 1e-6), 0.999999), want_max):
+            if not 0 < delta < 1:
+                continue
+            report = verify_resistance(ks, delta, mode="monte-carlo", trials=5000, rng=seed + 1)
+            assert report.max_bias == want_max
+            assert report.worst_difference == want_worst
+            assert report.certified == (want_max < delta)
+
+    @pytest.mark.parametrize("n", MODULI)
+    def test_all_tie_key_set_reports_the_smallest_sampled_difference(self, n):
+        # Key 0 hashes every value alike: every |bias| is exactly 1.0.
+        report = verify_resistance(KeySet(modulus=n, keys=(0,)), 0.5, mode="monte-carlo",
+                                   trials=5000, rng=3)
+        first = sorted(v + 1 for v in rand_below_many(np.random.default_rng(3), n - 1, 4096))
+        assert report.max_bias == 1.0 and not report.certified
+        assert report.worst_difference == first[0]
+
+    @pytest.mark.parametrize("n", [1 << 22, 1 << 64, (1 << 40) - 87])
+    def test_worst_rough_values_the_bound_allows_keep_the_verdict(self, monkeypatch, n):
+        # d = 1: the largest sampled |cos| lie far closer than 2 epsilon, so a
+        # rough value that lowers each exact maximum by epsilon and raises
+        # every other row by it puts the rough maximum on another row.
+        epsilon = qhc.qhash._SCREEN_EPSILON
+        ks = self.key_set(n, 1, 0)
+        want = self.unscreened(ks, 5000, 1)
+
+        def adversary(key_set, differences):
+            exact = np.abs(bias(key_set, differences))
+            assert np.count_nonzero(exact >= exact.max() - 2 * epsilon) > 1
+            return np.where(exact == exact.max(), exact - epsilon, exact + epsilon)
+
+        monkeypatch.setattr(qhc.qhash, "_rough_bias", adversary)
+        report = verify_resistance(ks, 0.5, mode="monte-carlo", trials=5000, rng=1)
+        assert (report.max_bias, report.worst_difference) == want
+
+    @given(st.sampled_from([1 << 20, 1 << 32, (1 << 32) + 15, (1 << 63) - 25, *MODULI]),
+           st.integers(1, 5000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rough_bias_within_a_hundredth_of_epsilon(self, n, d, seed):
+        ks = self.key_set(n, d, seed)
+        diffs = rand_below_many(np.random.default_rng(seed + 1), n, max(1, 20000 // ks.d))
+        error = np.abs(qhc.qhash._rough_bias(ks, diffs) - np.abs(bias(ks, diffs)))
+        assert error.max() < qhc.qhash._SCREEN_EPSILON / 100
+
+
 # ---------------------------------------------------------------- search
 
 
