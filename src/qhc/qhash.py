@@ -22,8 +22,10 @@ the same difference, and no hash state is ever built as a vector.  Monte
 Carlo certification screens its samples with :func:`_rough_bias`, float32
 cosines of the same exact residues, and prices with :func:`bias` only those
 that may hold the maximum; no rough value leaves this module.
-:func:`_exact_bias_sweep`, one FFT over all N differences, is the only
-full-spectrum route.  :func:`swap_accept` is the one SWAP-test accept rule,
+:func:`_exact_bias_sweep` is the only full-spectrum route: a cache-blocked
+FFT sweep over all N differences proposes the candidates for the maximum,
+and :func:`bias` prices them, so every certificate's ``max_bias`` is a
+:func:`bias` value too.  :func:`swap_accept` is the one SWAP-test accept rule,
 (1 + F^2)/2, that every protocol route and bound applies.
 """
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,10 +58,28 @@ _BIAS_BLOCK_CELLS = 1 << 16
 # derives 8.4e-7; the worst seen on random rows is 5.6e-7, at d = 1).
 _SCREEN_EPSILON = 1e-4
 
-# FFT magnitudes this close to the maximum count as ties; rounding noise
-# (~1e-16 per bin) must not decide which of equal biases is reported.  The
-# exact sweep's certificate also keeps this much room below delta.
+# Priced |bias| values this close to the priced maximum count as ties, so
+# bias's rounding (a few units of 2^-53) does not decide which of equal biases
+# is reported.  An exact certificate also keeps this much room below delta.
 _SWEEP_TIE_TOLERANCE = 1e-12
+
+# Bound on |sweep value - bias| at any D (see _blocked_spectrum).  The
+# length-M FFT rounds by at most log2(M) * c * u * sqrt(M * d) / d (u = 2^-53,
+# c ~ 5; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# 24.1) when the keys fill each of the M columns about once, and by
+# log2(M) * c * u * sqrt(M) <= 1.7e-11 when all share one column; bincount's
+# column sums add at most (d + 4) * u <= 2.3e-10 for d <= 2^21, and bias's own
+# error (pairwise sums of cosines of rounded ratios) a few u.  The worst seen,
+# on 90 random sets of 1-64 keys at N <= 2^14 (odd N and 3 * 2^10 among
+# them) with B up to 32, is 8.1e-16.
+_SWEEP_WINDOW = 1e-9
+
+# Smallest block length M the sweep splits N into (see _sweep_blocks).
+_SWEEP_BLOCK_FLOOR = 1 << 16
+
+# Residues the sweep's candidates may cost bias: a plateau (key 0, a coset,
+# the full ring) has up to N/2 candidates, and pricing stops here.
+_SWEEP_PRICE_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -320,24 +340,95 @@ class ResistanceReport:
     confidence: float | None = None
 
 
-def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int]:
-    """(max |bias|, smallest attaining difference) over all nonzero D.
+def _sweep_blocks(modulus: int, d: int) -> int:
+    """B of the split N = B*M: the largest power of two dividing N with
+    M = N/B >= _SWEEP_BLOCK_FLOOR and B*d <= N (at most one key per column
+    on average), else 1."""
+    b = 1
+    while (modulus % (2 * b) == 0 and modulus // (2 * b) >= _SWEEP_BLOCK_FLOOR
+           and 2 * b * d <= modulus):
+        b *= 2
+    return b
 
-    One FFT over the key indicator vector gives sum_k cos(2 pi k D / N) as
-    the real spectrum; bias(N - D) = bias(D) folds the sweep to D <= N/2,
-    and the smaller mirror image is always the reported difference.  Among
-    differences tied with the maximum up to _SWEEP_TIE_TOLERANCE the
-    smallest is reported.
+
+def _blocked_spectrum(key_set: KeySet) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (first, step, s) per residue class: s[i] approximates
+    bias(first + step*i) within _SWEEP_WINDOW.  Every D in [1, N/2] comes out
+    once, as D or as its mirror image N - D.
+
+    N = B*M (:func:`_sweep_blocks`).  For D = r + B*t, splitting each key as
+    k = j + M*q gives k*D/N = (k*r mod N)/N + j*t/M + q*t, so
+    sum_k e^(2 pi i k D/N) is the length-M DFT of
+    y_r[j] = sum_{k = j mod M} e^(2 pi i (k*r mod N)/N) (Bailey, "FFTs in
+    external or hierarchical memory", J. Supercomputing 4 (1990)).  Its real
+    part is (M/2) * irfft(z) of the Hermitian half
+    z[j] = y_r[j] + conj(y_r[-j mod M]), j <= M/2, which two bincounts build
+    directly: a key in column M - j adds its conjugate to z[j], and one in
+    column 0 or M/2, its own mirror, adds twice its real part.  Class B - r
+    holds the mirror images of class r, so only r in [0, B/2] is
+    transformed; a class that is its own mirror (r = 0 or B/2) keeps
+    D <= N/2.  Memory is O(M + d).
+    """
+    n, d = key_set.modulus, key_set.d
+    b = _sweep_blocks(n, d)
+    m = n // b
+    half = m // 2 + 1
+    keys = key_set.key_array.astype(np.int64)  # N <= 2^21: k*r < 2^42
+    columns = keys % m
+    folded = np.minimum(columns, m - columns)
+    own = (folded == 0) | (2 * folded == m)
+    real_weight = own + 1.0
+    if b > 1:  # only the classes r > 0 have sines
+        imag_weight = np.where(own, 0.0, np.sign(m - 2 * columns))
+    for r in range(b // 2 + 1):
+        if r:
+            angles = keys * r % n / n
+            angles *= 2.0 * np.pi
+            z = np.empty(half, complex)
+            z.real = np.bincount(folded, np.cos(angles) * real_weight, half)
+            z.imag = np.bincount(folded, np.sin(angles) * imag_weight, half)
+        else:  # every angle is 0
+            z = np.bincount(folded, real_weight, half)
+        values = np.fft.irfft(z, m)
+        values *= m / (2.0 * d)
+        start = int(r == 0)  # D = 0 is no difference
+        stop = (n // 2 - r) // b + 1 if 2 * r % b == 0 else m
+        yield r + b * start, b, values[start:stop]
+
+
+def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int, float]:
+    """(|bias| at the worst difference, that difference, ceiling).
+
+    :func:`_blocked_spectrum` proposes, :func:`bias` prices.  A difference
+    whose |bias| is within _SWEEP_TIE_TOLERANCE of the maximum has a sweep
+    magnitude within 2*_SWEEP_WINDOW + _SWEEP_TIE_TOLERANCE of the sweep's
+    maximum; every such candidate, folded to D <= N/2 (bias(N - D) =
+    bias(D)), is priced in ascending order, up to _SWEEP_PRICE_CELLS
+    residues.  The worst difference is the smallest priced candidate within
+    _SWEEP_TIE_TOLERANCE of the priced maximum, and the first value is
+    |bias| there, bit for bit.  The ceiling bounds every |bias(D)| and
+    carries the tie tolerance as an allowance: the reported |bias| plus the
+    tolerance, or, when the budget left candidates unpriced (a plateau such
+    as key 0, or the full ring), at least the sweep's maximum plus
+    _SWEEP_WINDOW plus the tolerance.
     """
     n = key_set.modulus
-    x = np.zeros(n)
-    x[key_set.key_array] = 1.0
-    # rfft alone sets the peak memory (~48 MB over its input at 2^21), not these copies.
-    spectrum = np.fft.rfft(x).real[1:] / key_set.d
-    magnitudes = np.abs(spectrum)
-    top = float(magnitudes.max())
-    worst = int(np.argmax(magnitudes >= top - _SWEEP_TIE_TOLERANCE))
-    return top, worst + 1
+    window = 2.0 * _SWEEP_WINDOW + _SWEEP_TIE_TOLERANCE
+    top, near = -math.inf, []
+    for first, step, values in _blocked_spectrum(key_set):
+        magnitudes = np.abs(values, out=values)
+        top = max(top, float(magnitudes.max()))
+        kept = np.flatnonzero(magnitudes >= top - window)
+        near.append((first + step * kept, magnitudes[kept]))
+    candidates = np.sort(np.concatenate(
+        [np.minimum(diffs, n - diffs)[mags >= top - window] for diffs, mags in near]
+    ))
+    rows = max(1, _SWEEP_PRICE_CELLS // key_set.d)
+    priced = np.abs(bias(key_set, candidates[:rows]))
+    worst = int(np.argmax(priced >= priced.max() - _SWEEP_TIE_TOLERANCE))
+    max_bias = float(priced[worst])
+    ceiling = max_bias if len(candidates) <= rows else max(max_bias, top + _SWEEP_WINDOW)
+    return max_bias, int(candidates[worst]), ceiling + _SWEEP_TIE_TOLERANCE
 
 
 def verify_resistance(
@@ -350,8 +441,11 @@ def verify_resistance(
     """Certify or refute |bias(D)| < delta over nonzero differences.
 
     Exact mode sweeps every D in [1, N) and is refused (with a pointer at
-    Monte Carlo mode) above N = 2^21; it certifies only when the FFT's
-    max bias plus _SWEEP_TIE_TOLERANCE stays below delta.  Monte Carlo mode
+    Monte Carlo mode) above N = 2^21.  :func:`_exact_bias_sweep` proposes
+    and :func:`bias` prices, so ``max_bias`` is |bias| at
+    ``worst_difference``, bit for bit; it certifies only when that value
+    plus _SWEEP_TIE_TOLERANCE stays below delta (and, if a plateau left
+    candidates unpriced, the sweep's own bound does too).  Monte Carlo mode
     samples ``trials`` uniform nonzero differences in chunks of 4096; the
     maximum is still priced exactly, so a refutation is genuine, while a
     pass certifies only with ``confidence`` = the chance that a single worst
@@ -377,7 +471,7 @@ def verify_resistance(
                 f"exact sweep over {n - 1} differences exceeds the N <= 2^21 "
                 f"guard; use mode='monte-carlo'"
             )
-        max_bias, worst = _exact_bias_sweep(key_set)
+        max_bias, worst, ceiling = _exact_bias_sweep(key_set)
         meta: dict = {}
     elif mode == "monte-carlo":
         gen = np.random.default_rng(rng)
@@ -395,13 +489,11 @@ def verify_resistance(
                 max_bias, worst = float(magnitudes[top]), diffs[rows[top]]
         confidence = -math.expm1(trials * math.log1p(-1.0 / (n - 1)))
         meta = {"trials": trials, "confidence": confidence}
+        ceiling = max_bias
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # The FFT's magnitudes may be off by rounding; exact mode keeps its
-    # tie tolerance as an allowance, Monte Carlo's biases are direct.
-    allowance = _SWEEP_TIE_TOLERANCE if mode == "exact" else 0.0
-    certified = max_bias + allowance < delta
+    certified = ceiling < delta
     verdict = Certification(mode=mode, max_bias=max_bias, **meta) if certified else Certification()
     # A uint64 key array is passed on as it is, not copied.
     annotated = KeySet(n, key_set.key_array, delta if certified else None, verdict)

@@ -529,13 +529,13 @@ class TestVerifyResistance:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_fft_sweep_within_allowance_of_fsum(self, seed):
-        # The certificate's allowance must cover the FFT's rounding: the
+        # The certificate's allowance must cover bias's rounding: the
         # sweep's max bias is checked against correctly rounded sums.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 1 << 10, endpoint=True))
         d = int(rng.integers(1, min(64, n), endpoint=True))
         keys = sorted(rng.choice(n, size=d, replace=False).tolist())
-        top, _ = qhc.qhash._exact_bias_sweep(KeySet(modulus=n, keys=keys))
+        top = qhc.qhash._exact_bias_sweep(KeySet(modulus=n, keys=keys))[0]
         want = max(
             abs(math.fsum(math.cos(2.0 * math.pi * ((k * diff) % n) / n) for k in keys)) / d
             for diff in range(1, n)
@@ -600,6 +600,105 @@ class TestVerifyResistance:
         # |fidelity| < delta for every pair of distinct hashed values
         for diff in range(1, 64):
             assert abs(bias(certified_n64, [diff])[0]) < certified_n64.delta
+
+
+class TestBlockedSweep:
+    """The exact sweep splits N = B*M and proposes candidates; bias prices
+    them.  Its verdicts must equal pricing every D in [1, N/2] with bias
+    under the same tie rule."""
+
+    # Moduli of three kinds (a power of two, odd, 3 * 2^k), each with the
+    # blockings its factors allow, forced by lowering the block floor.
+    SPLITS = [(1 << 12, 1), (1 << 12, 2), (1 << 12, 8), (1 << 12, 32),
+              (4095, 1), (3 << 10, 1), (3 << 10, 2), (3 << 10, 8), (3 << 10, 32)]
+
+    @staticmethod
+    def every_difference(key_set: KeySet) -> tuple[float, int]:
+        """(|bias| at the smallest D within the tie tolerance of the maximum,
+        that D), every D in [1, N/2] priced by bias."""
+        priced = np.abs(bias(key_set, np.arange(1, key_set.modulus // 2 + 1)))
+        worst = int(np.argmax(priced >= priced.max() - qhc.qhash._SWEEP_TIE_TOLERANCE))
+        return float(priced[worst]), worst + 1
+
+    @pytest.mark.parametrize("n,blocks", SPLITS)
+    @given(st.integers(1, 8), st.sampled_from([1, 3, 4, 8, 64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_window_matches_pricing_every_difference(self, n, blocks, d, stride, seed):
+        # A stride that divides N draws keys from a coset, whose biases tie.
+        rng = np.random.default_rng(seed)
+        stride = stride if n % stride == 0 else 1
+        offset = int(rng.integers(stride))
+        keys = rng.choice(np.arange(offset, n, stride), size=d, replace=False)
+        ks = KeySet(modulus=n, keys=sorted(keys.tolist()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qhc.qhash, "_SWEEP_BLOCK_FLOOR", n // blocks)
+            assert qhc.qhash._sweep_blocks(n, d) == blocks
+            folded = []
+            for first, step, values in qhc.qhash._blocked_spectrum(ks):
+                diffs = first + step * np.arange(len(values))
+                error = np.abs(values - bias(ks, diffs))
+                assert error.max() <= qhc.qhash._SWEEP_WINDOW / 1000
+                folded.extend(np.minimum(diffs, n - diffs).tolist())
+            assert sorted(folded) == list(range(1, n // 2 + 1))
+            report = verify_resistance(ks, 0.5)
+        assert (report.max_bias, report.worst_difference) == self.every_difference(ks)
+        assert report.certified == (report.max_bias + qhc.qhash._SWEEP_TIE_TOLERANCE < 0.5)
+
+    @pytest.mark.parametrize("n,d,blocks", [
+        (1 << 16, 1, 1), (1 << 17, 1, 2), (1 << 17, 1 << 16, 2), (1 << 17, (1 << 16) + 1, 1),
+        (1 << 21, 12200, 32), (1 << 21, 1 << 16, 32), (1 << 21, 1 << 17, 16),
+        (1 << 21, 1 << 21, 1), (3 << 18, 100, 8), ((1 << 21) - 1, 3, 1),
+    ])
+    def test_blocks(self, n, d, blocks):
+        # B is the largest power of two dividing N with N/B >= 2^16 and B*d <= N.
+        assert qhc.qhash._sweep_blocks(n, d) == blocks
+
+    def test_full_ring_search_prices_within_the_cell_budget(self, monkeypatch):
+        # Every difference of Z_N ties near 0: the sweep proposes N/2
+        # candidates, and bias may price only the budget's worth of them.
+        cells = []
+
+        def counted(key_set, differences):
+            cells.append(len(differences) * key_set.d)
+            return bias(key_set, differences)
+
+        monkeypatch.setattr(qhc.qhash, "bias", counted)
+        ks = search_key_set(1 << 21, 0.003, seed=0)
+        assert ks.d == 1 << 21 and ks.certified and ks.certification.mode == "exact"
+        assert ks.certification.max_bias < 1e-12
+        assert sum(cells) <= qhc.qhash._SWEEP_PRICE_CELLS
+
+    def test_key_zero_plateau_is_refuted_at_the_smallest_difference(self):
+        report = verify_resistance(KeySet(modulus=1 << 16, keys=(0,)), 0.5)
+        assert not report.certified
+        assert (report.max_bias, report.worst_difference) == (1.0, 1)
+
+    def test_unpriced_candidates_certify_only_below_the_sweep_ceiling(self, monkeypatch):
+        # The full ring Z_64: every |bias| is ~1e-17.  Priced in full, the
+        # certificate needs only bias's maximum plus the tie tolerance below
+        # delta; with candidates left unpriced, the sweep's maximum plus the
+        # window must be below it too.
+        ks = KeySet(modulus=64, keys=tuple(range(64)))
+        assert verify_resistance(ks, 1e-10).certified
+        monkeypatch.setattr(qhc.qhash, "_SWEEP_PRICE_CELLS", 64)
+        report = verify_resistance(ks, 1e-10)
+        assert report.max_bias + qhc.qhash._SWEEP_TIE_TOLERANCE < 1e-10
+        assert not report.certified
+        assert verify_resistance(ks, 1e-8).certified
+
+    @given(st.sampled_from([(1 << 10, "exact"), (4095, "exact"), (3 << 12, "exact"),
+                            (1 << 18, "exact"), (3 << 17, "exact"), (1 << 21, "exact"),
+                            (1 << 22, "monte-carlo"), ((1 << 40) - 87, "monte-carlo"),
+                            (1 << 64, "monte-carlo")]),
+           st.integers(1, 400), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_max_bias_is_bias_at_the_worst_difference(self, case, d, seed):
+        n, mode = case
+        ks = TestMonteCarloScreen.key_set(n, d, seed)
+        report = verify_resistance(ks, 0.5, mode=mode, trials=500, rng=seed)
+        assert report.max_bias == abs(bias(ks, [report.worst_difference])[0])
+        if report.certified:
+            assert report.key_set.certification.max_bias == report.max_bias
 
 
 class TestMonteCarloScreen:
