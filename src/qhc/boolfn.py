@@ -211,8 +211,7 @@ class VerificationReport:
     valid: bool
     checked: int
     counterexample: tuple[int, ...] | None = None
-    polynomial_index: int | None = None
-    reason: str = ""
+    reason: str = ""  # names the polynomial that fails
 
 
 def verify_characteristic(c: Characteristic) -> VerificationReport:
@@ -247,13 +246,7 @@ def verify_characteristic(c: Characteristic) -> VerificationReport:
         reason = f"polynomial {j} evaluates to {value} != 0 on a 1-input"
     else:
         reason = f"polynomial {j} vanishes on a 0-input"
-    return VerificationReport(
-        valid=False,
-        checked=1 << n,
-        counterexample=sigma,
-        polynomial_index=j,
-        reason=reason,
-    )
+    return VerificationReport(valid=False, checked=1 << n, counterexample=sigma, reason=reason)
 
 
 @dataclass(frozen=True)

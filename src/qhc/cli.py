@@ -43,7 +43,7 @@ from .boolfn import (
 )
 from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
 from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled
-from .qhash import KeySet, search_key_set
+from .qhash import MODULUS_BITS, KeySet, search_key_set
 from .util import (
     FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, parse_bits, read_field, read_items
 )
@@ -86,6 +86,8 @@ def _json_loads(text: str, where: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(where, f"not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError(where, "not readable JSON: nested too deeply") from None
 
 
 def _read_json(path: Path, what: str):
@@ -202,20 +204,28 @@ class ExperimentConfig:
     out: str | None
 
 
+# Containers a config may nest: ``run`` echoes the config with one frame per level.
+_MAX_DEPTH = 64
+
+
 def _refuse_nonfinite(doc: dict) -> None:
     """Refuse the first NaN or Infinity anywhere in ``doc``, read or not, in
     document order: ``json`` reads those tokens, and ``run`` echoes the
-    whole config into its report, which must stay strict JSON."""
-    stack = [(doc, "")]
+    whole config into its report, which must stay strict JSON.  A container
+    nested more than _MAX_DEPTH deep is refused too."""
+    stack = [(doc, "", 1)]
     while stack:
-        value, path = stack.pop()
+        value, path, depth = stack.pop()
         if type(value) is float and not math.isfinite(value):
             name = path.rpartition(".")[2]
             raise ConfigError(path, f"{name} must be a finite JSON number, got {json.dumps(value)}")
+        if type(value) in (dict, list) and depth > _MAX_DEPTH:
+            raise ConfigError(path, f"nested more than {_MAX_DEPTH} deep")
         if type(value) is dict:
-            stack.extend((value[k], f"{path}.{k}" if path else k) for k in reversed(list(value)))
+            stack.extend((value[k], f"{path}.{k}" if path else k, depth + 1)
+                         for k in reversed(list(value)))
         elif type(value) is list:
-            stack.extend((value[i], f"{path}[{i}]") for i in reversed(range(len(value))))
+            stack.extend((value[i], f"{path}[{i}]", depth + 1) for i in reversed(range(len(value))))
 
 
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
@@ -260,6 +270,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             modulus = 1 << _search_field(s, "log2_n", "keys.search.")
         elif "N" in s:
             modulus = read_field(s, "N", "keys.search.N", INT)
+            if modulus >> MODULUS_BITS:
+                raise ConfigError("keys.search.N", f"N must be below 2^{MODULUS_BITS}")
         if modulus < instance.characteristic.modulus:
             raise ConfigError(
                 "keys.search",

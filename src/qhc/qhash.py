@@ -18,15 +18,15 @@ serves both.  A key file's digit strings are parsed into uint64 in one pass.
 
 :func:`bias` is the one direct kernel: every caller (one-way and SMP runs,
 error-profile grids, Monte Carlo certification) gets bit-identical values for
-the same difference, and no hash state is ever built as a vector.  Monte
-Carlo certification screens its samples with :func:`_rough_bias`, float32
-cosines of the same exact residues, and prices with :func:`bias` only those
-that may hold the maximum; no rough value leaves this module.
-:func:`_exact_bias_sweep` is the only full-spectrum route: a cache-blocked
-FFT sweep over all N differences proposes the candidates for the maximum,
-and :func:`bias` prices them, so every certificate's ``max_bias`` is a
-:func:`bias` value too.  :func:`swap_accept` is the one SWAP-test accept rule,
-(1 + F^2)/2, that every protocol route and bound applies.
+the same difference, and no hash state is ever built as a vector.  Its block
+loop, :func:`_cosine_sums`, also runs the Monte Carlo screen at float32
+(:func:`_rough_bias`), and :func:`bias` prices only the samples that may hold
+the maximum; no rough value leaves this module.  :func:`_exact_bias_sweep` is
+the only full-spectrum route: a cache-blocked FFT sweep over all N
+differences, its angles from :func:`_residues` too, proposes the candidates
+for the maximum, and :func:`bias` prices them, so every certificate's
+``max_bias`` is a :func:`bias` value too.  :func:`swap_accept` is the one
+SWAP-test accept rule, (1 + F^2)/2, that every protocol route and bound applies.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,6 +44,9 @@ from .util import (
     DIGITS, INT, LIST, NUMBER, OBJECT, STRING, parse_uint64s, rand_below_many, read_field,
     read_items,
 )
+
+# Key moduli stay below 2^MODULUS_BITS: a residue ratio needs float(N).
+MODULUS_BITS = 1023
 
 # Exhaustive difference sweeps refuse above this modulus (2M differences).
 EXACT_SWEEP_GUARD = 1 << 21
@@ -140,8 +144,7 @@ class KeySet:
         certification: Certification = Certification(),
     ) -> None:
         n = modulus
-        if n < 2:
-            raise ValueError(f"modulus must be >= 2, got {n}")
+        _check_modulus(n)
         if not len(keys):
             raise ValueError("key set must be nonempty")
         if _uint64_exact(n) and isinstance(keys, np.ndarray) and keys.dtype == np.uint64:
@@ -212,6 +215,13 @@ class KeySet:
         )
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if modulus >> MODULUS_BITS:
+        raise ValueError(f"modulus must be below 2^{MODULUS_BITS}, got {modulus.bit_length()} bits")
+
+
 def _uint64_exact(modulus: int) -> bool:
     """Whether k*v mod N is exact in wrapping uint64 arithmetic for k, v in
     [0, N): every product is below 2^64 when N <= 2^32, and wrapping mod 2^64
@@ -260,54 +270,50 @@ def _reduced(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     return _int_array(differences, n, key_set.key_array.dtype)
 
 
+def _cosine_sums(key_set: KeySet, diffs: np.ndarray, dtype) -> np.ndarray:
+    """Sum over the keys of cos(2 pi (k*D mod N)/N) per reduced difference D:
+    :func:`_residues` in blocks of about _BIAS_BLOCK_CELLS, angle and cosine
+    in ``dtype``, each row summed in float64 in one order whatever its block."""
+    sums = np.empty(len(diffs))
+    step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
+    two_pi = dtype(2.0 * np.pi)
+    for start in range(0, len(diffs), step):
+        angles = _residues(key_set, diffs[start : start + step]).astype(dtype, copy=False)
+        angles *= two_pi
+        np.cos(angles, out=angles)
+        sums[start : start + step] = np.add.reduce(angles, axis=1, dtype=np.float64)
+    return sums
+
+
 def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """Fidelity between hashes of values differing by each difference.
 
     Differences are reduced mod N by :func:`_reduced`; residues stay exact
     until the final ratio.  A difference of 0 mod N gives exactly 1.0
-    without a row.  The others go in blocks of about _BIAS_BLOCK_CELLS
-    residues, each row's d cosines scaled and summed in place, in one order
-    whatever the block (the sum over d is bitwise ``mean``): a difference's
-    bias ignores its company.
+    without a row; the others are :func:`_cosine_sums` at float64 over d
+    (the sum over d is bitwise ``mean``).
     """
     diffs = _reduced(key_set, differences)
     live = np.flatnonzero(diffs)
-    diffs = diffs[live]
     out = np.ones(len(differences))
-    step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
-    for start in range(0, len(diffs), step):
-        angles = _residues(key_set, diffs[start : start + step])
-        angles *= 2.0 * np.pi
-        np.cos(angles, out=angles)
-        out[live[start : start + step]] = np.add.reduce(angles, axis=1) / key_set.d
+    out[live] = _cosine_sums(key_set, diffs[live], np.float64) / key_set.d
     return out
 
 
 def _rough_bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """|bias| at each difference within _SCREEN_EPSILON, for screening only.
 
-    The same exact reduction and residue ratios as :func:`bias`, in the
-    same blocks; only the angle and its cosine are float32, and each row
-    is summed in float64.  Its error, per cosine and so per row average:
-    rounding the float64 ratio in [0, 1) to float32 moves the angle by at
-    most 2 pi * 2^-25 (1.9e-7), float32(2 pi) is 1.7e-7 above 2 pi, the
-    float32 product rounds by at most 2^-22 (2.4e-7, half an ulp below 8),
-    and cos is 1-Lipschitz; numpy's float32 cosines stay within a few ulp,
-    2.4e-7 at 4 ulp.  The float64 sum adds below 1e-12 for d <= 2^21, and
-    bias's own float64 rounding far less, so |rough - |bias|| <= 8.4e-7.
+    :func:`_cosine_sums` at float32: the same exact residue ratios as
+    :func:`bias`, in the same blocks, rows summed in float64.  Its error,
+    per cosine and so per row average: rounding the float64 ratio in [0, 1)
+    to float32 moves the angle by at most 2 pi * 2^-25 (1.9e-7),
+    float32(2 pi) is 1.7e-7 above 2 pi, the float32 product rounds by at
+    most 2^-22 (2.4e-7, half an ulp below 8), and cos is 1-Lipschitz;
+    numpy's float32 cosines stay within a few ulp, 2.4e-7 at 4 ulp.  The
+    float64 sum adds below 1e-12 for d <= 2^21, and bias's own float64
+    rounding far less, so |rough - |bias|| <= 8.4e-7.
     """
-    diffs = _reduced(key_set, differences)
-    out = np.empty(len(diffs))
-    step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
-    two_pi = np.float32(2.0 * np.pi)
-    for start in range(0, len(diffs), step):
-        angles = _residues(key_set, diffs[start : start + step]).astype(np.float32)
-        angles *= two_pi
-        np.cos(angles, out=angles)
-        out[start : start + step] = np.add.reduce(angles, axis=1, dtype=np.float64)
-    np.abs(out, out=out)
-    out /= key_set.d
-    return out
+    return np.abs(_cosine_sums(key_set, _reduced(key_set, differences), np.float32)) / key_set.d
 
 
 def swap_accept(fidelity: float | np.ndarray) -> float | np.ndarray:
@@ -331,13 +337,9 @@ def hash_qubits(key_set: KeySet | int) -> int:
 @dataclass(frozen=True)
 class ResistanceReport:
     certified: bool
-    mode: str  # "exact" | "monte-carlo"
-    delta: float
     max_bias: float
     worst_difference: int
     key_set: KeySet
-    trials: int | None = None
-    confidence: float | None = None
 
 
 def _sweep_blocks(modulus: int, d: int) -> int:
@@ -373,8 +375,7 @@ def _blocked_spectrum(key_set: KeySet) -> Iterator[tuple[int, int, np.ndarray]]:
     b = _sweep_blocks(n, d)
     m = n // b
     half = m // 2 + 1
-    keys = key_set.key_array.astype(np.int64)  # N <= 2^21: k*r < 2^42
-    columns = keys % m
+    columns = key_set.key_array.astype(np.int64) % m  # signed, for m - 2 * columns
     folded = np.minimum(columns, m - columns)
     own = (folded == 0) | (2 * folded == m)
     real_weight = own + 1.0
@@ -382,7 +383,7 @@ def _blocked_spectrum(key_set: KeySet) -> Iterator[tuple[int, int, np.ndarray]]:
         imag_weight = np.where(own, 0.0, np.sign(m - 2 * columns))
     for r in range(b // 2 + 1):
         if r:
-            angles = keys * r % n / n
+            angles = _residues(key_set, [r])[0]
             angles *= 2.0 * np.pi
             z = np.empty(half, complex)
             z.real = np.bincount(folded, np.cos(angles) * real_weight, half)
@@ -476,19 +477,15 @@ def verify_resistance(
     elif mode == "monte-carlo":
         gen = np.random.default_rng(rng)
         max_bias, worst = 0.0, 1
-        remaining = trials
-        while remaining > 0:
-            chunk = min(remaining, 4096)
-            remaining -= chunk
-            diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, chunk))
+        for start in range(0, trials, 4096):
+            diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, min(4096, trials - start)))
             rough = _rough_bias(key_set, diffs)
             rows = np.flatnonzero(rough >= rough.max() - 2.0 * _SCREEN_EPSILON)
             magnitudes = np.abs(bias(key_set, [diffs[i] for i in rows]))
             top = int(np.argmax(magnitudes))
             if magnitudes[top] > max_bias:
                 max_bias, worst = float(magnitudes[top]), diffs[rows[top]]
-        confidence = -math.expm1(trials * math.log1p(-1.0 / (n - 1)))
-        meta = {"trials": trials, "confidence": confidence}
+        meta = {"trials": trials, "confidence": -math.expm1(trials * math.log1p(-1.0 / (n - 1)))}
         ceiling = max_bias
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -497,26 +494,20 @@ def verify_resistance(
     verdict = Certification(mode=mode, max_bias=max_bias, **meta) if certified else Certification()
     # A uint64 key array is passed on as it is, not copied.
     annotated = KeySet(n, key_set.key_array, delta if certified else None, verdict)
-    return ResistanceReport(
-        certified=certified,
-        mode=mode,
-        delta=delta,
-        max_bias=max_bias,
-        worst_difference=worst,
-        key_set=annotated,
-        trials=meta.get("trials"),
-        confidence=meta.get("confidence"),
-    )
+    return ResistanceReport(certified, max_bias, worst, annotated)
 
 
 def required_keys(modulus: int, delta: float) -> int:
     """Hoeffding sizing: d = ceil((2/delta^2) * ln(2N)) random keys suffice
     for delta-resistance with positive probability (union bound over the
     N - 1 differences).  Pure formula; for d > N the searcher falls back to
-    the full residue ring, whose bias vanishes identically."""
+    the full residue ring, whose bias vanishes identically.  Where the float
+    formula overflows (delta below about 1e-154), d is its exact rational."""
     if not 0 < delta < 1:
         raise ValueError(f"delta out of (0,1): {delta}")
-    return math.ceil((2.0 / (delta * delta)) * math.log(2 * modulus))
+    square, log = delta * delta, math.log(2 * modulus)
+    size = 2.0 / square * log if square else math.inf
+    return math.ceil(size if math.isfinite(size) else 2 * Fraction(log) / Fraction(delta) ** 2)
 
 
 def _draw_keys(gen: np.random.Generator, modulus: int, d: int) -> np.ndarray | tuple[int, ...]:
@@ -548,8 +539,7 @@ def search_key_set(
     refuted, and :class:`GuardError` before any draw when d > 2^21.
     Bit-reproducible for a fixed seed.
     """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    _check_modulus(modulus)
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     d = min(required_keys(modulus, delta), modulus)
@@ -558,8 +548,8 @@ def search_key_set(
     mode = "exact" if modulus <= EXACT_SWEEP_GUARD else "monte-carlo"
     best = math.inf
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for child in root.spawn(max_attempts):
-        gen = np.random.default_rng(child)
+    for _ in range(max_attempts):  # the children root.spawn(max_attempts) gives, one at a time
+        gen = np.random.default_rng(root.spawn(1)[0])
         candidate = KeySet(modulus=modulus, keys=_draw_keys(gen, modulus, d))
         report = verify_resistance(candidate, delta, mode=mode, trials=mc_trials, rng=gen)
         if report.certified:

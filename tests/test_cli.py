@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qhc import ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact, search_key_set
 import qhc
-from qhc.cli import main, parse_config
+from qhc.cli import _MAX_DEPTH, main, parse_config
 
 from oracles import THREE_POLYS, poly_eval_direct, profile_csv_direct
 
@@ -1266,3 +1266,63 @@ def test_type_swapped_fields_exit_cleanly(data, variant):
     if rc == 1:
         assert message.startswith(("counterexample:", "search failed:")), message
     assert "Traceback" not in message
+
+
+# ------------------------------------------------------------ extreme values
+
+
+def nested(depth: int) -> str:
+    """JSON text of ``depth`` nested lists."""
+    return "[" * depth + "]" * depth
+
+
+def config_text(**fields) -> str:
+    return json.dumps(dict(EQ2_EXACT, **fields))
+
+
+RUN = ("run", "--config", "{tmp}/config.json")
+EXTREME_INPUTS = [
+    *(pytest.param(("search-keys", "--log2-n", str(log2_n), "--delta", delta, "--seed", "0",
+                    "--attempts", "2"), {}, rc, prefix, id=f"delta-{delta}-N-2^{log2_n}")
+      for delta in ("1e-160", "1e-200", "5e-324")
+      for log2_n, rc, prefix in ((10, 1, "search failed: "), (64, 2, "guard: "))),
+    pytest.param(RUN, {"config.json": config_text(
+        delta=1e-200, keys={"search": {"log2_n": 10, "attempts": 2}})},
+        1, "search failed: ", id="run-delta-1e-200"),
+    pytest.param(RUN, {"config.json": config_text(keys={"file": "keys.json"}),
+                       "keys.json": json.dumps({"N": str(2**1100), "keys": ["1"]})},
+                 3, "config error: {tmp}/keys.json: bad key set: modulus must be below 2^1023",
+                 id="key-file-N-2^1100"),
+    pytest.param(RUN, {"config.json": config_text(keys={"search": {"N": 2**1100}})},
+                 3, "config error: keys.search.N: N must be below 2^1023", id="search-N-2^1100"),
+    pytest.param(RUN, {"config.json": nested(100_000)},
+                 3, "config error: {tmp}/config.json: not readable JSON", id="config-depth-1e5"),
+    pytest.param(RUN, {"config.json": config_text(keys={"file": "keys.json"}),
+                       "keys.json": nested(100_000)},
+                 3, "config error: {tmp}/keys.json: not readable JSON", id="key-file-depth-1e5"),
+    pytest.param(("verify", "--function", "EQ", "--n", "2", "--poly", "{tmp}/poly.json"),
+                 {"poly.json": nested(100_000)},
+                 3, "config error: {tmp}/poly.json: not readable JSON", id="poly-file-depth-1e5"),
+    pytest.param(RUN, {"config.json": config_text(extra=json.loads(nested(_MAX_DEPTH)))},
+                 3, "config error: extra" + "[0]" * (_MAX_DEPTH - 1) + ": nested more than",
+                 id="config-depth-past-the-bound"),
+]
+
+
+@pytest.mark.parametrize("argv,files,rc,prefix", EXTREME_INPUTS)
+def test_extreme_values_exit_cleanly(tmp_path, capsys, argv, files, rc, prefix):
+    """Same-type values at the far end of their range (a delta whose square
+    underflows, a modulus with no float64, nesting past the parser's stack)
+    end in their contract exit code."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(tmp=tmp_path)), err
+    assert "Traceback" not in err
+
+
+def test_config_nested_to_the_bound_runs(tmp_path, capsys):
+    extra = json.loads(nested(_MAX_DEPTH - 1))
+    assert run_cli("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, extra=extra))) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["extra"] == extra

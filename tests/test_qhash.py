@@ -816,20 +816,20 @@ class TestSearchKeySet:
         ks = search_key_set(64, 0.3, seed=5)
         assert ks.d == 64 and ks.keys == tuple(range(64))
 
+    def test_spawns_one_seed_stream_per_attempt_made(self):
+        root = np.random.SeedSequence(0)
+        ks = search_key_set(1 << 10, 0.3, seed=root, max_attempts=50)
+        assert ks.certified and root.n_children_spawned == 1
+        assert ks == search_key_set(1 << 10, 0.3, seed=0)
+
     def test_needs_an_attempt(self):
         with pytest.raises(ValueError, match="max_attempts must be >= 1"):
             search_key_set(1 << 6, 0.3, seed=0, max_attempts=0)
 
     def test_all_attempts_refuted_raises(self, monkeypatch):
         def always_refuted(key_set, delta, mode="exact", trials=2000, rng=None):
-            return ResistanceReport(
-                certified=False,
-                mode=mode,
-                delta=delta,
-                max_bias=0.97,
-                worst_difference=1,
-                key_set=key_set,
-            )
+            return ResistanceReport(certified=False, max_bias=0.97, worst_difference=1,
+                                    key_set=key_set)
 
         monkeypatch.setattr(qhc.qhash, "verify_resistance", always_refuted)
         with pytest.raises(SearchError) as info:
