@@ -123,15 +123,17 @@ class Block:
     ``index`` holds their indices (see :mod:`qhc.util`): int64 up to 62
     bits, exact Python ints (dtype object) above.  ``bits`` is their
     (rows, n) uint8 bit matrix, x_1 in column 0.  It is built on first read
-    unless given; a block built without it holds a contiguous index range.
+    unless given; a block built without it holds a contiguous index range
+    (``is_range``), which a rule may read in pieces instead.
     """
 
-    __slots__ = ("n", "index", "_bits")
+    __slots__ = ("n", "index", "_bits", "is_range")
 
     def __init__(self, n: int, index: np.ndarray, bits: np.ndarray | None = None) -> None:
         self.n = n
         self.index = index
         self._bits = bits
+        self.is_range = bits is None
 
     @property
     def bits(self) -> np.ndarray:
@@ -478,12 +480,25 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
         )
         for u, w in units
     ]
-    fn = BooleanFunction(
-        f"MOD_{m_a}&MODBIN_{m_b}",
-        n_a + n_b,
-        lambda b: _divisible(b.bits[:, :n_a].sum(1, dtype=np.int64), m_a)
-        & _divisible(_binary_value(b.bits[:, n_a:]), m_b),
-    )
+    low = (1 << n_b) - 1
+
+    def both_hold(b: Block) -> np.ndarray:
+        if not b.is_range:  # a pointwise row, given with its bits
+            return (_divisible(b.bits[:, :n_a].sum(1, dtype=np.int64), m_a)
+                    & _divisible(_binary_value(b.bits[:, n_a:]), m_b))
+        # Over a range, the high halves (the first block) are one run of
+        # consecutive values, and so are the low halves mod 2^n_b: each
+        # constraint is evaluated once per value of its run, then gathered.
+        # The low run is read as indices, of which _reversed takes only
+        # the low n_b bits.
+        high = b.index >> n_b
+        first_high, first = int(high[0]), int(b.index[0])
+        ones = bit_matrix(n_a, first_high, int(high[-1]) + 1).sum(1, dtype=np.int64)
+        lows = np.arange(first, first + min(len(b.index), low + 1))
+        return (_divisible(ones, m_a)[high - first_high]
+                & _divisible(_reversed(lows, n_b), m_b)[(b.index - first) & low])
+
+    fn = BooleanFunction(f"MOD_{m_a}&MODBIN_{m_b}", n_a + n_b, both_hold)
     return FunctionInstance(Characteristic(fn, tuple(polys)), n_a)
 
 

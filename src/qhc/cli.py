@@ -45,7 +45,7 @@ from .errors import BoundError, CharacteristicError, ConfigError, GuardError, Se
 from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled
 from .qhash import MODULUS_BITS, KeySet, search_key_set
 from .util import (
-    FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, parse_bits, read_field, read_items
+    FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, parse_bits, read_field, read_items, show
 )
 
 _BUILTINS = ("EQ", "MOD", "MODBIN", "PALINDROME", "PERM")
@@ -165,7 +165,7 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
     elif name not in _BUILTINS:
         raise ConfigError(
             "function.name",
-            f"unknown function {name!r} (expected {', '.join(_BUILTINS)} or CONJ)",
+            f"unknown function {show(name)} (expected {', '.join(_BUILTINS)} or CONJ)",
         )
     else:
         fields = {"n": REQUIRED, "m": None}
@@ -297,14 +297,14 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
 
     topology = read_field(doc, "topology", "topology", STRING, "one-way")
     if topology not in ("one-way", "smp"):
-        raise ConfigError("topology", f"unknown topology {topology!r}")
+        raise ConfigError("topology", f"unknown topology {show(topology)}")
     if topology == "smp" and forwarded:
         raise ConfigError(
             "split.forwarded", "forwarded variables have no receiver in the SMP topology"
         )
     mode = read_field(doc, "mode", "mode", STRING, "exact")
     if mode not in ("exact", "sampled"):
-        raise ConfigError("mode", f"unknown mode {mode!r}")
+        raise ConfigError("mode", f"unknown mode {show(mode)}")
 
     input_bits = None
     idoc = read_field(doc, "input", "input", OBJECT, None)

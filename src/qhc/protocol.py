@@ -345,30 +345,38 @@ class ErrorProfile:
     ``spec``.
 
     ``values`` holds the distinct products of per-pair acceptances that
-    occur, and ``codes`` the index of each cell's product in it;
-    ``values`` is never longer than the grid has cells.  The f = 0
-    summaries are read from how many 0-cells hold each code."""
+    occur, and ``cells`` the one index of each cell, 2 * code + f: the
+    index of its product in ``values`` (``codes``), and its f value
+    (``f_grid``).  ``values`` is never longer than the grid has cells.
+    The checks, the f = 0 summaries and the CSV all read ``cells``."""
 
     spec: ProtocolSpec = field(repr=False)
     worst_false_accept: float
     attaining: tuple[tuple[int, ...], tuple[int, ...]] | None
     false_inputs: int
     histogram: tuple[int, ...]  # 20 equal bins over [0, 1]
-    f_grid: np.ndarray = field(compare=False, repr=False)
     values: np.ndarray = field(compare=False, repr=False)
-    codes: np.ndarray = field(compare=False, repr=False)
+    cells: np.ndarray = field(compare=False, repr=False)
 
     @property
-    def accept_grid(self) -> np.ndarray:  # built anew on each read
+    def codes(self) -> np.ndarray:  # read from cells, as is f_grid, anew on each read
+        return self.cells >> 1
+
+    @property
+    def f_grid(self) -> np.ndarray:
+        return (self.cells & 1).astype(np.uint8)
+
+    @property
+    def accept_grid(self) -> np.ndarray:
         return self.values[self.codes]
 
     def csv_blocks(self):
         """The CSV text: the header, then one block of lines per sigma row.
 
         Rows are ``sigma,gamma,f,exact_accept`` in assignment order, floats
-        written with ``repr``.  Each ``values`` entry is formatted once and a
-        cell picks its tail by its code, so nothing is sorted here and a
-        block is one join over a template whose gamma slots never change."""
+        written with ``repr``.  Each ``values`` entry is formatted once per f
+        and a cell picks its tail by its index, so nothing is sorted here and
+        a block is one join over a template whose gamma slots never change."""
 
         def bits(i: int, n: int) -> str:  # an empty side is "", not format's "0"
             return format(i, f"0{n}b") if n else ""
@@ -380,9 +388,9 @@ class ErrorProfile:
                          dtype=object)
         line = [""] * (3 * cols)  # sigma + ",", gamma, tail for each cell
         line[1::3] = [bits(j, n2) for j in range(cols)]
-        for i, (row, f) in enumerate(zip(self.codes, self.f_grid)):
+        for i, row in enumerate(self.cells):
             line[0::3] = [bits(i, n1) + ","] * cols
-            line[2::3] = tails[row * 2 + f].tolist()
+            line[2::3] = tails[row].tolist()
             yield "".join(line)
 
 
@@ -418,11 +426,16 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
 
     Each pair's fidelities come from one :func:`qhash.bias` call over the
     distinct differences of the grid, so every cell equals the
-    ``exact_accept`` that :func:`run_exact` reports for that input.  The
-    signed differences u - v + m and the codes are ranked with a counting
-    table (:func:`_rank`): 2m flags for the differences, whatever the key
-    modulus, since ``bias`` reduces them mod N itself.  Nothing is sorted
-    when 2m, and each product of table sizes, is no larger than the grid.
+    ``exact_accept`` that :func:`run_exact` reports for that input.  When
+    N < 2m two differences can share a residue mod N, and ``bias`` is
+    called on the distinct residues instead: it reduces mod N first, so
+    the values are the same bits.  The signed differences u - v + m and
+    the codes are ranked with a counting table (:func:`_rank`): 2m flags
+    for the differences, whatever the key modulus.  Nothing is sorted when
+    2m, and each product of table sizes, is no larger than the grid.  Each
+    cell then gets one index, 2 * code + f: one count per index gives the
+    one-sided check and the f = 0 summaries, and one argmax over flagged
+    indices a first offending or attaining cell.
 
     Guarded at n1 + n2 <= 20 and at polynomial moduli m <= 2^31; use
     sampled runs beyond that.
@@ -439,50 +452,66 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
 
     truth = spec.function.truth_table().reshape(1 << n1, 1 << n2)
 
-    # Forward pattern of each sigma row (k = 0 collapses to a single group).
+    # Bob's values per sigma row: one row for all when nothing is forwarded,
+    # else the row of that sigma's forward pattern.
     k = spec.k
-    pattern = np.zeros(1 << n1, dtype=np.int64)
-    for pos, i in enumerate(spec.forwarded):
-        bit = (np.arange(1 << n1) >> (n1 - i)) & 1
-        pattern |= bit << (k - 1 - pos)
+    if k:
+        pattern = np.zeros(1 << n1, dtype=np.int64)
+        for pos, i in enumerate(spec.forwarded):
+            pattern |= (np.arange(1 << n1) >> (n1 - i) & 1) << (k - 1 - pos)
 
     # Each cell's acceptance is (a_0 * a_1) * ..., a_j its pair-j term, in
     # the order run_exact multiplies them.  Pair j's terms come per distinct
-    # difference (``inv`` indexes them), and the products so far per
-    # distinct code; the (code, inv) pairs that occur are compacted to new
-    # codes, so no table outgrows the grid and each product is formed once.
+    # difference (``inv`` indexes them), priced once per distinct residue
+    # mod N; the products so far come per distinct code.  The (code, inv)
+    # pairs that occur are compacted to new codes, so no table outgrows the
+    # grid and each product is formed once.
     for j, ks in enumerate(spec.key_sets):
         u, v = _value_tables(spec, j)
-        uniq, inv = _rank(u[:, None] - v[pattern, :] + m, 2 * m)
-        terms = swap_accept(bias(ks, uniq - m))
+        uniq, inv = _rank((u + m)[:, None] - (v[pattern] if k else v), 2 * m)
+        diffs, at = uniq - m, slice(None)
+        if ks.modulus < 2 * m:  # D and D - N share a residue: price it once
+            diffs, at = np.unique(diffs % ks.modulus, return_inverse=True)
+        terms = swap_accept(bias(ks, diffs))[at]
         if j == 0:
             values, codes = terms, inv
         else:
             used, codes = _rank(codes * terms.size + inv, values.size * terms.size)
             values = values[used // terms.size] * terms[used % terms.size]
 
-    ones_bad = (truth == 1) & (values < 1.0 - _ONE_SIDED_TOL)[codes]
-    if ones_bad.any():
-        i, j = np.unravel_index(int(np.argmax(ones_bad)), ones_bad.shape)
+    # One index per cell, 2 * code + f (made in place: ``codes`` is ours);
+    # per index, how many cells hold it.
+    cells = codes
+    cells <<= 1
+    cells |= truth
+    counts = np.bincount(cells.ravel(), minlength=2 * values.size)
+
+    def first_cell(flags: np.ndarray) -> tuple[int, int]:  # (row, column), first flagged
+        return divmod(int(np.argmax(flags[cells])), 1 << n2)
+
+    flags = np.zeros(2 * values.size, dtype=bool)
+    flags[1::2] = values < 1.0 - _ONE_SIDED_TOL
+    if (flags & (counts > 0)).any():
+        i, j = first_cell(flags)
         raise CharacteristicError(
-            f"accept probability {values[codes[i, j]]} on the 1-input "
-            f"{format_bits(index_to_bits(int(i), n1))},"
-            f"{format_bits(index_to_bits(int(j), n2))} — polynomial set is not "
+            f"accept probability {values[cells[i, j] >> 1]} on the 1-input "
+            f"{format_bits(index_to_bits(i, n1))},"
+            f"{format_bits(index_to_bits(j, n2))} — polynomial set is not "
             f"a characteristic of {spec.function.name}"
         )
 
-    zero_mask = truth == 0
-    counts = np.bincount(codes[zero_mask], minlength=values.size)
-    false_inputs = int(counts.sum())
-    hist, _ = np.histogram(values, bins=20, range=(0.0, 1.0), weights=counts)
+    false_counts = counts[0::2]
+    false_inputs = int(false_counts.sum())
+    hist, _ = np.histogram(values, bins=20, range=(0.0, 1.0), weights=false_counts)
     if false_inputs == 0:
         worst, attaining = 0.0, None
     else:
-        worst = float(values[counts > 0].max())
+        worst = float(values[false_counts > 0].max())
         # Distinct codes can share a value (bias(D) = bias(N - D)), so the
         # first attaining input is searched among the cells, not the codes.
-        flat = int(np.argmax(zero_mask & (values == worst)[codes]))
-        i, j = divmod(flat, 1 << n2)
+        flags[:] = False
+        flags[0::2] = values == worst
+        i, j = first_cell(flags)
         attaining = (index_to_bits(i, n1), index_to_bits(j, n2))
         _check_bound(spec, worst, *attaining)
 
@@ -492,7 +521,6 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         attaining=attaining,
         false_inputs=false_inputs,
         histogram=tuple(int(c) for c in hist),
-        f_grid=truth,
         values=values,
-        codes=codes,
+        cells=cells,
     )

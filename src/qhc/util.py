@@ -42,13 +42,17 @@ _TYPES = {INT: (int,), DIGITS: (int,), SIGNED: (int,), NUMBER: (int, float),
 
 REQUIRED = object()  # the default of a field that must be present
 
+# A message shows at most this much of an offending value, and then its type.
+_SHOWN_CHARS = 80
+_LONG_TYPES = {str: STRING, int: INT, list: LIST, dict: OBJECT}
+
 
 def parse_bits(s: str) -> tuple[int, ...]:
     """Parse "0110" into (0, 1, 1, 0), and "" (an empty side) into ().
     Whitespace is ignored."""
     s = "".join(s.split())
     if any(c not in "01" for c in s):
-        raise ValueError(f"not a bit string: {s!r}")
+        raise ValueError(f"not a bit string: {show(s)}")
     return tuple(int(c) for c in s)
 
 
@@ -63,6 +67,16 @@ def index_to_bits(index: int, n: int) -> tuple[int, ...]:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def show(value) -> str:
+    """A JSON value as an error message shows it: its JSON text (a string's
+    repr), cut after _SHOWN_CHARS characters and then named by its type and
+    length, so no input makes a message long."""
+    text = repr(value) if type(value) is str else json.dumps(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({_LONG_TYPES[type(value)]} of {len(text)} characters)"
+
+
 def read_field(doc, key, path: str, kind: str, default=REQUIRED, lo=None, hi=None):
     """``doc[key]``, a field of a JSON object or an entry of a JSON list at
     JSON path ``path``, checked as ``kind``; a DIGITS or SIGNED digit string
@@ -73,7 +87,8 @@ def read_field(doc, key, path: str, kind: str, default=REQUIRED, lo=None, hi=Non
     A failure raises ConfigError(path, message), the message starting with
     the field's name (its key, or ``name[i]`` for a list entry).  A field
     that takes null names its whole accepted form ("a JSON integer >= 1 or
-    null"); another names what failed, its kind or its bounds."""
+    null"); another names what failed, its kind or its bounds, and shows
+    the value (:func:`show`)."""
     value = doc[key] if type(key) is int else doc.get(key, REQUIRED)
     if value is REQUIRED:
         if default is REQUIRED:
@@ -93,7 +108,7 @@ def read_field(doc, key, path: str, kind: str, default=REQUIRED, lo=None, hi=Non
     ):
         return value
     name = key if type(key) is str else path.rpartition(".")[2]
-    shown = repr(value) if type(value) is str else json.dumps(value)
+    shown = show(value)
     span = f"{lo}..{hi}" if closed else f"({lo},{hi})"
     if default is None:
         bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {span}"

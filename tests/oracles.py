@@ -84,6 +84,17 @@ def conj_direct(bits, n_a: int, m_a: int, m_b: int) -> bool:
     return mod_direct(bits[:n_a], m_a) and modbin_direct(bits[n_a:], m_b)
 
 
+def conj_table_direct(n_a: int, n_b: int, m_a: int, m_b: int) -> np.ndarray:
+    """The truth table of MOD_{m_a} on the first n_a bits AND MODBIN_{m_b}
+    on the last n_b, over all indices at once: each bit of the index is
+    shifted out, counted for the first block and weighted for the second
+    (x_{n_a+1}, the high bit of the low n_b, weighs 1)."""
+    index = np.arange(1 << (n_a + n_b), dtype=np.int64)
+    ones = sum((index >> (n_b + i)) & 1 for i in range(n_a))
+    value = sum(((index >> (n_b - 1 - i)) & 1) << i for i in range(n_b))
+    return ((ones % m_a == 0) & (value % m_b == 0)).astype(np.uint8)
+
+
 def all_vanish_direct(polys, bits) -> bool:
     """A polynomial set read as a function: every (modulus, coeffs,
     constant) in ``polys`` evaluates to 0 on the bits."""

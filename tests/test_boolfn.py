@@ -22,6 +22,7 @@ from qhc.util import bit_matrix, index_to_bits
 from oracles import (
     all_vanish_direct,
     conj_direct,
+    conj_table_direct,
     eq_direct,
     mod_direct,
     modbin_direct,
@@ -440,6 +441,31 @@ def test_conjunction_other_moduli(m_a, m_b):
     assert verify_characteristic(inst.characteristic).valid
     p, q = inst.characteristic.polynomials
     assert p != q
+
+
+@pytest.mark.parametrize("n_a,n_b,m_a,m_b", [(9, 9, 3, 4), (3, 16, 3, 4), (5, 12, 2, 9)])
+def test_conjunction_table_across_blocks(n_a, n_b, m_a, m_b, monkeypatch):
+    # Blocks of 2^14 rows: at 9+9 and 5+12 one block holds several high
+    # halves, at 3+16 each high half spans several blocks.  m_a = 2 takes
+    # the other pair of units.  Bit rows are built for high halves only.
+    assert boolfn._TABLE_BLOCK_ROWS < 1 << (n_a + n_b)
+    assert conj_table_direct(2, 3, m_a, m_b).tolist() == [
+        int(conj_direct(bits, 2, m_a, m_b)) for bits in product((0, 1), repeat=5)]
+    widths = []
+    monkeypatch.setattr(boolfn, "bit_matrix", lambda n, *a: widths.append(n) or bit_matrix(n, *a))
+    inst = conjunction(n_a, n_b, m_a=m_a, m_b=m_b)
+    table = inst.function.truth_table()
+    assert set(widths) == {n_a}
+    assert np.array_equal(table, conj_table_direct(n_a, n_b, m_a, m_b))
+    assert 0 < table.sum() < table.size
+    if m_a == 2:
+        assert verify_characteristic(inst.characteristic).valid
+    # The rule takes any range of consecutive indices, also one whose low
+    # halves wrap past 2^n_b - 1 back to 0.
+    for start in ((1 << n_b) - 100, 3 << n_b, 5 * (1 << n_b) - 7):
+        stop = min(start + (1 << 14), table.size)
+        block = boolfn.Block(n_a + n_b, np.arange(start, stop, dtype=np.int64))
+        assert np.array_equal(inst.function.rule(block), table[start:stop])
 
 
 def test_conjunction_rejects_common_factor():

@@ -1322,6 +1322,25 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, argv, files, rc, prefix):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fields,path", [
+    ({"function": {"name": list(range(200_000)), "n": 2}}, "function.name"),
+    ({"function": {"name": "X" * 200_000, "n": 2}}, "function.name"),
+    ({"function": {"name": 10**4000, "n": 2}}, "function.name"),
+    ({"topology": "X" * 200_000}, "topology"),
+    ({"input": {"alice": "2" * 200_000, "bob": "10"}}, "input"),
+], ids=["name-list", "name-string", "name-integer", "topology", "input-bits"])
+def test_long_values_are_cut_in_messages(tmp_path, capsys, fields, path):
+    """A message shows the first 80 characters of an offending value, then
+    its JSON type and length; short values print whole."""
+    assert run_cli("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, **fields))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and len(err.encode()) < 1024, err
+    assert "characters)" in err and "Traceback" not in err
+    short = dict(EQ2_EXACT, function={"name": [1], "n": 2})
+    assert run_cli("run", "--config", write_config(tmp_path, short)) == 3
+    assert capsys.readouterr().err.endswith("must be a JSON string, got [1]\n")
+
+
 def test_config_nested_to_the_bound_runs(tmp_path, capsys):
     extra = json.loads(nested(_MAX_DEPTH - 1))
     assert run_cli("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, extra=extra))) == 0

@@ -20,6 +20,7 @@ from qhc import (
     KeySet,
     LinearPolynomial,
     ProtocolSpec,
+    bias,
     build_spec,
     builtin,
     conjunction,
@@ -30,10 +31,11 @@ from qhc import (
     verify_resistance,
 )
 from qhc import protocol
+from qhc.boolfn import polynomial_instance
 from qhc.protocol import _accepted_trials, _rank
 from qhc.util import index_to_bits
 
-from oracles import THREE_POLYS
+from oracles import THREE_POLYS, profile_csv_direct
 
 
 def full_ring(n: int) -> KeySet:
@@ -492,6 +494,43 @@ def test_rank_equals_np_unique(table, data):
     assert np.array_equal(uniq, want_uniq) and uniq.dtype.kind == want_uniq.dtype.kind
     assert inv.shape == keys.shape and inv.dtype.kind == want_inv.dtype.kind
     assert np.array_equal(inv, want_inv.reshape(shape))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_profile_prices_each_residue_once(data):
+    # With m <= N < 2m, differences D in (-m, m) and D - N share a residue
+    # mod N: bias prices each residue that occurs once, and every cell and
+    # the CSV keep run_exact's bits.  The poly set has three pairs over Z_7.
+    if data.draw(st.booleans(), label="poly_file"):
+        inst = polynomial_instance([LinearPolynomial.from_json(doc) for doc in THREE_POLYS])
+    else:
+        inst = builtin("EQ", 3)
+    m, n = inst.characteristic.modulus, inst.function.arity
+    modulus = m + data.draw(st.sampled_from([0, 3]), label="N - m")
+    n1 = data.draw(st.sampled_from([0, n // 2, n]), label="n1")  # 0 and n: an empty side
+    forwarded = data.draw(st.lists(st.integers(1, max(n1, 1)), unique=True, max_size=min(n1, 2)),
+                          label="fwd")
+    keys = st.lists(st.integers(0, modulus - 1), min_size=1, max_size=4, unique=True)
+    sets = [KeySet(modulus, data.draw(keys, label="keys")) for _ in range(len(inst.characteristic))]
+    spec = build_spec(inst, sets, n1=n1, forwarded=forwarded)
+
+    priced = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "bias", lambda ks, d: priced.append(np.asarray(d)) or bias(ks, d))
+        prof = error_profile(spec)
+    assert len(priced) == spec.l
+    for residues in priced:
+        assert np.array_equal(residues, np.unique(residues))
+        assert 0 <= residues.min() and residues.max() < modulus
+
+    reports = [[run_exact(spec, sigma, gamma) for gamma in product((0, 1), repeat=spec.n2)]
+               for sigma in product((0, 1), repeat=spec.n1)]
+    accept = [[r.exact_accept for r in row] for row in reports]
+    f_grid = [[r.f_value for r in row] for row in reports]
+    assert prof.accept_grid.tolist() == accept
+    assert prof.f_grid.tolist() == f_grid
+    assert "".join(prof.csv_blocks()) == profile_csv_direct(spec.n1, spec.n2, f_grid, accept)
 
 
 # --------------------------------------------------- cross-route agreement
