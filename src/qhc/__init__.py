@@ -7,13 +7,11 @@ from .boolfn import (
     Block,
     BooleanFunction,
     Characteristic,
-    Decomposition,
     FunctionInstance,
     LinearPolynomial,
     VerificationReport,
     builtin,
     conjunction,
-    split_polynomial,
     verify_characteristic,
 )
 from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
@@ -48,7 +46,6 @@ __all__ = [
     "CharacteristicError",
     "Certification",
     "ConfigError",
-    "Decomposition",
     "ErrorProfile",
     "FunctionInstance",
     "GuardError",
@@ -69,7 +66,6 @@ __all__ = [
     "run_exact",
     "run_sampled",
     "search_key_set",
-    "split_polynomial",
     "swap_accept",
     "verify_characteristic",
     "verify_resistance",

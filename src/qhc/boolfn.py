@@ -4,9 +4,11 @@ A *characteristic polynomial* of f: {0,1}^n -> {0,1} is a polynomial g over
 some residue ring Z_m with g(sigma) = 0 exactly when f(sigma) = 1.  A
 *characteristic* is a nonempty set of such polynomials, each individually
 vanishing exactly on f^{-1}(1).  A :class:`FunctionInstance` adds the
-natural Alice/Bob cut; :mod:`qhc.protocol` splits the polynomials there (or
-at any other cut) and tests them conjunctively.  A polynomial set given
-without a function is its own function (:func:`polynomial_instance`).
+natural Alice/Bob cut; a :class:`qhc.protocol.ProtocolSpec` splits the
+polynomials there (or at any other cut, with any Alice bits forwarded) and
+tests them conjunctively, so nothing here knows how a split is laid out.
+A polynomial set given without a function is its own function
+(:func:`polynomial_instance`).
 
 Only linear polynomials are represented: every builtin family here is
 linear, and the protocol layer evaluates polynomials pointwise, so degree
@@ -44,6 +46,12 @@ _TABLE_BLOCK_ROWS = 1 << 14
 
 # Indices of up to this many bits are int64; wider ones are exact Python ints.
 _INT64_INDEX_BITS = 62
+
+# Builtins refuse above this many variables, before building a coefficient:
+# EQ's coefficients alone take about n^2/8 bytes (4 MB at EQ 4096).
+BUILTIN_GUARD_VARS = 1 << 13
+
+BUILTINS = ("EQ", "MOD", "MODBIN", "PALINDROME", "PERM")
 
 
 @dataclass(frozen=True)
@@ -252,74 +260,6 @@ def verify_characteristic(c: Characteristic) -> VerificationReport:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """A polynomial split g(sigma, gamma) = g1(sigma) + g2(gamma, forwarded).
-
-    ``g1`` ranges over Alice's n1 variables.  ``g2`` ranges over Bob's n2
-    variables followed by k forwarded Alice variables (1-based indices into
-    Alice's block, listed in ``forwarded``).  k = 0 is the pure split; any
-    linear polynomial splits cleanly at any cut, so forwarding is only ever
-    a choice here, never a necessity.  Built by :func:`split_polynomial`,
-    which checks the cut and the forwarded indices.
-    """
-
-    g1: LinearPolynomial
-    g2: LinearPolynomial
-    forwarded: tuple[int, ...] = ()
-
-    @property
-    def modulus(self) -> int:
-        return self.g1.modulus
-
-    @property
-    def n1(self) -> int:
-        return self.g1.arity
-
-    @property
-    def n2(self) -> int:
-        return self.g2.arity - len(self.forwarded)
-
-    @property
-    def k(self) -> int:
-        return len(self.forwarded)
-
-    def bob_argument(self, sigma: Sequence[int], gamma: Sequence[int]) -> tuple[int, ...]:
-        """Bob's evaluation point: his own bits, then the forwarded ones."""
-        return tuple(gamma) + tuple(sigma[i - 1] for i in self.forwarded)
-
-
-def split_polynomial(
-    poly: LinearPolynomial, n1: int, forwarded: Sequence[int] = ()
-) -> Decomposition:
-    """Split a joint polynomial at position n1, forwarding chosen Alice bits.
-
-    Coefficients of forwarded variables move into g2 (appended after Bob's),
-    so g1(sigma) + g2(gamma, forwarded bits) = poly(sigma gamma) identically.
-    The joint constant travels with g2.  The forwarded indices must be
-    distinct positions in Alice's 1..n1.
-    """
-    if not 0 <= n1 <= poly.arity:
-        raise ValueError(f"cut {n1} outside 0..{poly.arity}")
-    fwd = tuple(forwarded)
-    for i in fwd:
-        if not 1 <= i <= n1:
-            raise ValueError(f"forwarded index {i} outside Alice's 1..{n1}")
-    if len(set(fwd)) != len(fwd):
-        raise ValueError("forwarded indices must be distinct")
-    m = poly.modulus
-    alice = [poly.coeffs[i] for i in range(n1)]
-    for i in fwd:
-        alice[i - 1] = 0
-    g1 = LinearPolynomial(modulus=m, coeffs=tuple(alice), constant=0)
-    g2 = LinearPolynomial(
-        modulus=m,
-        coeffs=tuple(poly.coeffs[n1:]) + tuple(poly.coeffs[i - 1] for i in fwd),
-        constant=poly.constant,
-    )
-    return Decomposition(g1=g1, g2=g2, forwarded=fwd)
-
-
-@dataclass(frozen=True)
 class FunctionInstance:
     """A characteristic and its natural Alice/Bob cut: Alice holds the
     first ``n1`` variables.  :class:`qhc.protocol.ProtocolSpec` makes the
@@ -357,6 +297,11 @@ def _divisible(values: np.ndarray, m: int) -> np.ndarray:
     return values % m == 0 if values.dtype == object or m < 1 << 63 else values == 0
 
 
+def _guard_size(what: str, arity: int) -> None:
+    if arity > BUILTIN_GUARD_VARS:
+        raise GuardError(f"{what} has {arity} variables; builtin guard is {BUILTIN_GUARD_VARS}")
+
+
 def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
     """Construct one of the five builtin function families.
 
@@ -374,9 +319,13 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
         row and column sum is 1.
 
     Each instance carries its natural Alice/Bob cut; the polynomials are
-    plain sums, so any other cut splits them as cleanly.
+    plain sums, so any other cut splits them as cleanly.  More than
+    BUILTIN_GUARD_VARS variables in all raise GuardError.
     """
     name = name.upper()
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin {name!r} (expected {', '.join(BUILTINS)})")
+    _guard_size(f"{name} with n={n}", 2 * n if name == "EQ" else n * n if name == "PERM" else n)
     if name == "EQ":
         if m is not None:
             raise ValueError("EQ's modulus is fixed at 2^n")
@@ -427,30 +376,27 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
         fn = BooleanFunction(f"PALINDROME_{n}", n, is_palindrome)
         return FunctionInstance(Characteristic(fn, (poly,)), (n + 1) // 2)
 
-    if name == "PERM":
-        if m is not None:
-            raise ValueError("PERM's modulus is fixed at (n+1)^(2n)")
-        if n < 1:
-            raise ValueError("PERM needs matrix dimension n >= 1")
-        base = n + 1
-        mod = base ** (2 * n)
-        coeffs = tuple(
-            base ** (i - 1) + base ** (n + j - 1)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        )
-        constant = -sum(base ** (t - 1) for t in range(1, 2 * n + 1))
-        poly = LinearPolynomial(modulus=mod, coeffs=coeffs, constant=constant)
+    if m is not None:
+        raise ValueError("PERM's modulus is fixed at (n+1)^(2n)")
+    if n < 1:
+        raise ValueError("PERM needs matrix dimension n >= 1")
+    base = n + 1
+    mod = base ** (2 * n)
+    coeffs = tuple(
+        base ** (i - 1) + base ** (n + j - 1)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+    constant = -sum(base ** (t - 1) for t in range(1, 2 * n + 1))
+    poly = LinearPolynomial(modulus=mod, coeffs=coeffs, constant=constant)
 
-        def is_perm(b: Block) -> np.ndarray:
-            matrices = b.bits.reshape(-1, n, n)
-            rows_ok = (matrices.sum(2) == 1).all(1)
-            return rows_ok & (matrices.sum(1) == 1).all(1)
+    def is_perm(b: Block) -> np.ndarray:
+        matrices = b.bits.reshape(-1, n, n)
+        rows_ok = (matrices.sum(2) == 1).all(1)
+        return rows_ok & (matrices.sum(1) == 1).all(1)
 
-        fn = BooleanFunction(f"PERM_{n}", n * n, is_perm)
-        return FunctionInstance(Characteristic(fn, (poly,)), n * n // 2)
-
-    raise ValueError(f"unknown builtin {name!r} (expected EQ, MOD, MODBIN, PALINDROME, PERM)")
+    fn = BooleanFunction(f"PERM_{n}", n * n, is_perm)
+    return FunctionInstance(Characteristic(fn, (poly,)), n * n // 2)
 
 
 def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInstance:
@@ -467,6 +413,7 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
         raise ValueError("both blocks need at least one variable")
     if m_a < 2 or m_b < 2 or math.gcd(m_a, m_b) != 1:
         raise ValueError("block moduli must be >= 2 and coprime")
+    _guard_size(f"CONJ with n_a={n_a}, n_b={n_b}", n_a + n_b)
     mod = m_a * m_b
     if m_a > 2:
         units = [(1, 1), (m_a - 1, 1)]

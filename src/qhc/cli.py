@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .boolfn import (
+    BUILTINS,
     Characteristic,
     FunctionInstance,
     LinearPolynomial,
@@ -45,11 +46,9 @@ from .errors import BoundError, CharacteristicError, ConfigError, GuardError, Se
 from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled
 from .qhash import MODULUS_BITS, KeySet, search_key_set
 from .util import (
-    FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, parse_bits, read_field, read_items, show
+    FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, format_bits, parse_bits, read_field,
+    read_items, show,
 )
-
-_BUILTINS = ("EQ", "MOD", "MODBIN", "PALINDROME", "PERM")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse's own exit code for bad flags is 2; our contract reserves
@@ -162,10 +161,10 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
     name = read_field(fdoc, "name", "function.name", STRING, "").upper()
     if name == "CONJ":
         fields = {"n_a": REQUIRED, "n_b": REQUIRED, "m_a": 3, "m_b": 4}
-    elif name not in _BUILTINS:
+    elif name not in BUILTINS:
         raise ConfigError(
             "function.name",
-            f"unknown function {show(name)} (expected {', '.join(_BUILTINS)} or CONJ)",
+            f"unknown function {show(name)} (expected {', '.join(BUILTINS)} or CONJ)",
         )
     else:
         fields = {"n": REQUIRED, "m": None}
@@ -456,8 +455,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({len(char)} polynomial(s), {report.checked} assignments)"
         )
         return 0
-    bits = "".join(str(b) for b in report.counterexample)
-    print(f"counterexample: {name} input={bits} — {report.reason}")
+    print(f"counterexample: {name} input={format_bits(report.counterexample)} — {report.reason}")
     return 1
 
 
@@ -534,8 +532,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print("worst false accept: none (no 0-inputs)")
     else:
         sig, gam = profile.attaining
-        bits = "".join(str(b) for b in sig) + "," + "".join(str(b) for b in gam)
-        print(f"worst false accept: {profile.worst_false_accept!r} at {bits}")
+        print(f"worst false accept: {profile.worst_false_accept!r} at "
+              f"{format_bits(sig)},{format_bits(gam)}")
     bounds = spec.bounds()
     if bounds["certified"]:
         print(

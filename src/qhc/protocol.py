@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Characteristic, Decomposition, FunctionInstance, split_polynomial
+from .boolfn import BooleanFunction, Characteristic, FunctionInstance, LinearPolynomial
 from .errors import BoundError, CharacteristicError, GuardError
 from .qhash import KeySet, bias, hash_qubits, swap_accept
 from .util import format_bits, index_to_bits
@@ -55,8 +55,11 @@ _ONE_SIDED_TOL = 1e-12
 class ProtocolSpec:
     """A characteristic, cut after Alice's ``n1`` variables, and one key set
     per polynomial; the Alice variables in ``forwarded`` also go to Bob as
-    bits.  ``splits`` holds each polynomial's Decomposition at that cut,
-    made here and nowhere else.
+    bits.  ``splits`` holds each polynomial's (g1, g2) at that cut, made
+    here and nowhere else: g1(sigma) + g2(gamma, forwarded bits) = g(sigma
+    gamma), with the forwarded coefficients and the constant in g2.  Every
+    polynomial is linear and so splits cleanly at any cut: forwarding is
+    only ever a choice here, never a necessity.
 
     The spec is the one owner of the protocol's qubit cost and certified
     bound: run reports and profiles keep their spec and read both from it.
@@ -68,13 +71,24 @@ class ProtocolSpec:
     key_sets: tuple[KeySet, ...]
     forwarded: tuple[int, ...] = ()
     topology: str = "one-way"
-    splits: tuple[Decomposition, ...] = field(init=False, repr=False, compare=False)
+    splits: tuple[tuple[LinearPolynomial, LinearPolynomial], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        splits = tuple(
-            split_polynomial(p, self.n1, self.forwarded) for p in self.characteristic.polynomials
-        )
-        object.__setattr__(self, "splits", splits)
+        n1, fwd, m = self.n1, self.forwarded, self.modulus
+        if not 0 <= n1 <= self.function.arity:
+            raise ValueError(f"cut {n1} outside 0..{self.function.arity}")
+        for i in fwd:
+            if not 1 <= i <= n1:
+                raise ValueError(f"forwarded index {i} outside Alice's 1..{n1}")
+        if len(set(fwd)) != len(fwd):
+            raise ValueError("forwarded indices must be distinct")
+        moved, splits = set(fwd), []
+        for p in self.characteristic.polynomials:
+            alice = tuple(0 if i in moved else c for i, c in enumerate(p.coeffs[:n1], 1))
+            bob = p.coeffs[n1:] + tuple(p.coeffs[i - 1] for i in fwd)
+            splits.append((LinearPolynomial(m, alice), LinearPolynomial(m, bob, p.constant)))
+        object.__setattr__(self, "splits", tuple(splits))
         if len(splits) != len(self.key_sets):
             raise ValueError(f"{len(splits)} polynomial pairs but {len(self.key_sets)} key sets")
         for ks in self.key_sets:
@@ -85,7 +99,7 @@ class ProtocolSpec:
                 )
         if self.topology not in ("one-way", "smp"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.topology == "smp" and self.forwarded:
+        if self.topology == "smp" and fwd:
             raise ValueError("forwarded variables have no receiver in the SMP topology")
 
     @property
@@ -247,12 +261,8 @@ def _hash_points(
 ) -> list[tuple[int, int]]:
     """Per pair: Alice's hashed value u_j and Bob's comparison value v_j,
     both canonical residues of Z_m embedded into [0, N_j)."""
-    points = []
-    for s in spec.splits:
-        u = s.g1.evaluate(sigma)
-        v = (-s.g2.evaluate(s.bob_argument(sigma, gamma))) % s.modulus
-        points.append((u, v))
-    return points
+    bob = tuple(gamma) + tuple(sigma[i - 1] for i in spec.forwarded)
+    return [(g1.evaluate(sigma), (-g2.evaluate(bob)) % spec.modulus) for g1, g2 in spec.splits]
 
 
 def _check_bound(
@@ -398,11 +408,8 @@ def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray
     """u over all sigma (2^n1,) and v over (forward pattern, gamma) (2^k, 2^n2),
     both int64 in [0, m), so a cell's difference u - v lies in (-m, m).
     Callers guarantee int64 safety."""
-    s = spec.splits[pair]
-    m = s.modulus
-    u = s.g1.table()
-    v = (-s.g2.table().reshape(1 << s.n2, 1 << s.k).T) % m
-    return u, v
+    g1, g2 = spec.splits[pair]
+    return g1.table(), (-g2.table().reshape(1 << spec.n2, 1 << spec.k).T) % spec.modulus
 
 
 def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

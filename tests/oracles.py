@@ -38,16 +38,16 @@ def poly_table_direct(modulus: int, coeffs, constant: int) -> list[int]:
     ]
 
 
-def recombined(deco) -> tuple[tuple[int, ...], int]:
+def recombined(g1, g2, forwarded) -> tuple[tuple[int, ...], int]:
     """(coeffs, constant) of the joint polynomial over x_1..x_{n1},
     y_1..y_{n2} that a split's g1 and g2 came from: each forwarded
     variable's g2 coefficient folds back onto its x coefficient, mod m."""
-    m = deco.g1.modulus
-    n2 = deco.g2.arity - len(deco.forwarded)
-    coeffs = list(deco.g1.coeffs) + list(deco.g2.coeffs[:n2])
-    for pos, i in enumerate(deco.forwarded):
-        coeffs[i - 1] = (coeffs[i - 1] + deco.g2.coeffs[n2 + pos]) % m
-    return tuple(coeffs), (deco.g1.constant + deco.g2.constant) % m
+    m = g1.modulus
+    n2 = g2.arity - len(forwarded)
+    coeffs = list(g1.coeffs) + list(g2.coeffs[:n2])
+    for pos, i in enumerate(forwarded):
+        coeffs[i - 1] = (coeffs[i - 1] + g2.coeffs[n2 + pos]) % m
+    return tuple(coeffs), (g1.constant + g2.constant) % m
 
 
 def eq_direct(bits) -> bool:

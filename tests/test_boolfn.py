@@ -9,10 +9,11 @@ from qhc import (
     BooleanFunction,
     Characteristic,
     GuardError,
+    KeySet,
     LinearPolynomial,
+    build_spec,
     builtin,
     conjunction,
-    split_polynomial,
     verify_characteristic,
 )
 from qhc import boolfn
@@ -365,6 +366,20 @@ def test_mismatched_pair_returns_first_violation():
     assert report.counterexample == index_to_bits(idx, 4)
 
 
+def test_builtin_size_guard_refuses_before_building():
+    cap = boolfn.BUILTIN_GUARD_VARS
+    assert builtin("MOD", cap, m=3).function.arity == cap  # at the guard: built
+    for make, arity in ((lambda: builtin("MOD", cap + 1, m=3), cap + 1),
+                        (lambda: builtin("EQ", cap // 2 + 1), cap + 2),
+                        (lambda: builtin("PERM", 91), 91 * 91),
+                        (lambda: builtin("PALINDROME", 20000), 20000),
+                        (lambda: conjunction(cap // 2, cap // 2 + 1), cap + 1)):
+        with pytest.raises(GuardError, match=f"has {arity} variables; builtin guard is {cap}"):
+            make()
+    with pytest.raises(ValueError, match="unknown builtin 'XOR'"):  # the name is checked first
+        builtin("XOR", 10**12)
+
+
 def test_verify_guard_refuses_large_arity():
     big = BooleanFunction("BIG", 25, lambda b: np.ones(len(b.bits), dtype=bool))
     poly = LinearPolynomial(modulus=2, coeffs=(0,) * 25)
@@ -372,7 +387,13 @@ def test_verify_guard_refuses_large_arity():
         verify_characteristic(Characteristic(function=big, polynomials=(poly,)))
 
 
-# ---------------------------------------------------------- decomposition
+# ------------------------------------------- splits at a protocol spec's cut
+
+
+def spec_at(instance, n1=None, forwarded=()):
+    """A spec over ``instance`` cut at ``n1``; its one key plays no part in the split."""
+    return build_spec(instance, KeySet(instance.characteristic.modulus, (1,)), n1=n1,
+                      forwarded=forwarded)
 
 
 @given(
@@ -387,37 +408,44 @@ def test_split_recombine_round_trip(m, n, data):
     n1 = data.draw(st.integers(0, n))
     fwd = data.draw(st.permutations(range(1, n1 + 1))) if n1 else []
     fwd = tuple(fwd[: data.draw(st.integers(0, n1))])
-    deco = split_polynomial(poly, n1, fwd)
-    assert recombined(deco) == (poly.coeffs, poly.constant)
-    assert deco.k == len(fwd)
+    spec = spec_at(polynomial_instance([poly]), n1, fwd)
+    (g1, g2), = spec.splits
+    assert recombined(g1, g2, spec.forwarded) == (poly.coeffs, poly.constant)
+    assert (g1.arity, g2.arity, spec.k) == (n1, n - n1 + len(fwd), len(fwd))
 
 
 def test_split_eval_identity_exhaustive():
-    poly = builtin("MODBIN", 6, m=5).characteristic.polynomials[0]
-    deco = split_polynomial(poly, 4, forwarded=(2, 4))
-    for bits in product((0, 1), repeat=6):
-        sigma, gamma = bits[:4], bits[4:]
-        u = deco.g1.evaluate(sigma)
-        r = deco.g2.evaluate(deco.bob_argument(sigma, gamma))
-        assert (u + r) % poly.modulus == poly.evaluate(bits)
+    # MODBIN_5 on 6 bits, and CONJ 3+4, whose two pairs are each checked
+    for instance, n1, forwarded in ((builtin("MODBIN", 6, m=5), 4, (2, 4)),
+                                    (conjunction(3, 4), 3, (1, 3))):
+        spec = spec_at(instance, n1, forwarded)
+        polys = instance.characteristic.polynomials
+        assert len(spec.splits) == len(polys)
+        for bits in product((0, 1), repeat=instance.function.arity):
+            sigma, gamma = bits[:n1], bits[n1:]
+            bob = gamma + tuple(sigma[i - 1] for i in forwarded)  # his bits, then forwarded ones
+            for poly, (g1, g2) in zip(polys, spec.splits):
+                assert (g1.evaluate(sigma) + g2.evaluate(bob)) % poly.modulus == poly.evaluate(bits)
 
 
 def test_split_forwarded_validation():
-    poly = builtin("EQ", 3).characteristic.polynomials[0]
-    with pytest.raises(ValueError, match="outside Alice's"):
-        split_polynomial(poly, 2, forwarded=(3,))
-    with pytest.raises(ValueError, match="distinct"):
-        split_polynomial(poly, 3, forwarded=(1, 1))
-    with pytest.raises(ValueError, match="cut"):
-        split_polynomial(poly, 7)
+    eq3 = builtin("EQ", 3)
+    with pytest.raises(ValueError, match=r"forwarded index 3 outside Alice's 1\.\.2"):
+        spec_at(eq3, 2, forwarded=(3,))
+    with pytest.raises(ValueError, match="forwarded indices must be distinct"):
+        spec_at(eq3, 3, forwarded=(1, 1))
+    with pytest.raises(ValueError, match=r"cut 7 outside 0\.\.6"):
+        spec_at(eq3, 7)
 
 
 def test_pure_split_has_empty_g1_constant():
-    inst = builtin("EQ", 4)
-    deco = split_polynomial(inst.characteristic.polynomials[0], inst.n1)
-    assert deco.k == 0
-    assert deco.g1.constant == 0
-    assert deco.n1 == deco.n2 == 4
+    for inst in (builtin("EQ", 4), builtin("PERM", 2)):  # PERM's constant is nonzero
+        spec = spec_at(inst)
+        (g1, g2), = spec.splits
+        assert spec.k == 0
+        assert g1.constant == 0
+        assert g2.constant == inst.characteristic.polynomials[0].constant
+        assert g1.arity == g2.arity == inst.n1 == inst.function.arity - inst.n1
 
 
 # ------------------------------------------------------------ conjunction

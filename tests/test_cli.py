@@ -70,6 +70,12 @@ class TestVerify:
         assert run_cli("verify", "--function", "EQ", "--n", "13") == 2
         assert "guard" in capsys.readouterr().err
 
+    def test_builtin_size_guard_exits_2(self, capsys):
+        # refused before EQ's coefficients are built, not by the enumeration guard
+        assert run_cli("verify", "--function", "EQ", "--n", "20000") == 2
+        assert capsys.readouterr().err == (
+            "guard: EQ with n=20000 has 40000 variables; builtin guard is 8192\n")
+
     def test_unknown_function_exits_3(self, capsys):
         assert run_cli("verify", "--function", "XOR", "--n", "2") == 3
         assert "config error" in capsys.readouterr().err
@@ -186,6 +192,18 @@ class TestRun:
         report = json.loads(capsys.readouterr().out)["result"]
         assert report["sampled"]["seed"] == 9
         assert report["sampled"]["trials"] == 50
+
+    @pytest.mark.parametrize("function, err", [
+        ({"name": "EQ", "n": 20000}, "EQ with n=20000 has 40000 variables"),
+        ({"name": "CONJ", "n_a": 10000, "n_b": 10000},
+         "CONJ with n_a=10000, n_b=10000 has 20000 variables"),
+    ], ids=["EQ", "CONJ"])
+    def test_builtin_size_guard_exits_2(self, tmp_path, capsys, function, err):
+        """A config's builtin is refused before its coefficients are built,
+        ahead of the 1-bit inputs that do not fit it."""
+        doc = dict(EQ2_EXACT, function=function, input={"alice": "1", "bob": "0"})
+        assert run_cli("run", "--config", write_config(tmp_path, doc)) == 2
+        assert capsys.readouterr().err == f"guard: {err}; builtin guard is 8192\n"
 
     def test_oversized_sampled_run_exits_2(self, tmp_path):
         """Refused by the draw guard before allocating, in a fresh process
