@@ -18,24 +18,30 @@ serves both.  A key file's digit strings are parsed into uint64 in one pass.
 
 :func:`bias` is the one direct kernel: every caller (one-way and SMP runs,
 error-profile grids, Monte Carlo certification) gets bit-identical values for
-the same difference, and no hash state is ever built as a vector.  Its block
-loop, :func:`_cosine_sums`, also runs the Monte Carlo screen at float32
-(:func:`_rough_bias`), and :func:`bias` prices only the samples that may hold
-the maximum; no rough value leaves this module.  :func:`_exact_bias_sweep` is
-the only full-spectrum route: a cache-blocked FFT sweep over all N
-differences, its angles from :func:`_residues` too, proposes the candidates
-for the maximum, and :func:`bias` prices them, so every certificate's
-``max_bias`` is a :func:`bias` value too.  :func:`swap_accept` is the one
-SWAP-test accept rule, (1 + F^2)/2, that every protocol route and bound applies.
+the same difference, and no hash state is ever built as a vector.  Both
+certification screens run at single precision, and :func:`bias` prices every
+value they report.  Its block loop, :func:`_cosine_sums`, also runs the Monte
+Carlo screen at float32 (:func:`_rough_bias`, with ratios truncated to 53
+bits at N = 2^L above 2^53), and :func:`bias` prices only the samples that
+may hold the maximum; no rough value leaves this module.
+:func:`_exact_bias_sweep` is the only full-spectrum route: a cache-blocked FFT
+sweep over all N differences, its angles from :func:`_residues` too, proposes
+the candidates for the maximum, and :func:`bias` prices them, so every
+certificate's ``max_bias`` is a :func:`bias` value too.  The sweep runs at
+float32 within a window derived from the key set's column counts, and again
+at float64 only when a plateau proposes more candidates than the pricing
+budget.  :func:`swap_accept` is the one SWAP-test accept rule, (1 + F^2)/2,
+that every protocol route and bound applies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,7 +82,25 @@ _SWEEP_TIE_TOLERANCE = 1e-12
 # error (pairwise sums of cosines of rounded ratios) a few u.  The worst seen,
 # on 90 random sets of 1-64 keys at N <= 2^14 (odd N and 3 * 2^10 among
 # them) with B up to 32, is 8.1e-16.
+#
+# At float32 (_sweep_columns' window32) three terms are added to this one.
+# The screen term: each key's cos and sin of its class angle are off by the
+# angle's error, 6e-7 (the float32 ratio, float32(2 pi) and the float32
+# product, as _rough_bias derives), plus 2.4e-7 each from the float32 cos
+# and sin; a value is an average over the keys, so it is off by at most
+# 9.4e-7, which _SCREEN_EPSILON bounds with 100x headroom.  The FFT term:
+# c * log2(M) * u32 * sqrt(M) * ||y_r||_2 / d, with u32 = 2^-24 and c = 10
+# (Higham's constant above, about 7 for a radix-2 transform, times sqrt 2:
+# the transform sees z's Hermitian extension, of 2-norm at most
+# 2 sqrt 2 ||y_r||_2, scaled by 1/(2d)), and ||y_r||_2 <= sqrt(sum_j n_j^2)
+# for every class, n_j the keys with k mod M = j.  The cast: rounding z to
+# complex64 and the float32 scaling by M/(2d) add at most 4 * u32.  The
+# window is 1.2-1.5e-4 on the N = 2^21 sets that search-keys draws at
+# delta 0.1-0.05, whose float32 values stay within 3.1e-8 of the float64
+# ones; the worst seen against bias, on 521 random and coset sets of 1-199
+# keys at N <= 2^12 with B up to 32, is 5.8e-7, or 0.0042 of the window.
 _SWEEP_WINDOW = 1e-9
+_U32 = 2.0 ** -24
 
 # Smallest block length M the sweep splits N into (see _sweep_blocks).
 _SWEEP_BLOCK_FLOOR = 1 << 16
@@ -154,7 +178,8 @@ class KeySet:
             # Range first: numpy 1.x may wrap a negative int into uint64, not raise.
             if _uint64_exact(n) and 0 <= stored.min() and stored.max() < 1 << 64:
                 stored = stored.astype(np.uint64)
-        ordered = np.sort(stored)
+        # Drawn keys and key files come in ascending order, and need no sort.
+        ordered = stored if (stored[1:] > stored[:-1]).all() else np.sort(stored)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate keys (would silently skew the bias average)")
         if int(ordered[0]) < 0 or int(ordered[-1]) >= n:
@@ -241,13 +266,19 @@ def _int_array(values: Sequence[int], modulus: int = 0, dtype=object) -> np.ndar
     return np.array(ints, dtype=dtype)
 
 
-def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
+def _residues(key_set: KeySet, values: Sequence[int], truncate: bool = False) -> np.ndarray:
     """(k * v) mod N as float ratios in [0, 1), one row per value v in [0, N).
 
     One outer product in the keys' dtype (wrapping uint64 or Python ints),
     reduced mod N, by a mask when N is a power of two (the wrap alone for
     N = 2^64); exact until each residue is rounded to float64 as
-    ``float(int)`` does."""
+    ``float(int)`` does.  With ``truncate`` (the float32 screen), a uint64
+    tier N = 2^L above 2^53 takes each ratio from the residue's top 53 bits
+    instead, (r >> (L - 53)) * 2^-53 through int64: at most 2^-53 below the
+    rounded ratio, and without numpy's uint64 -> float64 cast, which is
+    several times slower on a mix of values below and above 2^63.  Above
+    2^64 the residues are Python ints, and shifting them costs more than
+    the cast saves."""
     n, keys = key_set.modulus, key_set.key_array
     scalar = keys.dtype.type  # np.uint64, or for dtype object the int itself
     r = np.asarray(values, dtype=keys.dtype)[:, None] * keys
@@ -255,8 +286,14 @@ def _residues(key_set: KeySet, values: Sequence[int]) -> np.ndarray:
         r %= scalar(n)
     elif n != 1 << 64:
         r &= scalar(n - 1)
-    ratios = r.astype(np.float64)
-    ratios /= float(n)
+    shift = n.bit_length() - 54
+    if truncate and shift > 0 and r.dtype == np.uint64:  # so N = 2^(shift + 53)
+        r >>= scalar(shift)
+        ratios = r.view(np.int64).astype(np.float64)
+        ratios *= 2.0 ** -53
+    else:
+        ratios = r.astype(np.float64)
+        ratios /= float(n)
     return ratios
 
 
@@ -273,12 +310,15 @@ def _reduced(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
 def _cosine_sums(key_set: KeySet, diffs: np.ndarray, dtype) -> np.ndarray:
     """Sum over the keys of cos(2 pi (k*D mod N)/N) per reduced difference D:
     :func:`_residues` in blocks of about _BIAS_BLOCK_CELLS, angle and cosine
-    in ``dtype``, each row summed in float64 in one order whatever its block."""
+    in ``dtype``, each row summed in float64 in one order whatever its block.
+    Below float64 the ratios are truncated where that is cheaper."""
     sums = np.empty(len(diffs))
     step = max(1, _BIAS_BLOCK_CELLS // key_set.d)
     two_pi = dtype(2.0 * np.pi)
+    # Only bias's float64 cosines need correctly rounded ratios.
+    residues = _residues if dtype == np.float64 else functools.partial(_residues, truncate=True)
     for start in range(0, len(diffs), step):
-        angles = _residues(key_set, diffs[start : start + step]).astype(dtype, copy=False)
+        angles = residues(key_set, diffs[start : start + step]).astype(dtype, copy=False)
         angles *= two_pi
         np.cos(angles, out=angles)
         sums[start : start + step] = np.add.reduce(angles, axis=1, dtype=np.float64)
@@ -303,15 +343,17 @@ def bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
 def _rough_bias(key_set: KeySet, differences: Sequence[int]) -> np.ndarray:
     """|bias| at each difference within _SCREEN_EPSILON, for screening only.
 
-    :func:`_cosine_sums` at float32: the same exact residue ratios as
+    :func:`_cosine_sums` at float32: the same exact residues as
     :func:`bias`, in the same blocks, rows summed in float64.  Its error,
-    per cosine and so per row average: rounding the float64 ratio in [0, 1)
-    to float32 moves the angle by at most 2 pi * 2^-25 (1.9e-7),
-    float32(2 pi) is 1.7e-7 above 2 pi, the float32 product rounds by at
-    most 2^-22 (2.4e-7, half an ulp below 8), and cos is 1-Lipschitz;
-    numpy's float32 cosines stay within a few ulp, 2.4e-7 at 4 ulp.  The
-    float64 sum adds below 1e-12 for d <= 2^21, and bias's own float64
-    rounding far less, so |rough - |bias|| <= 8.4e-7.
+    per cosine and so per row average: a ratio of N = 2^L above 2^53 in the
+    uint64 tier is truncated to 53 bits, 2 pi * 2^-53 (7e-16) in the angle
+    (:func:`_residues`); rounding the float64 ratio in [0, 1) to float32
+    moves the angle by at most 2 pi * 2^-25 (1.9e-7), float32(2 pi) is
+    1.7e-7 above 2 pi, the float32 product rounds by at most 2^-22 (2.4e-7,
+    half an ulp below 8), and cos is 1-Lipschitz; numpy's float32 cosines
+    stay within a few ulp, 2.4e-7 at 4 ulp.  The float64 sum adds below
+    1e-12 for d <= 2^21, and bias's own float64 rounding far less, so
+    |rough - |bias|| <= 8.4e-7.
     """
     return np.abs(_cosine_sums(key_set, _reduced(key_set, differences), np.float32)) / key_set.d
 
@@ -353,10 +395,54 @@ def _sweep_blocks(modulus: int, d: int) -> int:
     return b
 
 
-def _blocked_spectrum(key_set: KeySet) -> Iterator[tuple[int, int, np.ndarray]]:
+class _Columns(NamedTuple):
+    """What both precisions of :func:`_blocked_spectrum` share, computed
+    once per key set: B of N = B*M, each key's column j = k mod M folded to
+    min(j, M - j), its weights as float32 (exact: 1 or 2 for the real part;
+    0 or +-1 for the imaginary part, None at B = 1, which has no sines) and
+    the float32 window (see _SWEEP_WINDOW)."""
+
+    blocks: int
+    folded: np.ndarray
+    real_weight: np.ndarray
+    imag_weight: np.ndarray | None
+    window32: float
+
+
+def _sweep_columns(key_set: KeySet) -> _Columns:
+    """The sweep's column prologue.  ``window32`` takes ||y_r||_2 <=
+    sqrt(sum_j n_j^2) from the column counts n_j; at B = 1 every key is
+    below N = M, alone in its column, so the sum is d."""
+    n, d = key_set.modulus, key_set.d
+    b = _sweep_blocks(n, d)
+    m = n // b
+    # uint64 keys below N <= 2^32 read as int64: signed, for m - 2 * columns.
+    columns = key_set.key_array.view(np.int64)
+    square_sum = d
+    if b > 1:
+        columns = columns % m
+        counts = np.bincount(columns, minlength=m)
+        square_sum = int(counts @ counts)
+    folded = np.minimum(columns, m - columns)
+    own = folded == 0
+    if m % 2 == 0:
+        own |= folded == m // 2
+    real_weight = np.where(own, np.float32(2.0), np.float32(1.0))
+    imag_weight = None
+    if b > 1:
+        imag_weight = np.where(own, 0, np.sign(m - 2 * columns)).astype(np.float32)
+    fft = 10.0 * math.log2(m) * _U32 * math.sqrt(m * square_sum) / d
+    window32 = _SWEEP_WINDOW + _SCREEN_EPSILON + fft + 4.0 * _U32
+    return _Columns(b, folded, real_weight, imag_weight, window32)
+
+
+def _blocked_spectrum(
+    key_set: KeySet, dtype=np.float64, columns: _Columns | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (first, step, s) per residue class: s[i] approximates
-    bias(first + step*i) within _SWEEP_WINDOW.  Every D in [1, N/2] comes out
-    once, as D or as its mirror image N - D.
+    bias(first + step*i) within _SWEEP_WINDOW at float64 and within the
+    columns' ``window32`` at float32.  Every D in [1, N/2] comes out once,
+    as D or as its mirror image N - D.
 
     N = B*M (:func:`_sweep_blocks`).  For D = r + B*t, splitting each key as
     k = j + M*q gives k*D/N = (k*r mod N)/N + j*t/M + q*t, so
@@ -369,27 +455,25 @@ def _blocked_spectrum(key_set: KeySet) -> Iterator[tuple[int, int, np.ndarray]]:
     column 0 or M/2, its own mirror, adds twice its real part.  Class B - r
     holds the mirror images of class r, so only r in [0, B/2] is
     transformed; a class that is its own mirror (r = 0 or B/2) keeps
-    D <= N/2.  Memory is O(M + d).
+    D <= N/2.  Memory is O(M + d).  At float32 the angles, their cos and
+    sin and the weights are float32, z is complex64 and the transform runs
+    in single precision (numpy 1.x computes it in float64).  ``columns``
+    (:func:`_sweep_columns`) is computed here if not given.
     """
     n, d = key_set.modulus, key_set.d
-    b = _sweep_blocks(n, d)
+    b, folded, real_weight, imag_weight, _ = columns or _sweep_columns(key_set)
     m = n // b
     half = m // 2 + 1
-    columns = key_set.key_array.astype(np.int64) % m  # signed, for m - 2 * columns
-    folded = np.minimum(columns, m - columns)
-    own = (folded == 0) | (2 * folded == m)
-    real_weight = own + 1.0
-    if b > 1:  # only the classes r > 0 have sines
-        imag_weight = np.where(own, 0.0, np.sign(m - 2 * columns))
+    complex_dtype = np.result_type(dtype, np.complex64)
     for r in range(b // 2 + 1):
         if r:
-            angles = _residues(key_set, [r])[0]
-            angles *= 2.0 * np.pi
-            z = np.empty(half, complex)
+            angles = _residues(key_set, [r])[0].astype(dtype, copy=False)
+            angles *= dtype(2.0 * np.pi)
+            z = np.empty(half, complex_dtype)
             z.real = np.bincount(folded, np.cos(angles) * real_weight, half)
             z.imag = np.bincount(folded, np.sin(angles) * imag_weight, half)
-        else:  # every angle is 0
-            z = np.bincount(folded, real_weight, half)
+        else:  # every angle is 0; a complex z skips irfft's slower real-input path
+            z = np.bincount(folded, real_weight, half).astype(complex_dtype)
         values = np.fft.irfft(z, m)
         values *= m / (2.0 * d)
         start = int(r == 0)  # D = 0 is no difference
@@ -397,12 +481,41 @@ def _blocked_spectrum(key_set: KeySet) -> Iterator[tuple[int, int, np.ndarray]]:
         yield r + b * start, b, values[start:stop]
 
 
+def _sweep_candidates(
+    key_set: KeySet, columns: _Columns, dtype, rows: int
+) -> tuple[np.ndarray, float] | None:
+    """(candidates folded to D <= N/2 in ascending order, the sweep's
+    maximum): every D whose sweep magnitude is within 2 * window +
+    _SWEEP_TIE_TOLERANCE of the maximum.  A float32 pass returns None as
+    soon as more than ``rows`` are proposed, without sorting them."""
+    n = key_set.modulus
+    window = columns.window32 if dtype == np.float32 else _SWEEP_WINDOW
+    band = 2.0 * window + _SWEEP_TIE_TOLERANCE
+    top, near = -math.inf, []
+    for first, step, values in _blocked_spectrum(key_set, dtype, columns):
+        magnitudes = np.abs(values, out=values)
+        top = max(top, float(magnitudes.max()))
+        close = magnitudes >= top - band
+        if dtype == np.float32 and np.count_nonzero(close) + sum(
+            np.count_nonzero(mags >= top - band) for _, mags in near
+        ) > rows:
+            return None
+        kept = np.flatnonzero(close)
+        near.append((first + step * kept, magnitudes[kept]))
+    # Folded candidates come in a few ascending and descending runs, which a
+    # stable sort merges in linear time.
+    candidates = np.sort(np.concatenate(
+        [np.minimum(diffs, n - diffs)[mags >= top - band] for diffs, mags in near]
+    ), kind="stable")
+    return candidates, top
+
+
 def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int, float]:
     """(|bias| at the worst difference, that difference, ceiling).
 
     :func:`_blocked_spectrum` proposes, :func:`bias` prices.  A difference
     whose |bias| is within _SWEEP_TIE_TOLERANCE of the maximum has a sweep
-    magnitude within 2*_SWEEP_WINDOW + _SWEEP_TIE_TOLERANCE of the sweep's
+    magnitude within 2 * window + _SWEEP_TIE_TOLERANCE of the sweep's
     maximum; every such candidate, folded to D <= N/2 (bias(N - D) =
     bias(D)), is priced in ascending order, up to _SWEEP_PRICE_CELLS
     residues.  The worst difference is the smallest priced candidate within
@@ -412,19 +525,18 @@ def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int, float]:
     tolerance, or, when the budget left candidates unpriced (a plateau such
     as key 0, or the full ring), at least the sweep's maximum plus
     _SWEEP_WINDOW plus the tolerance.
+
+    The sweep runs at float32 first, with the columns' wider window.  Its
+    candidates include every one a float64 sweep proposes (the window's
+    headroom is far above both sweeps' errors), so when they fit the budget
+    so would the float64 ones, and pricing gives the float64 sweep's triple.
+    When they do not fit (a plateau), the sweep runs again at float64 and
+    goes on as it would alone.
     """
-    n = key_set.modulus
-    window = 2.0 * _SWEEP_WINDOW + _SWEEP_TIE_TOLERANCE
-    top, near = -math.inf, []
-    for first, step, values in _blocked_spectrum(key_set):
-        magnitudes = np.abs(values, out=values)
-        top = max(top, float(magnitudes.max()))
-        kept = np.flatnonzero(magnitudes >= top - window)
-        near.append((first + step * kept, magnitudes[kept]))
-    candidates = np.sort(np.concatenate(
-        [np.minimum(diffs, n - diffs)[mags >= top - window] for diffs, mags in near]
-    ))
+    columns = _sweep_columns(key_set)
     rows = max(1, _SWEEP_PRICE_CELLS // key_set.d)
+    candidates, top = (_sweep_candidates(key_set, columns, np.float32, rows)
+                       or _sweep_candidates(key_set, columns, np.float64, rows))
     priced = np.abs(bias(key_set, candidates[:rows]))
     worst = int(np.argmax(priced >= priced.max() - _SWEEP_TIE_TOLERANCE))
     max_bias = float(priced[worst])

@@ -701,6 +701,91 @@ class TestBlockedSweep:
             assert report.key_set.certification.max_bias == report.max_bias
 
 
+class TestSinglePrecisionSweep:
+    """The exact sweep proposes at float32 first, with a window derived from
+    the key set's column counts, and runs again at float64 only when its
+    candidates overflow the pricing budget.  Its triple must equal that of
+    a sweep whose every pass runs at float64."""
+
+    @staticmethod
+    def float64_only(key_set: KeySet) -> tuple[float, int, float]:
+        propose = qhc.qhash._sweep_candidates
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qhc.qhash, "_sweep_candidates",
+                          lambda ks, columns, dtype, rows: propose(ks, columns, np.float64, rows))
+            return qhc.qhash._exact_bias_sweep(key_set)
+
+    @staticmethod
+    def sweep_precisions(monkeypatch) -> list:
+        """The dtype of each _blocked_spectrum pass from here on."""
+        passes = []
+        spectrum = qhc.qhash._blocked_spectrum
+
+        def counted(key_set, dtype=np.float64, columns=None):
+            passes.append(dtype)
+            return spectrum(key_set, dtype, columns)
+
+        monkeypatch.setattr(qhc.qhash, "_blocked_spectrum", counted)
+        return passes
+
+    @pytest.mark.parametrize("n,blocks", TestBlockedSweep.SPLITS)
+    @given(st.integers(1, 8), st.sampled_from([1, 3, 4, 8, 64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_float32_spectrum_within_a_hundredth_of_its_window(self, n, blocks, d, stride, seed):
+        # A stride that divides N draws keys from a coset, whose biases tie.
+        rng = np.random.default_rng(seed)
+        stride = stride if n % stride == 0 else 1
+        offset = int(rng.integers(stride))
+        keys = rng.choice(np.arange(offset, n, stride), size=d, replace=False)
+        ks = KeySet(modulus=n, keys=sorted(keys.tolist()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qhc.qhash, "_SWEEP_BLOCK_FLOOR", n // blocks)
+            columns = qhc.qhash._sweep_columns(ks)
+            assert columns.blocks == blocks
+            folded = []
+            for first, step, values in qhc.qhash._blocked_spectrum(ks, np.float32, columns):
+                diffs = first + step * np.arange(len(values))
+                error = np.abs(values.astype(np.float64) - bias(ks, diffs))
+                assert error.max() <= columns.window32 / 100
+                folded.extend(np.minimum(diffs, n - diffs).tolist())
+            assert sorted(folded) == list(range(1, n // 2 + 1))
+
+    @given(st.sampled_from([1 << 10, 4095, 3 << 10, 1 << 14, (1 << 17) + 1, 3 << 16, 1 << 18]),
+           st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_triple_equals_a_float64_sweep_on_random_sets(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        keys = np.sort(rng.choice(n, min(d, n), replace=False)).astype(np.uint64)
+        ks = KeySet(modulus=n, keys=keys)
+        assert qhc.qhash._exact_bias_sweep(ks) == self.float64_only(ks)
+
+    @pytest.mark.parametrize("d", [3050, 6225, 12200])
+    def test_triple_equals_a_float64_sweep_at_2_21(self, monkeypatch, d):
+        # The key counts search-keys draws at N = 2^21 for delta 0.1, 0.07, 0.05.
+        keys = qhc.qhash._draw_keys(np.random.default_rng(d), 1 << 21, d)
+        ks = KeySet(modulus=1 << 21, keys=keys)
+        want = self.float64_only(ks)
+        passes = self.sweep_precisions(monkeypatch)
+        assert qhc.qhash._exact_bias_sweep(ks) == want
+        assert passes == [np.float32]
+
+    @pytest.mark.parametrize("n,keys,worst", [
+        (1 << 12, (0,), 1),  # key 0: every |bias| is 1
+        (1 << 12, tuple(range(32, 1 << 12, 64)), 64),  # a coset: |bias| 1 at multiples of 64
+        (64, tuple(range(64)), None),  # the full ring: every |bias| is ~1e-17
+    ])
+    def test_plateaus_take_the_float64_re_sweep(self, monkeypatch, n, keys, worst):
+        ks = KeySet(modulus=n, keys=keys)
+        monkeypatch.setattr(qhc.qhash, "_SWEEP_PRICE_CELLS", 64)
+        want = self.float64_only(ks)
+        passes = self.sweep_precisions(monkeypatch)
+        got = qhc.qhash._exact_bias_sweep(ks)
+        assert passes == [np.float32, np.float64]
+        assert got == want
+        if worst is not None:
+            assert got[:2] == (1.0, worst)
+
+
 class TestMonteCarloScreen:
     """Monte Carlo mode prices exactly only the sampled rows whose rough
     |bias| is within 2 epsilon of the chunk's rough maximum; its verdicts
@@ -781,6 +866,34 @@ class TestMonteCarloScreen:
         diffs = rand_below_many(np.random.default_rng(seed + 1), n, max(1, 20000 // ks.d))
         error = np.abs(qhc.qhash._rough_bias(ks, diffs) - np.abs(bias(ks, diffs)))
         assert error.max() < qhc.qhash._SCREEN_EPSILON / 100
+
+    @pytest.mark.parametrize("n", [1 << 54, 1 << 64, 1 << 80])
+    def test_screen_ratios_within_2_to_the_minus_53(self, n):
+        ks = self.key_set(n, 500, 1)
+        values = rand_below_many(np.random.default_rng(2), n, 200)
+        rounded = qhc.qhash._residues(ks, values)
+        gap = rounded - qhc.qhash._residues(ks, values, truncate=True)
+        assert 0.0 <= gap.min() and gap.max() <= 2.0 ** -53
+
+    @pytest.mark.parametrize("n", [(1 << 64) + 13, (1 << 40) - 87, (1 << 33) + 1, 1 << 53, 3 << 20])
+    def test_screen_ratios_elsewhere_are_the_rounded_ones(self, n):
+        ks = self.key_set(n, 500, 3)
+        values = rand_below_many(np.random.default_rng(4), n, 200)
+        truncated = qhc.qhash._residues(ks, values, truncate=True)
+        assert truncated.tobytes() == qhc.qhash._residues(ks, values).tobytes()
+
+    def test_only_the_screen_truncates(self, monkeypatch):
+        ks = self.key_set(1 << 64, 50, 5)
+        residues, calls = qhc.qhash._residues, []
+
+        def recorded(key_set, values, truncate=False):
+            calls.append(truncate)
+            return residues(key_set, values, truncate)
+
+        monkeypatch.setattr(qhc.qhash, "_residues", recorded)
+        qhc.qhash._rough_bias(ks, [1, 2, 3])
+        bias(ks, [1, 2, 3])
+        assert calls == [True, False]
 
 
 # ---------------------------------------------------------------- search
