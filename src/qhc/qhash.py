@@ -428,9 +428,7 @@ def _sweep_columns(key_set: KeySet) -> _Columns:
     if m % 2 == 0:
         own |= folded == m // 2
     real_weight = np.where(own, np.float32(2.0), np.float32(1.0))
-    imag_weight = None
-    if b > 1:
-        imag_weight = np.where(own, 0, np.sign(m - 2 * columns)).astype(np.float32)
+    imag_weight = np.where(own, 0, np.sign(m - 2 * columns)).astype(np.float32) if b > 1 else None
     fft = 10.0 * math.log2(m) * _U32 * math.sqrt(m * square_sum) / d
     window32 = _SWEEP_WINDOW + _SCREEN_EPSILON + fft + 4.0 * _U32
     return _Columns(b, folded, real_weight, imag_weight, window32)
