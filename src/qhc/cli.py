@@ -21,6 +21,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from collections import OrderedDict
@@ -427,7 +429,13 @@ def _json_text(doc, pad: str = "") -> str:
 
 
 def _write_or_print(text: str, out: str | None) -> None:
-    """``text`` into the file ``out``, or as it is on stdout: the same bytes."""
+    """``text`` into the file ``out``, or as it is on stdout: the same bytes.
+
+    Unlike ``profile``'s CSV, a key file or run report is truncated before
+    it is written.  Written in place and cut short, new keys could sit in
+    front of the old file's ``certification`` tail and the result would
+    still parse: a forged certificate.  These files are a few KB, so
+    truncating them costs nothing measurable."""
     if out:
         Path(out).write_text(text)
     else:
@@ -520,12 +528,33 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _no_truncate(path: str, flags: int) -> int:
+    """``open``'s own flags and file mode, less O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     spec, _ = _build_spec(config)
     profile = error_profile(spec)
-    with open(args.out, "w") as fh:
-        fh.writelines(profile.csv_blocks())
+    # The CSV is written over the old file, which is truncated only at the
+    # end of what was written.  Truncating first drops a 45 MB profile's
+    # cached pages and frees its blocks, and the new bytes then need fresh
+    # ones: on ext4 mounted with discard that costs more than the write
+    # (about 32 ms to open with O_TRUNC and 14 ms to write, against 9 ms to
+    # write over the old pages).  On a regular file the header goes in last, over a placeholder
+    # of its length, so a write cut short never leaves a valid header in
+    # front of new rows and the old file's tail.
+    with open(args.out, "w", opener=_no_truncate) as fh:
+        blocks = profile.csv_blocks()
+        header = next(blocks)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        fh.write(" " * (len(header) - 1) + "\n" if regular else header)
+        fh.writelines(blocks)
+        if regular:
+            fh.truncate()
+            fh.seek(0)
+            fh.write(header)
     total = 1 << (spec.n1 + spec.n2)
     print(f"profile: {spec.function.name} {total} inputs -> {args.out}")
     if profile.attaining is None:

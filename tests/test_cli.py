@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -483,6 +484,89 @@ class TestProfile:
                      "--out", str(tmp_path / "x.csv"))
         assert rc == 2
         assert "guard" in capsys.readouterr().err
+
+
+class TestProfileWriter:
+    """``profile`` writes its CSV over an existing file and truncates it at
+    the end; on a regular file the header is written last.  Whatever was
+    there before, the bytes equal a write to a fresh path."""
+
+    HEADER = b"sigma,gamma,f,exact_accept\n"
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        return TestProfile().profile_config(tmp_path)
+
+    @pytest.fixture
+    def fresh(self, tmp_path, config) -> bytes:
+        out = tmp_path / "fresh.csv"
+        assert run_cli("profile", "--config", config, "--out", str(out)) == 0
+        data = out.read_bytes()
+        assert data.startswith(self.HEADER) and data.count(b"\n") == 1 + 16
+        return data
+
+    @pytest.mark.parametrize("old", [b"x" * (1 << 20), b"x", b"sigma,gamma\n00,00,1,1.0\n"],
+                             ids=["longer", "shorter", "shorter-with-newlines"])
+    def test_over_an_existing_file(self, tmp_path, config, fresh, old):
+        out = tmp_path / "old.csv"
+        out.write_bytes(old)
+        assert run_cli("profile", "--config", config, "--out", str(out)) == 0
+        assert out.read_bytes() == fresh
+
+    def test_through_a_symlink(self, tmp_path, config, fresh):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"x" * 4096)
+        link.symlink_to(target)
+        assert run_cli("profile", "--config", config, "--out", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh
+
+    def test_through_a_hard_link(self, tmp_path, config, fresh):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_bytes(b"x" * 4096)
+        os.link(first, second)
+        assert run_cli("profile", "--config", config, "--out", str(first)) == 0
+        assert second.read_bytes() == fresh
+
+    def test_to_a_device_that_is_not_a_regular_file(self, config, capsys):
+        assert run_cli("profile", "--config", config, "--out", os.devnull) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_write_cut_short_leaves_no_header(self, tmp_path, config, fresh, monkeypatch):
+        out = tmp_path / "profile.csv"
+        out.write_bytes(fresh)  # a complete profile from an earlier run
+        csv_blocks = qhc.ErrorProfile.csv_blocks
+
+        def two_blocks_then_disk_full(profile):
+            blocks = csv_blocks(profile)
+            yield next(blocks)
+            yield next(blocks)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(qhc.ErrorProfile, "csv_blocks", two_blocks_then_disk_full)
+        assert run_cli("profile", "--config", config, "--out", str(out)) == 3
+        first_line = out.read_bytes().partition(b"\n")[0] + b"\n"
+        assert first_line != self.HEADER
+        assert len(out.read_bytes()) == len(fresh)  # new rows over the old tail
+
+    def test_a_directory_exits_3_as_open_refuses_it(self, tmp_path, config, capsys):
+        with pytest.raises(OSError) as info:
+            open(tmp_path, "w")
+        assert run_cli("profile", "--config", config, "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_new_file_mode_follows_the_umask_as_open_does(self, tmp_path, config):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            assert run_cli("profile", "--config", config,
+                           "--out", str(tmp_path / "profile.csv")) == 0
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "profile.csv").st_mode
+        assert mode == os.stat(tmp_path / "plain.txt").st_mode == 0o100640
 
 
 # ----------------------------------------------------------- config parse

@@ -412,6 +412,40 @@ class TestErrorProfile:
         with pytest.raises(CharacteristicError, match="MOD"):
             error_profile(build_spec(inst, full_ring(3)))
 
+    @pytest.mark.parametrize("keys", [KeySet(1 << 64, (1,)), KeySet(16, (1, 5, 9))],
+                             ids=["fidelity-rounds-to-1", "N16"])
+    def test_one_sided_check_is_exact_on_integers(self, keys):
+        """EQ 2's polynomial plus 1 is nonzero on every 1-input.  Under the
+        key 1 over N = 2^64 every fidelity cos(2 pi D / 2^64) rounds to 1.0,
+        so only a check on the hash points, not on the accept, refuses it."""
+        base = builtin("EQ", 2)
+        poly = base.characteristic.polynomials[0]
+        bad = LinearPolynomial(modulus=4, coeffs=poly.coeffs, constant=1)
+        spec = build_spec(FunctionInstance(Characteristic(base.function, (bad,)), 2), keys)
+        for refuse in (lambda: run_exact(spec, (0, 0), (0, 0)), lambda: error_profile(spec)):
+            with pytest.raises(CharacteristicError, match="1-input 00,00 .* EQ_2$"):
+                refuse()
+
+    def test_first_offending_input_matches_run_exact(self):
+        """One of two pairs breaks only where the forwarded x1 is 1; the
+        profile names the first such 1-input in assignment order, with the
+        message run_exact gives for it."""
+        base = builtin("EQ", 3)
+        poly = base.characteristic.polynomials[0]
+        bad = LinearPolynomial(poly.modulus, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
+        inst = FunctionInstance(Characteristic(base.function, (poly, bad)), 3)
+        spec = build_spec(inst, KeySet(1 << 64, (1,)), forwarded=(1,))
+        first = None
+        for bits in product((0, 1), repeat=6):
+            try:
+                run_exact(spec, bits[:3], bits[3:])
+            except CharacteristicError as e:
+                first = first or str(e)
+        assert first is not None and "pair 1 " in first and "1-input 100,100 " in first
+        with pytest.raises(CharacteristicError) as info:
+            error_profile(spec)
+        assert str(info.value) == first
+
     def test_enumeration_guard(self):
         spec = build_spec(builtin("EQ", 11), full_ring(1 << 11))
         with pytest.raises(GuardError, match="2\\^22"):
