@@ -366,11 +366,17 @@ class ErrorProfile:
     over f = 0; the function, the cut and the certified bound are those of
     ``spec``.
 
-    ``values`` holds the distinct products of per-pair acceptances that
-    occur, and ``cells`` the one index of each cell, 2 * code + f: the
-    index of its product in ``values`` (``codes``), and its f value
-    (``f_grid``).  ``values`` is never longer than the grid has cells.
-    The checks, the f = 0 summaries and the CSV all read ``cells``."""
+    A row of the grid depends on sigma only through Alice's message (every
+    u_j and the forwarded bits) and its f row, so the rows are kept once per
+    Alice class: ``row_class`` maps each sigma to its class, and row c of
+    ``cells`` holds class c's cells.  When every class is one sigma,
+    ``row_class`` is the identity and ``cells`` the whole grid.  ``values``
+    holds the distinct products of per-pair acceptances that occur, and a
+    cell's index is 2 * code + f: the index of its product in ``values``,
+    and its f value.  ``values`` is never longer than the grid has cells.
+    The f = 0 summaries, the bound check and the CSV read ``cells``;
+    ``codes``, ``f_grid`` and ``accept_grid`` expand them to the whole
+    grid."""
 
     spec: ProtocolSpec = field(repr=False)
     worst_false_accept: float
@@ -379,14 +385,15 @@ class ErrorProfile:
     histogram: tuple[int, ...]  # 20 equal bins over [0, 1]
     values: np.ndarray = field(compare=False, repr=False)
     cells: np.ndarray = field(compare=False, repr=False)
+    row_class: np.ndarray = field(compare=False, repr=False)
 
     @property
     def codes(self) -> np.ndarray:  # read from cells, as is f_grid, anew on each read
-        return self.cells >> 1
+        return self.cells[self.row_class] >> 1
 
     @property
     def f_grid(self) -> np.ndarray:
-        return (self.cells & 1).astype(np.uint8)
+        return (self.cells[self.row_class] & 1).astype(np.uint8)
 
     @property
     def accept_grid(self) -> np.ndarray:
@@ -398,7 +405,12 @@ class ErrorProfile:
         Rows are ``sigma,gamma,f,exact_accept`` in assignment order, floats
         written with ``repr``.  Each ``values`` entry is formatted once per f
         and a cell picks its tail by its index, so nothing is sorted here and
-        a block is one join over a template whose gamma slots never change."""
+        a class's first row is one join over a template whose gamma slots
+        never change.  Later rows of that class differ only in the sigma
+        that starts each line: the first row's text is cut once at every
+        newline followed by its sigma, and each later row joins the pieces
+        with its own sigma.  A class's pieces are dropped once its last row
+        is written."""
 
         def bits(i: int, n: int) -> str:  # an empty side is "", not format's "0"
             return format(i, f"0{n}b") if n else ""
@@ -410,10 +422,24 @@ class ErrorProfile:
                          dtype=object)
         line = [""] * (3 * cols)  # sigma + ",", gamma, tail for each cell
         line[1::3] = [bits(j, n2) for j in range(cols)]
-        for i, row in enumerate(self.cells):
-            line[0::3] = [bits(i, n1) + ","] * cols
-            line[2::3] = tails[row].tolist()
-            yield "".join(line)
+        left = np.bincount(self.row_class).tolist()  # rows still to write, per class
+        kept = {}  # class -> its first row's text, cut at each line's sigma
+        for i, c in enumerate(self.row_class.tolist()):
+            sigma = bits(i, n1)
+            if c in kept:
+                yield sigma + ("\n" + sigma).join(kept[c])
+            else:
+                line[0::3] = [sigma + ","] * cols
+                line[2::3] = tails[self.cells[c]].tolist()
+                block = "".join(line)
+                yield block
+                if left[c] > 1:  # a newline and then sigma occur only at line starts
+                    pieces = block.split("\n" + sigma)
+                    pieces[0] = pieces[0][n1:]
+                    kept[c] = pieces
+            left[c] -= 1
+            if not left[c]:
+                kept.pop(c, None)
 
 
 def _value_tables(spec: ProtocolSpec, pair: int) -> tuple[np.ndarray, np.ndarray]:
@@ -428,14 +454,70 @@ def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """What ``np.unique(keys, return_inverse=True)`` gives for integer keys
     in [0, size): the ascending distinct keys, and an intp inverse shaped
     like ``keys``.  When a table of ``size`` flags is no larger than
-    ``keys``, the keys that occur are marked in it and ranked by a running
-    count, with no sort; wider keys fall back to ``np.unique``."""
+    ``keys``, the keys are ranked by :func:`_count_rank`, with no sort;
+    wider keys fall back to ``np.unique``."""
     if size > keys.size:
         uniq, inv = np.unique(keys, return_inverse=True)
         return uniq, inv.reshape(keys.shape)  # numpy 1.x flattens the inverse
+    return _count_rank(keys, size)
+
+
+def _count_rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rank` by a counting table: the keys that occur are marked in
+    ``size`` flags and ranked by a running count."""
     seen = np.zeros(size, dtype=bool)
     seen[keys] = True
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
+def _alice_classes(
+    truth: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]], m: int,
+    pattern: np.ndarray | int, patterns: int, one_rows: np.ndarray,
+) -> tuple | None:
+    """Group the sigma rows of ``truth`` into Alice classes: the same u_j
+    for every pair (the value ``tables``), the same forward ``pattern`` (one
+    of ``patterns``; 0 when nothing is forwarded) and the same f row.
+    Returns each sigma's class, and each class's size, f row, pattern and
+    value tables (its u_j, Bob's v_j), or None when every class would be
+    one sigma.
+
+    The (pattern, u_j) keys are ranked one pair at a time with counting
+    tables, never sorted, and each class's values are read back from its
+    keys; a table that would outgrow the grid gives up (None), as the
+    profile's other tables never do.  A class's f row is taken to be the
+    cells where every pair collides, u_j = v_j (from Bob's ``tables``).
+    The one-sided check has shown that each sigma's 1-cells (at
+    ``one_rows``) lie within its class's row, so the rows are equal when
+    the counts agree; where they do not (the polynomials vanish on some
+    0-input), each sigma whose count differs becomes its own class."""
+    rows, us = truth.shape[0], [u for u, _ in tables]
+    code, count, keys = pattern, patterns, []
+    for u in us:
+        if count * m > truth.size:
+            return None
+        uniq, code = _count_rank(code * m + u, count * m)
+        count = uniq.size
+        if count == rows:
+            return None
+        keys.append(uniq)
+    class_us, class_pattern = [], np.arange(count)
+    for uniq in reversed(keys):  # a class's key at pair j: (its key at pair j - 1) * m + u_j
+        class_pattern, u = np.divmod(uniq[class_pattern], m)
+        class_us.insert(0, u)
+    f_rows = np.ones((count, truth.shape[1]), dtype=bool)
+    for u, (_, v) in zip(class_us, tables):
+        f_rows &= u[:, None] == v[class_pattern]
+    sizes, widths = np.bincount(code, minlength=count), f_rows.sum(axis=1)
+    if sizes @ widths != one_rows.size:
+        odd = np.flatnonzero(np.bincount(one_rows, minlength=rows) != widths[code])
+        code[odd] = count + np.arange(odd.size)
+        class_us = [np.concatenate([u, full[odd]]) for u, full in zip(class_us, us)]
+        class_pattern = np.concatenate(
+            [class_pattern, pattern[odd] if patterns > 1 else np.zeros_like(odd)])
+        f_rows = np.concatenate([f_rows, truth[odd].view(bool)])
+        sizes = np.bincount(code, minlength=count + odd.size)
+    class_tables = [(u, v) for u, (_, v) in zip(class_us, tables)]
+    return code, sizes, f_rows.view(np.uint8), class_pattern, class_tables
 
 
 def error_profile(spec: ProtocolSpec) -> ErrorProfile:
@@ -443,6 +525,14 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     coincide on f = 1 (so acceptance is 1), and report the worst false
     accept (smallest attaining input) over f = 0, refusing it if it
     exceeds the certified bound.
+
+    A row of the grid depends on sigma only through Alice's message and
+    its f row, so the grid is built on one row per Alice class
+    (:func:`_alice_classes`): the same u_j for every pair, the same
+    forwarded bits and the same f row.  The classes are found with counting
+    tables, never by sorting the 2^n1 rows, and the counts below weigh each
+    class row by its size.  When every class would be one sigma (EQ at its
+    natural cut), the grid is the whole grid, as it was before classes.
 
     Each pair's fidelities come from one :func:`qhash.bias` call over the
     distinct differences of the grid, so every cell equals the
@@ -453,10 +543,11 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     the codes are ranked with a counting table (:func:`_rank`): 2m flags
     for the differences, whatever the key modulus.  Nothing is sorted when
     2m, and each product of table sizes, is no larger than the grid.  Each
-    cell then gets one index, 2 * code + f: one count per index gives the
-    f = 0 summaries, and one argmax over flagged indices the first
-    attaining cell.  The one-sided check reads u and v at the f = 1 cells
-    alone, on the integers.
+    cell then gets one index, 2 * code + f: one weighted count per index
+    gives the f = 0 summaries.  The attaining input is the first sigma
+    whose class row holds the worst value at f = 0, at the first such
+    gamma.  The one-sided check reads u and v at every f = 1 cell of the
+    whole grid, on the integers.
 
     Guarded at n1 + n2 <= 20 and at polynomial moduli m <= 2^31; use
     sampled runs beyond that.
@@ -476,10 +567,12 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     # Bob's values per sigma row: one row for all when nothing is forwarded,
     # else the row of that sigma's forward pattern.
     k = spec.k
+    pattern = 0
     if k:
         pattern = np.zeros(1 << n1, dtype=np.int64)
         for pos, i in enumerate(spec.forwarded):
             pattern |= (np.arange(1 << n1) >> (n1 - i) & 1) << (k - 1 - pos)
+    tables = [_value_tables(spec, j) for j in range(spec.l)]
 
     # The 1-cells in assignment order, as (row, column): at each, every
     # pair's difference u - v must be 0.  ``differs`` flags those where
@@ -488,6 +581,21 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     rows, cols = np.divmod(np.flatnonzero(truth.view(bool)), 1 << n2)
     bob_rows = pattern[rows] if k else 0
     differs = np.zeros(rows.size, dtype=bool)
+    for u, v in tables:
+        differs |= u[rows] != v[bob_rows, cols]
+    if differs.any():  # the first offending 1-input, refused as run_exact refuses it
+        at = int(np.argmax(differs))
+        sigma, gamma = index_to_bits(int(rows[at]), n1), index_to_bits(int(cols[at]), n2)
+        _check_one_sided(spec, _hash_points(spec, sigma, gamma), sigma, gamma)
+
+    # From here on the grid has one row per Alice class, weighted by the
+    # class's size in the counts.
+    classes = _alice_classes(truth, tables, m, pattern, 1 << k, rows)
+    if classes is None:
+        row_class, weights = np.arange(1 << n1), None
+    else:
+        row_class, sizes, truth, pattern, tables = classes
+        weights = np.repeat(sizes, 1 << n2)
 
     # Each cell's acceptance is (a_0 * a_1) * ..., a_j its pair-j term, in
     # the order run_exact multiplies them.  Pair j's terms come per distinct
@@ -495,10 +603,8 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     # mod N; the products so far come per distinct code.  The (code, inv)
     # pairs that occur are compacted to new codes, so no table outgrows the
     # grid and each product is formed once.
-    for j, ks in enumerate(spec.key_sets):
-        u, v = _value_tables(spec, j)
-        differs |= u[rows] != v[bob_rows, cols]
-        uniq, inv = _rank((u + m)[:, None] - (v[pattern] if k else v), 2 * m)
+    for j, (ks, (u, v)) in enumerate(zip(spec.key_sets, tables)):
+        uniq, inv = _rank((u + m)[:, None] - v[pattern], 2 * m)
         diffs, at = uniq - m, slice(None)
         if ks.modulus < 2 * m:  # D and D - N share a residue: price it once
             diffs, at = np.unique(diffs % ks.modulus, return_inverse=True)
@@ -509,17 +615,12 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
             used, codes = _rank(codes * terms.size + inv, values.size * terms.size)
             values = values[used // terms.size] * terms[used % terms.size]
 
-    if differs.any():  # the first offending 1-input, refused as run_exact refuses it
-        at = int(np.argmax(differs))
-        sigma, gamma = index_to_bits(int(rows[at]), n1), index_to_bits(int(cols[at]), n2)
-        _check_one_sided(spec, _hash_points(spec, sigma, gamma), sigma, gamma)
-
     # One index per cell, 2 * code + f (made in place: ``codes`` is ours);
-    # per index, how many cells hold it.
+    # per index, how many cells of the whole grid hold it.
     cells = codes
     cells <<= 1
     cells |= truth
-    counts = np.bincount(cells.ravel(), minlength=2 * values.size)
+    counts = np.bincount(cells.ravel(), weights, minlength=2 * values.size)
     false_counts = counts[0::2]
     false_inputs = int(false_counts.sum())
     hist, _ = np.histogram(values, bins=20, range=(0.0, 1.0), weights=false_counts)
@@ -528,10 +629,14 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     else:
         worst = float(values[false_counts > 0].max())
         # Distinct codes can share a value (bias(D) = bias(N - D)), so the
-        # first attaining input is searched among the cells, not the codes.
+        # first attaining input is searched among the cells, not the codes:
+        # the first sigma whose class row holds a flagged cell, and there
+        # the first such gamma.
         flags = np.zeros(2 * values.size, dtype=bool)
         flags[0::2] = values == worst
-        i, j = divmod(int(np.argmax(flags[cells])), 1 << n2)  # the first flagged cell
+        hits = flags[cells]
+        i = int(np.argmax(hits.any(axis=1)[row_class]))
+        j = int(np.argmax(hits[row_class[i]]))
         attaining = (index_to_bits(i, n1), index_to_bits(j, n2))
         _check_bound(spec, worst, *attaining)
 
@@ -543,4 +648,5 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         histogram=tuple(int(c) for c in hist),
         values=values,
         cells=cells,
+        row_class=row_class,
     )

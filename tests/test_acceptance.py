@@ -276,6 +276,9 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
 # re-recorded when exact certificates began to report bias at the worst
 # difference instead of the FFT's magnitude there: only the last bits of
 # max_bias, in the key file and in the spec summaries that echo it, moved.
+# The MODBIN_5 8-bit profile cut at n1 = 7 was recorded before profiles
+# grouped Alice's rows into classes: its 128 rows hold 5 distinct messages,
+# and Bob holds one bit.
 GOLDEN_SHA256 = {
     "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
     "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
@@ -292,6 +295,7 @@ GOLDEN_SHA256 = {
     "run-conj34-forwarded.json": "8abad170b9d27f6818296fc54f902e7b8c5e6ab81f6e03d6da5802fbf258262d",
     "profile-eq6.stdout": "05401f21df2dbb2a18faa0ecbfc1dd74d482773ddccb5cab4d474e2dd1d447bb",
     "profile-eq6-keys64.stdout": "86d50e8cb8cbf6ef124ea7be57a8461e162e3df643accfc76016ba51437cc6d4",
+    "profile-modbin8.csv": "41acfa894810d945f05a81644b58b85df7a82b4573a1466b2ab4d5c93b2481fc",
 }
 
 GOLDEN_PROFILES = {
@@ -299,6 +303,7 @@ GOLDEN_PROFILES = {
     "profile-conj34.csv": {"function": {"name": "CONJ", "n_a": 3, "n_b": 4},
                            "split": {"n1": 3, "forwarded": [1]}},
     "profile-poly3.csv": {"function": {"poly_file": "polys.json"}},
+    "profile-modbin8.csv": {"function": {"name": "MODBIN", "n": 8, "m": 5}, "split": {"n1": 7}},
 }
 
 

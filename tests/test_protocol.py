@@ -446,6 +446,38 @@ class TestErrorProfile:
             error_profile(spec)
         assert str(info.value) == first
 
+    def test_alice_class_splits_where_f_differs(self):
+        """x3 - y2 over Z_2 vanishes on every 1-input of F = [x3 = y2] and
+        not (x1 = y1 = 1), and on the 0-inputs with x1 = y1 = 1 too.  The
+        rows with the same x3 share u and pattern, but those with x1 = 1 have
+        a different f row: each is its own class, and the rest stay two."""
+
+        def rule(b):
+            x1, x3, y1, y2 = b.bits[:, 0], b.bits[:, 2], b.bits[:, 3], b.bits[:, 4]
+            return (x3 == y2) & ~((x1 == 1) & (y1 == 1))
+
+        fn = BooleanFunction("F", 5, rule)
+        poly = LinearPolynomial(modulus=2, coeffs=(0, 0, 1, 0, -1))
+        spec = build_spec(FunctionInstance(Characteristic(fn, (poly,)), 3), KeySet(64, (1, 5, 9)))
+        prof = error_profile(spec)
+        assert prof.worst_false_accept == 1.0  # a vanishing 0-input collides
+        assert len(prof.cells) == 6
+        row_class = prof.row_class.tolist()
+        assert row_class[0b000] == row_class[0b010] and row_class[0b001] == row_class[0b011]
+        assert len({row_class[i] for i in (0b000, 0b001, 0b100, 0b101, 0b110, 0b111)}) == 6
+        assert_profile_is_direct(prof)
+
+    def test_class_rows_kept(self):
+        """CONJ 9+9 with x1 forwarded: 512 Alice rows, 6 messages (x1, and
+        the count of ones in x2..x9 mod 3).  EQ 10+10: every message is
+        distinct, so every row is kept, in order."""
+        conj = error_profile(build_spec(conjunction(9, 9), search_key_set(1 << 12, 0.3, seed=1),
+                                        forwarded=(1,)))
+        assert len(conj.cells) == 6 and conj.row_class.shape == (512,)
+        assert np.bincount(conj.row_class).sum() == 512
+        eq = error_profile(build_spec(builtin("EQ", 10), search_key_set(1 << 10, 0.3, seed=1)))
+        assert len(eq.cells) == 1024 and np.array_equal(eq.row_class, np.arange(1024))
+
     def test_enumeration_guard(self):
         spec = build_spec(builtin("EQ", 11), full_ring(1 << 11))
         with pytest.raises(GuardError, match="2\\^22"):
@@ -530,18 +562,60 @@ def test_rank_equals_np_unique(table, data):
     assert np.array_equal(inv, want_inv.reshape(shape))
 
 
+# Two polynomials over Z_3 on 6 bits as a polynomial file: Alice's half
+# takes only 3 values per polynomial, so her rows repeat.
+REPEATING_POLYS = [
+    {"modulus": "3", "coeffs": ["1", "1", "1", "-1", "-1", "-1"]},
+    {"modulus": "3", "coeffs": ["1", "2", "0", "0", "-1", "-2"], "constant": "1"},
+]
+
+PROFILED = {
+    "EQ 3": lambda: builtin("EQ", 3),
+    "THREE_POLYS": lambda: polynomial_instance(
+        [LinearPolynomial.from_json(doc) for doc in THREE_POLYS]),
+    "MOD_3 6": lambda: builtin("MOD", 6, m=3),
+    "MODBIN_5 6": lambda: builtin("MODBIN", 6, m=5),
+    "CONJ 3+3": lambda: conjunction(3, 3),
+    "REPEATING_POLYS": lambda: polynomial_instance(
+        [LinearPolynomial.from_json(doc) for doc in REPEATING_POLYS]),
+}
+
+
+def profile_direct(spec: ProtocolSpec):
+    """Every cell by run_exact, and the f = 0 summaries read off them."""
+    reports = [[run_exact(spec, sigma, gamma) for gamma in product((0, 1), repeat=spec.n2)]
+               for sigma in product((0, 1), repeat=spec.n1)]
+    accept = [[r.exact_accept for r in row] for row in reports]
+    f_grid = [[r.f_value for r in row] for row in reports]
+    zeros = [r for row in reports for r in row if r.f_value == 0]  # row-major order
+    worst = max((r.exact_accept for r in zeros), default=0.0)
+    first = next((r for r in zeros if r.exact_accept == worst), None)
+    hist, _ = np.histogram([r.exact_accept for r in zeros], bins=20, range=(0.0, 1.0))
+    summary = (worst, first and (first.alice, first.bob), len(zeros), tuple(hist.tolist()))
+    return accept, f_grid, summary
+
+
+def assert_profile_is_direct(prof) -> None:
+    spec = prof.spec
+    accept, f_grid, summary = profile_direct(spec)
+    assert prof.accept_grid.tolist() == accept
+    assert prof.f_grid.tolist() == f_grid
+    assert (prof.worst_false_accept, prof.attaining, prof.false_inputs,
+            prof.histogram) == summary
+    assert "".join(prof.csv_blocks()) == profile_csv_direct(spec.n1, spec.n2, f_grid, accept)
+
+
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_profile_prices_each_residue_once(data):
     # With m <= N < 2m, differences D in (-m, m) and D - N share a residue
-    # mod N: bias prices each residue that occurs once, and every cell and
-    # the CSV keep run_exact's bits.  The poly set has three pairs over Z_7.
-    if data.draw(st.booleans(), label="poly_file"):
-        inst = polynomial_instance([LinearPolynomial.from_json(doc) for doc in THREE_POLYS])
-    else:
-        inst = builtin("EQ", 3)
+    # mod N: bias prices each residue that occurs once, and every cell, the
+    # f = 0 summaries and the CSV keep run_exact's bits.  The instances
+    # include builtins and polynomial files whose Alice rows repeat (MOD,
+    # MODBIN, CONJ, REPEATING_POLYS), which the profile keeps once per class.
+    inst = PROFILED[data.draw(st.sampled_from(sorted(PROFILED)), label="instance")]()
     m, n = inst.characteristic.modulus, inst.function.arity
-    modulus = m + data.draw(st.sampled_from([0, 3]), label="N - m")
+    modulus = m + data.draw(st.sampled_from([0, min(3, m - 1)]), label="N - m")  # N < 2m
     n1 = data.draw(st.sampled_from([0, n // 2, n]), label="n1")  # 0 and n: an empty side
     forwarded = data.draw(st.lists(st.integers(1, max(n1, 1)), unique=True, max_size=min(n1, 2)),
                           label="fwd")
@@ -557,14 +631,7 @@ def test_profile_prices_each_residue_once(data):
     for residues in priced:
         assert np.array_equal(residues, np.unique(residues))
         assert 0 <= residues.min() and residues.max() < modulus
-
-    reports = [[run_exact(spec, sigma, gamma) for gamma in product((0, 1), repeat=spec.n2)]
-               for sigma in product((0, 1), repeat=spec.n1)]
-    accept = [[r.exact_accept for r in row] for row in reports]
-    f_grid = [[r.f_value for r in row] for row in reports]
-    assert prof.accept_grid.tolist() == accept
-    assert prof.f_grid.tolist() == f_grid
-    assert "".join(prof.csv_blocks()) == profile_csv_direct(spec.n1, spec.n2, f_grid, accept)
+    assert_profile_is_direct(prof)
 
 
 # --------------------------------------------------- cross-route agreement
