@@ -235,6 +235,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     own message wins; then any other NaN or Infinity is refused."""
     read_field({"config": doc}, "config", "$", OBJECT)
     fdoc = read_field(doc, "function", "function", OBJECT)
+    if sum(k in fdoc for k in ("poly", "poly_file", "name")) > 1:
+        raise ConfigError("function", "give only one of poly, poly_file and name")
     if "poly" in fdoc:
         poly = _poly_from_json(fdoc["poly"], "function.poly")
         instance = _polynomial_set(polynomial_instance, [poly], "function.poly")
@@ -256,7 +258,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     delta = read_field(doc, "delta", "delta", NUMBER, None, lo=0, hi=1)
 
     kdoc = read_field(doc, "keys", "keys", OBJECT)
-    if ("search" in kdoc) == ("file" in kdoc or "files" in kdoc):
+    if sum(k in kdoc for k in ("search", "file", "files")) != 1:
         raise ConfigError("keys", "need exactly one key source: search, file, or files")
     key_search = None
     key_files = None

@@ -369,11 +369,12 @@ class ErrorProfile:
     A row of the grid depends on sigma only through Alice's message (every
     u_j and the forwarded bits) and its f row, so the rows are kept once per
     Alice class: ``row_class`` maps each sigma to its class, and row c of
-    ``cells`` holds class c's cells.  When every class is one sigma,
-    ``row_class`` is the identity and ``cells`` the whole grid.  ``values``
-    holds the distinct products of per-pair acceptances that occur, and a
-    cell's index is 2 * code + f: the index of its product in ``values``,
-    and its f value.  ``values`` is never longer than the grid has cells.
+    ``cells`` holds class c's cells.  When every class is one sigma, or
+    the polynomials vanish on some 0-input, ``row_class`` is the identity
+    and ``cells`` the whole grid.  ``values`` holds the distinct products
+    of per-pair acceptances that occur, and a cell's index is 2 * code + f:
+    the index of its product in ``values``, and its f value.  ``values`` is
+    never longer than the grid has cells.
     The f = 0 summaries, the bound check and the CSV read ``cells``;
     ``codes``, ``f_grid`` and ``accept_grid`` expand them to the whole
     grid."""
@@ -454,17 +455,11 @@ def _rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """What ``np.unique(keys, return_inverse=True)`` gives for integer keys
     in [0, size): the ascending distinct keys, and an intp inverse shaped
     like ``keys``.  When a table of ``size`` flags is no larger than
-    ``keys``, the keys are ranked by :func:`_count_rank`, with no sort;
-    wider keys fall back to ``np.unique``."""
+    ``keys``, the keys that occur are marked in it and ranked by a running
+    count, with no sort; wider keys fall back to ``np.unique``."""
     if size > keys.size:
         uniq, inv = np.unique(keys, return_inverse=True)
         return uniq, inv.reshape(keys.shape)  # numpy 1.x flattens the inverse
-    return _count_rank(keys, size)
-
-
-def _count_rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rank` by a counting table: the keys that occur are marked in
-    ``size`` flags and ranked by a running count."""
     seen = np.zeros(size, dtype=bool)
     seen[keys] = True
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
@@ -472,32 +467,27 @@ def _count_rank(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _alice_classes(
     truth: np.ndarray, tables: list[tuple[np.ndarray, np.ndarray]], m: int,
-    pattern: np.ndarray | int, patterns: int, one_rows: np.ndarray,
+    pattern: np.ndarray | int, patterns: int, ones: int,
 ) -> tuple | None:
     """Group the sigma rows of ``truth`` into Alice classes: the same u_j
     for every pair (the value ``tables``), the same forward ``pattern`` (one
     of ``patterns``; 0 when nothing is forwarded) and the same f row.
     Returns each sigma's class, and each class's size, f row, pattern and
     value tables (its u_j, Bob's v_j), or None when every class would be
-    one sigma.
+    one sigma or the f rows differ within a class.
 
-    The (pattern, u_j) keys are ranked one pair at a time with counting
-    tables, never sorted, and each class's values are read back from its
-    keys; a table that would outgrow the grid gives up (None), as the
-    profile's other tables never do.  A class's f row is taken to be the
-    cells where every pair collides, u_j = v_j (from Bob's ``tables``).
-    The one-sided check has shown that each sigma's 1-cells (at
-    ``one_rows``) lie within its class's row, so the rows are equal when
-    the counts agree; where they do not (the polynomials vanish on some
-    0-input), each sigma whose count differs becomes its own class."""
-    rows, us = truth.shape[0], [u for u, _ in tables]
+    The (pattern, u_j) keys are ranked one pair at a time with
+    :func:`_rank`, and each class's values are read back from its keys.  A
+    class's f row is taken to be the cells where every pair collides,
+    u_j = v_j (from Bob's ``tables``).  The one-sided check has shown that
+    each sigma's 1-cells lie within its class's row, so the rows are equal
+    when their 1-counts add up to ``ones``, the grid's; they do not only
+    when the polynomials vanish on some 0-input."""
     code, count, keys = pattern, patterns, []
-    for u in us:
-        if count * m > truth.size:
-            return None
-        uniq, code = _count_rank(code * m + u, count * m)
+    for u, _ in tables:
+        uniq, code = _rank(code * m + u, count * m)
         count = uniq.size
-        if count == rows:
+        if count == truth.shape[0]:
             return None
         keys.append(uniq)
     class_us, class_pattern = [], np.arange(count)
@@ -507,15 +497,9 @@ def _alice_classes(
     f_rows = np.ones((count, truth.shape[1]), dtype=bool)
     for u, (_, v) in zip(class_us, tables):
         f_rows &= u[:, None] == v[class_pattern]
-    sizes, widths = np.bincount(code, minlength=count), f_rows.sum(axis=1)
-    if sizes @ widths != one_rows.size:
-        odd = np.flatnonzero(np.bincount(one_rows, minlength=rows) != widths[code])
-        code[odd] = count + np.arange(odd.size)
-        class_us = [np.concatenate([u, full[odd]]) for u, full in zip(class_us, us)]
-        class_pattern = np.concatenate(
-            [class_pattern, pattern[odd] if patterns > 1 else np.zeros_like(odd)])
-        f_rows = np.concatenate([f_rows, truth[odd].view(bool)])
-        sizes = np.bincount(code, minlength=count + odd.size)
+    sizes = np.bincount(code, minlength=count)
+    if sizes @ f_rows.sum(axis=1) != ones:
+        return None
     class_tables = [(u, v) for u, (_, v) in zip(class_us, tables)]
     return code, sizes, f_rows.view(np.uint8), class_pattern, class_tables
 
@@ -529,20 +513,20 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     A row of the grid depends on sigma only through Alice's message and
     its f row, so the grid is built on one row per Alice class
     (:func:`_alice_classes`): the same u_j for every pair, the same
-    forwarded bits and the same f row.  The classes are found with counting
-    tables, never by sorting the 2^n1 rows, and the counts below weigh each
-    class row by its size.  When every class would be one sigma (EQ at its
-    natural cut), the grid is the whole grid, as it was before classes.
+    forwarded bits and the same f row.  The counts below weigh each class
+    row by its size.  When every class would be one sigma (EQ at its
+    natural cut), or the polynomials vanish on some 0-input, the grid is
+    the whole grid.
 
     Each pair's fidelities come from one :func:`qhash.bias` call over the
     distinct differences of the grid, so every cell equals the
     ``exact_accept`` that :func:`run_exact` reports for that input.  When
     N < 2m two differences can share a residue mod N, and ``bias`` is
     called on the distinct residues instead: it reduces mod N first, so
-    the values are the same bits.  The signed differences u - v + m and
-    the codes are ranked with a counting table (:func:`_rank`): 2m flags
-    for the differences, whatever the key modulus.  Nothing is sorted when
-    2m, and each product of table sizes, is no larger than the grid.  Each
+    the values are the same bits.  Every ranking here (the Alice keys, the
+    signed differences u - v + m, the residues and the codes) is
+    :func:`_rank`: a counting table where it fits the keys, else one sort.
+    The differences take 2m flags, whatever the key modulus.  Each
     cell then gets one index, 2 * code + f: one weighted count per index
     gives the f = 0 summaries.  The attaining input is the first sigma
     whose class row holds the worst value at f = 0, at the first such
@@ -590,7 +574,7 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
 
     # From here on the grid has one row per Alice class, weighted by the
     # class's size in the counts.
-    classes = _alice_classes(truth, tables, m, pattern, 1 << k, rows)
+    classes = _alice_classes(truth, tables, m, pattern, 1 << k, rows.size)
     if classes is None:
         row_class, weights = np.arange(1 << n1), None
     else:
@@ -607,7 +591,7 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         uniq, inv = _rank((u + m)[:, None] - v[pattern], 2 * m)
         diffs, at = uniq - m, slice(None)
         if ks.modulus < 2 * m:  # D and D - N share a residue: price it once
-            diffs, at = np.unique(diffs % ks.modulus, return_inverse=True)
+            diffs, at = _rank(diffs % ks.modulus, ks.modulus)
         terms = swap_accept(bias(ks, diffs))[at]
         if j == 0:
             values, codes = terms, inv

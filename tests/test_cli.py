@@ -39,6 +39,8 @@ EQ2_EXACT = {
     "input": {"alice": "10", "bob": "10"},
 }
 
+EQ2_POLY = builtin("EQ", 2).characteristic.polynomials[0].to_json()
+
 
 # ----------------------------------------------------------------- verify
 
@@ -931,6 +933,28 @@ class TestMalformedInputExits3:
         config = dict(EQ2_EXACT, keys={"search": {"log2_n": 4, "N": 1000}})
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, "keys.search: give log2_n or N, not both")
+
+    @pytest.mark.parametrize(
+        "change,where",
+        [
+            ({"keys": {"file": "missing.json", "files": ["keys.json"]}},
+             "keys: need exactly one key source"),
+            ({"function": {"poly": EQ2_POLY, "poly_file": "missing.json"}},
+             "function: give only one of poly, poly_file and name"),
+            ({"function": {"name": "EQ", "n": 2, "poly_file": "polys.json"}},
+             "function: give only one of poly, poly_file and name"),
+            ({"function": {"name": "EQ", "n": 2, "poly": EQ2_POLY}},
+             "function: give only one of poly, poly_file and name"),
+        ],
+        ids=["file+files", "poly+poly_file", "name+poly_file", "name+poly"],
+    )
+    def test_two_sources_for_one_field(self, tmp_path, capsys, change, where):
+        """Two sources for the keys or the function are refused; neither is
+        silently dropped, even when the one that would be read exists."""
+        (tmp_path / "keys.json").write_text(json.dumps(KeySet(16, (1, 3, 5)).to_json()))
+        (tmp_path / "polys.json").write_text(json.dumps([EQ2_POLY]))
+        argv = ("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, **change)))
+        self.assert_exit_3(capsys, argv, where)
 
     def test_forwarded_as_a_string(self, tmp_path, capsys):
         config = dict(EQ2_EXACT, split={"n1": 2, "forwarded": "12"})

@@ -1,7 +1,9 @@
 """Static checks of the package source with the standard library's ``ast``:
-every imported name is used, ``qhc.__all__`` is exactly what
+every imported name is used, every module-level private name is used
+somewhere in the package, ``qhc.__all__`` is exactly what
 ``qhc/__init__.py`` imports, and every function the benchmark tracer wraps
-exists.  Deleting a function must delete its imports and its export too."""
+exists.  Deleting a function must delete its imports and its export too,
+and a helper whose last caller goes must go with it."""
 
 import ast
 import importlib
@@ -47,6 +49,32 @@ def test_every_import_is_used(path):
     used |= set(exported_names(tree))
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each ``_name`` (not a dunder) that a module-level def, class or
+    assignment binds, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        names.update((n, node.lineno) for n in targets if n[0] == "_" and n[:2] != "__")
+    return names
+
+
+def test_every_private_helper_is_used():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+    used = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    orphans = {f"{module}:{line}": name for module, tree in trees.items()
+               for name, line in private_definitions(tree).items() if name not in used}
+    assert not orphans, f"private names nothing in the package uses: {orphans}"
 
 
 def test_all_is_exactly_what_init_imports():

@@ -348,18 +348,19 @@ class TestErrorProfile:
     def test_both_rank_branches_match_run_exact(self, log2_n, table, monkeypatch):
         # 64 cells: EQ 3+3's differences span 2m = 16 and are ranked by the
         # table, MODBIN_1009's span 2m = 2018 and are ranked by np.unique;
-        # the sizes error_profile hands _rank select the branch.
-        branches = []
+        # the sizes error_profile hands _rank select the branch.  The Alice
+        # classes are ranked by _rank too: the differences' call has size 2m.
+        branches = {}
 
         def spy(keys, size):
-            branches.append(size <= keys.size)
+            branches[size] = size <= keys.size
             return _rank(keys, size)
 
         monkeypatch.setattr(protocol, "_rank", spy)
         instance = builtin("EQ", 3) if table else builtin("MODBIN", 6, m=1009)
         spec = build_spec(instance, search_key_set(1 << log2_n, 0.3, seed=1))
         prof = error_profile(spec)
-        assert branches == [table]
+        assert branches[2 * spec.modulus] == table
         assert prof.codes.shape == (8, 8)
         for i, sigma in enumerate(product((0, 1), repeat=3)):
             for j, gamma in enumerate(product((0, 1), repeat=3)):
@@ -450,7 +451,7 @@ class TestErrorProfile:
         """x3 - y2 over Z_2 vanishes on every 1-input of F = [x3 = y2] and
         not (x1 = y1 = 1), and on the 0-inputs with x1 = y1 = 1 too.  The
         rows with the same x3 share u and pattern, but those with x1 = 1 have
-        a different f row: each is its own class, and the rest stay two."""
+        a different f row, so the profile keeps the whole grid."""
 
         def rule(b):
             x1, x3, y1, y2 = b.bits[:, 0], b.bits[:, 2], b.bits[:, 3], b.bits[:, 4]
@@ -461,10 +462,7 @@ class TestErrorProfile:
         spec = build_spec(FunctionInstance(Characteristic(fn, (poly,)), 3), KeySet(64, (1, 5, 9)))
         prof = error_profile(spec)
         assert prof.worst_false_accept == 1.0  # a vanishing 0-input collides
-        assert len(prof.cells) == 6
-        row_class = prof.row_class.tolist()
-        assert row_class[0b000] == row_class[0b010] and row_class[0b001] == row_class[0b011]
-        assert len({row_class[i] for i in (0b000, 0b001, 0b100, 0b101, 0b110, 0b111)}) == 6
+        assert len(prof.cells) == 8 and np.array_equal(prof.row_class, np.arange(8))
         assert_profile_is_direct(prof)
 
     def test_class_rows_kept(self):
@@ -477,6 +475,16 @@ class TestErrorProfile:
         assert np.bincount(conj.row_class).sum() == 512
         eq = error_profile(build_spec(builtin("EQ", 10), search_key_set(1 << 10, 0.3, seed=1)))
         assert len(eq.cells) == 1024 and np.array_equal(eq.row_class, np.arange(1024))
+
+    @pytest.mark.parametrize("n_a,n1", [(3, 6), (4, 8)])
+    def test_class_keys_wider_than_the_rows(self, n_a, n1):
+        """CONJ n_a+n_a with Alice holding every bit: both pairs' u are fixed
+        by the counts mod 3 and mod 4, so 12 classes.  The second pair's
+        keys span 12 classes x m = 144, more than CONJ 3+3's 64 rows; they
+        are ranked all the same, and the 12 class rows are kept."""
+        prof = error_profile(build_spec(conjunction(n_a, n_a), KeySet(16, (1, 3, 5)), n1=n1))
+        assert len(prof.cells) == 12
+        assert_profile_is_direct(prof)
 
     def test_enumeration_guard(self):
         spec = build_spec(builtin("EQ", 11), full_ring(1 << 11))
