@@ -370,29 +370,19 @@ def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:
     ]
 
 
-class _Rendered(str):
-    """JSON text that :func:`_json_text` splices in verbatim; rendered with
-    the ``pad`` of the line it starts on, it reads as its document would."""
-
-
-# A run report's "spec" value starts on a line indented this much.
-_SUMMARY_PAD = "    "
-
-
-def _build_spec(config: ExperimentConfig) -> tuple[ProtocolSpec, _Rendered]:
-    """The spec of ``config`` and its summary as a run report writes it.
-    The key files are read on every call; the spec is built on a miss."""
+def _build_spec(config: ExperimentConfig) -> ProtocolSpec:
+    """The spec of ``config``.  The key files are read on every call; the
+    spec is built on a miss."""
     key_sets = tuple(_resolve_key_sets(config))
     return _spec(config.instance, key_sets, config.topology, config.n1, config.forwarded)
 
 
 @functools.lru_cache(maxsize=16)
-def _spec(instance, key_sets, topology, n1, forwarded) -> tuple[ProtocolSpec, _Rendered]:
-    """A process keeps the last 16 specs it built, each with its rendered
-    summary, keyed by what builds them (a spec is immutable; key sets are
-    compared by value); a ValueError is raised anew each time."""
-    spec = build_spec(instance, key_sets, topology=topology, n1=n1, forwarded=forwarded)
-    return spec, _Rendered(_json_text(spec.summary(), _SUMMARY_PAD))
+def _spec(instance, key_sets, topology, n1, forwarded) -> ProtocolSpec:
+    """A process keeps the last 16 specs it built, keyed by what builds them
+    (a spec is immutable; key sets are compared by value); a ValueError is
+    raised anew each time."""
+    return build_spec(instance, key_sets, topology=topology, n1=n1, forwarded=forwarded)
 
 
 def _json_text(doc, pad: str = "") -> str:
@@ -400,9 +390,9 @@ def _json_text(doc, pad: str = "") -> str:
     with string keys, lists, tuples, strings, ints, floats, bools and None;
     ``json`` writes indented text with its pure-Python encoder, this with
     one join per container.  ``pad`` is the indent of the line ``doc``
-    starts on; a :class:`_Rendered` value is written as it is."""
+    starts on."""
     if isinstance(doc, str):
-        return doc if type(doc) is _Rendered else _escape(doc)
+        return _escape(doc)
     inner = pad + "  "
     if isinstance(doc, dict):
         if not doc:
@@ -507,7 +497,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     if config.input_bits is None:
         raise ConfigError("input", "run needs an input")
-    spec, summary = _build_spec(config)
+    spec = _build_spec(config)
     sigma, gamma = config.input_bits
     if config.mode == "sampled":
         report = run_sampled(
@@ -519,7 +509,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "tool": "qhc",
         "version": __version__,
         "config": config.raw,
-        "result": report.to_json(summary),
+        "result": report.to_json(),
         "wall_clock_s": round(time.perf_counter() - start, 6),
     }
     _write_or_print(_json_text(envelope) + "\n", config.out)
@@ -537,7 +527,7 @@ def _no_truncate(path: str, flags: int) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    spec, _ = _build_spec(config)
+    spec = _build_spec(config)
     profile = error_profile(spec)
     # The CSV is written over the old file, which is truncated only at the
     # end of what was written.  Truncating first drops a 45 MB profile's

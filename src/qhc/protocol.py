@@ -212,7 +212,8 @@ def build_spec(
 @dataclass(frozen=True)
 class RunReport:
     """One protocol execution on one input, exact and optionally sampled;
-    its qubit cost and bounds are read from ``spec`` when it is written."""
+    its spec summary, qubit cost and bounds are read from ``spec`` when it
+    is written."""
 
     spec: ProtocolSpec = field(repr=False)
     alice: tuple[int, ...]
@@ -225,8 +226,9 @@ class RunReport:
     sample_accepts: int | None = None
     seed: int | None = None
 
-    def to_json(self, spec_summary: dict | str | None = None) -> dict:
+    def to_json(self) -> dict:
         doc: dict = {
+            "spec": self.spec.summary(),
             "input": {"alice": format_bits(self.alice), "bob": format_bits(self.bob)},
             "f": self.f_value,
             "exact_accept": self.exact_accept,
@@ -234,8 +236,6 @@ class RunReport:
             "qubits": self.spec.qubits(),
             "bounds": self.spec.bounds(),
         }
-        if spec_summary is not None:
-            doc = {"spec": spec_summary, **doc}
         if self.sampled_bit is not None:
             doc["sampled"] = {
                 "seed": self.seed,
@@ -515,8 +515,8 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     (:func:`_alice_classes`): the same u_j for every pair, the same
     forwarded bits and the same f row.  The counts below weigh each class
     row by its size.  When every class would be one sigma (EQ at its
-    natural cut), or the polynomials vanish on some 0-input, the grid is
-    the whole grid.
+    natural cut), Bob holds no bits, or the polynomials vanish on some
+    0-input, the grid is the whole grid.
 
     Each pair's fidelities come from one :func:`qhash.bias` call over the
     distinct differences of the grid, so every cell equals the
@@ -573,8 +573,9 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
         _check_one_sided(spec, _hash_points(spec, sigma, gamma), sigma, gamma)
 
     # From here on the grid has one row per Alice class, weighted by the
-    # class's size in the counts.
-    classes = _alice_classes(truth, tables, m, pattern, 1 << k, rows.size)
+    # class's size in the counts.  With no bits for Bob a row is one cell,
+    # and a class saves nothing.
+    classes = _alice_classes(truth, tables, m, pattern, 1 << k, rows.size) if n2 else None
     if classes is None:
         row_class, weights = np.arange(1 << n1), None
     else:

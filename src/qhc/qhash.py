@@ -61,8 +61,10 @@ EXACT_SWEEP_GUARD = 1 << 21
 # differences reduce as Python ints (they may be negative or >= 2^63).
 _INT64_DIFFERENCE_N = 1 << 31
 
-# Residues per block of the bias kernel (512 KiB of float64).
-_BIAS_BLOCK_CELLS = 1 << 16
+# Residues per block of the bias kernel: 64 KiB of float64, half glibc's
+# default mmap threshold (128 KiB).  Blocks at or above it are each served by
+# a fresh mmap and fault in new zero pages; smaller ones reuse heap pages.
+_BIAS_BLOCK_CELLS = 1 << 13
 
 # Bound on |rough - exact| |bias| of the Monte Carlo screen (_rough_bias
 # derives 8.4e-7; the worst seen on random rows is 5.6e-7, at d = 1).

@@ -159,12 +159,19 @@ class TestRunExact:
         }
 
     def test_report_json_shape(self, eq2_spec):
-        doc = run_exact(eq2_spec, (0, 1), (0, 0)).to_json(eq2_spec.summary())
+        doc = run_exact(eq2_spec, (0, 1), (0, 0)).to_json()
         assert list(doc) == ["spec", "input", "f", "exact_accept", "fidelities", "qubits", "bounds"]
         assert doc["input"] == {"alice": "01", "bob": "00"}
         assert doc["bounds"]["certified"] is True
         assert abs(doc["bounds"]["false_accept"] - 0.5 * (1 + 0.6**2)) < 1e-15
         assert abs(doc["bounds"]["false_accept_linear"] - 0.8) < 1e-15
+
+    @pytest.mark.parametrize("topology", ["one-way", "smp"])
+    def test_report_json_embeds_the_spec_summary(self, eq2_spec, topology):
+        spec = replace(eq2_spec, topology=topology)
+        for report in (run_exact(spec, (0, 1), (0, 1)),
+                       run_sampled(spec, (0, 1), (0, 0), seed=3, trials=16)):
+            assert report.to_json()["spec"] == spec.summary()
 
 
 class TestRunSampled:
@@ -476,14 +483,33 @@ class TestErrorProfile:
         eq = error_profile(build_spec(builtin("EQ", 10), search_key_set(1 << 10, 0.3, seed=1)))
         assert len(eq.cells) == 1024 and np.array_equal(eq.row_class, np.arange(1024))
 
-    @pytest.mark.parametrize("n_a,n1", [(3, 6), (4, 8)])
+    @pytest.mark.parametrize("n_a,n1", [(3, 5), (4, 7)])
     def test_class_keys_wider_than_the_rows(self, n_a, n1):
-        """CONJ n_a+n_a with Alice holding every bit: both pairs' u are fixed
-        by the counts mod 3 and mod 4, so 12 classes.  The second pair's
-        keys span 12 classes x m = 144, more than CONJ 3+3's 64 rows; they
-        are ranked all the same, and the 12 class rows are kept."""
+        """CONJ n_a+n_a with Bob holding one bit: both pairs' u are fixed by
+        Alice's count of ones mod 3 and her binary value mod 4, so 12
+        classes.  The second pair's keys span 12 classes x m = 144, more
+        than the 32 or 128 rows; they are ranked all the same, and the 12
+        class rows are kept."""
         prof = error_profile(build_spec(conjunction(n_a, n_a), KeySet(16, (1, 3, 5)), n1=n1))
         assert len(prof.cells) == 12
+        assert_profile_is_direct(prof)
+
+    def test_no_class_ranking_when_bob_holds_no_bits(self, monkeypatch):
+        """MODBIN 6 mod 101 with Alice holding every bit: a row is one cell,
+        so no Alice keys are ranked.  The only table wider than its keys is
+        the differences' 2m flags, which every profile takes."""
+        spec = build_spec(builtin("MODBIN", 6, m=101), KeySet(256, (1, 5, 9)), n1=6)
+        assert spec.n2 == 0 and spec.modulus > 1 << spec.n1
+        calls = []
+
+        def rank(keys, size):
+            calls.append((keys.size, size))
+            return _rank(keys, size)
+
+        monkeypatch.setattr(protocol, "_rank", rank)
+        prof = error_profile(spec)
+        assert [size for n, size in calls if size > n] == [2 * spec.modulus]
+        assert np.array_equal(prof.row_class, np.arange(64))
         assert_profile_is_direct(prof)
 
     def test_enumeration_guard(self):

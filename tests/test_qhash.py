@@ -225,7 +225,7 @@ class TestBiasZeros:
     difference keeps the bits of the row-at-a-time oracle, wherever the
     zeros fall among the kernel's blocks."""
 
-    D = 700  # keys per set: blocks of _BIAS_BLOCK_CELLS // 700 = 93 differences
+    D = 700  # keys per set: blocks of _BIAS_BLOCK_CELLS // 700 differences
 
     @staticmethod
     def key_set(n: int, d: int, seed: int) -> KeySet:
@@ -250,6 +250,19 @@ class TestBiasZeros:
         assert got.tobytes() == want.tobytes()
         zero = np.array([dd % n == 0 for dd in diffs])
         assert (got[zero] == 1.0).all() and (got[~zero] != 1.0).all()
+
+    @pytest.mark.parametrize("n", [1 << 21, 1 << 64, (1 << 32) - 5, (1 << 64) + 13])
+    def test_values_do_not_depend_on_the_block_size(self, monkeypatch, n):
+        """bias and _rough_bias give the same bytes in blocks of 2^16 and
+        2^13 residues and of one row: each row is summed in one order."""
+        ks = self.key_set(n, self.D, n % 983)
+        rng = np.random.default_rng(n % 977)
+        diffs = [int(v) % n for v in rng.integers(1, 1 << 62, size=3 * (1 << 16) // self.D + 7)]
+        seen = set()
+        for cells in (1 << 16, 1 << 13, 1):
+            monkeypatch.setattr(qhc.qhash, "_BIAS_BLOCK_CELLS", cells)
+            seen.add((bias(ks, diffs).tobytes(), qhc.qhash._rough_bias(ks, diffs).tobytes()))
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("n", [1 << 21, 1 << 64, (1 << 64) + 13])
     def test_all_zero_and_empty(self, n):
