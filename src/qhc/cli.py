@@ -149,12 +149,17 @@ def _load_key_set(path: Path) -> KeySet:
 
 
 # Bounds of the keys.search fields, shared with the search-keys flags.
-_SEARCH_BOUNDS = {"log2_n": (1, 256), "seed": (0, None), "attempts": (1, None),
-                  "trials": (1, None)}
+_SEARCH_BOUNDS = {"log2_n": (1, 256), "seed": (0, None), "attempts": (1, None)}
 
 
 def _search_field(doc: dict, key: str, prefix: str, default=REQUIRED) -> int:
     return read_field(doc, key, prefix + key, INT, default, *_SEARCH_BOUNDS[key])
+
+
+def _refuse_unread(doc: dict, where: str, read: Sequence[str]) -> None:
+    """Refuse the first field of the config object at ``where`` that is not in ``read``."""
+    if unread := [key for key in doc if key not in read]:
+        raise ConfigError(f"{where}.{unread[0]}", f"unknown field; {where} reads {', '.join(read)}")
 
 
 def _resolve_builtin(fdoc: dict) -> FunctionInstance:
@@ -197,7 +202,7 @@ class ExperimentConfig:
     topology: str
     mode: str
     delta: float | None
-    key_search: dict | None  # {"seed", "attempts", "modulus", "trials"}
+    key_search: dict | None  # {"seed", "attempts", "modulus"}
     key_files: list[Path] | None
     trials: int
     seed: int
@@ -254,6 +259,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     forwarded = tuple(read_items(forwarded, "split.forwarded", INT, lo=1, hi=n1))
     if len(set(forwarded)) != len(forwarded):
         raise ConfigError("split.forwarded", "indices must be distinct")
+    _refuse_unread(sdoc, "split", ("n1", "forwarded"))
 
     delta = read_field(doc, "delta", "delta", NUMBER, None, lo=0, hi=1)
 
@@ -285,8 +291,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             "seed": _search_field(s, "seed", "keys.search.", 0),
             "attempts": _search_field(s, "attempts", "keys.search.", 10),
             "modulus": modulus,
-            "trials": _search_field(s, "trials", "keys.search.", 2000),
         }
+        _refuse_unread(s, "keys.search", ("log2_n", "N", "seed", "attempts"))
     else:
         if "files" in kdoc:
             names = read_items(read_field(kdoc, "files", "keys.files", LIST), "keys.files", FILE)
@@ -297,6 +303,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             raise ConfigError(
                 "keys.files", f"need 1 or {pairs} key files, got {len(key_files)}"
             )
+    _refuse_unread(kdoc, "keys", ("search", "file", "files"))
 
     topology = read_field(doc, "topology", "topology", STRING, "one-way")
     if topology not in ("one-way", "smp"):
@@ -323,6 +330,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                 raise ConfigError(
                     f"input.{party}", f"{party} input has {len(bits)} bits, split says {size}"
                 )
+        _refuse_unread(idoc, "input", ("alice", "bob"))
 
     config = ExperimentConfig(
         raw=doc,
@@ -364,7 +372,6 @@ def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:
             config.delta,
             seed=child,
             max_attempts=s["attempts"],
-            mc_trials=s["trials"],
         )
         for child in children
     ]
@@ -461,15 +468,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search_keys(args: argparse.Namespace) -> int:
     flags = vars(args)
-    log2_n, seed, attempts, trials = (
-        _search_field(flags, k, "") for k in ("log2_n", "seed", "attempts", "trials")
-    )
+    log2_n, seed, attempts = (_search_field(flags, k, "") for k in ("log2_n", "seed", "attempts"))
     key_set = search_key_set(
         1 << log2_n,
         read_field(flags, "delta", "delta", NUMBER, lo=0, hi=1),
         seed=seed,
         max_attempts=attempts,
-        mc_trials=trials,
     )
     cert = key_set.certification
     _write_or_print(_json_text(key_set.to_json()) + "\n", args.out)
@@ -590,7 +594,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--attempts", type=int, default=10)
-    p.add_argument("--trials", type=int, default=2000, help="Monte Carlo differences when N > 2^21")
     p.add_argument("--out", help="key set JSON destination (default stdout)")
     p.set_defaults(runner=cmd_search_keys)
 

@@ -40,7 +40,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -65,6 +64,9 @@ _INT64_DIFFERENCE_N = 1 << 31
 # default mmap threshold (128 KiB).  Blocks at or above it are each served by
 # a fresh mmap and fault in new zero pages; smaller ones reuse heap pages.
 _BIAS_BLOCK_CELLS = 1 << 13
+
+# Uniform nonzero differences a Monte Carlo pass samples.
+_MONTE_CARLO_TRIALS = 2000
 
 # Bound on |rough - exact| |bias| of the Monte Carlo screen (_rough_bias
 # derives 8.4e-7; the worst seen on random rows is 5.6e-7, at d = 1).
@@ -548,7 +550,6 @@ def verify_resistance(
     key_set: KeySet,
     delta: float,
     mode: str = "exact",
-    trials: int = 2000,
     rng: np.random.Generator | int | None = None,
 ) -> ResistanceReport:
     """Certify or refute |bias(D)| < delta over nonzero differences.
@@ -559,23 +560,21 @@ def verify_resistance(
     ``worst_difference``, bit for bit; it certifies only when that value
     plus _SWEEP_TIE_TOLERANCE stays below delta (and, if a plateau left
     candidates unpriced, the sweep's own bound does too).  Monte Carlo mode
-    samples ``trials`` uniform nonzero differences in chunks of 4096; the
-    maximum is still priced exactly, so a refutation is genuine, while a
-    pass certifies only with ``confidence`` = the chance that a single worst
-    difference would have been drawn.  In each chunk, :func:`_rough_bias`
-    is within _SCREEN_EPSILON of every exact |bias|, so a difference that
-    attains the chunk's exact maximum has a rough value within 2 epsilon of
-    the rough maximum; only those rows go to :func:`bias`, in ascending
-    order, and the first exact maximum among them is the chunk's first.
+    samples _MONTE_CARLO_TRIALS uniform nonzero differences; the maximum is
+    still priced exactly, so a refutation is genuine, while a pass
+    certifies only with ``confidence`` = the chance that a single worst
+    difference would have been drawn.  :func:`_rough_bias` is within
+    _SCREEN_EPSILON of every exact |bias|, so a difference that attains the
+    exact maximum has a rough value within 2 epsilon of the rough maximum;
+    only those rows go to :func:`bias`, in ascending order, and the first
+    exact maximum among them is the smallest difference attaining it.
     ``max_bias`` and ``worst_difference`` are those of pricing every sampled
-    difference with :func:`bias`, bit for bit.  The returned report carries
-    the key set re-annotated with the verdict.  ``trials`` must be at least
-    1: with no trial, no difference is checked.
+    difference with :func:`bias`, bit for bit (difference 1 when every
+    |bias| is 0).  The report carries the key set re-annotated with the
+    verdict.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta out of (0,1): {delta}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     n = key_set.modulus
 
     if mode == "exact":
@@ -588,15 +587,14 @@ def verify_resistance(
         meta: dict = {}
     elif mode == "monte-carlo":
         gen = np.random.default_rng(rng)
-        max_bias, worst = 0.0, 1
-        for start in range(0, trials, 4096):
-            diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, min(4096, trials - start)))
-            rough = _rough_bias(key_set, diffs)
-            rows = np.flatnonzero(rough >= rough.max() - 2.0 * _SCREEN_EPSILON)
-            magnitudes = np.abs(bias(key_set, [diffs[i] for i in rows]))
-            top = int(np.argmax(magnitudes))
-            if magnitudes[top] > max_bias:
-                max_bias, worst = float(magnitudes[top]), diffs[rows[top]]
+        trials = _MONTE_CARLO_TRIALS
+        diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, trials))
+        rough = _rough_bias(key_set, diffs)
+        rows = np.flatnonzero(rough >= rough.max() - 2.0 * _SCREEN_EPSILON)
+        magnitudes = np.abs(bias(key_set, [diffs[i] for i in rows]))
+        top = int(np.argmax(magnitudes))
+        max_bias = float(magnitudes[top])
+        worst = diffs[rows[top]] if max_bias > 0.0 else 1
         meta = {"trials": trials, "confidence": -math.expm1(trials * math.log1p(-1.0 / (n - 1)))}
         ceiling = max_bias
     else:
@@ -619,7 +617,8 @@ def required_keys(modulus: int, delta: float) -> int:
         raise ValueError(f"delta out of (0,1): {delta}")
     square, log = delta * delta, math.log(2 * modulus)
     size = 2.0 / square * log if square else math.inf
-    return math.ceil(size if math.isfinite(size) else 2 * Fraction(log) / Fraction(delta) ** 2)
+    (a, b), (p, q) = log.as_integer_ratio(), delta.as_integer_ratio()  # ceil(2a/b / (p/q)^2)
+    return math.ceil(size) if math.isfinite(size) else -(-2 * a * q * q // (b * p * p))
 
 
 def _draw_keys(gen: np.random.Generator, modulus: int, d: int) -> np.ndarray | tuple[int, ...]:
@@ -640,7 +639,6 @@ def search_key_set(
     delta: float,
     seed: int | np.random.SeedSequence,
     max_attempts: int = 10,
-    mc_trials: int = 2000,
 ) -> KeySet:
     """Draw-and-verify search for a delta-resistant key set over Z_N.
 
@@ -663,7 +661,7 @@ def search_key_set(
     for _ in range(max_attempts):  # the children root.spawn(max_attempts) gives, one at a time
         gen = np.random.default_rng(root.spawn(1)[0])
         candidate = KeySet(modulus=modulus, keys=_draw_keys(gen, modulus, d))
-        report = verify_resistance(candidate, delta, mode=mode, trials=mc_trials, rng=gen)
+        report = verify_resistance(candidate, delta, mode=mode, rng=gen)
         if report.certified:
             return report.key_set
         best = min(best, report.max_bias)

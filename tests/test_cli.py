@@ -838,11 +838,11 @@ class TestMalformedInputExits3:
         doc = {"modulus": "7", "coeffs": ["-1", 2, "3"], "constant": "-10"}
         assert LinearPolynomial.from_json(doc) == LinearPolynomial(7, (-1, 2, 3), -10)
 
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_no_monte_carlo_trials_flag(self, capsys, trials):
+    def test_no_monte_carlo_trials_flag(self, capsys):
+        # The Monte Carlo sample size is fixed; search-keys has no flag for it.
         argv = ("search-keys", "--log2-n", "64", "--delta", "0.3", "--seed", "0",
-                "--trials", trials)
-        self.assert_exit_3(capsys, argv, f"trials: trials must be >= 1, got {trials}")
+                "--trials", "5")
+        self.assert_exit_3(capsys, argv, "argv: unrecognized arguments: --trials 5")
 
     @pytest.mark.parametrize(
         "flag,value,where",
@@ -883,8 +883,8 @@ class TestMalformedInputExits3:
         "change,where",
         [
             ({"keys": {"search": 5}}, "keys.search: search must be a JSON object"),
-            ({"keys": {"search": {"log2_n": 64, "trials": 0}}},
-             "keys.search.trials: trials must be >= 1, got 0"),
+            ({"keys": {"search": {"log2_n": 64, "trials": 10}}},
+             "keys.search.trials: unknown field; keys.search reads log2_n, N, seed, attempts"),
             ({"keys": {"search": {"log2_n": -1}}}, "keys.search.log2_n: log2_n out of 1..256"),
             ({"keys": {"search": {"log2_n": 300}}}, "keys.search.log2_n: log2_n out of 1..256"),
             ({"keys": {"search": {"log2_n": 10.0}}},
@@ -894,8 +894,6 @@ class TestMalformedInputExits3:
              "keys.search.seed: seed must be a JSON integer"),
             ({"keys": {"search": {"log2_n": 10, "attempts": 2.0}}},
              "keys.search.attempts: attempts must be a JSON integer"),
-            ({"keys": {"search": {"log2_n": 10, "trials": "9"}}},
-             "keys.search.trials: trials must be a JSON integer"),
             ({"split": {"n1": 2.7}}, "split.n1: n1 must be a JSON integer, got 2.7"),
             ({"trials": "5"}, "trials: trials must be a JSON integer"),
             ({"seed": None}, "seed: seed must be a JSON integer, got null"),
@@ -927,6 +925,21 @@ class TestMalformedInputExits3:
     def test_config_field_types(self, tmp_path, capsys, change, where):
         argv = ("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, **change)))
         self.assert_exit_3(capsys, argv, where)
+
+    @pytest.mark.parametrize(
+        "change,where",
+        [
+            ({"split": {"n1": 2, "fowarded": [1]}}, "split.fowarded"),
+            ({"keys": {"search": {"log2_n": 10}, "seed": 7}}, "keys.seed"),
+            ({"keys": {"search": {"log2_n": 10, "sead": 7}}}, "keys.search.sead"),
+            ({"input": {"alice": "10", "bob": "10", "carol": "1"}}, "input.carol"),
+        ],
+        ids=["split", "keys", "keys.search", "input"],
+    )
+    def test_unknown_fields_are_refused(self, tmp_path, capsys, change, where):
+        """A field its config object does not read is refused, not dropped."""
+        argv = ("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, **change)))
+        self.assert_exit_3(capsys, argv, f"config error: {where}: unknown field; ")
 
     def test_search_with_log2_n_and_n(self, tmp_path, capsys):
         """Two key widths are refused; neither is silently dropped."""
@@ -1353,8 +1366,8 @@ FUZZ_CONFIG = {
 }
 FUZZ_VARIANTS = {
     "file": {},
-    "search-log2_n": {"keys": {"search": {"log2_n": 4, "seed": 1, "attempts": 2, "trials": 10}}},
-    "search-N": {"keys": {"search": {"N": 16, "seed": 1, "attempts": 2, "trials": 10}}},
+    "search-log2_n": {"keys": {"search": {"log2_n": 4, "seed": 1, "attempts": 2}}},
+    "search-N": {"keys": {"search": {"N": 16, "seed": 1, "attempts": 2}}},
     "poly": {"function": {"poly": builtin("EQ", 2).characteristic.polynomials[0].to_json()}},
 }
 

@@ -3,10 +3,15 @@ every imported name is used, every module-level private name is used
 somewhere in the package, ``qhc.__all__`` is exactly what
 ``qhc/__init__.py`` imports, and every function the benchmark tracer wraps
 exists.  Deleting a function must delete its imports and its export too,
-and a helper whose last caller goes must go with it."""
+and a helper whose last caller goes must go with it.  One more check runs a
+fresh interpreter: importing ``qhc.cli`` leaves out standard-library modules
+qhc does not need."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +89,18 @@ def test_all_is_exactly_what_init_imports():
     assert set(exported) == set(imported_names(tree)) == set(qhc.__all__)
     for name in qhc.__all__:
         assert getattr(qhc, name) is not None
+
+
+# Modules qhc does without; each import costs every command's start-up.
+UNLOADED = ("fractions", "decimal")
+
+
+def test_cli_import_leaves_modules_unloaded():
+    probe = f"import sys, qhc.cli; print(*(m for m in {UNLOADED!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == [], f"importing qhc.cli loads {done.stdout.split()}"
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -19,7 +19,7 @@ from qhc import (
     swap_accept,
     verify_resistance,
 )
-from qhc.qhash import ResistanceReport
+from qhc.qhash import _MONTE_CARLO_TRIALS, ResistanceReport
 from qhc.util import rand_below_many
 
 from oracles import (
@@ -564,8 +564,8 @@ class TestVerifyResistance:
     def test_monte_carlo_certificate_has_no_allowance(self):
         # Monte Carlo biases come from the direct kernel, not an FFT.
         ks = KeySet(modulus=1 << 20, keys=tuple(range(1, 300, 7)))
-        max_bias = verify_resistance(ks, 0.999, mode="monte-carlo", trials=50, rng=4).max_bias
-        report = verify_resistance(ks, max_bias + 5e-13, mode="monte-carlo", trials=50, rng=4)
+        max_bias = verify_resistance(ks, 0.999, mode="monte-carlo", rng=4).max_bias
+        report = verify_resistance(ks, max_bias + 5e-13, mode="monte-carlo", rng=4)
         assert report.certified
 
     def test_exact_guard_points_at_monte_carlo(self):
@@ -585,7 +585,7 @@ class TestVerifyResistance:
         step = 0x9E3779B97F4A7C15
         keys = tuple(sorted((i * step) % (1 << 64) for i in range(1, 200)))
         report = verify_resistance(
-            KeySet(modulus=1 << 64, keys=keys), 0.5, mode="monte-carlo", trials=500, rng=3
+            KeySet(modulus=1 << 64, keys=keys), 0.5, mode="monte-carlo", rng=3
         )
         assert not report.certified
         assert abs(bias_direct(keys, 1 << 64, report.worst_difference)) >= 0.5
@@ -594,20 +594,13 @@ class TestVerifyResistance:
         rng = np.random.default_rng(8)
         keys = tuple(sorted(int(k) for k in rng.choice(1 << 30, size=300, replace=False)))
         report = verify_resistance(
-            KeySet(modulus=1 << 30, keys=keys), 0.5, mode="monte-carlo", trials=400, rng=9
+            KeySet(modulus=1 << 30, keys=keys), 0.5, mode="monte-carlo", rng=9
         )
         assert report.certified
         cert = report.key_set.certification
-        assert cert.mode == "monte-carlo" and cert.trials == 400
-        assert 0.0 <= cert.confidence < 1e-3  # 400 draws out of 2^30 - 1
+        assert cert.mode == "monte-carlo" and cert.trials == _MONTE_CARLO_TRIALS == 2000
+        assert 0.0 <= cert.confidence < 1e-3  # 2000 draws out of 2^30 - 1
         assert not report.key_set.certified  # never presented as exact
-
-    @pytest.mark.parametrize("trials", [0, -5])
-    def test_monte_carlo_needs_a_trial(self, trials):
-        # with no sampled difference nothing is checked, so nothing is certified
-        ks = KeySet(modulus=1 << 64, keys=(1, 2, 3))
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            verify_resistance(ks, 0.3, mode="monte-carlo", trials=trials, rng=0)
 
     def test_certified_soundness_exhaustive(self, certified_n64):
         # |fidelity| < delta for every pair of distinct hashed values
@@ -708,7 +701,7 @@ class TestBlockedSweep:
     def test_max_bias_is_bias_at_the_worst_difference(self, case, d, seed):
         n, mode = case
         ks = TestMonteCarloScreen.key_set(n, d, seed)
-        report = verify_resistance(ks, 0.5, mode=mode, trials=500, rng=seed)
+        report = verify_resistance(ks, 0.5, mode=mode, rng=seed)
         assert report.max_bias == abs(bias(ks, [report.worst_difference])[0])
         if report.certified:
             assert report.key_set.certification.max_bias == report.max_bias
@@ -801,7 +794,7 @@ class TestSinglePrecisionSweep:
 
 class TestMonteCarloScreen:
     """Monte Carlo mode prices exactly only the sampled rows whose rough
-    |bias| is within 2 epsilon of the chunk's rough maximum; its verdicts
+    |bias| is within 2 epsilon of the sample's rough maximum; its verdicts
     must equal pricing every sampled row with bias, from the same draws."""
 
     MODULI = [1 << 22, (1 << 33) + 1, (1 << 40) - 87, 1 << 64, (1 << 64) + 13, 1 << 80]
@@ -816,30 +809,27 @@ class TestMonteCarloScreen:
         return KeySet(modulus=n, keys=sorted(keys))
 
     @staticmethod
-    def unscreened(key_set: KeySet, trials: int, seed: int) -> tuple[float, int]:
-        """(max |bias|, first sampled difference attaining it), every sampled
-        row priced by bias, drawn in chunks of 4096 as verify_resistance does."""
+    def unscreened(key_set: KeySet, seed: int) -> tuple[float, int]:
+        """(max |bias|, first sampled difference attaining it, or 1 when every
+        |bias| is 0), every sampled row priced by bias, drawn as
+        verify_resistance draws them."""
         gen = np.random.default_rng(seed)
         n = key_set.modulus
-        best, worst = 0.0, 1
-        for start in range(0, trials, 4096):
-            diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, min(4096, trials - start)))
-            magnitudes = np.abs(bias(key_set, diffs))
-            top = int(np.argmax(magnitudes))
-            if magnitudes[top] > best:
-                best, worst = float(magnitudes[top]), diffs[top]
-        return best, worst
+        diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, _MONTE_CARLO_TRIALS))
+        magnitudes = np.abs(bias(key_set, diffs))
+        top = int(np.argmax(magnitudes))
+        return float(magnitudes[top]), diffs[top] if magnitudes[top] > 0.0 else 1
 
     @given(st.sampled_from(MODULI), st.integers(1, 2000), st.integers(0, 2**32 - 1),
            st.floats(0.5, 1.5))
     @settings(max_examples=12, deadline=None)
     def test_verdict_equals_pricing_every_row(self, n, d, seed, scale):
         ks = self.key_set(n, d, seed)
-        want_max, want_worst = self.unscreened(ks, 5000, seed + 1)
+        want_max, want_worst = self.unscreened(ks, seed + 1)
         for delta in (min(max(want_max * scale, 1e-6), 0.999999), want_max):
             if not 0 < delta < 1:
                 continue
-            report = verify_resistance(ks, delta, mode="monte-carlo", trials=5000, rng=seed + 1)
+            report = verify_resistance(ks, delta, mode="monte-carlo", rng=seed + 1)
             assert report.max_bias == want_max
             assert report.worst_difference == want_worst
             assert report.certified == (want_max < delta)
@@ -847,11 +837,18 @@ class TestMonteCarloScreen:
     @pytest.mark.parametrize("n", MODULI)
     def test_all_tie_key_set_reports_the_smallest_sampled_difference(self, n):
         # Key 0 hashes every value alike: every |bias| is exactly 1.0.
-        report = verify_resistance(KeySet(modulus=n, keys=(0,)), 0.5, mode="monte-carlo",
-                                   trials=5000, rng=3)
-        first = sorted(v + 1 for v in rand_below_many(np.random.default_rng(3), n - 1, 4096))
+        report = verify_resistance(KeySet(modulus=n, keys=(0,)), 0.5, mode="monte-carlo", rng=3)
+        first = sorted(v + 1 for v in rand_below_many(np.random.default_rng(3), n - 1,
+                                                      _MONTE_CARLO_TRIALS))
         assert report.max_bias == 1.0 and not report.certified
         assert report.worst_difference == first[0]
+
+    def test_all_zero_sample_reports_difference_one(self, monkeypatch):
+        # No sampled |bias| above 0.0 leaves the worst difference at 1.
+        monkeypatch.setattr(qhc.qhash, "bias", lambda key_set, diffs: np.zeros(len(diffs)))
+        report = verify_resistance(KeySet(modulus=1 << 64, keys=(1, 2, 3)), 0.5,
+                                   mode="monte-carlo", rng=0)
+        assert (report.max_bias, report.worst_difference, report.certified) == (0.0, 1, True)
 
     @pytest.mark.parametrize("n", [1 << 22, 1 << 64, (1 << 40) - 87])
     def test_worst_rough_values_the_bound_allows_keep_the_verdict(self, monkeypatch, n):
@@ -860,7 +857,7 @@ class TestMonteCarloScreen:
         # every other row by it puts the rough maximum on another row.
         epsilon = qhc.qhash._SCREEN_EPSILON
         ks = self.key_set(n, 1, 0)
-        want = self.unscreened(ks, 5000, 1)
+        want = self.unscreened(ks, 1)
 
         def adversary(key_set, differences):
             exact = np.abs(bias(key_set, differences))
@@ -868,7 +865,7 @@ class TestMonteCarloScreen:
             return np.where(exact == exact.max(), exact - epsilon, exact + epsilon)
 
         monkeypatch.setattr(qhc.qhash, "_rough_bias", adversary)
-        report = verify_resistance(ks, 0.5, mode="monte-carlo", trials=5000, rng=1)
+        report = verify_resistance(ks, 0.5, mode="monte-carlo", rng=1)
         assert (report.max_bias, report.worst_difference) == want
 
     @given(st.sampled_from([1 << 20, 1 << 32, (1 << 32) + 15, (1 << 63) - 25, *MODULI]),
@@ -953,7 +950,7 @@ class TestSearchKeySet:
             search_key_set(1 << 6, 0.3, seed=0, max_attempts=0)
 
     def test_all_attempts_refuted_raises(self, monkeypatch):
-        def always_refuted(key_set, delta, mode="exact", trials=2000, rng=None):
+        def always_refuted(key_set, delta, mode="exact", rng=None):
             return ResistanceReport(certified=False, max_bias=0.97, worst_difference=1,
                                     key_set=key_set)
 
