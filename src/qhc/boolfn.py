@@ -33,7 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GuardError
-from .util import DIGITS, LIST, SIGNED, bit_matrix, index_to_bits, read_field, read_items
+from .util import (
+    DIGITS, LIST, SIGNED, bit_matrix, index_to_bits, read_field, read_items, refuse_unread,
+)
 
 # Brute-force enumeration refuses above this many variables (16M rows).
 ENUM_GUARD_BITS = 24
@@ -118,11 +120,13 @@ class LinearPolynomial:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LinearPolynomial":
-        return cls(
+        poly = cls(
             modulus=read_field(doc, "modulus", "modulus", DIGITS),
             coeffs=read_items(read_field(doc, "coeffs", "coeffs", LIST), "coeffs", SIGNED),
             constant=read_field(doc, "constant", "constant", SIGNED, 0),
         )
+        refuse_unread(doc, "", ("modulus", "coeffs", "constant"), "a polynomial")
+        return poly
 
 
 class Block:

@@ -49,7 +49,7 @@ from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sa
 from .qhash import MODULUS_BITS, KeySet, search_key_set
 from .util import (
     FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, format_bits, parse_bits, read_field,
-    read_items, show,
+    read_items, refuse_unread, show,
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -156,15 +156,10 @@ def _search_field(doc: dict, key: str, prefix: str, default=REQUIRED) -> int:
     return read_field(doc, key, prefix + key, INT, default, *_SEARCH_BOUNDS[key])
 
 
-def _refuse_unread(doc: dict, where: str, read: Sequence[str]) -> None:
-    """Refuse the first field of the config object at ``where`` that is not in ``read``."""
-    if unread := [key for key in doc if key not in read]:
-        raise ConfigError(f"{where}.{unread[0]}", f"unknown field; {where} reads {', '.join(read)}")
-
-
 def _resolve_builtin(fdoc: dict) -> FunctionInstance:
     """A builtin from its descriptor: {"name", "n", "m"}, or for CONJ
-    {"n_a", "n_b", "m_a", "m_b"}.  Shared by configs and ``verify``."""
+    {"name", "n_a", "n_b", "m_a", "m_b"}; once it is built, any other field
+    is refused.  Shared by configs and ``verify``."""
     name = read_field(fdoc, "name", "function.name", STRING, "").upper()
     if name == "CONJ":
         fields = {"n_a": REQUIRED, "n_b": REQUIRED, "m_a": 3, "m_b": 4}
@@ -177,9 +172,11 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
         fields = {"n": REQUIRED, "m": None}
     sizes = tuple(read_field(fdoc, k, f"function.{k}", INT, d) for k, d in fields.items())
     try:
-        return _builtin_instance(name, sizes)
+        instance = _builtin_instance(name, sizes)
     except ValueError as e:
         raise ConfigError("function", str(e))
+    refuse_unread(fdoc, "function", ("name", *fields))
+    return instance
 
 
 @functools.lru_cache(maxsize=16)
@@ -210,34 +207,11 @@ class ExperimentConfig:
     out: str | None
 
 
-# Containers a config may nest: ``run`` echoes the config with one frame per level.
-_MAX_DEPTH = 64
-
-
-def _refuse_nonfinite(doc: dict) -> None:
-    """Refuse the first NaN or Infinity anywhere in ``doc``, read or not, in
-    document order: ``json`` reads those tokens, and ``run`` echoes the
-    whole config into its report, which must stay strict JSON.  A container
-    nested more than _MAX_DEPTH deep is refused too."""
-    stack = [(doc, "", 1)]
-    while stack:
-        value, path, depth = stack.pop()
-        if type(value) is float and not math.isfinite(value):
-            name = path.rpartition(".")[2]
-            raise ConfigError(path, f"{name} must be a finite JSON number, got {json.dumps(value)}")
-        if type(value) in (dict, list) and depth > _MAX_DEPTH:
-            raise ConfigError(path, f"nested more than {_MAX_DEPTH} deep")
-        if type(value) is dict:
-            stack.extend((value[k], f"{path}.{k}" if path else k, depth + 1)
-                         for k in reversed(list(value)))
-        elif type(value) is list:
-            stack.extend((value[i], f"{path}[{i}]", depth + 1) for i in reversed(range(len(value))))
-
-
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     """Validate an experiment document; the first problem wins and is
-    reported with its JSON path.  Its fields are read first, so a field's
-    own message wins; then any other NaN or Infinity is refused."""
+    reported with its JSON path.  Every object refuses the fields it does
+    not read once it has read its own, so a field's own message wins and
+    ``run`` echoes only fields that ``read_field`` checked."""
     read_field({"config": doc}, "config", "$", OBJECT)
     fdoc = read_field(doc, "function", "function", OBJECT)
     if sum(k in fdoc for k in ("poly", "poly_file", "name")) > 1:
@@ -245,9 +219,11 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     if "poly" in fdoc:
         poly = _poly_from_json(fdoc["poly"], "function.poly")
         instance = _polynomial_set(polynomial_instance, [poly], "function.poly")
+        refuse_unread(fdoc, "function", ("poly",))
     elif "poly_file" in fdoc:
         path = base_dir / read_field(fdoc, "poly_file", "function.poly_file", FILE)
         instance = _polynomial_set(polynomial_instance, _load_polys(path), str(path))
+        refuse_unread(fdoc, "function", ("poly_file",))
     else:
         instance = _resolve_builtin(fdoc)
 
@@ -259,7 +235,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     forwarded = tuple(read_items(forwarded, "split.forwarded", INT, lo=1, hi=n1))
     if len(set(forwarded)) != len(forwarded):
         raise ConfigError("split.forwarded", "indices must be distinct")
-    _refuse_unread(sdoc, "split", ("n1", "forwarded"))
+    refuse_unread(sdoc, "split", ("n1", "forwarded"))
 
     delta = read_field(doc, "delta", "delta", NUMBER, None, lo=0, hi=1)
 
@@ -292,7 +268,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             "attempts": _search_field(s, "attempts", "keys.search.", 10),
             "modulus": modulus,
         }
-        _refuse_unread(s, "keys.search", ("log2_n", "N", "seed", "attempts"))
+        refuse_unread(s, "keys.search", ("log2_n", "N", "seed", "attempts"))
     else:
         if "files" in kdoc:
             names = read_items(read_field(kdoc, "files", "keys.files", LIST), "keys.files", FILE)
@@ -300,10 +276,9 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             names = [read_field(kdoc, "file", "keys.file", FILE)]
         key_files = [base_dir / p for p in names]
         if len(key_files) not in (1, pairs):
-            raise ConfigError(
-                "keys.files", f"need 1 or {pairs} key files, got {len(key_files)}"
-            )
-    _refuse_unread(kdoc, "keys", ("search", "file", "files"))
+            need = "1 key file" if pairs == 1 else f"1 or {pairs} key files"
+            raise ConfigError("keys.files", f"need {need}, got {len(key_files)}")
+    refuse_unread(kdoc, "keys", ("search", "file", "files"))
 
     topology = read_field(doc, "topology", "topology", STRING, "one-way")
     if topology not in ("one-way", "smp"):
@@ -330,7 +305,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                 raise ConfigError(
                     f"input.{party}", f"{party} input has {len(bits)} bits, split says {size}"
                 )
-        _refuse_unread(idoc, "input", ("alice", "bob"))
+        refuse_unread(idoc, "input", ("alice", "bob"))
 
     config = ExperimentConfig(
         raw=doc,
@@ -347,7 +322,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         input_bits=input_bits,
         out=read_field(doc, "out", "out", FILE, None),
     )
-    _refuse_nonfinite(doc)
+    refuse_unread(doc, "", ("function", "split", "delta", "keys", "topology", "mode", "input",
+                            "trials", "seed", "out"))
     return config
 
 
@@ -447,7 +423,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n  # CONJ splits its n total bits as n_a = n - n//2, n_b = n//2
     halves = {} if n is None else {"n_a": n - n // 2, "n_b": n // 2}
-    fdoc = {"name": args.function, "n": n, "m": args.m, **halves}
+    sizes = halves if args.function.upper() == "CONJ" else {"n": n}
+    fdoc = {"name": args.function, **sizes, "m": args.m}
     instance = _resolve_builtin({k: v for k, v in fdoc.items() if v is not None})
     char = instance.characteristic
     if args.poly:

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import GuardError, SearchError
 from .util import (
     DIGITS, INT, LIST, NUMBER, OBJECT, STRING, parse_uint64s, rand_below_many, read_field,
-    read_items,
+    read_items, refuse_unread,
 )
 
 # Key moduli stay below 2^MODULUS_BITS: a residue ratio needs float(N).
@@ -234,14 +234,17 @@ class KeySet:
         modulus = read_field(doc, "N", "N", DIGITS)
         values = read_field(doc, "keys", "keys", LIST)
         keys = parse_uint64s(values) if _uint64_exact(modulus) else None
-        return cls(
+        cdoc = read_field(doc, "certification", "certification", OBJECT, {})
+        key_set = cls(
             modulus=modulus,
             keys=read_items(values, "keys", DIGITS) if keys is None else keys,
             delta=read_field(doc, "delta", "delta", NUMBER, None),
-            certification=Certification.from_json(
-                read_field(doc, "certification", "certification", OBJECT, {})
-            ),
+            certification=Certification.from_json(cdoc),
         )
+        refuse_unread(doc, "", ("N", "keys", "delta", "certification"), "a key set")
+        cert_fields = ("mode", "max_bias", "trials", "confidence")
+        refuse_unread(cdoc, "certification", cert_fields, "certification")
+        return key_set
 
 
 def _check_modulus(modulus: int) -> None:

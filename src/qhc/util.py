@@ -14,8 +14,9 @@ Conventions (used everywhere, never locally overridden):
 
 Every field of a JSON input (config, key file, polynomial) and every
 ``search-keys`` flag is read by ``read_field``, which checks its kind and bounds
-and names its JSON path on failure.  ``parse_uint64s`` reads a list of digit
-strings below 2^64 in one pass.
+and names its JSON path on failure; once an object's fields are read,
+``refuse_unread`` refuses any other.  ``parse_uint64s`` reads a list of
+digit strings below 2^64 in one pass.
 """
 
 from __future__ import annotations
@@ -121,6 +122,19 @@ def read_field(doc, key, path: str, kind: str, default=REQUIRED, lo=None, hi=Non
 def read_items(values: list, path: str, kind: str, lo=None, hi=None) -> list:
     """``read_field`` on every entry of the JSON list ``values`` at ``path``."""
     return [read_field(values, i, f"{path}[{i}]", kind, lo=lo, hi=hi) for i in range(len(values))]
+
+
+def refuse_unread(doc: dict, where: str, read: Sequence[str], named: str = "") -> None:
+    """Refuse the first field of the JSON object ``doc`` at path ``where``
+    ("" at the top level) not in ``read``: "<where>.<field>: unknown field;
+    <where> reads ...".  An object in a key or polynomial file is ``named``
+    ("a key set"), and its message starts with the field's name, as
+    ``read_field``'s do."""
+    if unread := [key for key in doc if key not in read]:
+        key = unread[0]
+        message = f"unknown field; {named or where or 'the top level'} reads {', '.join(read)}"
+        path = f"{where}.{key}" if where else key
+        raise ConfigError(path, f"{key}: {message}" if named else message)
 
 
 def parse_uint64s(values: Sequence) -> np.ndarray | None:

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhc import ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact, search_key_set
+from qhc import (
+    Certification, ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact,
+    search_key_set,
+)
 import qhc
-from qhc.cli import _MAX_DEPTH, main, parse_config
+from qhc.cli import main, parse_config
 
 from oracles import THREE_POLYS, poly_eval_direct, profile_csv_direct
 
@@ -91,6 +94,12 @@ class TestVerify:
         assert "config error: function: EQ needs n >= 1" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="^function: EQ needs n >= 1"):
             parse_config({"function": {"name": "EQ", "n": 0}}, Path("."))
+
+    def test_conj_refuses_m(self, capsys):
+        """CONJ reads m_a and m_b, not m: --m is refused, as for EQ, not dropped."""
+        assert run_cli("verify", "--function", "CONJ", "--n", "6", "--m", "5") == 3
+        assert capsys.readouterr().err == (
+            "config error: function.m: unknown field; function reads name, n_a, n_b, m_a, m_b\n")
 
     def test_threads_flag_is_unknown(self, capsys):
         assert run_cli("verify", "--function", "EQ", "--n", "2", "--threads", "2") == 3
@@ -865,9 +874,9 @@ class TestMalformedInputExits3:
     @pytest.mark.parametrize(
         "extra,where",
         [
-            ({"note": float("nan")}, "note: note must be a finite JSON number, got NaN"),
-            ({"meta": {"x": [1.5, float("-inf")], "y": float("nan")}},
-             "meta.x[1]: x[1] must be a finite JSON number, got -Infinity"),
+            # a field no object reads is refused before its value is looked at
+            ({"note": float("nan")}, "note: unknown field; the top level reads function, split, "),
+            ({"meta": {"x": [1.5, float("-inf")], "y": float("nan")}}, "meta: unknown field; "),
             # a field that is read keeps its own message
             ({"delta": float("inf"), "note": float("nan")}, "delta: delta must be"),
         ],
@@ -915,6 +924,9 @@ class TestMalformedInputExits3:
              "input.bob: bob input has 3 bits, split says 2"),
             ({"topology": "smp", "split": {"n1": 2, "forwarded": [1]}},
              "split.forwarded: forwarded variables have no receiver in the SMP topology"),
+            ({"keys": {"files": []}}, "keys.files: need 1 key file, got 0"),
+            ({"function": {"name": "CONJ", "n_a": 1, "n_b": 1}, "keys": {"files": []}},
+             "keys.files: need 1 or 2 key files, got 0"),
             ({"keys": {"files": "keys.json"}}, "keys.files: files must be a JSON list"),
             ({"keys": {"files": [5]}}, "keys.files[0]: files[0] must be a file name, got 5"),
             ({"keys": {"files": ["keys.json", None]}},
@@ -927,18 +939,35 @@ class TestMalformedInputExits3:
         self.assert_exit_3(capsys, argv, where)
 
     @pytest.mark.parametrize(
-        "change,where",
+        "change,files,where",
         [
-            ({"split": {"n1": 2, "fowarded": [1]}}, "split.fowarded"),
-            ({"keys": {"search": {"log2_n": 10}, "seed": 7}}, "keys.seed"),
-            ({"keys": {"search": {"log2_n": 10, "sead": 7}}}, "keys.search.sead"),
-            ({"input": {"alice": "10", "bob": "10", "carol": "1"}}, "input.carol"),
+            ({"split": {"n1": 2, "fowarded": [1]}}, {}, "split.fowarded"),
+            ({"keys": {"search": {"log2_n": 10}, "seed": 7}}, {}, "keys.seed"),
+            ({"keys": {"search": {"log2_n": 10, "sead": 7}}}, {}, "keys.search.sead"),
+            ({"input": {"alice": "10", "bob": "10", "carol": "1"}}, {}, "input.carol"),
+            ({"topolgy": "smp"}, {}, "topolgy"),
+            ({"function": {"name": "EQ", "n": 2, "nn": 3}}, {}, "function.nn"),
+            ({"function": {"name": "CONJ", "n_a": 2, "n_b": 2, "m_A": 5}}, {}, "function.m_A"),
+            ({"function": {"poly": dict(EQ2_POLY, constnat="1")}}, {},
+             "function.poly: bad polynomial: constnat"),
+            ({"function": {"poly_file": "polys.json", "n": 2}}, {"polys.json": [EQ2_POLY]},
+             "function.n"),
+            ({"keys": {"file": "keys.json"}},
+             {"keys.json": dict(KeySet(16, (1, 3, 5)).to_json(), delt=0.3)},
+             "{tmp}/keys.json: bad key set: delt"),
+            ({"keys": {"file": "keys.json"}},
+             {"keys.json": {"N": "16", "keys": ["1"], "certification": {"max_bais": 0.1}}},
+             "{tmp}/keys.json: bad key set: certification.max_bais"),
         ],
-        ids=["split", "keys", "keys.search", "input"],
+        ids=["split", "keys", "keys.search", "input", "top", "builtin", "CONJ", "poly",
+             "poly_file", "key-file", "certification"],
     )
-    def test_unknown_fields_are_refused(self, tmp_path, capsys, change, where):
-        """A field its config object does not read is refused, not dropped."""
+    def test_unknown_fields_are_refused(self, tmp_path, capsys, change, files, where):
+        """A field its object does not read is refused, not dropped."""
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
         argv = ("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, **change)))
+        where = where.format(tmp=tmp_path)
         self.assert_exit_3(capsys, argv, f"config error: {where}: unknown field; ")
 
     def test_search_with_log2_n_and_n(self, tmp_path, capsys):
@@ -1269,12 +1298,13 @@ class TestJsonText:
         assert text == json.dumps(doc, indent=2) + "\n"
 
     def test_run_envelope(self, tmp_path, capsys):
-        config = write_config(tmp_path, dict(EQ2_EXACT, note={"s": "\u00e9", "t": [1, 2.5]}))
+        (tmp_path / "cl\u00e9s.json").write_text(json.dumps(KeySet(16, (1, 3, 5)).to_json()))
+        config = write_config(tmp_path, dict(EQ2_EXACT, keys={"files": ["cl\u00e9s.json"]}))
         out = tmp_path / "report.json"
         assert run_cli("run", "--config", config, "--out", str(out)) == 0
         text = out.read_text()
         doc = json.loads(text)
-        assert doc["result"]["fidelities"] and doc["config"]["note"]["s"] == "\u00e9"
+        assert doc["result"]["fidelities"] and doc["config"]["keys"]["files"] == ["cl\u00e9s.json"]
         assert text == json.dumps(doc, indent=2) + "\n"
 
 
@@ -1395,6 +1425,112 @@ def test_type_swapped_fields_exit_cleanly(data, variant):
     assert "Traceback" not in message
 
 
+# Good documents whose every object is read: a config, a key file with
+# every certification field and a polynomial file; the builtin-search
+# variant is a config alone, which reads a builtin and a key search.  The
+# config writes its report to ``out``, given by closed_docs.
+CLOSED_DOCS = {
+    "config.json": {
+        "function": {"poly_file": "poly.json"},
+        "split": {"n1": 2, "forwarded": [1]},
+        "delta": 0.3,
+        "keys": {"file": "keys.json"},
+        "topology": "one-way",
+        "mode": "sampled",
+        "input": {"alice": "10", "bob": "11"},
+        "trials": 20,
+        "seed": 4,
+    },
+    "keys.json": dict(KeySet(16, (1, 3, 5), 0.3, Certification("monte-carlo", 0.25, 2000, 0.9))
+                      .to_json()),
+    "poly.json": [EQ2_POLY],
+}
+CLOSED_VARIANTS = ["files", "builtin-search"]
+
+
+def closed_docs(variant: str, tmp_path: Path) -> dict:
+    docs = json.loads(json.dumps(CLOSED_DOCS))
+    docs["config.json"]["out"] = str(tmp_path / "report.json")
+    if variant == "builtin-search":
+        return {"config.json": dict(
+            docs["config.json"],
+            function={"name": "CONJ", "n_a": 2, "n_b": 2, "m_a": 3, "m_b": 4},
+            keys={"search": {"log2_n": 10, "seed": 1, "attempts": 2}},
+        )}
+    return docs
+
+
+def json_path_text(path: tuple) -> str:
+    """A key path as messages name it: "keys.search.seed", "coeffs[0]"."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if type(key) is int else f".{key}" if text else key
+    return text
+
+
+def node(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def run_closed(tmp_path: Path, docs: dict) -> tuple[int, str]:
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run_cli("run", "--config", str(tmp_path / "config.json"))
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("variant", CLOSED_VARIANTS)
+def test_closed_documents_run(tmp_path, variant):
+    assert run_closed(tmp_path, closed_docs(variant, tmp_path)) == (0, "")
+    assert (tmp_path / "report.json").exists()
+
+
+# Where a file's objects sit in its message: after the file and what it holds.
+FILE_PREFIX = {"config.json": "", "keys.json": "{tmp}/keys.json: bad key set: ",
+               "poly.json": "{tmp}/poly.json: bad polynomial: "}
+
+
+@pytest.mark.parametrize("variant", CLOSED_VARIANTS)
+def test_every_object_refuses_an_unknown_field(tmp_path, variant):
+    """One field no object reads, added to each object of each document in
+    turn, exits 3 naming its path; nothing is written."""
+    objects = [(name, path) for name, doc in closed_docs(variant, tmp_path).items()
+               for path in json_paths(doc) if isinstance(node(doc, path), dict)]
+    assert len(objects) == (8 if variant == "files" else 6)
+    for name, path in objects:
+        docs = closed_docs(variant, tmp_path)
+        node(docs[name], path)["typo"] = 1
+        # A polynomial's path restarts at the file's list entry.
+        where = json_path_text(path[1:] if name == "poly.json" else path)
+        field = f"{where}.typo" if where else "typo"
+        prefix = FILE_PREFIX[name].format(tmp=tmp_path)
+        rc, err = run_closed(tmp_path, docs)
+        assert (rc, err.partition("; ")[0]) == (3, f"config error: {prefix}{field}: unknown field")
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("variant", CLOSED_VARIANTS)
+def test_every_path_refuses_nan_and_infinity(tmp_path, variant):
+    """NaN or an infinity at any node of any document, the roots included,
+    exits 3; nothing is written."""
+    nodes = [(name, path) for name, doc in closed_docs(variant, tmp_path).items()
+             for path in json_paths(doc)]
+    for i, (name, path) in enumerate(nodes):
+        docs = closed_docs(variant, tmp_path)
+        value = (float("nan"), float("inf"), float("-inf"))[i % 3]
+        if path:
+            node(docs[name], path[:-1])[path[-1]] = value
+        else:
+            docs[name] = value
+        rc, err = run_closed(tmp_path, docs)
+        assert rc == 3 and err.startswith("config error: "), (name, path, err)
+        assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------ extreme values
 
 
@@ -1430,9 +1566,6 @@ EXTREME_INPUTS = [
     pytest.param(("verify", "--function", "EQ", "--n", "2", "--poly", "{tmp}/poly.json"),
                  {"poly.json": nested(100_000)},
                  3, "config error: {tmp}/poly.json: not readable JSON", id="poly-file-depth-1e5"),
-    pytest.param(RUN, {"config.json": config_text(extra=json.loads(nested(_MAX_DEPTH)))},
-                 3, "config error: extra" + "[0]" * (_MAX_DEPTH - 1) + ": nested more than",
-                 id="config-depth-past-the-bound"),
 ]
 
 
@@ -1467,8 +1600,3 @@ def test_long_values_are_cut_in_messages(tmp_path, capsys, fields, path):
     assert run_cli("run", "--config", write_config(tmp_path, short)) == 3
     assert capsys.readouterr().err.endswith("must be a JSON string, got [1]\n")
 
-
-def test_config_nested_to_the_bound_runs(tmp_path, capsys):
-    extra = json.loads(nested(_MAX_DEPTH - 1))
-    assert run_cli("run", "--config", write_config(tmp_path, dict(EQ2_EXACT, extra=extra))) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["extra"] == extra
