@@ -157,9 +157,9 @@ def _search_field(doc: dict, key: str, prefix: str, default=REQUIRED) -> int:
 
 
 def _resolve_builtin(fdoc: dict) -> FunctionInstance:
-    """A builtin from its descriptor: {"name", "n", "m"}, or for CONJ
-    {"name", "n_a", "n_b", "m_a", "m_b"}; once it is built, any other field
-    is refused.  Shared by configs and ``verify``."""
+    """A builtin from its descriptor: {"name", "n"}, with "m" for MOD and
+    MODBIN, or for CONJ {"name", "n_a", "n_b", "m_a", "m_b"}; once it is
+    built, any other field is refused.  Shared by configs and ``verify``."""
     name = read_field(fdoc, "name", "function.name", STRING, "").upper()
     if name == "CONJ":
         fields = {"n_a": REQUIRED, "n_b": REQUIRED, "m_a": 3, "m_b": 4}
@@ -169,7 +169,7 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
             f"unknown function {show(name)} (expected {', '.join(BUILTINS)} or CONJ)",
         )
     else:
-        fields = {"n": REQUIRED, "m": None}
+        fields = {"n": REQUIRED, "m": None} if name in ("MOD", "MODBIN") else {"n": REQUIRED}
     sizes = tuple(read_field(fdoc, k, f"function.{k}", INT, d) for k, d in fields.items())
     try:
         instance = _builtin_instance(name, sizes)
@@ -324,6 +324,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     )
     refuse_unread(doc, "", ("function", "split", "delta", "keys", "topology", "mode", "input",
                             "trials", "seed", "out"))
+    if config.out:  # a file name in a config is relative to the config, as key files are
+        config.out = str(base_dir / config.out)
     return config
 
 
@@ -409,8 +411,7 @@ def _write_or_print(text: str, out: str | None) -> None:
     Unlike ``profile``'s CSV, a key file or run report is truncated before
     it is written.  Written in place and cut short, new keys could sit in
     front of the old file's ``certification`` tail and the result would
-    still parse: a forged certificate.  These files are a few KB, so
-    truncating them costs nothing measurable."""
+    still parse: a forged certificate."""
     if out:
         Path(out).write_text(text)
     else:
@@ -536,15 +537,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         sig, gam = profile.attaining
         print(f"worst false accept: {profile.worst_false_accept!r} at "
               f"{format_bits(sig)},{format_bits(gam)}")
-    bounds = spec.bounds()
-    if bounds["certified"]:
-        print(
-            f"certified bound: (1+delta^2)/2 = {bounds['false_accept']!r} (delta="
-            f"{spec.certified_delta}); linear comparison (1+delta)/2 = "
-            f"{bounds['false_accept_linear']!r}"
-        )
-    else:
+    if spec.certified_delta is None:
         print("bounds unproven: key sets lack exact certification")
+    else:
+        print(f"certified bound: (1+delta^2)/2 = {spec.certified_bound!r} "
+              f"(delta={spec.certified_delta})")
     return 0
 
 

@@ -140,13 +140,10 @@ class ProtocolSpec:
         return None if delta is None else swap_accept(delta)
 
     def bounds(self) -> dict:
-        """The false-accept bounds as a run report writes them, with the
-        looser linear line (1 + delta)/2 sometimes quoted for this test."""
-        delta = self.certified_delta
-        if delta is None:
+        """The false-accept bound as a run report writes it."""
+        if self.certified_delta is None:
             return {"certified": False, "note": "key sets not exactly certified"}
-        return {"certified": True, "false_accept": self.certified_bound,
-                "false_accept_linear": 0.5 * (1.0 + delta)}
+        return {"certified": True, "false_accept": self.certified_bound}
 
     @cached_property
     def party_qubits(self) -> int:

@@ -120,8 +120,6 @@ class Certification:
 
     mode: str = "none"  # "exact" | "monte-carlo" | "none"
     max_bias: float | None = None
-    trials: int | None = None
-    confidence: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "monte-carlo", "none"):
@@ -131,21 +129,18 @@ class Certification:
         doc: dict = {"mode": self.mode}
         if self.max_bias is not None:
             doc["max_bias"] = self.max_bias
-        if self.trials is not None:
-            doc["trials"] = self.trials
-        if self.confidence is not None:
-            doc["confidence"] = self.confidence
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "Certification":
-        """A key file's certification object."""
-        return cls(
-            mode=read_field(doc, "mode", "certification.mode", STRING, "none"),
-            max_bias=read_field(doc, "max_bias", "certification.max_bias", NUMBER, None),
-            trials=read_field(doc, "trials", "certification.trials", INT, None, lo=1),
-            confidence=read_field(doc, "confidence", "certification.confidence", NUMBER, None),
-        )
+        """A key file's certification object.  Older files also hold a Monte
+        Carlo pass's ``trials`` and ``confidence``, which prove nothing: they
+        are checked, so a malformed file still exits 3, and then dropped."""
+        mode = read_field(doc, "mode", "certification.mode", STRING, "none")
+        max_bias = read_field(doc, "max_bias", "certification.max_bias", NUMBER, None)
+        read_field(doc, "trials", "certification.trials", INT, None, lo=1)
+        read_field(doc, "confidence", "certification.confidence", NUMBER, None)
+        return cls(mode, max_bias)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -564,9 +559,9 @@ def verify_resistance(
     plus _SWEEP_TIE_TOLERANCE stays below delta (and, if a plateau left
     candidates unpriced, the sweep's own bound does too).  Monte Carlo mode
     samples _MONTE_CARLO_TRIALS uniform nonzero differences; the maximum is
-    still priced exactly, so a refutation is genuine, while a pass
-    certifies only with ``confidence`` = the chance that a single worst
-    difference would have been drawn.  :func:`_rough_bias` is within
+    still priced exactly, so a refutation is genuine, while a pass proves
+    nothing about the differences not drawn (its certificate is labelled
+    ``"monte-carlo"``, never exact).  :func:`_rough_bias` is within
     _SCREEN_EPSILON of every exact |bias|, so a difference that attains the
     exact maximum has a rough value within 2 epsilon of the rough maximum;
     only those rows go to :func:`bias`, in ascending order, and the first
@@ -587,24 +582,21 @@ def verify_resistance(
                 f"guard; use mode='monte-carlo'"
             )
         max_bias, worst, ceiling = _exact_bias_sweep(key_set)
-        meta: dict = {}
     elif mode == "monte-carlo":
         gen = np.random.default_rng(rng)
-        trials = _MONTE_CARLO_TRIALS
-        diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, trials))
+        diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, _MONTE_CARLO_TRIALS))
         rough = _rough_bias(key_set, diffs)
         rows = np.flatnonzero(rough >= rough.max() - 2.0 * _SCREEN_EPSILON)
         magnitudes = np.abs(bias(key_set, [diffs[i] for i in rows]))
         top = int(np.argmax(magnitudes))
         max_bias = float(magnitudes[top])
         worst = diffs[rows[top]] if max_bias > 0.0 else 1
-        meta = {"trials": trials, "confidence": -math.expm1(trials * math.log1p(-1.0 / (n - 1)))}
         ceiling = max_bias
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     certified = ceiling < delta
-    verdict = Certification(mode=mode, max_bias=max_bias, **meta) if certified else Certification()
+    verdict = Certification(mode=mode, max_bias=max_bias) if certified else Certification()
     # A uint64 key array is passed on as it is, not copied.
     annotated = KeySet(n, key_set.key_array, delta if certified else None, verdict)
     return ResistanceReport(certified, max_bias, worst, annotated)

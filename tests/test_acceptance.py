@@ -280,20 +280,20 @@ def test_c10_seeded_commands_are_canonically_deterministic(tmp_path, capsys):
 # grouped Alice's rows into classes: its 128 rows hold 5 distinct messages,
 # and Bob holds one bit.
 GOLDEN_SHA256 = {
-    "keys64.json": "4d480dec748403b23c8ceceb8f9653c7ca2745e85cb5f4ca9a9fc18fd135771f",
-    "run64-one-way.json": "773572a6cf05c3a1319203cf342785b1b47b6715a8945dba83e0f5bf28e2e43c",
-    "run64-smp.json": "94439cd0c958cc962416f02b72257196d2b9edd3f0ee1e3083c5ec79e9de934f",
+    "keys64.json": "3baa02a7a43773a4e47d5c7e221f63df0b6e96e66bae5124683be8e5feb04766",
+    "run64-one-way.json": "180434d91cec3d9dbaa438640bd5aa0c26a7b6c44d286c123cb96e023efd4305",
+    "run64-smp.json": "656a5c8f604cca3574a5625ee13e82b0862f613324a1200db3932ef1d81def7b",
     "keys21.json": "c0d55f3c02c3b7c043d1b896882b6c0328b164fa0fbb337a530966f06a224cf5",
-    "run21-one-way.json": "9cdd1bae3778fca86b0e44d230b81b53f7d11f353ef9121a51109fba4cfeb452",
-    "run21-smp.json": "1ad291f768c487cebcfe90acd26787e235ecdaf1da8f7a91b78cc04bbe6afbe7",
-    "keys80.json": "74757be77329dbb9dfa08379a9983a2938817aabb8cf10bc579522a061b11b18",
-    "run80-one-way.json": "dd79dd6706e3946ddc70c5b86c70dd18353d6b29045fd737c91a28d488b70554",
-    "run-search-n40m87.json": "8717dd479a08b0e822eddaf71123995e0c1834c12a6ab0c783e0b5a860c886e3",
+    "run21-one-way.json": "659412907326651bf089e3ed25fbf43533cecbf4c8fc9f16e47c87ac919ea4f9",
+    "run21-smp.json": "f58dbedc6ebdc58f9c2fc09d9e3cf5a74af7eac83795341ada3f1b7278940378",
+    "keys80.json": "38ec6be26b56dd8eda475335fca7d859b529275e46470c3f70d44768812f2577",
+    "run80-one-way.json": "7a413cfd28dc1dd6bcf9faa06751abcf5832be58557771ca86e8f0757e619884",
+    "run-search-n40m87.json": "55cdb0457e955d1832a41ec7d4c060023df65a0ea3e81d7b7fdc55854588a048",
     "profile-eq6.csv": "ed1092861dd92a8ba281f6a2de40c9c2a1e48fcbc530f6cd6fb479dff737d7dd",
     "profile-conj34.csv": "55527daea9eeb4e8d84b1e16264deea7c58f6e4c8a83298538d4d4655f901bb3",
     "profile-poly3.csv": "1dc41d3f86f0104e4ffdbb0b5fecae06e5f88b256a5b60ad0949b1ba29230fbe",
-    "run-conj34-forwarded.json": "8abad170b9d27f6818296fc54f902e7b8c5e6ab81f6e03d6da5802fbf258262d",
-    "profile-eq6.stdout": "05401f21df2dbb2a18faa0ecbfc1dd74d482773ddccb5cab4d474e2dd1d447bb",
+    "run-conj34-forwarded.json": "3f8b3aa87b5fac46569217053d4cc3507b72c73e95a3744c966d682b7664b2e7",
+    "profile-eq6.stdout": "c7ba830ccd86c80066b8155db46a688e1b9e3fb163e24262d51576af36ba70bb",
     "profile-eq6-keys64.stdout": "86d50e8cb8cbf6ef124ea7be57a8461e162e3df643accfc76016ba51437cc6d4",
     "profile-modbin8.csv": "41acfa894810d945f05a81644b58b85df7a82b4573a1466b2ab4d5c93b2481fc",
 }

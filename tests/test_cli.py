@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc import (
-    Certification, ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact,
-    search_key_set,
+    ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact, search_key_set,
 )
 import qhc
 from qhc.cli import main, parse_config
@@ -100,6 +99,17 @@ class TestVerify:
         assert run_cli("verify", "--function", "CONJ", "--n", "6", "--m", "5") == 3
         assert capsys.readouterr().err == (
             "config error: function.m: unknown field; function reads name, n_a, n_b, m_a, m_b\n")
+
+    @pytest.mark.parametrize("name,n", [("EQ", 2), ("PALINDROME", 4), ("PERM", 2)])
+    def test_fixed_modulus_builtins_refuse_m(self, tmp_path, capsys, name, n):
+        """Only MOD and MODBIN read m; the other builtins refuse it at
+        function.m, from the flag and from a config alike."""
+        refused = "config error: function.m: unknown field; function reads name, n\n"
+        assert run_cli("verify", "--function", name, "--n", str(n), "--m", "3") == 3
+        assert capsys.readouterr().err == refused
+        config = dict(EQ2_EXACT, function={"name": name, "n": n, "m": 3})
+        assert run_cli("run", "--config", write_config(tmp_path, config)) == 3
+        assert capsys.readouterr().err == refused
 
     def test_threads_flag_is_unknown(self, capsys):
         assert run_cli("verify", "--function", "EQ", "--n", "2", "--threads", "2") == 3
@@ -318,6 +328,39 @@ class TestRun:
         assert run_cli("run", "--config", config) == 0
         assert json.loads(out.read_text())["result"]["f"] == 1
         assert "exact_accept=1.0" in capsys.readouterr().out
+
+    def test_config_out_is_relative_to_the_config(self, tmp_path, monkeypatch, capsys):
+        """A config's out is resolved against the config's directory, as its
+        key files are; run's --out flag against the working directory."""
+        cfg, cwd = tmp_path / "cfg", tmp_path / "cwd"
+        cfg.mkdir()
+        cwd.mkdir()
+        (cfg / "k.json").write_text(json.dumps(search_key_set(16, 0.5, seed=1).to_json()))
+        doc = dict(EQ2_EXACT, keys={"file": "k.json"}, out="report.json")
+        config = write_config(cfg, doc)
+        monkeypatch.chdir(cwd)
+        assert run_cli("run", "--config", config) == 0
+        assert json.loads((cfg / "report.json").read_text())["result"]["f"] == 1
+        assert capsys.readouterr().out.endswith(f"-> {cfg / 'report.json'}\n")
+        assert list(cwd.iterdir()) == []
+        assert run_cli("run", "--config", config, "--out", "flag.json") == 0
+        assert [p.name for p in cwd.iterdir()] == ["flag.json"]
+
+    def test_older_key_file_loads_and_drops_trials_and_confidence(self, tmp_path, capsys):
+        """A Monte Carlo key file as earlier versions wrote it, with trials
+        and confidence, still runs; the two fields reach no output."""
+        doc = search_key_set(1 << 64, 0.3, seed=0).to_json()
+        (tmp_path / "new.json").write_text(json.dumps(doc))
+        doc["certification"].update(trials=2000, confidence=1.0842021724855044e-16)
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        reports = []
+        for name in ("old.json", "new.json"):
+            config = dict(EQ2_EXACT, keys={"file": name})
+            assert run_cli("run", "--config", write_config(tmp_path, config)) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["wall_clock_s"], report["config"]["keys"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("alice,bob", [("1" * 15, "0" * 15), ("0" * 14 + "1", "0" * 15)])
     def test_poly_function_past_the_table_guard(self, tmp_path, capsys, alice, bob):
@@ -729,6 +772,7 @@ class TestMalformedInputExits3:
             ("trials", 0, "certification.trials must be a JSON integer >= 1 or null"),
             ("trials", 2.0, "certification.trials must be a JSON integer >= 1 or null"),
             ("confidence", {"a": 1}, "certification.confidence must be a JSON number or null"),
+            ("confidence", "x", "certification.confidence must be a JSON number or null"),
             # json reads these tokens, which are not JSON; a report would echo them.
             ("max_bias", float("nan"),
              "certification.max_bias must be a JSON number or null, got NaN"),
@@ -1172,9 +1216,9 @@ class TestBuiltinReuse:
     def test_bad_descriptor_fails_alike_each_time(self, capsys):
         errors = []
         for _ in range(2):
-            assert run_cli("verify", "--function", "EQ", "--n", "2", "--m", "3") == 3
+            assert run_cli("verify", "--function", "MOD", "--n", "4", "--m", "1") == 3
             errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == "config error: function: EQ's modulus is fixed at 2^n\n"
+        assert errors[0] == errors[1] == "config error: function: MOD needs a modulus m >= 2\n"
 
 
 class TestSpecReuse:
@@ -1426,7 +1470,8 @@ def test_type_swapped_fields_exit_cleanly(data, variant):
 
 
 # Good documents whose every object is read: a config, a key file with
-# every certification field and a polynomial file; the builtin-search
+# every certification field (an older file's trials and confidence among
+# them) and a polynomial file; the builtin-search
 # variant is a config alone, which reads a builtin and a key search.  The
 # config writes its report to ``out``, given by closed_docs.
 CLOSED_DOCS = {
@@ -1441,8 +1486,9 @@ CLOSED_DOCS = {
         "trials": 20,
         "seed": 4,
     },
-    "keys.json": dict(KeySet(16, (1, 3, 5), 0.3, Certification("monte-carlo", 0.25, 2000, 0.9))
-                      .to_json()),
+    "keys.json": {"N": "16", "keys": ["1", "3", "5"], "delta": 0.3,
+                  "certification": {"mode": "monte-carlo", "max_bias": 0.25,
+                                    "trials": 2000, "confidence": 0.9}},
     "poly.json": [EQ2_POLY],
 }
 CLOSED_VARIANTS = ["files", "builtin-search"]

@@ -92,11 +92,15 @@ def test_all_is_exactly_what_init_imports():
 
 
 # Modules qhc does without; each import costs every command's start-up.
-UNLOADED = ("fractions", "decimal")
+# numpy.random is needed only by key searches and sampled runs.  Older numpy
+# releases (1.24 among them) load it with numpy itself, so what ``import
+# numpy`` loads is not counted.
+UNLOADED = ("fractions", "decimal", "numpy.random")
 
 
 def test_cli_import_leaves_modules_unloaded():
-    probe = f"import sys, qhc.cli; print(*(m for m in {UNLOADED!r} if m in sys.modules))"
+    probe = (f"import sys, numpy; base = set(sys.modules); import qhc.cli; "
+             f"print(*(m for m in {UNLOADED!r} if m in set(sys.modules) - base))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)

@@ -164,7 +164,6 @@ class TestRunExact:
         assert doc["input"] == {"alice": "01", "bob": "00"}
         assert doc["bounds"]["certified"] is True
         assert abs(doc["bounds"]["false_accept"] - 0.5 * (1 + 0.6**2)) < 1e-15
-        assert abs(doc["bounds"]["false_accept_linear"] - 0.8) < 1e-15
 
     @pytest.mark.parametrize("topology", ["one-way", "smp"])
     def test_report_json_embeds_the_spec_summary(self, eq2_spec, topology):

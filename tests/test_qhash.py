@@ -122,7 +122,7 @@ class TestKeySet:
             modulus=1 << 80,
             keys=(0, 1 << 79, (1 << 80) - 1),
             delta=0.25,
-            certification=Certification(mode="monte-carlo", max_bias=0.1, trials=100, confidence=0.5),
+            certification=Certification(mode="monte-carlo", max_bias=0.1),
         )
         doc = json.loads(json.dumps(ks.to_json()))
         assert KeySet.from_json(doc) == ks
@@ -590,7 +590,7 @@ class TestVerifyResistance:
         assert not report.certified
         assert abs(bias_direct(keys, 1 << 64, report.worst_difference)) >= 0.5
 
-    def test_monte_carlo_certification_annotates_confidence(self):
+    def test_monte_carlo_certification_is_labelled_not_exact(self):
         rng = np.random.default_rng(8)
         keys = tuple(sorted(int(k) for k in rng.choice(1 << 30, size=300, replace=False)))
         report = verify_resistance(
@@ -598,8 +598,7 @@ class TestVerifyResistance:
         )
         assert report.certified
         cert = report.key_set.certification
-        assert cert.mode == "monte-carlo" and cert.trials == _MONTE_CARLO_TRIALS == 2000
-        assert 0.0 <= cert.confidence < 1e-3  # 2000 draws out of 2^30 - 1
+        assert cert.to_json() == {"mode": "monte-carlo", "max_bias": report.max_bias}
         assert not report.key_set.certified  # never presented as exact
 
     def test_certified_soundness_exhaustive(self, certified_n64):
