@@ -149,7 +149,7 @@ def _load_key_set(path: Path) -> KeySet:
 
 
 # Bounds of the keys.search fields, shared with the search-keys flags.
-_SEARCH_BOUNDS = {"log2_n": (1, 256), "seed": (0, None), "attempts": (1, None)}
+_SEARCH_BOUNDS = {"log2_n": (1, 256), "seed": (0, None)}
 
 
 def _search_field(doc: dict, key: str, prefix: str, default=REQUIRED) -> int:
@@ -199,7 +199,7 @@ class ExperimentConfig:
     topology: str
     mode: str
     delta: float | None
-    key_search: dict | None  # {"seed", "attempts", "modulus"}
+    key_search: dict | None  # {"seed", "modulus"}
     key_files: list[Path] | None
     trials: int
     seed: int
@@ -265,10 +265,9 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             )
         key_search = {
             "seed": _search_field(s, "seed", "keys.search.", 0),
-            "attempts": _search_field(s, "attempts", "keys.search.", 10),
             "modulus": modulus,
         }
-        refuse_unread(s, "keys.search", ("log2_n", "N", "seed", "attempts"))
+        refuse_unread(s, "keys.search", ("log2_n", "N", "seed"))
     else:
         if "files" in kdoc:
             names = read_items(read_field(kdoc, "files", "keys.files", LIST), "keys.files", FILE)
@@ -344,15 +343,7 @@ def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:
     assert config.key_search is not None
     s = config.key_search
     children = np.random.SeedSequence(s["seed"]).spawn(pairs)
-    return [
-        search_key_set(
-            s["modulus"],
-            config.delta,
-            seed=child,
-            max_attempts=s["attempts"],
-        )
-        for child in children
-    ]
+    return [search_key_set(s["modulus"], config.delta, seed=child) for child in children]
 
 
 def _build_spec(config: ExperimentConfig) -> ProtocolSpec:
@@ -446,12 +437,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search_keys(args: argparse.Namespace) -> int:
     flags = vars(args)
-    log2_n, seed, attempts = (_search_field(flags, k, "") for k in ("log2_n", "seed", "attempts"))
+    log2_n, seed = (_search_field(flags, k, "") for k in ("log2_n", "seed"))
     key_set = search_key_set(
-        1 << log2_n,
-        read_field(flags, "delta", "delta", NUMBER, lo=0, hi=1),
-        seed=seed,
-        max_attempts=attempts,
+        1 << log2_n, read_field(flags, "delta", "delta", NUMBER, lo=0, hi=1), seed=seed
     )
     cert = key_set.certification
     _write_or_print(_json_text(key_set.to_json()) + "\n", args.out)
@@ -567,7 +555,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--log2-n", type=int, required=True, dest="log2_n")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--attempts", type=int, default=10)
     p.add_argument("--out", help="key set JSON destination (default stdout)")
     p.set_defaults(runner=cmd_search_keys)
 

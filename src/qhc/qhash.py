@@ -113,6 +113,12 @@ _SWEEP_BLOCK_FLOOR = 1 << 16
 # the full ring) has up to N/2 candidates, and pricing stops here.
 _SWEEP_PRICE_CELLS = 1 << 21
 
+# Draws search_key_set makes before it gives up.  A Hoeffding-sized set is
+# delta-resistant with positive probability, so this is a budget, not a
+# setting: the benchmark's seven key searches, at seeds 1 and 7, each
+# certify on their first draw.
+_SEARCH_ATTEMPTS = 10
+
 
 @dataclass(frozen=True)
 class Certification:
@@ -384,6 +390,7 @@ class ResistanceReport:
     max_bias: float
     worst_difference: int
     key_set: KeySet
+    bound: float  # what ``certified`` compares with delta, >= max_bias
 
 
 def _sweep_blocks(modulus: int, d: int) -> int:
@@ -568,8 +575,9 @@ def verify_resistance(
     exact maximum among them is the smallest difference attaining it.
     ``max_bias`` and ``worst_difference`` are those of pricing every sampled
     difference with :func:`bias`, bit for bit (difference 1 when every
-    |bias| is 0).  The report carries the key set re-annotated with the
-    verdict.
+    |bias| is 0).  ``bound`` is the value compared with delta: the exact
+    sweep's ceiling, or ``max_bias`` in Monte Carlo mode.  The report
+    carries the key set re-annotated with the verdict.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta out of (0,1): {delta}")
@@ -599,7 +607,7 @@ def verify_resistance(
     verdict = Certification(mode=mode, max_bias=max_bias) if certified else Certification()
     # A uint64 key array is passed on as it is, not copied.
     annotated = KeySet(n, key_set.key_array, delta if certified else None, verdict)
-    return ResistanceReport(certified, max_bias, worst, annotated)
+    return ResistanceReport(certified, max_bias, worst, annotated, ceiling)
 
 
 def required_keys(modulus: int, delta: float) -> int:
@@ -630,39 +638,37 @@ def _draw_keys(gen: np.random.Generator, modulus: int, d: int) -> np.ndarray | t
 
 
 def search_key_set(
-    modulus: int,
-    delta: float,
-    seed: int | np.random.SeedSequence,
-    max_attempts: int = 10,
+    modulus: int, delta: float, seed: int | np.random.SeedSequence
 ) -> KeySet:
     """Draw-and-verify search for a delta-resistant key set over Z_N.
 
-    Each attempt draws d = required_keys(N, delta) distinct keys from its
-    own spawned seed stream and verifies them — exactly for N <= 2^21,
-    by Monte Carlo above.  Returns the first certified set; raises
-    :class:`SearchError` with the best bias seen if every attempt is
-    refuted, and :class:`GuardError` before any draw when d > 2^21.
-    Bit-reproducible for a fixed seed.
+    Each of up to _SEARCH_ATTEMPTS attempts draws d = required_keys(N, delta)
+    distinct keys from its own spawned seed stream and verifies them —
+    exactly for N <= 2^21, by Monte Carlo above.  When d = N the full ring
+    is the only set, so it is drawn once.  Returns the first certified set;
+    raises :class:`SearchError` with the smallest bound and the best bias
+    seen if every attempt is refuted, and :class:`GuardError` before any
+    draw when d > 2^21.  Bit-reproducible for a fixed seed.
     """
     _check_modulus(modulus)
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     d = min(required_keys(modulus, delta), modulus)
     if d > EXACT_SWEEP_GUARD:
         raise GuardError(f"refusing to draw {d} keys; guard is d <= {EXACT_SWEEP_GUARD}")
     mode = "exact" if modulus <= EXACT_SWEEP_GUARD else "monte-carlo"
-    best = math.inf
+    attempts = 1 if d == modulus else _SEARCH_ATTEMPTS
+    best = bound = math.inf
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for _ in range(max_attempts):  # the children root.spawn(max_attempts) gives, one at a time
+    for _ in range(attempts):  # the children root.spawn(attempts) gives, one at a time
         gen = np.random.default_rng(root.spawn(1)[0])
         candidate = KeySet(modulus=modulus, keys=_draw_keys(gen, modulus, d))
         report = verify_resistance(candidate, delta, mode=mode, rng=gen)
         if report.certified:
             return report.key_set
-        best = min(best, report.max_bias)
+        best, bound = min(best, report.max_bias), min(bound, report.bound)
     raise SearchError(
-        f"no delta={delta} key set over N={modulus} in {max_attempts} attempts "
-        f"(best max bias seen: {best:.6f})",
-        attempts=max_attempts,
+        f"no delta={delta} key set over N={modulus} in {attempts} "
+        f"attempt{'s' if attempts > 1 else ''} (smallest bound {bound:.4g}, "
+        f"best max bias seen {best:.4g})",
+        attempts=attempts,
         best_max_bias=best,
     )

@@ -3,6 +3,8 @@ import errno
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -528,6 +530,14 @@ class TestProfile:
         assert len(out.read_text().splitlines()) == 1 + 256
         assert "worst false accept:" in capsys.readouterr().out
 
+    def test_config_out_is_the_run_report_only(self, tmp_path):
+        """One config serves run and profile, so profile leaves a config's
+        out to run's report and writes its CSV to --out alone."""
+        doc = dict(EQ2_EXACT, out="report.json")
+        out = tmp_path / "p.csv"
+        assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
+        assert out.is_file() and not (tmp_path / "report.json").exists()
+
     def test_enumeration_guard_exits_2(self, tmp_path, capsys):
         doc = {
             "function": {"name": "EQ", "n": 11},
@@ -715,15 +725,21 @@ class TestMalformedInputExits3:
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, f"{keys}: key file must be a JSON object")
 
-    def test_zero_search_attempts_in_config(self, tmp_path, capsys):
-        config = dict(EQ2_EXACT, keys={"search": {"log2_n": 10, "seed": 7, "attempts": 0}})
+    def test_search_attempts_in_config_is_unknown(self, tmp_path, capsys):
+        """A key search is N, delta and a seed; its draw budget is no field."""
+        config = dict(EQ2_EXACT, out=str(tmp_path / "report.json"),
+                      keys={"search": {"log2_n": 10, "seed": 7, "attempts": 2}})
         argv = ("run", "--config", write_config(tmp_path, config))
-        self.assert_exit_3(capsys, argv, "keys.search.attempts: attempts must be >= 1")
+        self.assert_exit_3(
+            capsys, argv, "keys.search.attempts: unknown field; keys.search reads log2_n, N, seed")
+        assert not (tmp_path / "report.json").exists()
 
-    def test_zero_search_attempts_flag(self, capsys):
-        argv = ("search-keys", "--log2-n", "6", "--delta", "0.3", "--seed", "0",
-                "--attempts", "0")
-        self.assert_exit_3(capsys, argv, "attempts: attempts must be >= 1")
+    def test_search_attempts_flag_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "keys.json"
+        argv = ("search-keys", "--log2-n", "10", "--delta", "0.3", "--seed", "7",
+                "--attempts", "2", "--out", str(out))
+        self.assert_exit_3(capsys, argv, "argv: unrecognized arguments: --attempts 2")
+        assert not out.exists()
 
     def test_key_file_keys_as_a_string(self, tmp_path, capsys):
         keys = tmp_path / "keys.json"
@@ -937,7 +953,7 @@ class TestMalformedInputExits3:
         [
             ({"keys": {"search": 5}}, "keys.search: search must be a JSON object"),
             ({"keys": {"search": {"log2_n": 64, "trials": 10}}},
-             "keys.search.trials: unknown field; keys.search reads log2_n, N, seed, attempts"),
+             "keys.search.trials: unknown field; keys.search reads log2_n, N, seed"),
             ({"keys": {"search": {"log2_n": -1}}}, "keys.search.log2_n: log2_n out of 1..256"),
             ({"keys": {"search": {"log2_n": 300}}}, "keys.search.log2_n: log2_n out of 1..256"),
             ({"keys": {"search": {"log2_n": 10.0}}},
@@ -945,8 +961,6 @@ class TestMalformedInputExits3:
             ({"keys": {"search": {"N": "1024"}}}, "keys.search.N: N must be a JSON integer"),
             ({"keys": {"search": {"log2_n": 10, "seed": True}}},
              "keys.search.seed: seed must be a JSON integer"),
-            ({"keys": {"search": {"log2_n": 10, "attempts": 2.0}}},
-             "keys.search.attempts: attempts must be a JSON integer"),
             ({"split": {"n1": 2.7}}, "split.n1: n1 must be a JSON integer, got 2.7"),
             ({"trials": "5"}, "trials: trials must be a JSON integer"),
             ({"seed": None}, "seed: seed must be a JSON integer, got null"),
@@ -1440,10 +1454,28 @@ FUZZ_CONFIG = {
 }
 FUZZ_VARIANTS = {
     "file": {},
-    "search-log2_n": {"keys": {"search": {"log2_n": 4, "seed": 1, "attempts": 2}}},
-    "search-N": {"keys": {"search": {"N": 16, "seed": 1, "attempts": 2}}},
+    "search-log2_n": {"keys": {"search": {"log2_n": 4, "seed": 1}}},
+    "search-N": {"keys": {"search": {"N": 16, "seed": 1}}},
     "poly": {"function": {"poly": builtin("EQ", 2).characteristic.polynomials[0].to_json()}},
 }
+
+
+def fuzz_docs(variant: str) -> dict:
+    return {"config.json": dict(FUZZ_CONFIG, **FUZZ_VARIANTS[variant]), "keys.json": FUZZ_KEYS}
+
+
+def run_fuzz(docs: dict) -> tuple[int, str]:
+    """run_closed in a fresh directory, which hypothesis examples need."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_closed(Path(tmp), docs)
+
+
+@pytest.mark.parametrize("variant", sorted(FUZZ_VARIANTS))
+def test_fuzz_variants_run_unmutated(variant):
+    """The fuzz below accepts exit 3, so a variant the reader refuses
+    outright would pass it while fuzzing nothing past the refusal."""
+    rc, message = run_fuzz(fuzz_docs(variant))
+    assert rc == 0, message
 
 
 @given(data=st.data(), variant=st.sampled_from(sorted(FUZZ_VARIANTS)))
@@ -1451,18 +1483,11 @@ FUZZ_VARIANTS = {
 def test_type_swapped_fields_exit_cleanly(data, variant):
     """Any JSON type in any field of a good config or key file ends in a
     contract exit code; 1 only for a counterexample or a failed search."""
-    config = dict(FUZZ_CONFIG, **FUZZ_VARIANTS[variant])
-    docs = {"config.json": config, "keys.json": FUZZ_KEYS}
+    docs = fuzz_docs(variant)
     target = data.draw(st.sampled_from(sorted(docs)))
     path = data.draw(st.sampled_from(list(json_paths(docs[target]))))
     docs[target] = swap_type(docs[target], path, data)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in docs.items():
-            (Path(tmp) / name).write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = run_cli("run", "--config", str(Path(tmp) / "config.json"))
-    message = err.getvalue()
+    rc, message = run_fuzz(docs)
     assert rc in (0, 1, 2, 3), message
     if rc == 1:
         assert message.startswith(("counterexample:", "search failed:")), message
@@ -1501,7 +1526,7 @@ def closed_docs(variant: str, tmp_path: Path) -> dict:
         return {"config.json": dict(
             docs["config.json"],
             function={"name": "CONJ", "n_a": 2, "n_b": 2, "m_a": 3, "m_b": 4},
-            keys={"search": {"log2_n": 10, "seed": 1, "attempts": 2}},
+            keys={"search": {"log2_n": 10, "seed": 1}},
         )}
     return docs
 
@@ -1591,12 +1616,12 @@ def config_text(**fields) -> str:
 
 RUN = ("run", "--config", "{tmp}/config.json")
 EXTREME_INPUTS = [
-    *(pytest.param(("search-keys", "--log2-n", str(log2_n), "--delta", delta, "--seed", "0",
-                    "--attempts", "2"), {}, rc, prefix, id=f"delta-{delta}-N-2^{log2_n}")
+    *(pytest.param(("search-keys", "--log2-n", str(log2_n), "--delta", delta, "--seed", "0"),
+                   {}, rc, prefix, id=f"delta-{delta}-N-2^{log2_n}")
       for delta in ("1e-160", "1e-200", "5e-324")
       for log2_n, rc, prefix in ((10, 1, "search failed: "), (64, 2, "guard: "))),
     pytest.param(RUN, {"config.json": config_text(
-        delta=1e-200, keys={"search": {"log2_n": 10, "attempts": 2}})},
+        delta=1e-200, keys={"search": {"log2_n": 10}})},
         1, "search failed: ", id="run-delta-1e-200"),
     pytest.param(RUN, {"config.json": config_text(keys={"file": "keys.json"}),
                        "keys.json": json.dumps({"N": str(2**1100), "keys": ["1"]})},
@@ -1646,3 +1671,29 @@ def test_long_values_are_cut_in_messages(tmp_path, capsys, fields, path):
     assert run_cli("run", "--config", write_config(tmp_path, short)) == 3
     assert capsys.readouterr().err.endswith("must be a JSON string, got [1]\n")
 
+
+
+# ----------------------------------------------------------------- README
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    """README.md's CLI block runs in order, each command exiting 0, with its
+    Config format JSON as experiment.json: one config serves run and
+    profile, and the key set a search prints loads as a key file."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    config = re.search(r"### Config format\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.json").write_text(config)
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line and not line.startswith("#")]
+    assert len(commands) == 5 and all(argv[0] == "qhc" for argv in commands)
+    for argv in commands:
+        argv, redirect = (argv[:-2], argv[-1]) if argv[-2] == ">" else (argv, None)
+        rc = main(argv[1:])
+        captured = capsys.readouterr()
+        assert rc == 0, (argv, captured.err)
+        if redirect:
+            (tmp_path / redirect).write_text(captured.out)
+    assert KeySet.from_json(json.loads((tmp_path / "keys.json").read_text())).certified
+    assert (tmp_path / "profile.csv").is_file()

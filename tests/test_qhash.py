@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -940,24 +941,36 @@ class TestSearchKeySet:
 
     def test_spawns_one_seed_stream_per_attempt_made(self):
         root = np.random.SeedSequence(0)
-        ks = search_key_set(1 << 10, 0.3, seed=root, max_attempts=50)
+        ks = search_key_set(1 << 10, 0.3, seed=root)
         assert ks.certified and root.n_children_spawned == 1
         assert ks == search_key_set(1 << 10, 0.3, seed=0)
-
-    def test_needs_an_attempt(self):
-        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
-            search_key_set(1 << 6, 0.3, seed=0, max_attempts=0)
 
     def test_all_attempts_refuted_raises(self, monkeypatch):
         def always_refuted(key_set, delta, mode="exact", rng=None):
             return ResistanceReport(certified=False, max_bias=0.97, worst_difference=1,
-                                    key_set=key_set)
+                                    key_set=key_set, bound=0.97)
 
         monkeypatch.setattr(qhc.qhash, "verify_resistance", always_refuted)
         with pytest.raises(SearchError) as info:
-            search_key_set(1 << 10, 0.3, seed=1, max_attempts=4)
-        assert info.value.attempts == 4
+            search_key_set(1 << 10, 0.3, seed=1)
+        assert info.value.attempts == 10
         assert info.value.best_max_bias == 0.97
+        assert "in 10 attempts (smallest bound 0.97, best max bias seen 0.97)" in str(info.value)
+
+    def test_refuted_full_ring_is_drawn_once(self):
+        """d = N leaves one set, Z_N, so a refuted search does not draw it
+        again; its message names the bound that refused, which carries the
+        sweep's tie tolerance, beside the |bias| priced (about 3e-17)."""
+        root = np.random.SeedSequence(0)
+        delta = 1e-18
+        with pytest.raises(SearchError) as info:
+            search_key_set(1 << 10, delta, seed=root)
+        assert info.value.attempts == 1 and root.n_children_spawned == 1
+        message = str(info.value)
+        assert "0.000000" not in message
+        assert " in 1 attempt (" in message
+        bound = float(re.search(r"smallest bound (\S+),", message).group(1))
+        assert bound >= delta
 
 
 # ------------------------------------------------------------ accounting
