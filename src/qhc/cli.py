@@ -8,6 +8,9 @@ Subcommands:
 * ``run``         — execute one protocol input (exact or sampled), JSON out.
 * ``profile``     — full-grid error profile, CSV out (sigma,gamma,f,exact_accept).
 
+A config says what to run; each command writes to its ``--out`` (relative to
+the working directory) or to stdout, and ``profile`` requires ``--out``.
+
 Exit codes: 0 success; 1 mathematical counterexample or refuted bound;
 2 resource-guard refusal; 3 malformed input.  Everything is deterministic
 for fixed seeds except the ``wall_clock_s`` field, which is excluded from
@@ -190,7 +193,7 @@ def _builtin_instance(name: str, sizes: tuple) -> FunctionInstance:
 # ---------------------------------------------------------------- configs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
     instance: FunctionInstance
@@ -204,7 +207,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     input_bits: tuple[tuple[int, ...], tuple[int, ...]] | None
-    out: str | None
 
 
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
@@ -319,12 +321,9 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         trials=read_field(doc, "trials", "trials", INT, 1, lo=1),
         seed=read_field(doc, "seed", "seed", INT, 0, lo=0),
         input_bits=input_bits,
-        out=read_field(doc, "out", "out", FILE, None),
     )
     refuse_unread(doc, "", ("function", "split", "delta", "keys", "topology", "mode", "input",
-                            "trials", "seed", "out"))
-    if config.out:  # a file name in a config is relative to the config, as key files are
-        config.out = str(base_dir / config.out)
+                            "trials", "seed"))
     return config
 
 
@@ -454,12 +453,7 @@ def cmd_search_keys(args: argparse.Namespace) -> int:
 
 def _load_run_config(args: argparse.Namespace) -> ExperimentConfig:
     path = Path(args.config)
-    config = parse_config(_read_json(path, "config"), path.parent)
-    if getattr(args, "seed", None) is not None:
-        config.seed = read_field(vars(args), "seed", "seed", INT, lo=0)
-    if getattr(args, "out", None) is not None:
-        config.out = args.out
-    return config
+    return parse_config(_read_json(path, "config"), path.parent)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -470,9 +464,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = _build_spec(config)
     sigma, gamma = config.input_bits
     if config.mode == "sampled":
-        report = run_sampled(
-            spec, sigma, gamma, seed=config.seed, trials=config.trials
-        )
+        report = run_sampled(spec, sigma, gamma, seed=config.seed, trials=config.trials)
     else:
         report = run_exact(spec, sigma, gamma)
     envelope = {
@@ -482,11 +474,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "result": report.to_json(),
         "wall_clock_s": round(time.perf_counter() - start, 6),
     }
-    _write_or_print(_json_text(envelope) + "\n", config.out)
-    if config.out:
-        print(
-            f"f={report.f_value} exact_accept={report.exact_accept!r} -> {config.out}"
-        )
+    _write_or_print(_json_text(envelope) + "\n", args.out)
+    if args.out:
+        print(f"f={report.f_value} exact_accept={report.exact_accept!r} -> {args.out}")
     return 0
 
 
@@ -560,7 +550,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute one protocol input from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, help="override the config's sampling seed")
     p.add_argument("--out", help="report JSON destination (default stdout)")
     p.set_defaults(runner=cmd_run)
 

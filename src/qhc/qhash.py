@@ -110,7 +110,7 @@ _U32 = 2.0 ** -24
 _SWEEP_BLOCK_FLOOR = 1 << 16
 
 # Residues the sweep's candidates may cost bias: a plateau (key 0, a coset,
-# the full ring) has up to N/2 candidates, and pricing stops here.
+# Z_N without 0) has up to N/2 candidates, and pricing stops here.
 _SWEEP_PRICE_CELLS = 1 << 21
 
 # Draws search_key_set makes before it gives up.  A Hoeffding-sized set is
@@ -530,7 +530,7 @@ def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int, float]:
     |bias| there, bit for bit.  The ceiling bounds every |bias(D)| and
     carries the tie tolerance as an allowance: the reported |bias| plus the
     tolerance, or, when the budget left candidates unpriced (a plateau such
-    as key 0, or the full ring), at least the sweep's maximum plus
+    as key 0, or Z_N without 0), at least the sweep's maximum plus
     _SWEEP_WINDOW plus the tolerance.
 
     The sweep runs at float32 first, with the columns' wider window.  Its
@@ -559,6 +559,10 @@ def verify_resistance(
 ) -> ResistanceReport:
     """Certify or refute |bias(D)| < delta over nonzero differences.
 
+    The full ring (d = N) is certified by its algebra, under the label of
+    either mode: at every nonzero D its keys sum a full set of N-th roots
+    of unity, so ``max_bias`` and ``bound`` are 0.0 and
+    ``worst_difference`` is 1.
     Exact mode sweeps every D in [1, N) and is refused (with a pointer at
     Monte Carlo mode) above N = 2^21.  :func:`_exact_bias_sweep` proposes
     and :func:`bias` prices, so ``max_bias`` is |bias| at
@@ -581,16 +585,20 @@ def verify_resistance(
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta out of (0,1): {delta}")
+    if mode not in ("exact", "monte-carlo"):
+        raise ValueError(f"unknown mode {mode!r}")
     n = key_set.modulus
 
-    if mode == "exact":
+    if key_set.d == n:
+        max_bias, worst, ceiling = 0.0, 1, 0.0
+    elif mode == "exact":
         if n > EXACT_SWEEP_GUARD:
             raise GuardError(
                 f"exact sweep over {n - 1} differences exceeds the N <= 2^21 "
                 f"guard; use mode='monte-carlo'"
             )
         max_bias, worst, ceiling = _exact_bias_sweep(key_set)
-    elif mode == "monte-carlo":
+    else:
         gen = np.random.default_rng(rng)
         diffs = sorted(v + 1 for v in rand_below_many(gen, n - 1, _MONTE_CARLO_TRIALS))
         rough = _rough_bias(key_set, diffs)
@@ -600,8 +608,6 @@ def verify_resistance(
         max_bias = float(magnitudes[top])
         worst = diffs[rows[top]] if max_bias > 0.0 else 1
         ceiling = max_bias
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     certified = ceiling < delta
     verdict = Certification(mode=mode, max_bias=max_bias) if certified else Certification()
@@ -645,20 +651,20 @@ def search_key_set(
     Each of up to _SEARCH_ATTEMPTS attempts draws d = required_keys(N, delta)
     distinct keys from its own spawned seed stream and verifies them —
     exactly for N <= 2^21, by Monte Carlo above.  When d = N the full ring
-    is the only set, so it is drawn once.  Returns the first certified set;
-    raises :class:`SearchError` with the smallest bound and the best bias
-    seen if every attempt is refuted, and :class:`GuardError` before any
-    draw when d > 2^21.  Bit-reproducible for a fixed seed.
+    is the only set, and its algebra certifies it on the first draw.
+    Returns the first certified set; raises :class:`SearchError` with the
+    smallest bound and the best bias seen if every attempt is refuted, and
+    :class:`GuardError` before any draw when d > 2^21.  Bit-reproducible
+    for a fixed seed.
     """
     _check_modulus(modulus)
     d = min(required_keys(modulus, delta), modulus)
     if d > EXACT_SWEEP_GUARD:
         raise GuardError(f"refusing to draw {d} keys; guard is d <= {EXACT_SWEEP_GUARD}")
     mode = "exact" if modulus <= EXACT_SWEEP_GUARD else "monte-carlo"
-    attempts = 1 if d == modulus else _SEARCH_ATTEMPTS
     best = bound = math.inf
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for _ in range(attempts):  # the children root.spawn(attempts) gives, one at a time
+    for _ in range(_SEARCH_ATTEMPTS):  # the children root.spawn(10) gives, one at a time
         gen = np.random.default_rng(root.spawn(1)[0])
         candidate = KeySet(modulus=modulus, keys=_draw_keys(gen, modulus, d))
         report = verify_resistance(candidate, delta, mode=mode, rng=gen)
@@ -666,9 +672,8 @@ def search_key_set(
             return report.key_set
         best, bound = min(best, report.max_bias), min(bound, report.bound)
     raise SearchError(
-        f"no delta={delta} key set over N={modulus} in {attempts} "
-        f"attempt{'s' if attempts > 1 else ''} (smallest bound {bound:.4g}, "
-        f"best max bias seen {best:.4g})",
-        attempts=attempts,
+        f"no delta={delta} key set over N={modulus} in {_SEARCH_ATTEMPTS} attempts "
+        f"(smallest bound {bound:.4g}, best max bias seen {best:.4g})",
+        attempts=_SEARCH_ATTEMPTS,
         best_max_bias=best,
     )

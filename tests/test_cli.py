@@ -208,15 +208,6 @@ class TestRun:
                 == [ln for ln in written.splitlines(True) if not ln.startswith(clock)])
         assert len(stdout.splitlines()) == len(written.splitlines())
 
-    def test_sampled_seed_override_wins(self, tmp_path, capsys):
-        doc = dict(EQ2_EXACT, mode="sampled", trials=50, seed=1,
-                   input={"alice": "10", "bob": "01"})
-        config = write_config(tmp_path, doc)
-        assert run_cli("run", "--config", config, "--seed", "9") == 0
-        report = json.loads(capsys.readouterr().out)["result"]
-        assert report["sampled"]["seed"] == 9
-        assert report["sampled"]["trials"] == 50
-
     @pytest.mark.parametrize("function, err", [
         ({"name": "EQ", "n": 20000}, "EQ with n=20000 has 40000 variables"),
         ({"name": "CONJ", "n_a": 10000, "n_b": 10000},
@@ -326,27 +317,10 @@ class TestRun:
 
     def test_out_file_and_summary_line(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        config = write_config(tmp_path, dict(EQ2_EXACT, out=str(out)))
-        assert run_cli("run", "--config", config) == 0
+        assert run_cli("run", "--config", write_config(tmp_path, EQ2_EXACT),
+                       "--out", str(out)) == 0
         assert json.loads(out.read_text())["result"]["f"] == 1
-        assert "exact_accept=1.0" in capsys.readouterr().out
-
-    def test_config_out_is_relative_to_the_config(self, tmp_path, monkeypatch, capsys):
-        """A config's out is resolved against the config's directory, as its
-        key files are; run's --out flag against the working directory."""
-        cfg, cwd = tmp_path / "cfg", tmp_path / "cwd"
-        cfg.mkdir()
-        cwd.mkdir()
-        (cfg / "k.json").write_text(json.dumps(search_key_set(16, 0.5, seed=1).to_json()))
-        doc = dict(EQ2_EXACT, keys={"file": "k.json"}, out="report.json")
-        config = write_config(cfg, doc)
-        monkeypatch.chdir(cwd)
-        assert run_cli("run", "--config", config) == 0
-        assert json.loads((cfg / "report.json").read_text())["result"]["f"] == 1
-        assert capsys.readouterr().out.endswith(f"-> {cfg / 'report.json'}\n")
-        assert list(cwd.iterdir()) == []
-        assert run_cli("run", "--config", config, "--out", "flag.json") == 0
-        assert [p.name for p in cwd.iterdir()] == ["flag.json"]
+        assert capsys.readouterr().out == f"f=1 exact_accept=1.0 -> {out}\n"
 
     def test_older_key_file_loads_and_drops_trials_and_confidence(self, tmp_path, capsys):
         """A Monte Carlo key file as earlier versions wrote it, with trials
@@ -529,14 +503,6 @@ class TestProfile:
         assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 1 + 256
         assert "worst false accept:" in capsys.readouterr().out
-
-    def test_config_out_is_the_run_report_only(self, tmp_path):
-        """One config serves run and profile, so profile leaves a config's
-        out to run's report and writes its CSV to --out alone."""
-        doc = dict(EQ2_EXACT, out="report.json")
-        out = tmp_path / "p.csv"
-        assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
-        assert out.is_file() and not (tmp_path / "report.json").exists()
 
     def test_enumeration_guard_exits_2(self, tmp_path, capsys):
         doc = {
@@ -927,9 +893,20 @@ class TestMalformedInputExits3:
         argv = ["search-keys"] + [arg for pair in flags.items() for arg in pair]
         self.assert_exit_3(capsys, argv, where)
 
-    def test_run_seed_override_is_checked(self, tmp_path, capsys):
-        argv = ("run", "--config", write_config(tmp_path, EQ2_EXACT), "--seed", "-1")
-        self.assert_exit_3(capsys, argv, "seed: seed must be >= 0, got -1")
+    def test_config_out_is_unknown(self, tmp_path, capsys):
+        # A config says what to run; where the report goes is run's --out flag.
+        config = write_config(tmp_path, dict(EQ2_EXACT, out="report.json"))
+        self.assert_exit_3(capsys, ("run", "--config", config),
+                           "out: unknown field; the top level reads function, split, delta, "
+                           "keys, topology, mode, input, trials, seed\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_run_seed_flag_is_unknown(self, tmp_path, capsys):
+        # A sampled run's seed is the config's seed field alone.
+        argv = ("run", "--config", write_config(tmp_path, EQ2_EXACT), "--seed", "9",
+                "--out", str(tmp_path / "report.json"))
+        self.assert_exit_3(capsys, argv, "argv: unrecognized arguments: --seed 9\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
         "extra,where",
@@ -967,7 +944,6 @@ class TestMalformedInputExits3:
             ({"function": {"name": "EQ", "n": 2.0}}, "function.n: n must be a JSON integer"),
             ({"delta": [0.3]}, "delta: delta must be a JSON number"),
             ({"input": {"alice": 10, "bob": "10"}}, "input: input needs alice and bob"),
-            ({"out": 5}, "out: out must be a file name"),
             ({"function": {"poly": "x"}}, "function.poly: a polynomial must be a JSON object"),
             ({"function": {"poly": {"modulus": "7", "coeffs": "12"}}},
              "function.poly: bad polynomial: coeffs must be a JSON list"),
@@ -1089,8 +1065,9 @@ def test_interleaved_calls_match_fresh_processes(tmp_path):
     flags.  Each call gives the exit code and output of a fresh process."""
     config = write_config(tmp_path, dict(EQ2_EXACT, mode="sampled", trials=1000, seed=13,
                                          input={"alice": "10", "bob": "11"}))
+    out = tmp_path / "report.json"
     calls = [
-        ["run", "--config", config, "--seed", "5"],
+        ["run", "--config", config, "--out", str(out)],
         ["run", "--config", config],
         ["verify", "--function", "EQ", "--n", "2"],
         ["search-keys", "--log2-n", "6", "--delta", "0.3", "--seed", "0"],
@@ -1102,7 +1079,8 @@ def test_interleaved_calls_match_fresh_processes(tmp_path):
         assert got == fresh
         seen.append(got)
     assert [c for c, _, _ in seen] == [0, 0, 0, 0, 3]
-    assert seen[0][1] != seen[1][1]  # the seed override took effect, then lapsed
+    assert seen[0][1].endswith(f"-> {out}\n") and out.is_file()
+    assert json.loads(seen[1][1])["result"]  # the --out flag took effect, then lapsed
 
 
 class TestKeySetCache:
@@ -1497,8 +1475,8 @@ def test_type_swapped_fields_exit_cleanly(data, variant):
 # Good documents whose every object is read: a config, a key file with
 # every certification field (an older file's trials and confidence among
 # them) and a polynomial file; the builtin-search
-# variant is a config alone, which reads a builtin and a key search.  The
-# config writes its report to ``out``, given by closed_docs.
+# variant is a config alone, which reads a builtin and a key search.  Its
+# run writes the report to report.json, given by run_closed's --out.
 CLOSED_DOCS = {
     "config.json": {
         "function": {"poly_file": "poly.json"},
@@ -1519,9 +1497,8 @@ CLOSED_DOCS = {
 CLOSED_VARIANTS = ["files", "builtin-search"]
 
 
-def closed_docs(variant: str, tmp_path: Path) -> dict:
+def closed_docs(variant: str) -> dict:
     docs = json.loads(json.dumps(CLOSED_DOCS))
-    docs["config.json"]["out"] = str(tmp_path / "report.json")
     if variant == "builtin-search":
         return {"config.json": dict(
             docs["config.json"],
@@ -1550,13 +1527,14 @@ def run_closed(tmp_path: Path, docs: dict) -> tuple[int, str]:
         (tmp_path / name).write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = run_cli("run", "--config", str(tmp_path / "config.json"))
+        rc = run_cli("run", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "report.json"))
     return rc, err.getvalue()
 
 
 @pytest.mark.parametrize("variant", CLOSED_VARIANTS)
 def test_closed_documents_run(tmp_path, variant):
-    assert run_closed(tmp_path, closed_docs(variant, tmp_path)) == (0, "")
+    assert run_closed(tmp_path, closed_docs(variant)) == (0, "")
     assert (tmp_path / "report.json").exists()
 
 
@@ -1569,11 +1547,11 @@ FILE_PREFIX = {"config.json": "", "keys.json": "{tmp}/keys.json: bad key set: ",
 def test_every_object_refuses_an_unknown_field(tmp_path, variant):
     """One field no object reads, added to each object of each document in
     turn, exits 3 naming its path; nothing is written."""
-    objects = [(name, path) for name, doc in closed_docs(variant, tmp_path).items()
+    objects = [(name, path) for name, doc in closed_docs(variant).items()
                for path in json_paths(doc) if isinstance(node(doc, path), dict)]
     assert len(objects) == (8 if variant == "files" else 6)
     for name, path in objects:
-        docs = closed_docs(variant, tmp_path)
+        docs = closed_docs(variant)
         node(docs[name], path)["typo"] = 1
         # A polynomial's path restarts at the file's list entry.
         where = json_path_text(path[1:] if name == "poly.json" else path)
@@ -1588,10 +1566,10 @@ def test_every_object_refuses_an_unknown_field(tmp_path, variant):
 def test_every_path_refuses_nan_and_infinity(tmp_path, variant):
     """NaN or an infinity at any node of any document, the roots included,
     exits 3; nothing is written."""
-    nodes = [(name, path) for name, doc in closed_docs(variant, tmp_path).items()
+    nodes = [(name, path) for name, doc in closed_docs(variant).items()
              for path in json_paths(doc)]
     for i, (name, path) in enumerate(nodes):
-        docs = closed_docs(variant, tmp_path)
+        docs = closed_docs(variant)
         value = (float("nan"), float("inf"), float("-inf"))[i % 3]
         if path:
             node(docs[name], path[:-1])[path[-1]] = value
@@ -1619,10 +1597,11 @@ EXTREME_INPUTS = [
     *(pytest.param(("search-keys", "--log2-n", str(log2_n), "--delta", delta, "--seed", "0"),
                    {}, rc, prefix, id=f"delta-{delta}-N-2^{log2_n}")
       for delta in ("1e-160", "1e-200", "5e-324")
-      for log2_n, rc, prefix in ((10, 1, "search failed: "), (64, 2, "guard: "))),
+      for log2_n, rc, prefix in ((10, 0, f"certified: N=2^10 d=1024 delta={delta} max_bias=0.0"),
+                                 (64, 2, "guard: "))),
     pytest.param(RUN, {"config.json": config_text(
         delta=1e-200, keys={"search": {"log2_n": 10}})},
-        1, "search failed: ", id="run-delta-1e-200"),
+        0, "", id="run-delta-1e-200"),
     pytest.param(RUN, {"config.json": config_text(keys={"file": "keys.json"}),
                        "keys.json": json.dumps({"N": str(2**1100), "keys": ["1"]})},
                  3, "config error: {tmp}/keys.json: bad key set: modulus must be below 2^1023",
@@ -1644,7 +1623,8 @@ EXTREME_INPUTS = [
 def test_extreme_values_exit_cleanly(tmp_path, capsys, argv, files, rc, prefix):
     """Same-type values at the far end of their range (a delta whose square
     underflows, a modulus with no float64, nesting past the parser's stack)
-    end in their contract exit code."""
+    end in their contract exit code.  At N = 2^10 such a delta asks for more
+    keys than N, and the full ring that takes their place certifies."""
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run_cli(*(arg.format(tmp=tmp_path) for arg in argv)) == rc
@@ -1697,3 +1677,15 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
             (tmp_path / redirect).write_text(captured.out)
     assert KeySet.from_json(json.loads((tmp_path / "keys.json").read_text())).certified
     assert (tmp_path / "profile.csv").is_file()
+
+
+def test_readme_names_the_top_level_fields():
+    """README.md's sentence "The top level reads …" lists, in order, the
+    fields that a config's unknown top-level field is refused against."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"The top level reads (.*?), and nothing else", readme, re.S).group(1)
+    with pytest.raises(ConfigError) as info:
+        parse_config(dict(EQ2_EXACT, typo=1), Path("."))
+    assert info.value.path == "typo"
+    read = info.value.message.partition("; the top level reads ")[2]
+    assert re.findall(r"`(\w+)`", sentence) == read.split(", ")

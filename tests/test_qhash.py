@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -659,9 +658,10 @@ class TestBlockedSweep:
         # B is the largest power of two dividing N with N/B >= 2^16 and B*d <= N.
         assert qhc.qhash._sweep_blocks(n, d) == blocks
 
-    def test_full_ring_search_prices_within_the_cell_budget(self, monkeypatch):
-        # Every difference of Z_N ties near 0: the sweep proposes N/2
-        # candidates, and bias may price only the budget's worth of them.
+    def test_plateau_prices_within_the_cell_budget(self, monkeypatch):
+        # Every difference of Z_N without 0 ties at |bias| = 1/(N - 1): the
+        # sweep proposes N/2 candidates, and bias may price only the
+        # budget's worth of them.
         cells = []
 
         def counted(key_set, differences):
@@ -669,10 +669,11 @@ class TestBlockedSweep:
             return bias(key_set, differences)
 
         monkeypatch.setattr(qhc.qhash, "bias", counted)
-        ks = search_key_set(1 << 21, 0.003, seed=0)
-        assert ks.d == 1 << 21 and ks.certified and ks.certification.mode == "exact"
-        assert ks.certification.max_bias < 1e-12
-        assert sum(cells) <= qhc.qhash._SWEEP_PRICE_CELLS
+        n = 1 << 21
+        report = verify_resistance(KeySet(modulus=n, keys=np.arange(1, n, dtype=np.uint64)),
+                                   0.003)
+        assert report.certified and abs(report.max_bias - 1 / (n - 1)) < 1e-12
+        assert 0 < sum(cells) <= qhc.qhash._SWEEP_PRICE_CELLS
 
     def test_key_zero_plateau_is_refuted_at_the_smallest_difference(self):
         report = verify_resistance(KeySet(modulus=1 << 16, keys=(0,)), 0.5)
@@ -680,17 +681,18 @@ class TestBlockedSweep:
         assert (report.max_bias, report.worst_difference) == (1.0, 1)
 
     def test_unpriced_candidates_certify_only_below_the_sweep_ceiling(self, monkeypatch):
-        # The full ring Z_64: every |bias| is ~1e-17.  Priced in full, the
-        # certificate needs only bias's maximum plus the tie tolerance below
-        # delta; with candidates left unpriced, the sweep's maximum plus the
-        # window must be below it too.
-        ks = KeySet(modulus=64, keys=tuple(range(64)))
-        assert verify_resistance(ks, 1e-10).certified
+        # Z_64 without 0: |bias| is 1/63 at every nonzero D.  Priced in full,
+        # the certificate needs only bias's maximum plus the tie tolerance
+        # below delta; with candidates left unpriced, the sweep's maximum
+        # plus the window must be below it too.
+        ks = KeySet(modulus=64, keys=tuple(range(1, 64)))
+        delta = 1 / 63 + 1e-10
+        assert verify_resistance(ks, delta).certified
         monkeypatch.setattr(qhc.qhash, "_SWEEP_PRICE_CELLS", 64)
-        report = verify_resistance(ks, 1e-10)
-        assert report.max_bias + qhc.qhash._SWEEP_TIE_TOLERANCE < 1e-10
+        report = verify_resistance(ks, delta)
+        assert report.max_bias + qhc.qhash._SWEEP_TIE_TOLERANCE < delta
         assert not report.certified
-        assert verify_resistance(ks, 1e-8).certified
+        assert verify_resistance(ks, 1 / 63 + 1e-8).certified
 
     @given(st.sampled_from([(1 << 10, "exact"), (4095, "exact"), (3 << 12, "exact"),
                             (1 << 18, "exact"), (3 << 17, "exact"), (1 << 21, "exact"),
@@ -957,20 +959,18 @@ class TestSearchKeySet:
         assert info.value.best_max_bias == 0.97
         assert "in 10 attempts (smallest bound 0.97, best max bias seen 0.97)" in str(info.value)
 
-    def test_refuted_full_ring_is_drawn_once(self):
-        """d = N leaves one set, Z_N, so a refuted search does not draw it
-        again; its message names the bound that refused, which carries the
-        sweep's tie tolerance, beside the |bias| priced (about 3e-17)."""
+    def test_full_ring_certifies_by_its_algebra(self, monkeypatch):
+        """d = N leaves one set, Z_N, whose keys sum all N-th roots of unity
+        at every nonzero D: it certifies on one draw at any delta, with
+        nothing swept or priced."""
+        monkeypatch.setattr(qhc.qhash, "bias", None)  # a call would fail
         root = np.random.SeedSequence(0)
-        delta = 1e-18
-        with pytest.raises(SearchError) as info:
-            search_key_set(1 << 10, delta, seed=root)
-        assert info.value.attempts == 1 and root.n_children_spawned == 1
-        message = str(info.value)
-        assert "0.000000" not in message
-        assert " in 1 attempt (" in message
-        bound = float(re.search(r"smallest bound (\S+),", message).group(1))
-        assert bound >= delta
+        ks = search_key_set(1 << 10, 1e-18, seed=root)
+        assert root.n_children_spawned == 1
+        assert ks.keys == tuple(range(1 << 10)) and ks.certified and ks.delta == 1e-18
+        assert ks.certification == Certification(mode="exact", max_bias=0.0)
+        report = verify_resistance(ks, 1e-18)
+        assert (report.max_bias, report.worst_difference, report.bound) == (0.0, 1, 0.0)
 
 
 # ------------------------------------------------------------ accounting
