@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -166,6 +167,17 @@ class TestSearchKeys:
         config = dict(EQ2_EXACT, keys={"file": "k.json"})
         assert run_cli("run", "--config", write_config(tmp_path, config)) == 0
         assert json.loads(capsys.readouterr().out)["result"]["f"] == 1
+
+    def test_full_ring_certifies_at_any_delta(self, tmp_path, capsys):
+        """A delta that asks for more keys than N gets the full ring, which
+        certifies with max_bias 0.0."""
+        out = tmp_path / "keys.json"
+        assert run_cli("search-keys", "--log2-n", "6", "--delta", "1e-13", "--seed", "0",
+                       "--out", str(out)) == 0
+        ks = KeySet.from_json(json.loads(out.read_text()))
+        assert ks.keys == tuple(range(64)) and ks.certified and ks.delta == 1e-13
+        assert ks.certification.to_json() == {"mode": "exact", "max_bias": 0.0}
+        assert capsys.readouterr().err == ""
 
     def test_bad_width_exits_3(self, capsys):
         assert run_cli("search-keys", "--log2-n", "0", "--delta", "0.3", "--seed", "0") == 3
@@ -1677,6 +1689,13 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
             (tmp_path / redirect).write_text(captured.out)
     assert KeySet.from_json(json.loads((tmp_path / "keys.json").read_text())).certified
     assert (tmp_path / "profile.csv").is_file()
+
+
+def test_parsed_config_is_frozen(tmp_path):
+    """A parsed config is not changed after parsing: no flag overrides it."""
+    config = parse_config(EQ2_EXACT, tmp_path)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = 9
 
 
 def test_readme_names_the_top_level_fields():

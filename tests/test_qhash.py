@@ -524,6 +524,21 @@ class TestVerifyResistance:
         assert report.certified
         assert report.max_bias < 1e-12
 
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    def test_full_ring_certifies_by_its_algebra_in_either_mode(self, monkeypatch, mode):
+        # Nothing is swept, sampled or priced, and the certificate keeps the
+        # label of the mode asked for.
+        monkeypatch.setattr(qhc.qhash, "bias", None)  # a call would fail
+        report = verify_resistance(KeySet(modulus=1 << 10, keys=tuple(range(1 << 10))),
+                                   1e-18, mode=mode, rng=0)
+        assert report.certified
+        assert (report.max_bias, report.worst_difference, report.bound) == (0.0, 1, 0.0)
+        assert report.key_set.certification == Certification(mode=mode, max_bias=0.0)
+
+    def test_unknown_mode_is_refused_for_the_full_ring(self):
+        with pytest.raises(ValueError, match="unknown mode 'fast'"):
+            verify_resistance(KeySet(modulus=16, keys=tuple(range(16))), 0.5, mode="fast")
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=25, deadline=None)
     def test_sweep_matches_direct_loop(self, seed):
