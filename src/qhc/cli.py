@@ -318,7 +318,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         delta=delta,
         key_search=key_search,
         key_files=key_files,
-        trials=read_field(doc, "trials", "trials", INT, 1, lo=1),
+        trials=read_field(doc, "trials", "trials", INT, 1, lo=1, hi=(1 << 63) - 1),
         seed=read_field(doc, "seed", "seed", INT, 0, lo=0),
         input_bits=input_bits,
     )

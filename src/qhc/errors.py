@@ -10,7 +10,7 @@ raises :class:`ConfigError` or plain ``ValueError`` (exit 3).
 class GuardError(RuntimeError):
     """A resource guard refused the operation (problem too large for the
     requested exact method). The message names the guard and, where one
-    exists, the sampled alternative."""
+    exists, the per-input alternative."""
 
 
 class SearchError(RuntimeError):

@@ -8,9 +8,11 @@ swap test per pair; :func:`run_exact` serves both topologies.  On f = 1
 inputs every pair collides exactly and the protocol accepts with certainty;
 on f = 0 inputs some pair differs (that is what makes the polynomial set a
 characteristic).  The acceptance probability is the product of the per-pair
-terms (1 + F_j^2)/2 of :func:`qhash.swap_accept`, the one rule that every
-route (exact, sampled, profile) and the bound apply to fidelities F_j from
-:func:`qhash.bias`, the one fidelity kernel.
+terms (1 + F_j^2)/2 of :func:`qhash.swap_accept`, the one rule that the
+exact route, the profile and the bound apply to fidelities F_j from
+:func:`qhash.bias`, the one fidelity kernel.  The pairs' swap tests are
+independent, so one measured trial accepts with exactly that product: a
+sampled run draws its trials from the exact route's ``exact_accept``.
 
 Key sets may live over a modulus N larger than the polynomial modulus m:
 residues of Z_m embed as themselves into [0, N), which preserves both
@@ -36,12 +38,6 @@ from .util import format_bits, index_to_bits
 
 # Full-grid error profiling refuses above this many total input bits.
 PROFILE_GUARD_BITS = 20
-
-# Sampled runs refuse above this many Bernoulli draws (pairs x trials).
-SAMPLE_GUARD_DRAWS = 1 << 24
-
-# Sampled runs draw at most this many uniforms at a time.
-_SAMPLE_CHUNK = 1 << 16
 
 # Profiling refuses polynomial moduli above this: its value tables and
 # grid differences are int64 arrays.  Key moduli are not limited.
@@ -323,38 +319,24 @@ def run_sampled(
     seed: int,
     trials: int = 1,
 ) -> RunReport:
-    """Simulate measured swap outcomes: per trial, AND of one Bernoulli draw
-    per pair.  Identical seeds give identical reports.  Refused before any
-    draw when pairs x trials exceeds SAMPLE_GUARD_DRAWS."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if spec.l * trials > SAMPLE_GUARD_DRAWS:
-        raise GuardError(f"sampled run of {spec.l} x {trials} draws; guard is {SAMPLE_GUARD_DRAWS}")
+    """Simulate measured trials: each accepts with ``exact_accept``, the
+    product over the pairs' independent swap tests.  The first trial's bit
+    is one uniform draw below it, and the other trials' accept count one
+    binomial draw, so memory is O(1) in ``trials``, which
+    ``Generator.binomial`` takes up to 2^63 - 1.  Identical seeds give
+    identical reports."""
+    if not 1 <= trials <= (1 << 63) - 1:
+        raise ValueError(f"trials {trials} outside 1..{(1 << 63) - 1}")
     base = run_exact(spec, sigma, gamma)
-    probs = swap_accept(np.array(base.fidelities))
-    accepted = _accepted_trials(np.random.default_rng(seed), probs, trials)
+    gen = np.random.default_rng(seed)
+    bit = int(gen.random() < base.exact_accept)
     return replace(
         base,
-        sampled_bit=int(accepted[0]),
+        sampled_bit=bit,
         sample_trials=trials,
-        sample_accepts=int(accepted.sum()),
+        sample_accepts=bit + int(gen.binomial(trials - 1, base.exact_accept)),
         seed=seed,
     )
-
-
-def _accepted_trials(
-    gen: np.random.Generator, probs: np.ndarray, trials: int, chunk: int = _SAMPLE_CHUNK
-) -> np.ndarray:
-    """Per trial, whether every pair's uniform draw fell below its accept
-    probability.  The draws are those of ``gen.random((len(probs), trials))``
-    in its row-major order, taken ``chunk`` at a time, so no pairs x trials
-    array is ever held."""
-    accepted = np.ones(trials, dtype=bool)
-    for p in probs.tolist():
-        for start in range(0, trials, chunk):
-            stop = min(start + chunk, trials)
-            accepted[start:stop] &= gen.random(stop - start) < p
-    return accepted
 
 
 @dataclass(frozen=True)
@@ -530,14 +512,14 @@ def error_profile(spec: ProtocolSpec) -> ErrorProfile:
     gamma.  The one-sided check reads u and v at every f = 1 cell of the
     whole grid, on the integers.
 
-    Guarded at n1 + n2 <= 20 and at polynomial moduli m <= 2^31; use
-    sampled runs beyond that.
+    Guarded at n1 + n2 <= 20 and at polynomial moduli m <= 2^31; run
+    chosen inputs exactly (``qhc run``) beyond that.
     """
     n1, n2 = spec.n1, spec.n2
     if n1 + n2 > PROFILE_GUARD_BITS:
         raise GuardError(
             f"full profile enumerates 2^{n1 + n2} inputs; guard is "
-            f"{PROFILE_GUARD_BITS} total bits — use run_sampled on chosen inputs"
+            f"{PROFILE_GUARD_BITS} total bits — use qhc run (exact) on chosen inputs"
         )
     m = spec.modulus
     if m > PROFILE_MODULUS_GUARD:

@@ -232,16 +232,24 @@ class TestRun:
         assert run_cli("run", "--config", write_config(tmp_path, doc)) == 2
         assert capsys.readouterr().err == f"guard: {err}; builtin guard is 8192\n"
 
-    def test_oversized_sampled_run_exits_2(self, tmp_path):
-        """Refused by the draw guard before allocating, in a fresh process
-        so that an escaped exception would show as a traceback."""
-        config = write_config(tmp_path, dict(EQ2_EXACT, mode="sampled", trials=10**13))
+    def test_huge_sampled_runs_in_a_fresh_process(self, tmp_path):
+        """10^13 trials take one binomial draw, and 2^63 is refused as a
+        config error, not by numpy's OverflowError: in a fresh process, so
+        that an escaped exception would show as a traceback."""
         env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-m", "qhc.cli", "run", "--config", config],
-                              env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("guard: sampled run of 1 x 10000000000000 draws")
-        assert "Traceback" not in proc.stderr
+        procs = {}
+        for trials in (10**13, 2**63):
+            config = write_config(tmp_path, dict(EQ2_EXACT, mode="sampled", trials=trials))
+            procs[trials] = subprocess.run(
+                [sys.executable, "-m", "qhc.cli", "run", "--config", config],
+                env=env, capture_output=True, text=True, timeout=60)
+        ok, refused = procs[10**13], procs[2**63]
+        assert ok.returncode == 0 and ok.stderr == "", ok.stderr
+        sampled = json.loads(ok.stdout)["result"]["sampled"]
+        assert sampled["trials"] == 10**13 and 0 <= sampled["accepts"] <= 10**13
+        assert refused.returncode == 3 and refused.stdout == ""
+        assert refused.stderr == ("config error: trials: trials out of 1..9223372036854775807: "
+                                  "9223372036854775808\n")
 
     def test_smp_report_does_not_depend_on_blas_threads(self, tmp_path, capsys):
         """d = 6225 keys are past the size at which OpenBLAS would split a
@@ -525,7 +533,8 @@ class TestProfile:
         rc = run_cli("profile", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "x.csv"))
         assert rc == 2
-        assert "guard" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("guard: full profile enumerates 2^22 inputs") and "qhc run" in err
 
 
 class TestProfileWriter:
@@ -959,8 +968,9 @@ class TestMalformedInputExits3:
             ({"function": {"poly": "x"}}, "function.poly: a polynomial must be a JSON object"),
             ({"function": {"poly": {"modulus": "7", "coeffs": "12"}}},
              "function.poly: bad polynomial: coeffs must be a JSON list"),
-            ({"mode": "sampled", "trials": 0}, "trials: trials must be >= 1, got 0"),
-            ({"trials": 0}, "trials: trials must be >= 1, got 0"),
+            ({"mode": "sampled", "trials": 0},
+             "trials: trials out of 1..9223372036854775807: 0"),
+            ({"trials": 0}, "trials: trials out of 1..9223372036854775807: 0"),
             ({"seed": -1}, "seed: seed must be >= 0, got -1"),
             ({"keys": {"search": {"log2_n": 10, "seed": -1}}},
              "keys.search.seed: seed must be >= 0, got -1"),

@@ -32,7 +32,7 @@ from qhc import (
 )
 from qhc import protocol
 from qhc.boolfn import polynomial_instance
-from qhc.protocol import _accepted_trials, _rank
+from qhc.protocol import _rank
 from qhc.util import index_to_bits
 
 from oracles import THREE_POLYS, profile_csv_direct
@@ -53,6 +53,12 @@ def two_pair_eq2() -> FunctionInstance:
     base = builtin("EQ", 2)
     poly = base.characteristic.polynomials[0]
     return FunctionInstance(Characteristic(base.function, (poly, poly)), base.n1)
+
+
+def three_pair_eq2() -> FunctionInstance:
+    base = builtin("EQ", 2)
+    poly = base.characteristic.polynomials[0]
+    return FunctionInstance(Characteristic(base.function, (poly,) * 3), base.n1)
 
 
 # ---------------------------------------------------------------- wiring
@@ -194,35 +200,28 @@ class TestRunSampled:
     def test_trials_floor(self, eq2_spec):
         with pytest.raises(ValueError):
             run_sampled(eq2_spec, (0, 0), (0, 0), seed=0, trials=0)
+        with pytest.raises(ValueError, match="outside 1..9223372036854775807"):
+            run_sampled(eq2_spec, (0, 0), (0, 0), seed=0, trials=1 << 63)
 
-    @pytest.mark.parametrize("pairs", [1, 2, 3])
-    def test_chunked_draws_match_one_shot(self, pairs):
-        """Chunks of 64 that do not divide 1000 trials read the same uniforms
-        as one pairs x trials draw, in the same row-major order."""
-        probs = np.random.default_rng(pairs).uniform(0.3, 0.9, size=pairs)
-        whole = (np.random.default_rng(7).random((pairs, 1000)) < probs[:, None]).all(axis=0)
-        chunked = _accepted_trials(np.random.default_rng(7), probs, 1000, chunk=64)
-        assert chunked.dtype == bool and np.array_equal(chunked, whole)
-        assert 0 < whole.sum() < 1000
+    @pytest.mark.parametrize("instance", [two_pair_eq2, three_pair_eq2])
+    def test_trials_accept_with_the_product_over_pairs(self, instance):
+        """Each trial accepts with exact_accept, the product of the pairs'
+        terms (1/2 each here), not with one pair's term."""
+        spec = build_spec(instance(), full_ring(4))
+        p = run_exact(spec, (0, 1), (0, 0)).exact_accept
+        assert p == 0.5**spec.l
+        bits = sum(run_sampled(spec, (0, 1), (0, 0), seed=s).sampled_bit for s in range(400))
+        assert abs(bits - 400 * p) <= 4 * math.sqrt(400 * p * (1 - p))
+        trials = 10**6
+        report = run_sampled(spec, (0, 1), (0, 0), seed=5, trials=trials)
+        assert abs(report.sample_accepts - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
 
-    def test_draw_guard_refuses_before_any_draw(self, monkeypatch):
-        """pairs x trials may reach SAMPLE_GUARD_DRAWS and not pass it; a
-        stand-in generator shows where a run would start drawing, so
-        neither case allocates."""
-
-        class WouldDraw(Exception):
-            pass
-
-        def no_generator(seed):
-            raise WouldDraw
-
-        spec = build_spec(two_pair_eq2(), full_ring(4))
-        most = protocol.SAMPLE_GUARD_DRAWS // 2
-        monkeypatch.setattr(np.random, "default_rng", no_generator)
-        with pytest.raises(WouldDraw):
-            run_sampled(spec, (0, 1), (0, 0), seed=0, trials=most)
-        with pytest.raises(GuardError, match="of 2 x 8388609 draws; guard is 16777216"):
-            run_sampled(spec, (0, 1), (0, 0), seed=0, trials=most + 1)
+    @pytest.mark.parametrize("instance", [two_pair_eq2, three_pair_eq2])
+    def test_ones_accept_every_trial_up_to_the_binomial_limit(self, instance):
+        spec = build_spec(instance(), full_ring(4))
+        trials = (1 << 63) - 1
+        report = run_sampled(spec, (1, 0), (1, 0), seed=0, trials=trials)
+        assert report.sampled_bit == 1 and report.sample_accepts == trials
 
 
 class TestRunSmp:
