@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -75,19 +74,17 @@ def _polynomial_set(make, polys: Sequence[LinearPolynomial], where: str):
 def _read_bytes(path: Path, what: str) -> bytes:
     try:
         return path.read_bytes()
-    except OSError as e:
+    except (OSError, UnicodeError) as e:  # UnicodeError: a name the file system cannot encode
         raise ConfigError(str(path), f"cannot read {what}: {e}")
 
 
-def _decode(data: bytes) -> str:
-    """``data`` as ``Path.read_text`` decodes a file: the default encoding,
-    universal newlines, the same error on bytes that do not decode."""
-    return io.TextIOWrapper(io.BytesIO(data)).read()
-
-
-def _json_loads(text: str, where: str):
+def _json_loads(data: bytes, where: str):
+    """``data`` decoded strictly as UTF-8 (RFC 8259 section 8.1), whatever
+    the locale, and parsed as JSON; an error names ``where``."""
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(where, f"not UTF-8: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(where, f"not valid JSON: {e}")
     except RecursionError:
@@ -95,7 +92,7 @@ def _json_loads(text: str, where: str):
 
 
 def _read_json(path: Path, what: str):
-    return _json_loads(_decode(_read_bytes(path, what)), str(path))
+    return _json_loads(_read_bytes(path, what), str(path))
 
 
 def _parse_doc(parse, doc, where: str, whole: str, what: str):
@@ -143,7 +140,7 @@ def _load_key_set(path: Path) -> KeySet:
     data = _read_bytes(path, "key file")
     kept = _key_sets.pop(where, None)
     if kept is None or kept[0] != data:
-        doc = _json_loads(_decode(data), where)
+        doc = _json_loads(data, where)
         kept = (data, _parse_doc(KeySet.from_json, doc, where, "key file", "key set"))
     _key_sets[where] = kept
     if len(_key_sets) > _KEY_SET_CACHE_SIZE:
@@ -430,7 +427,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"({len(char)} polynomial(s), {report.checked} assignments)"
         )
         return 0
-    print(f"counterexample: {name} input={format_bits(report.counterexample)} — {report.reason}")
+    print(f"counterexample: {name} input={format_bits(report.counterexample)} - {report.reason}")
     return 1
 
 

@@ -488,13 +488,10 @@ def _blocked_spectrum(
         yield r + b * start, b, values[start:stop]
 
 
-def _sweep_candidates(
-    key_set: KeySet, columns: _Columns, dtype, rows: int
-) -> tuple[np.ndarray, float] | None:
+def _sweep_candidates(key_set: KeySet, columns: _Columns, dtype) -> tuple[np.ndarray, float]:
     """(candidates folded to D <= N/2 in ascending order, the sweep's
     maximum): every D whose sweep magnitude is within 2 * window +
-    _SWEEP_TIE_TOLERANCE of the maximum.  A float32 pass returns None as
-    soon as more than ``rows`` are proposed, without sorting them."""
+    _SWEEP_TIE_TOLERANCE of the maximum."""
     n = key_set.modulus
     window = columns.window32 if dtype == np.float32 else _SWEEP_WINDOW
     band = 2.0 * window + _SWEEP_TIE_TOLERANCE
@@ -502,12 +499,7 @@ def _sweep_candidates(
     for first, step, values in _blocked_spectrum(key_set, dtype, columns):
         magnitudes = np.abs(values, out=values)
         top = max(top, float(magnitudes.max()))
-        close = magnitudes >= top - band
-        if dtype == np.float32 and np.count_nonzero(close) + sum(
-            np.count_nonzero(mags >= top - band) for _, mags in near
-        ) > rows:
-            return None
-        kept = np.flatnonzero(close)
+        kept = np.flatnonzero(magnitudes >= top - band)
         near.append((first + step * kept, magnitudes[kept]))
     # Folded candidates come in a few ascending and descending runs, which a
     # stable sort merges in linear time.
@@ -542,8 +534,9 @@ def _exact_bias_sweep(key_set: KeySet) -> tuple[float, int, float]:
     """
     columns = _sweep_columns(key_set)
     rows = max(1, _SWEEP_PRICE_CELLS // key_set.d)
-    candidates, top = (_sweep_candidates(key_set, columns, np.float32, rows)
-                       or _sweep_candidates(key_set, columns, np.float64, rows))
+    candidates, top = _sweep_candidates(key_set, columns, np.float32)
+    if len(candidates) > rows:
+        candidates, top = _sweep_candidates(key_set, columns, np.float64)
     priced = np.abs(bias(key_set, candidates[:rows]))
     worst = int(np.argmax(priced >= priced.max() - _SWEEP_TIE_TOLERANCE))
     max_bias = float(priced[worst])

@@ -387,6 +387,15 @@ def test_verify_guard_refuses_large_arity():
         verify_characteristic(Characteristic(function=big, polynomials=(poly,)))
 
 
+def test_tables_refuse_past_the_enumeration_guard():
+    """25 variables are refused before a 2^25-row table is built."""
+    big = BooleanFunction("BIG", 25, lambda b: pytest.fail("tabulated past the guard"))
+    with pytest.raises(GuardError, match=r"^refusing to tabulate 25 variables \(guard: 24\)$"):
+        big.truth_table()
+    with pytest.raises(GuardError, match=r"^refusing to tabulate 25 variables \(guard: 24\)$"):
+        LinearPolynomial(modulus=2, coeffs=(0,) * 25).table()
+
+
 # ------------------------------------------- splits at a protocol spec's cut
 
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc import (
-    ConfigError, KeySet, LinearPolynomial, build_spec, builtin, run_exact, search_key_set,
+    ConfigError, KeySet, LinearPolynomial, ResistanceReport, build_spec, builtin, run_exact,
+    search_key_set,
 )
 import qhc
 from qhc.cli import main, parse_config
@@ -28,6 +29,14 @@ from oracles import THREE_POLYS, poly_eval_direct, profile_csv_direct
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def fresh_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """``python -m qhc.cli *argv`` in a fresh process, its environment this
+    one's with ``env`` over it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent), **env)
+    return subprocess.run([sys.executable, "-m", "qhc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "config.json") -> str:
@@ -73,6 +82,17 @@ class TestVerify:
         poly.write_text(json.dumps(doc))
         assert run_cli("verify", "--function", "EQ", "--n", "2", "--poly", str(poly)) == 1
         assert "counterexample" in capsys.readouterr().out
+
+    def test_polynomial_vanishing_on_a_0_input_exits_1_on_an_ascii_stdout(self, tmp_path):
+        """verify's stdout lines are ASCII, so a counterexample exits 1
+        whatever encoding stdout has."""
+        poly = tmp_path / "zero.json"
+        poly.write_text(json.dumps({"modulus": "4", "coeffs": ["0"] * 4}))
+        done = fresh_cli("verify", "--function", "EQ", "--n", "2", "--poly", str(poly),
+                         PYTHONIOENCODING="ascii")
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == (
+            "counterexample: EQ_2 input=0001 - polynomial 0 vanishes on a 0-input\n")
 
     def test_enumeration_guard_exits_2(self, capsys):
         assert run_cli("verify", "--function", "EQ", "--n", "13") == 2
@@ -185,6 +205,20 @@ class TestSearchKeys:
     def test_bad_delta_exits_3(self):
         assert run_cli("search-keys", "--log2-n", "6", "--delta", "1.5", "--seed", "0") == 3
 
+    def test_exhausted_draws_exit_1(self, tmp_path, capsys, monkeypatch):
+        def always_refuted(key_set, delta, mode="exact", rng=None):
+            return ResistanceReport(certified=False, max_bias=0.97, worst_difference=1,
+                                    key_set=key_set, bound=0.97)
+
+        monkeypatch.setattr(qhc.qhash, "verify_resistance", always_refuted)
+        out = tmp_path / "keys.json"
+        assert run_cli("search-keys", "--log2-n", "10", "--delta", "0.3", "--seed", "7",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("search failed: ")
+        assert "in 10 attempts (smallest bound 0.97, best max bias seen 0.97)" in captured.err
+
     def test_key_count_guard_exits_2(self, capsys):
         """d = required_keys(2^64, 0.001) is about 9e7 draws: refused before any."""
         assert run_cli("search-keys", "--log2-n", "64", "--delta", "0.001", "--seed", "0") == 2
@@ -236,13 +270,10 @@ class TestRun:
         """10^13 trials take one binomial draw, and 2^63 is refused as a
         config error, not by numpy's OverflowError: in a fresh process, so
         that an escaped exception would show as a traceback."""
-        env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent))
         procs = {}
         for trials in (10**13, 2**63):
             config = write_config(tmp_path, dict(EQ2_EXACT, mode="sampled", trials=trials))
-            procs[trials] = subprocess.run(
-                [sys.executable, "-m", "qhc.cli", "run", "--config", config],
-                env=env, capture_output=True, text=True, timeout=60)
+            procs[trials] = fresh_cli("run", "--config", config)
         ok, refused = procs[10**13], procs[2**63]
         assert ok.returncode == 0 and ok.stderr == "", ok.stderr
         sampled = json.loads(ok.stdout)["result"]["sampled"]
@@ -266,10 +297,7 @@ class TestRun:
         config = write_config(tmp_path, doc)
         reports = []
         for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent),
-                       OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-m", "qhc.cli", "run", "--config", config],
-                                  env=env, capture_output=True, text=True, timeout=60)
+            proc = fresh_cli("run", "--config", config, OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             report = json.loads(proc.stdout)
             report.pop("wall_clock_s")
@@ -712,6 +740,54 @@ class TestMalformedInputExits3:
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, f"{keys}: key file must be a JSON object")
 
+    @pytest.mark.parametrize("role", ["config", "key file", "polynomial file"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys, role):
+        """Every JSON input is decoded as UTF-8, whatever the locale; bytes
+        that do not decode are refused naming their file."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        if role == "config":
+            argv = ("run", "--config", str(bad))
+        elif role == "key file":
+            config = dict(EQ2_EXACT, keys={"file": "bad.json"})
+            argv = ("run", "--config", write_config(tmp_path, config))
+        else:
+            argv = ("verify", "--function", "EQ", "--n", "2", "--poly", str(bad))
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n")
+
+    def test_byte_order_mark_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps(EQ2_EXACT).encode())
+        assert run_cli("run", "--config", str(config)) == 3
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config}: not valid JSON: Unexpected UTF-8 BOM")
+
+    def test_file_name_the_file_system_cannot_encode_is_named(self, tmp_path):
+        """Under the C locale the file system encoding is ASCII: a key file
+        named in UTF-8 by the config cannot be opened, and is refused by
+        name; the same config runs where the name encodes."""
+        name = "cl\u00e9.json"
+        (tmp_path / name).write_text(json.dumps(search_key_set(16, 0.5, seed=0).to_json()))
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps(dict(EQ2_EXACT, keys={"file": name}),
+                                      ensure_ascii=False).encode())
+        c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        done = fresh_cli("run", "--config", str(config), **c_locale)
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr.startswith(  # stderr escapes what ASCII cannot show
+            f"config error: {tmp_path}/cl\\xe9.json: cannot read key file: "
+            "'ascii' codec can't encode character '\\xe9'"), done.stderr
+        assert fresh_cli("run", "--config", str(config), PYTHONUTF8="1").returncode == 0
+
+    def test_empty_polynomial_file(self, tmp_path, capsys):
+        poly = tmp_path / "polys.json"
+        poly.write_text("[]")
+        assert run_cli("verify", "--function", "EQ", "--n", "2", "--poly", str(poly)) == 3
+        assert capsys.readouterr().err == f"config error: {poly}: empty polynomial file\n"
+
     def test_search_attempts_in_config_is_unknown(self, tmp_path, capsys):
         """A key search is N, delta and a seed; its draw budget is no field."""
         config = dict(EQ2_EXACT, out=str(tmp_path / "report.json"),
@@ -988,6 +1064,8 @@ class TestMalformedInputExits3:
             ({"keys": {"files": ["keys.json", None]}},
              "keys.files[1]: files[1] must be a file name, got null"),
             ({"keys": {"file": ["keys.json"]}}, "keys.file: file must be a file name"),
+            ({"function": {"name": "CONJ", "n_a": 0, "n_b": 2}},
+             "function: both blocks need at least one variable"),
         ],
     )
     def test_config_field_types(self, tmp_path, capsys, change, where):
@@ -1075,9 +1153,7 @@ def _in_process_and_fresh(argv: list[str]) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    env = dict(os.environ, PYTHONPATH=str(Path(qhc.__file__).parent.parent))
-    fresh = subprocess.run([sys.executable, "-m", "qhc.cli", *argv], env=env,
-                           capture_output=True, text=True, timeout=60)
+    fresh = fresh_cli(*argv)
     return ((code, _without_wall_clock(out.getvalue()), err.getvalue()),
             (fresh.returncode, _without_wall_clock(fresh.stdout), fresh.stderr))
 

@@ -735,7 +735,7 @@ class TestSinglePrecisionSweep:
         propose = qhc.qhash._sweep_candidates
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qhc.qhash, "_sweep_candidates",
-                          lambda ks, columns, dtype, rows: propose(ks, columns, np.float64, rows))
+                          lambda ks, columns, dtype: propose(ks, columns, np.float64))
             return qhc.qhash._exact_bias_sweep(key_set)
 
     @staticmethod
