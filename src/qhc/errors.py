@@ -16,11 +16,6 @@ class GuardError(RuntimeError):
 class SearchError(RuntimeError):
     """A randomized search exhausted its attempts without a certified result."""
 
-    def __init__(self, message: str, *, attempts: int, best_max_bias: float | None = None):
-        super().__init__(message)
-        self.attempts = attempts
-        self.best_max_bias = best_max_bias
-
 
 class CharacteristicError(ValueError):
     """A polynomial presentation disagrees with its target function: some

@@ -666,7 +666,5 @@ def search_key_set(
         best, bound = min(best, report.max_bias), min(bound, report.bound)
     raise SearchError(
         f"no delta={delta} key set over N={modulus} in {_SEARCH_ATTEMPTS} attempts "
-        f"(smallest bound {bound:.4g}, best max bias seen {best:.4g})",
-        attempts=_SEARCH_ATTEMPTS,
-        best_max_bias=best,
+        f"(smallest bound {bound:.4g}, best max bias seen {best:.4g})"
     )

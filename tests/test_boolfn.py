@@ -160,14 +160,20 @@ def test_builtin_bad_modulus(name, n, m):
         builtin(name, n, m=m)
 
 
+def test_function_refuses_the_wrong_number_of_bits():
+    with pytest.raises(ValueError, match="^EQ_2 takes 4 bits, got 3$"):
+        builtin("EQ", 2).function((0, 1, 0))
+
+
 def test_builtin_unknown_name():
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin("XOR", 4)
 
 
-def test_builtin_rejects_modulus_override():
-    with pytest.raises(ValueError):
-        builtin("EQ", 4, m=7)
+@pytest.mark.parametrize("name,n", [("EQ", 4), ("PALINDROME", 4), ("PERM", 2)])
+def test_builtin_rejects_modulus_override(name, n):
+    with pytest.raises(ValueError, match=f"^{name}'s modulus is fixed"):
+        builtin(name, n, m=3)
 
 
 # ------------------------------------------------- rules against oracles
@@ -215,6 +221,11 @@ def test_bit_matrix_rows_are_index_to_bits(n, start, stop):
     indices = range(start, 1 << n if stop is None else stop)
     assert rows.dtype == np.uint8 and rows.shape == (len(indices), n)
     assert [tuple(r) for r in rows.tolist()] == [index_to_bits(i, n) for i in indices]
+
+
+def test_index_to_bits_refuses_an_index_past_n_bits():
+    with pytest.raises(ValueError, match="^index 4 out of range for 2 bits$"):
+        index_to_bits(4, 2)
 
 
 @pytest.mark.parametrize("m", [5, BIG_M])

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import types
 from itertools import product
 from pathlib import Path
 
@@ -565,55 +566,89 @@ class TestProfile:
         assert err.startswith("guard: full profile enumerates 2^22 inputs") and "qhc run" in err
 
 
-class TestProfileWriter:
-    """``profile`` writes its CSV over an existing file and truncates it at
-    the end; on a regular file the header is written last.  Whatever was
-    there before, the bytes equal a write to a fresh path."""
+class TestOutputWriter:
+    """Every ``--out`` file is written over an existing file and truncated
+    at the end; on a regular file the first piece (a CSV's header, a JSON
+    document's opening brace) is written last.  Whatever was there before,
+    the bytes equal a write to a fresh path."""
 
     HEADER = b"sigma,gamma,f,exact_accept\n"
 
-    @pytest.fixture
-    def config(self, tmp_path):
-        return TestProfile().profile_config(tmp_path)
+    @pytest.fixture(params=["search-keys", "run", "profile"])
+    def argv(self, request, tmp_path, monkeypatch) -> list[str]:
+        """A command without its --out.  run's clock is stopped, so its
+        reports compare byte for byte."""
+        monkeypatch.setattr(qhc.cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        if request.param == "search-keys":
+            return ["search-keys", "--log2-n", "6", "--delta", "0.5", "--seed", "7"]
+        return [request.param, "--config", write_config(tmp_path, EQ2_EXACT)]
 
     @pytest.fixture
-    def fresh(self, tmp_path, config) -> bytes:
-        out = tmp_path / "fresh.csv"
-        assert run_cli("profile", "--config", config, "--out", str(out)) == 0
-        data = out.read_bytes()
-        assert data.startswith(self.HEADER) and data.count(b"\n") == 1 + 16
-        return data
+    def fresh(self, tmp_path, argv) -> bytes:
+        out = tmp_path / "fresh.out"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        return out.read_bytes()
 
     @pytest.mark.parametrize("old", [b"x" * (1 << 20), b"x", b"sigma,gamma\n00,00,1,1.0\n"],
                              ids=["longer", "shorter", "shorter-with-newlines"])
-    def test_over_an_existing_file(self, tmp_path, config, fresh, old):
-        out = tmp_path / "old.csv"
+    def test_over_an_existing_file(self, tmp_path, argv, fresh, old):
+        out = tmp_path / "old.out"
         out.write_bytes(old)
-        assert run_cli("profile", "--config", config, "--out", str(out)) == 0
+        assert run_cli(*argv, "--out", str(out)) == 0
         assert out.read_bytes() == fresh
 
-    def test_through_a_symlink(self, tmp_path, config, fresh):
-        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    def test_through_a_symlink(self, tmp_path, argv, fresh):
+        target, link = tmp_path / "target.out", tmp_path / "link.out"
         target.write_bytes(b"x" * 4096)
         link.symlink_to(target)
-        assert run_cli("profile", "--config", config, "--out", str(link)) == 0
+        assert run_cli(*argv, "--out", str(link)) == 0
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == fresh
 
-    def test_through_a_hard_link(self, tmp_path, config, fresh):
-        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    def test_through_a_hard_link(self, tmp_path, argv, fresh):
+        first, second = tmp_path / "first.out", tmp_path / "second.out"
         first.write_bytes(b"x" * 4096)
         os.link(first, second)
-        assert run_cli("profile", "--config", config, "--out", str(first)) == 0
+        assert run_cli(*argv, "--out", str(first)) == 0
         assert second.read_bytes() == fresh
 
-    def test_to_a_device_that_is_not_a_regular_file(self, config, capsys):
-        assert run_cli("profile", "--config", config, "--out", os.devnull) == 0
+    def test_to_a_device_that_is_not_a_regular_file(self, argv, capsys):
+        assert run_cli(*argv, "--out", os.devnull) == 0
         assert capsys.readouterr().err == ""
 
-    def test_a_write_cut_short_leaves_no_header(self, tmp_path, config, fresh, monkeypatch):
+    def test_a_directory_exits_3_as_open_refuses_it(self, tmp_path, argv, capsys):
+        with pytest.raises(OSError) as info:
+            open(tmp_path, "w")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_new_file_mode_follows_the_umask_as_open_does(self, tmp_path, argv):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            assert run_cli(*argv, "--out", str(tmp_path / "new.out")) == 0
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "new.out").st_mode
+        assert mode == os.stat(tmp_path / "plain.txt").st_mode == 0o100640
+
+    def test_a_non_ascii_path_is_echoed_escaped_on_an_ascii_stdout(self, tmp_path, argv):
+        """The summary line echoes --out; on a stdout that takes only ASCII
+        the path is backslash-escaped, as stderr does, and the command
+        exits 0."""
+        out = tmp_path / "cl\u00e9.out"
+        done = fresh_cli(*argv, "--out", str(out), PYTHONIOENCODING="ascii")
+        assert done.returncode == 0, done.stderr
+        assert out.stat().st_size > 0
+        assert f"-> {tmp_path}/cl\\xe9.out\n" in done.stdout
+
+    def test_a_write_cut_short_leaves_no_header(self, tmp_path, monkeypatch):
+        argv = ("profile", "--config", TestProfile().profile_config(tmp_path))
         out = tmp_path / "profile.csv"
-        out.write_bytes(fresh)  # a complete profile from an earlier run
+        assert run_cli(*argv, "--out", str(out)) == 0  # a complete profile from an earlier run
+        fresh = out.read_bytes()
         csv_blocks = qhc.ErrorProfile.csv_blocks
 
         def two_blocks_then_disk_full(profile):
@@ -623,29 +658,31 @@ class TestProfileWriter:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(qhc.ErrorProfile, "csv_blocks", two_blocks_then_disk_full)
-        assert run_cli("profile", "--config", config, "--out", str(out)) == 3
+        assert run_cli(*argv, "--out", str(out)) == 3
         first_line = out.read_bytes().partition(b"\n")[0] + b"\n"
         assert first_line != self.HEADER
         assert len(out.read_bytes()) == len(fresh)  # new rows over the old tail
 
-    def test_a_directory_exits_3_as_open_refuses_it(self, tmp_path, config, capsys):
-        with pytest.raises(OSError) as info:
-            open(tmp_path, "w")
-        assert run_cli("profile", "--config", config, "--out", str(tmp_path)) == 3
-        assert capsys.readouterr().err == f"error: {info.value}\n"
+    def test_a_json_write_cut_short_does_not_parse(self, tmp_path):
+        """Rewriting a key file with its own text, cut short after the first
+        piece past the brace, leaves the whole document but its first byte,
+        and that does not parse."""
+        out = tmp_path / "keys.json"
+        assert run_cli("search-keys", "--log2-n", "10", "--delta", "0.3", "--seed", "7",
+                       "--out", str(out)) == 0
+        text = out.read_text()
+        cut = text.index('"certification"')
 
-    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
-    def test_new_file_mode_follows_the_umask_as_open_does(self, tmp_path, config):
-        old = os.umask(0o027)
-        try:
-            with open(tmp_path / "plain.txt", "w"):
-                pass
-            assert run_cli("profile", "--config", config,
-                           "--out", str(tmp_path / "profile.csv")) == 0
-        finally:
-            os.umask(old)
-        mode = os.stat(tmp_path / "profile.csv").st_mode
-        assert mode == os.stat(tmp_path / "plain.txt").st_mode == 0o100640
+        def brace_then_keys_then_disk_full():
+            yield text[:1]
+            yield text[1:cut]
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with pytest.raises(OSError):
+            qhc.cli._write(str(out), brace_then_keys_then_disk_full())
+        assert out.read_text() == " " + text[1:]
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out.read_text())
 
 
 # ----------------------------------------------------------- config parse
@@ -833,6 +870,7 @@ class TestMalformedInputExits3:
             ({"N": "16", "keys": ["1", "-3"]}, "keys[1] must be an integer"),
             ({"N": "1_6", "keys": [1, 3]}, "N must be an integer"),
             ({"N": "16", "keys": [1, 3], "delta": "0.3"}, "delta must be a JSON number"),
+            ({"N": "16", "keys": [1, 3], "delta": 1.5}, "delta out of (0,1): 1.5"),
         ],
     )
     def test_key_file_integers_are_strict(self, tmp_path, capsys, doc, where):
@@ -846,6 +884,7 @@ class TestMalformedInputExits3:
         "field,value,where",
         [
             ("mode", ["exact"], "certification.mode must be a JSON string"),
+            ("mode", "bogus", "unknown certification mode 'bogus'"),
             ("max_bias", "oops", "certification.max_bias must be a JSON number or null"),
             ("trials", [1], "certification.trials must be a JSON integer >= 1 or null"),
             ("trials", 0, "certification.trials must be a JSON integer >= 1 or null"),
@@ -1066,6 +1105,11 @@ class TestMalformedInputExits3:
             ({"keys": {"file": ["keys.json"]}}, "keys.file: file must be a file name"),
             ({"function": {"name": "CONJ", "n_a": 0, "n_b": 2}},
              "function: both blocks need at least one variable"),
+            ({"function": {"name": "PALINDROME", "n": 1}}, "function: PALINDROME needs n >= 2"),
+            ({"function": {"name": "MOD", "n": 0, "m": 3}}, "function: MOD needs n >= 1"),
+            ({"function": {"name": "MODBIN", "n": 0, "m": 3}}, "function: MODBIN needs n >= 1"),
+            ({"function": {"name": "PERM", "n": 0}},
+             "function: PERM needs matrix dimension n >= 1"),
         ],
     )
     def test_config_field_types(self, tmp_path, capsys, change, where):

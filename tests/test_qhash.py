@@ -936,6 +936,8 @@ class TestSearchKeySet:
             search_key_set(16, 1.0, seed=0)
         with pytest.raises(ValueError, match="delta"):
             required_keys(16, 0.0)
+        with pytest.raises(ValueError, match=r"^delta out of \(0,1\): 1\.5$"):
+            verify_resistance(KeySet(modulus=16, keys=(1, 3, 7)), 1.5)
 
     def test_seeded_search_certifies(self):
         ks = search_key_set(1 << 10, 0.3, seed=7)
@@ -970,8 +972,6 @@ class TestSearchKeySet:
         monkeypatch.setattr(qhc.qhash, "verify_resistance", always_refuted)
         with pytest.raises(SearchError) as info:
             search_key_set(1 << 10, 0.3, seed=1)
-        assert info.value.attempts == 10
-        assert info.value.best_max_bias == 0.97
         assert "in 10 attempts (smallest bound 0.97, best max bias seen 0.97)" in str(info.value)
 
     def test_full_ring_certifies_by_its_algebra(self, monkeypatch):
@@ -999,6 +999,11 @@ def test_hash_qubits(d, qubits):
         assert hash_qubits(ks) == qubits
 
 
+def test_hash_qubits_needs_a_key():
+    with pytest.raises(ValueError, match="^need at least one key$"):
+        hash_qubits(0)
+
+
 # ------------------------------------------------------------ batched draws
 
 
@@ -1016,3 +1021,8 @@ def test_batched_draws_match_per_call_draws(bound, seed):
     want = [rand_below_per_call(per_call, bound) for _ in range(257)]
     assert rand_below_many(batched, bound, 257) == want
     assert batched.integers(0, 1 << 32) == per_call.integers(0, 1 << 32)
+
+
+def test_draws_need_a_positive_bound():
+    with pytest.raises(ValueError, match="^bound must be positive$"):
+        rand_below_many(np.random.default_rng(0), 0, 1)
