@@ -7,7 +7,6 @@ from .boolfn import (
     Block,
     BooleanFunction,
     Characteristic,
-    FunctionInstance,
     LinearPolynomial,
     VerificationReport,
     builtin,
@@ -47,7 +46,6 @@ __all__ = [
     "Certification",
     "ConfigError",
     "ErrorProfile",
-    "FunctionInstance",
     "GuardError",
     "KeySet",
     "LinearPolynomial",

@@ -3,8 +3,8 @@
 A *characteristic polynomial* of f: {0,1}^n -> {0,1} is a polynomial g over
 some residue ring Z_m with g(sigma) = 0 exactly when f(sigma) = 1.  A
 *characteristic* is a nonempty set of such polynomials, each individually
-vanishing exactly on f^{-1}(1).  A :class:`FunctionInstance` adds the
-natural Alice/Bob cut; a :class:`qhc.protocol.ProtocolSpec` splits the
+vanishing exactly on f^{-1}(1), with f's natural Alice/Bob cut: Alice holds
+the first ``n1`` variables.  A :class:`qhc.protocol.ProtocolSpec` splits the
 polynomials there (or at any other cut, with any Alice bits forwarded) and
 tests them conjunctively, so nothing here knows how a split is laid out.
 A polynomial set given without a function is its own function
@@ -195,10 +195,13 @@ class BooleanFunction:
 
 @dataclass(frozen=True)
 class Characteristic:
-    """Polynomials over one modulus, each vanishing exactly on f^{-1}(1)."""
+    """Polynomials over one modulus, each vanishing exactly on f^{-1}(1),
+    and the natural cut: Alice holds the first ``n1`` variables.  Nothing
+    here verifies the polynomials (see :func:`verify_characteristic`)."""
 
     function: BooleanFunction
     polynomials: tuple[LinearPolynomial, ...]
+    n1: int
 
     def __post_init__(self) -> None:
         if not self.polynomials:
@@ -263,21 +266,6 @@ def verify_characteristic(c: Characteristic) -> VerificationReport:
     return VerificationReport(valid=False, checked=1 << n, counterexample=sigma, reason=reason)
 
 
-@dataclass(frozen=True)
-class FunctionInstance:
-    """A characteristic and its natural Alice/Bob cut: Alice holds the
-    first ``n1`` variables.  :class:`qhc.protocol.ProtocolSpec` makes the
-    cut; nothing here verifies the characteristic (see
-    :func:`verify_characteristic`)."""
-
-    characteristic: Characteristic
-    n1: int
-
-    @property
-    def function(self) -> BooleanFunction:
-        return self.characteristic.function
-
-
 def _binary_value(b: np.ndarray) -> np.ndarray:
     """Bit-matrix rows as binary numbers, column 0 least significant:
     int64 up to 62 columns, exact Python ints beyond."""
@@ -306,7 +294,7 @@ def _guard_size(what: str, arity: int) -> None:
         raise GuardError(f"{what} has {arity} variables; builtin guard is {BUILTIN_GUARD_VARS}")
 
 
-def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
+def builtin(name: str, n: int, m: int | None = None) -> Characteristic:
     """Construct one of the five builtin function families.
 
     EQ(n): equality of two n-bit blocks; g = sum x_i 2^(i-1) - sum y_i 2^(i-1)
@@ -322,7 +310,7 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
         Z_((n+1)^(2n)) — digit sums never carry, so g = 0 exactly when every
         row and column sum is 1.
 
-    Each instance carries its natural Alice/Bob cut; the polynomials are
+    Each characteristic carries its natural Alice/Bob cut; the polynomials are
     plain sums, so any other cut splits them as cleanly.  More than
     BUILTIN_GUARD_VARS variables in all raise GuardError.
     """
@@ -340,7 +328,7 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
         poly = LinearPolynomial(modulus=mod, coeffs=coeffs)
         low = (1 << n) - 1
         fn = BooleanFunction(f"EQ_{n}", 2 * n, lambda b: b.index >> n == b.index & low)
-        return FunctionInstance(Characteristic(fn, (poly,)), n)
+        return Characteristic(fn, (poly,), n)
 
     if name == "MOD":
         if m is None or m < 2:
@@ -349,7 +337,7 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
             raise ValueError("MOD needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=(1,) * n)
         fn = BooleanFunction(f"MOD_{m}", n, lambda b: _divisible(b.bits.sum(1, dtype=np.int64), m))
-        return FunctionInstance(Characteristic(fn, (poly,)), n // 2)
+        return Characteristic(fn, (poly,), n // 2)
 
     if name == "MODBIN":
         if m is None or m < 2:
@@ -358,7 +346,7 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
             raise ValueError("MODBIN needs n >= 1")
         poly = LinearPolynomial(modulus=m, coeffs=tuple((1 << i) % m for i in range(n)))
         fn = BooleanFunction(f"MODBIN_{m}", n, lambda b: _divisible(_binary_value(b.bits), m))
-        return FunctionInstance(Characteristic(fn, (poly,)), n // 2)
+        return Characteristic(fn, (poly,), n // 2)
 
     if name == "PALINDROME":
         if m is not None:
@@ -378,7 +366,7 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
             return b.index >> (n - half) == _reversed(b.index & low, half)
 
         fn = BooleanFunction(f"PALINDROME_{n}", n, is_palindrome)
-        return FunctionInstance(Characteristic(fn, (poly,)), (n + 1) // 2)
+        return Characteristic(fn, (poly,), (n + 1) // 2)
 
     if m is not None:
         raise ValueError("PERM's modulus is fixed at (n+1)^(2n)")
@@ -400,10 +388,10 @@ def builtin(name: str, n: int, m: int | None = None) -> FunctionInstance:
         return rows_ok & (matrices.sum(1) == 1).all(1)
 
     fn = BooleanFunction(f"PERM_{n}", n * n, is_perm)
-    return FunctionInstance(Characteristic(fn, (poly,)), n * n // 2)
+    return Characteristic(fn, (poly,), n * n // 2)
 
 
-def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInstance:
+def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> Characteristic:
     """MOD_{m_a} on the first block AND MODBIN_{m_b} on the second, as a
     genuine two-polynomial characteristic over Z_(m_a * m_b).
 
@@ -450,10 +438,10 @@ def conjunction(n_a: int, n_b: int, m_a: int = 3, m_b: int = 4) -> FunctionInsta
                 & _divisible(_reversed(lows, n_b), m_b)[(b.index - first) & low])
 
     fn = BooleanFunction(f"MOD_{m_a}&MODBIN_{m_b}", n_a + n_b, both_hold)
-    return FunctionInstance(Characteristic(fn, tuple(polys)), n_a)
+    return Characteristic(fn, tuple(polys), n_a)
 
 
-def polynomial_instance(polys: Sequence[LinearPolynomial]) -> FunctionInstance:
+def polynomial_instance(polys: Sequence[LinearPolynomial]) -> Characteristic:
     """A polynomial set as its own function POLY: f = 1 iff all vanish,
     cut at the half.  Polynomials that disagree on modulus or arity raise
     ValueError.  The rule is one matrix product per block of bit rows:
@@ -464,8 +452,8 @@ def polynomial_instance(polys: Sequence[LinearPolynomial]) -> FunctionInstance:
         return ((b.bits @ coeffs + constants) % char.modulus == 0).all(1)
 
     fn = BooleanFunction("POLY", polys[0].arity if polys else 0, all_vanish)
-    char = Characteristic(fn, tuple(polys))  # refuses mixed moduli or arities first
+    char = Characteristic(fn, tuple(polys), fn.arity // 2)  # refuses mixed moduli or arities
     dtype = np.int64 if char.modulus * (fn.arity + 1) < _INT64_SAFE_MODULUS else object
     coeffs = np.array([p.coeffs for p in polys], dtype=dtype).T
     constants = np.array([p.constant for p in polys], dtype=dtype)
-    return FunctionInstance(char, fn.arity // 2)
+    return char

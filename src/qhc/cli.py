@@ -9,7 +9,8 @@ Subcommands:
 * ``profile``     — full-grid error profile, CSV out (sigma,gamma,f,exact_accept).
 
 A config says what to run; each command writes to its ``--out`` (relative to
-the working directory) or to stdout, and ``profile`` requires ``--out``.
+the working directory) or to stdout, and ``profile`` requires ``--out``.  An
+empty ``--out``, or one that is a file the command reads, exits 3.
 
 Exit codes: 0 success; 1 mathematical counterexample or refuted bound;
 2 resource-guard refusal; 3 malformed input.  Everything is deterministic
@@ -39,7 +40,6 @@ from . import __version__
 from .boolfn import (
     BUILTINS,
     Characteristic,
-    FunctionInstance,
     LinearPolynomial,
     builtin,
     conjunction,
@@ -156,7 +156,7 @@ def _search_field(doc: dict, key: str, prefix: str, default=REQUIRED) -> int:
     return read_field(doc, key, prefix + key, INT, default, *_SEARCH_BOUNDS[key])
 
 
-def _resolve_builtin(fdoc: dict) -> FunctionInstance:
+def _resolve_builtin(fdoc: dict) -> Characteristic:
     """A builtin from its descriptor: {"name", "n"}, with "m" for MOD and
     MODBIN, or for CONJ {"name", "n_a", "n_b", "m_a", "m_b"}; once it is
     built, any other field is refused.  Shared by configs and ``verify``."""
@@ -172,18 +172,18 @@ def _resolve_builtin(fdoc: dict) -> FunctionInstance:
         fields = {"n": REQUIRED, "m": None} if name in ("MOD", "MODBIN") else {"n": REQUIRED}
     sizes = tuple(read_field(fdoc, k, f"function.{k}", INT, d) for k, d in fields.items())
     try:
-        instance = _builtin_instance(name, sizes)
+        char = _builtin_instance(name, sizes)
     except ValueError as e:
         raise ConfigError("function", str(e))
     refuse_unread(fdoc, "function", ("name", *fields))
-    return instance
+    return char
 
 
 @functools.lru_cache(maxsize=16)
-def _builtin_instance(name: str, sizes: tuple) -> FunctionInstance:
+def _builtin_instance(name: str, sizes: tuple) -> Characteristic:
     """A builtin by name and its sizes in descriptor order.  A process keeps
-    the last 16 it built, so a repeated descriptor costs no rebuild (an
-    instance is immutable); a ValueError is raised anew each time."""
+    the last 16 it built, so a repeated descriptor costs no rebuild (a
+    characteristic is immutable); a ValueError is raised anew each time."""
     return conjunction(*sizes) if name == "CONJ" else builtin(name, *sizes)
 
 
@@ -193,7 +193,7 @@ def _builtin_instance(name: str, sizes: tuple) -> FunctionInstance:
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
-    instance: FunctionInstance
+    characteristic: Characteristic
     n1: int
     forwarded: tuple[int, ...]
     topology: str
@@ -201,6 +201,7 @@ class ExperimentConfig:
     delta: float | None
     key_search: dict | None  # {"seed", "modulus"}
     key_files: list[Path] | None
+    poly_file: Path | None
     trials: int
     seed: int
     input_bits: tuple[tuple[int, ...], tuple[int, ...]] | None
@@ -215,21 +216,22 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     fdoc = read_field(doc, "function", "function", OBJECT)
     if sum(k in fdoc for k in ("poly", "poly_file", "name")) > 1:
         raise ConfigError("function", "give only one of poly, poly_file and name")
+    poly_file = None
     if "poly" in fdoc:
         poly = _poly_from_json(fdoc["poly"], "function.poly")
-        instance = _polynomial_set(polynomial_instance, [poly], "function.poly")
+        char = _polynomial_set(polynomial_instance, [poly], "function.poly")
         refuse_unread(fdoc, "function", ("poly",))
     elif "poly_file" in fdoc:
-        path = base_dir / read_field(fdoc, "poly_file", "function.poly_file", FILE)
-        instance = _polynomial_set(polynomial_instance, _load_polys(path), str(path))
+        poly_file = base_dir / read_field(fdoc, "poly_file", "function.poly_file", FILE)
+        char = _polynomial_set(polynomial_instance, _load_polys(poly_file), str(poly_file))
         refuse_unread(fdoc, "function", ("poly_file",))
     else:
-        instance = _resolve_builtin(fdoc)
+        char = _resolve_builtin(fdoc)
 
-    arity = instance.function.arity
-    pairs = len(instance.characteristic.polynomials)
+    arity = char.function.arity
+    pairs = len(char)
     sdoc = read_field(doc, "split", "split", OBJECT, {})
-    n1 = read_field(sdoc, "n1", "split.n1", INT, instance.n1, lo=0, hi=arity)
+    n1 = read_field(sdoc, "n1", "split.n1", INT, char.n1, lo=0, hi=arity)
     forwarded = read_field(sdoc, "forwarded", "split.forwarded", LIST, [])
     forwarded = tuple(read_items(forwarded, "split.forwarded", INT, lo=1, hi=n1))
     if len(set(forwarded)) != len(forwarded):
@@ -247,7 +249,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         s = read_field(kdoc, "search", "keys.search", OBJECT)
         if delta is None:
             raise ConfigError("delta", "key search needs a delta in (0,1)")
-        modulus = instance.characteristic.modulus
+        modulus = char.modulus
         if "log2_n" in s and "N" in s:
             raise ConfigError("keys.search", "give log2_n or N, not both")
         if "log2_n" in s:
@@ -256,12 +258,9 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             modulus = read_field(s, "N", "keys.search.N", INT)
             if modulus >> MODULUS_BITS:
                 raise ConfigError("keys.search.N", f"N must be below 2^{MODULUS_BITS}")
-        if modulus < instance.characteristic.modulus:
-            raise ConfigError(
-                "keys.search",
-                f"key modulus {modulus} smaller than polynomial modulus "
-                f"{instance.characteristic.modulus}",
-            )
+        if modulus < char.modulus:
+            raise ConfigError("keys.search", f"key modulus {modulus} smaller than polynomial "
+                              f"modulus {char.modulus}")
         key_search = {
             "seed": _search_field(s, "seed", "keys.search.", 0),
             "modulus": modulus,
@@ -307,7 +306,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
 
     config = ExperimentConfig(
         raw=doc,
-        instance=instance,
+        characteristic=char,
         n1=n1,
         forwarded=forwarded,
         topology=topology,
@@ -315,6 +314,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         delta=delta,
         key_search=key_search,
         key_files=key_files,
+        poly_file=poly_file,
         trials=read_field(doc, "trials", "trials", INT, 1, lo=1, hi=(1 << 63) - 1),
         seed=read_field(doc, "seed", "seed", INT, 0, lo=0),
         input_bits=input_bits,
@@ -325,10 +325,10 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
 
 
 def _resolve_key_sets(config: ExperimentConfig) -> list[KeySet]:
-    pairs = len(config.instance.characteristic.polynomials)
+    pairs = len(config.characteristic)
     if config.key_files is not None:
         sets = [_load_key_set(p) for p in config.key_files]
-        least = config.instance.characteristic.modulus
+        least = config.characteristic.modulus
         for path, ks in zip(config.key_files, sets):
             if ks.modulus < least:
                 raise ConfigError(str(path), f"key modulus {ks.modulus} smaller than polynomial "
@@ -346,15 +346,13 @@ def _build_spec(config: ExperimentConfig) -> ProtocolSpec:
     """The spec of ``config``.  The key files are read on every call; the
     spec is built on a miss."""
     key_sets = tuple(_resolve_key_sets(config))
-    return _spec(config.instance, key_sets, config.topology, config.n1, config.forwarded)
+    return _spec(config.characteristic, key_sets, config.topology, config.n1, config.forwarded)
 
 
-@functools.lru_cache(maxsize=16)
-def _spec(instance, key_sets, topology, n1, forwarded) -> ProtocolSpec:
-    """A process keeps the last 16 specs it built, keyed by what builds them
-    (a spec is immutable; key sets are compared by value); a ValueError is
-    raised anew each time."""
-    return build_spec(instance, key_sets, topology=topology, n1=n1, forwarded=forwarded)
+# A process keeps the last 16 specs it built, keyed by what builds them (a
+# spec is immutable; key sets are compared by value); a ValueError is raised
+# anew each time.
+_spec = functools.lru_cache(maxsize=16)(build_spec)
 
 
 def _json_text(doc, pad: str = "") -> str:
@@ -433,14 +431,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     halves = {} if n is None else {"n_a": n - n // 2, "n_b": n // 2}
     sizes = halves if args.function.upper() == "CONJ" else {"n": n}
     fdoc = {"name": args.function, **sizes, "m": args.m}
-    instance = _resolve_builtin({k: v for k, v in fdoc.items() if v is not None})
-    char = instance.characteristic
+    char = _resolve_builtin({k: v for k, v in fdoc.items() if v is not None})
     if args.poly:
         path = Path(args.poly)
-        make = functools.partial(Characteristic, instance.function)
+        make = functools.partial(Characteristic, char.function, n1=char.n1)
         char = _polynomial_set(make, _load_polys(path), str(path))
     report = verify_characteristic(char)
-    name = instance.function.name
+    name = char.function.name
     if report.valid:
         print(
             f"valid: {name} characteristic over Z_{char.modulus} "
@@ -459,7 +456,7 @@ def cmd_search_keys(args: argparse.Namespace) -> int:
     )
     cert = key_set.certification
     text = _json_text(key_set.to_json()) + "\n"
-    _write(args.out or None, (text[:1], text[1:]))  # an empty --out is stdout too
+    _write(args.out, (text[:1], text[1:]))
     # With the key set on stdout, the line goes to stderr: stdout stays one JSON document.
     print(
         f"certified: N=2^{log2_n} d={key_set.d} delta={key_set.delta} "
@@ -469,9 +466,22 @@ def cmd_search_keys(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing: nothing to overwrite, or nothing to read
+        return False
+
+
 def _load_run_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config at ``--config``; an ``--out`` that is a file the command
+    reads (or a link to one) is refused before any key search."""
     path = Path(args.config)
-    return parse_config(_read_json(path, "config"), path.parent)
+    config = parse_config(_read_json(path, "config"), path.parent)
+    for read in (path, config.poly_file, *(config.key_files or ())):
+        if read is not None and args.out is not None and _same_file(args.out, read):
+            raise ConfigError("argv", f"--out {args.out} is an input of this command: {read}")
+    return config
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -493,7 +503,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "wall_clock_s": round(time.perf_counter() - start, 6),
     }
     text = _json_text(envelope) + "\n"
-    _write(args.out or None, (text[:1], text[1:]))
+    _write(args.out, (text[:1], text[1:]))
     if args.out:
         print(f"f={report.f_value} exact_accept={report.exact_accept!r} -> {args.out}")
     return 0
@@ -561,6 +571,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None) == "":
+            raise ConfigError("argv", "--out needs a file name")
         return args.runner(args)
     except GuardError as e:
         print(f"guard: {e}", file=sys.stderr)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, Characteristic, FunctionInstance, LinearPolynomial
+from .boolfn import BooleanFunction, Characteristic, LinearPolynomial
 from .errors import BoundError, CharacteristicError, GuardError
 from .qhash import KeySet, bias, hash_qubits, swap_accept
 from .util import format_bits, index_to_bits
@@ -184,22 +184,22 @@ class ProtocolSpec:
 
 
 def build_spec(
-    instance: FunctionInstance,
+    characteristic: Characteristic,
     key_sets: KeySet | Sequence[KeySet],
     topology: str = "one-way",
     n1: int | None = None,
     forwarded: Sequence[int] = (),
 ) -> ProtocolSpec:
-    """Assemble a spec from a function instance, cut at ``n1`` (default: the
-    instance's natural cut).
+    """Assemble a spec from a characteristic, cut at ``n1`` (default: its
+    natural cut).
 
     A single key set is shared across all pairs; pass a sequence to give
     each polynomial its own.
     """
     if isinstance(key_sets, KeySet):
-        key_sets = (key_sets,) * len(instance.characteristic)
-    cut = instance.n1 if n1 is None else n1
-    return ProtocolSpec(instance.characteristic, cut, tuple(key_sets), tuple(forwarded), topology)
+        key_sets = (key_sets,) * len(characteristic)
+    cut = characteristic.n1 if n1 is None else n1
+    return ProtocolSpec(characteristic, cut, tuple(key_sets), tuple(forwarded), topology)
 
 
 @dataclass(frozen=True)

@@ -43,16 +43,16 @@ BIG_M = (1 << 64) + 13
 
 class TestLinearPolynomial:
     def test_eq_identical_operands_cancel(self):
-        p = builtin("EQ", 3).characteristic.polynomials[0]
+        p = builtin("EQ", 3).polynomials[0]
         assert p.evaluate((1, 0, 1, 1, 0, 1)) == 0
 
     def test_mod3_all_ones(self):
-        p = builtin("MOD", 3, m=3).characteristic.polynomials[0]
+        p = builtin("MOD", 3, m=3).polynomials[0]
         assert p.evaluate((1, 1, 1)) == 0
 
     def test_palindrome4_sample_input(self):
         # x1 + 2 x2 - 2 x3 - x4 mod 4 on 1011 gives 1 - 3 = 2
-        p = builtin("PALINDROME", 4).characteristic.polynomials[0]
+        p = builtin("PALINDROME", 4).polynomials[0]
         assert p.evaluate((1, 0, 1, 1)) == 2
         # and the whole 16-row table agrees with the direct oracle
         assert list(p.table()) == poly_table_direct(p.modulus, p.coeffs, p.constant)
@@ -104,7 +104,7 @@ class TestLinearPolynomial:
         assert table.tolist() == poly_table_direct(p.modulus, p.coeffs, p.constant)
 
     def test_json_round_trip(self):
-        p = builtin("PERM", 3).characteristic.polynomials[0]
+        p = builtin("PERM", 3).polynomials[0]
         assert LinearPolynomial.from_json(p.to_json()) == p
         assert all(isinstance(v, str) for v in p.to_json()["coeffs"])
 
@@ -113,13 +113,13 @@ class TestLinearPolynomial:
 
 
 def test_eq4_printed_coefficients():
-    p = builtin("EQ", 4).characteristic.polynomials[0]
+    p = builtin("EQ", 4).polynomials[0]
     assert p.modulus == 16
     assert p.coeffs == (1, 2, 4, 8, 15, 14, 12, 8)  # (-1,-2,-4,-8) reduced
 
 
 def test_perm2_instantiation():
-    p = builtin("PERM", 2).characteristic.polynomials[0]
+    p = builtin("PERM", 2).polynomials[0]
     assert p.modulus == 81
     assert p.coeffs[0] == 10  # 3^0 + 3^2
     assert p.constant == 41  # -(1+3+9+27) mod 81
@@ -131,7 +131,7 @@ def test_perm2_instantiation():
 
 
 def test_palindrome5_middle_variable_drops_out():
-    p = builtin("PALINDROME", 5).characteristic.polynomials[0]
+    p = builtin("PALINDROME", 5).polynomials[0]
     assert p.modulus == 4
     assert p.coeffs[2] == 0
 
@@ -139,13 +139,13 @@ def test_palindrome5_middle_variable_drops_out():
 def test_palindrome_even_overlap_term_vanishes():
     # the second sum starts one index early for even n; its extra
     # coefficient is 2^(n/2) = 0 mod 2^(n//2), so nothing changes
-    p = builtin("PALINDROME", 6).characteristic.polynomials[0]
+    p = builtin("PALINDROME", 6).polynomials[0]
     assert p.coeffs == (1, 2, 4 - 8 + 8, 8 - 4, 8 - 2, 8 - 1)
 
 
 def test_perm6_arithmetic_is_exact():
     inst = builtin("PERM", 6)
-    p = inst.characteristic.polynomials[0]
+    p = inst.polynomials[0]
     assert p.modulus == 7**12
     identity = tuple(1 if i == j else 0 for i in range(6) for j in range(6))
     assert p.evaluate(identity) == 0
@@ -356,16 +356,16 @@ def test_index_rules_build_no_bit_rows(instance, monkeypatch):
     ],
 )
 def test_builtins_verify_valid(name, n, m):
-    report = verify_characteristic(builtin(name, n, m=m).characteristic)
+    report = verify_characteristic(builtin(name, n, m=m))
     assert report.valid
     arity = builtin(name, n, m=m).function.arity
     assert report.checked == 1 << arity
 
 
 def test_mismatched_pair_returns_first_violation():
-    eq_poly = builtin("EQ", 2).characteristic.polynomials[0]
+    eq_poly = builtin("EQ", 2).polynomials[0]
     mod2 = builtin("MOD", 4, m=2).function
-    report = verify_characteristic(Characteristic(function=mod2, polynomials=(eq_poly,)))
+    report = verify_characteristic(Characteristic(function=mod2, polynomials=(eq_poly,), n1=2))
     assert not report.valid
     # 0000 has f=1 and g=0; the first disagreement is the smallest index
     # where the zero pattern and the truth table split
@@ -395,7 +395,7 @@ def test_verify_guard_refuses_large_arity():
     big = BooleanFunction("BIG", 25, lambda b: np.ones(len(b.bits), dtype=bool))
     poly = LinearPolynomial(modulus=2, coeffs=(0,) * 25)
     with pytest.raises(GuardError, match="n <= 24"):
-        verify_characteristic(Characteristic(function=big, polynomials=(poly,)))
+        verify_characteristic(Characteristic(function=big, polynomials=(poly,), n1=12))
 
 
 def test_tables_refuse_past_the_enumeration_guard():
@@ -412,7 +412,7 @@ def test_tables_refuse_past_the_enumeration_guard():
 
 def spec_at(instance, n1=None, forwarded=()):
     """A spec over ``instance`` cut at ``n1``; its one key plays no part in the split."""
-    return build_spec(instance, KeySet(instance.characteristic.modulus, (1,)), n1=n1,
+    return build_spec(instance, KeySet(instance.modulus, (1,)), n1=n1,
                       forwarded=forwarded)
 
 
@@ -439,7 +439,7 @@ def test_split_eval_identity_exhaustive():
     for instance, n1, forwarded in ((builtin("MODBIN", 6, m=5), 4, (2, 4)),
                                     (conjunction(3, 4), 3, (1, 3))):
         spec = spec_at(instance, n1, forwarded)
-        polys = instance.characteristic.polynomials
+        polys = instance.polynomials
         assert len(spec.splits) == len(polys)
         for bits in product((0, 1), repeat=instance.function.arity):
             sigma, gamma = bits[:n1], bits[n1:]
@@ -464,7 +464,7 @@ def test_pure_split_has_empty_g1_constant():
         (g1, g2), = spec.splits
         assert spec.k == 0
         assert g1.constant == 0
-        assert g2.constant == inst.characteristic.polynomials[0].constant
+        assert g2.constant == inst.polynomials[0].constant
         assert g1.arity == g2.arity == inst.n1 == inst.function.arity - inst.n1
 
 
@@ -473,21 +473,21 @@ def test_pure_split_has_empty_g1_constant():
 
 def test_conjunction_is_two_polynomial_characteristic():
     inst = conjunction(3, 3)
-    assert len(inst.characteristic) == 2
-    assert inst.characteristic.modulus == 12
-    report = verify_characteristic(inst.characteristic)
+    assert len(inst) == 2
+    assert inst.modulus == 12
+    report = verify_characteristic(inst)
     assert report.valid
     # each polynomial alone must already vanish exactly on f^{-1}(1)
-    for poly in inst.characteristic.polynomials:
-        solo = Characteristic(function=inst.function, polynomials=(poly,))
+    for poly in inst.polynomials:
+        solo = Characteristic(function=inst.function, polynomials=(poly,), n1=inst.n1)
         assert verify_characteristic(solo).valid
 
 
 @pytest.mark.parametrize("m_a,m_b", [(3, 4), (2, 5), (5, 3), (2, 9)])
 def test_conjunction_other_moduli(m_a, m_b):
     inst = conjunction(2, 3, m_a=m_a, m_b=m_b)
-    assert verify_characteristic(inst.characteristic).valid
-    p, q = inst.characteristic.polynomials
+    assert verify_characteristic(inst).valid
+    p, q = inst.polynomials
     assert p != q
 
 
@@ -507,7 +507,7 @@ def test_conjunction_table_across_blocks(n_a, n_b, m_a, m_b, monkeypatch):
     assert np.array_equal(table, conj_table_direct(n_a, n_b, m_a, m_b))
     assert 0 < table.sum() < table.size
     if m_a == 2:
-        assert verify_characteristic(inst.characteristic).valid
+        assert verify_characteristic(inst).valid
     # The rule takes any range of consecutive indices, also one whose low
     # halves wrap past 2^n_b - 1 back to 0.
     for start in ((1 << n_b) - 100, 3 << n_b, 5 * (1 << n_b) - 7):

@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc import (
-    ConfigError, KeySet, LinearPolynomial, ResistanceReport, build_spec, builtin, run_exact,
-    search_key_set,
+    ConfigError, KeySet, LinearPolynomial, ResistanceReport, build_spec, builtin, conjunction,
+    run_exact, search_key_set,
 )
 import qhc
+from qhc.boolfn import polynomial_instance
 from qhc.cli import main, parse_config
 
 from oracles import THREE_POLYS, poly_eval_direct, profile_csv_direct
@@ -54,7 +55,7 @@ EQ2_EXACT = {
     "input": {"alice": "10", "bob": "10"},
 }
 
-EQ2_POLY = builtin("EQ", 2).characteristic.polynomials[0].to_json()
+EQ2_POLY = builtin("EQ", 2).polynomials[0].to_json()
 
 
 # ----------------------------------------------------------------- verify
@@ -76,7 +77,7 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("valid:")
 
     def test_corrupted_polynomial_exits_1(self, tmp_path, capsys):
-        good = builtin("EQ", 2).characteristic.polynomials[0]
+        good = builtin("EQ", 2).polynomials[0]
         doc = good.to_json()
         doc["constant"] = "1"
         poly = tmp_path / "bad.json"
@@ -518,7 +519,7 @@ class TestProfile:
         assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
 
         config = parse_config(doc, tmp_path)
-        spec = build_spec(config.instance, ks, n1=config.n1, forwarded=config.forwarded)
+        spec = build_spec(config.characteristic, ks, n1=config.n1, forwarded=config.forwarded)
         reports = [
             [run_exact(spec, sigma, gamma) for gamma in product((0, 1), repeat=spec.n2)]
             for sigma in product((0, 1), repeat=spec.n1)
@@ -531,7 +532,7 @@ class TestProfile:
     def test_polynomial_file_profiles_like_its_builtin(self, tmp_path):
         """EQ 5's polynomial read from a file is a function of its own, whose
         f and accept columns equal the builtin's cell for cell."""
-        poly = builtin("EQ", 5).characteristic.polynomials[0]
+        poly = builtin("EQ", 5).polynomials[0]
         (tmp_path / "eq.json").write_text(json.dumps([poly.to_json()]))
         columns = []
         for function in ({"poly_file": "eq.json"}, {"name": "EQ", "n": 5}):
@@ -643,6 +644,31 @@ class TestOutputWriter:
         assert done.returncode == 0, done.stderr
         assert out.stat().st_size > 0
         assert f"-> {tmp_path}/cl\\xe9.out\n" in done.stdout
+
+    def test_an_empty_out_exits_3_before_running(self, argv, capsys):
+        assert run_cli(*argv, "--out", "") == 3
+        assert capsys.readouterr() == ("", "config error: argv: --out needs a file name\n")
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize("target", ["config.json", "keys.json", "polys.json", "hard.json",
+                                        "link.json"])
+    def test_an_input_is_refused_and_kept(self, tmp_path, capsys, command, target):
+        """A config over a polynomial file and a key file; hard.json is a
+        hard link to the key file and link.json a symlink to the config.
+        An --out that is any of them exits 3 before the key search."""
+        (tmp_path / "keys.json").write_text(json.dumps(search_key_set(1 << 8, 0.3, 5).to_json()))
+        (tmp_path / "polys.json").write_text(json.dumps(THREE_POLYS))
+        doc = {"function": {"poly_file": "polys.json"}, "keys": {"file": "keys.json"},
+               "input": {"alice": "101", "bob": "010"}}
+        config = write_config(tmp_path, doc)
+        os.link(tmp_path / "keys.json", tmp_path / "hard.json")
+        (tmp_path / "link.json").symlink_to(tmp_path / "config.json")
+        out = tmp_path / target
+        before = out.read_bytes()
+        assert run_cli(command, "--config", config, "--out", str(out)) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"config error: argv: --out {out} is an input")
+        assert out.read_bytes() == before
 
     def test_a_write_cut_short_leaves_no_header(self, tmp_path, monkeypatch):
         argv = ("profile", "--config", TestProfile().profile_config(tmp_path))
@@ -1329,6 +1355,31 @@ class TestKeySetCache:
         assert str(path) in err.partition("cannot read key file: ")[2]
 
 
+POLY5 = {"modulus": "4", "coeffs": ["1", "0", "0", "0", "3"]}
+
+
+@pytest.mark.parametrize("function,make,n1", [
+    ({"name": "EQ", "n": 3}, lambda: builtin("EQ", 3), 3),
+    ({"name": "MOD", "n": 5, "m": 3}, lambda: builtin("MOD", 5, 3), 2),
+    ({"name": "MODBIN", "n": 5, "m": 3}, lambda: builtin("MODBIN", 5, 3), 2),
+    ({"name": "PALINDROME", "n": 5}, lambda: builtin("PALINDROME", 5), 3),
+    ({"name": "PERM", "n": 3}, lambda: builtin("PERM", 3), 4),
+    ({"name": "CONJ", "n_a": 2, "n_b": 3}, lambda: conjunction(2, 3), 2),
+    ({"poly": POLY5}, lambda: polynomial_instance([LinearPolynomial.from_json(POLY5)]), 2),
+], ids=["EQ", "MOD", "MODBIN", "PALINDROME", "PERM", "CONJ", "POLY"])
+def test_natural_cut(tmp_path, capsys, function, make, n1):
+    """Each characteristic carries its natural cut, and a config without
+    split.n1 runs at it."""
+    char = make()
+    assert char.n1 == n1
+    n2 = char.function.arity - n1
+    doc = {"function": function, "delta": 0.3, "keys": {"search": {"log2_n": 12}},
+           "input": {"alice": "0" * n1, "bob": "1" * n2}}
+    assert run_cli("run", "--config", write_config(tmp_path, doc)) == 0
+    spec = json.loads(capsys.readouterr().out)["result"]["spec"]
+    assert (spec["n1"], spec["n2"]) == (n1, n2)
+
+
 class TestBuiltinReuse:
     """A repeated builtin descriptor gives the instance built the first time;
     a bad one fails alike each time."""
@@ -1336,7 +1387,7 @@ class TestBuiltinReuse:
     @staticmethod
     def instance(tmp_path, function: dict):
         doc = {"function": function, "keys": {"file": "keys.json"}}
-        return parse_config(doc, tmp_path).instance
+        return parse_config(doc, tmp_path).characteristic
 
     def test_same_descriptor_shares_one_instance(self, tmp_path):
         first = self.instance(tmp_path, {"name": "EQ", "n": 16})
@@ -1576,7 +1627,7 @@ FUZZ_VARIANTS = {
     "file": {},
     "search-log2_n": {"keys": {"search": {"log2_n": 4, "seed": 1}}},
     "search-N": {"keys": {"search": {"N": 16, "seed": 1}}},
-    "poly": {"function": {"poly": builtin("EQ", 2).characteristic.polynomials[0].to_json()}},
+    "poly": {"function": {"poly": builtin("EQ", 2).polynomials[0].to_json()}},
 }
 
 

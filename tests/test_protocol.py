@@ -15,7 +15,6 @@ from qhc import (
     Certification,
     Characteristic,
     CharacteristicError,
-    FunctionInstance,
     GuardError,
     KeySet,
     LinearPolynomial,
@@ -49,16 +48,16 @@ def eq2_spec():
     return build_spec(builtin("EQ", 2), ks)
 
 
-def two_pair_eq2() -> FunctionInstance:
+def two_pair_eq2() -> Characteristic:
     base = builtin("EQ", 2)
-    poly = base.characteristic.polynomials[0]
-    return FunctionInstance(Characteristic(base.function, (poly, poly)), base.n1)
+    poly = base.polynomials[0]
+    return Characteristic(base.function, (poly, poly), base.n1)
 
 
-def three_pair_eq2() -> FunctionInstance:
+def three_pair_eq2() -> Characteristic:
     base = builtin("EQ", 2)
-    poly = base.characteristic.polynomials[0]
-    return FunctionInstance(Characteristic(base.function, (poly,) * 3), base.n1)
+    poly = base.polynomials[0]
+    return Characteristic(base.function, (poly,) * 3, base.n1)
 
 
 # ---------------------------------------------------------------- wiring
@@ -72,7 +71,7 @@ class TestProtocolSpec:
     def test_pair_counts_must_match(self):
         inst = two_pair_eq2()
         with pytest.raises(ValueError, match="key sets"):
-            ProtocolSpec(inst.characteristic, inst.n1, key_sets=(full_ring(4),))
+            ProtocolSpec(inst, inst.n1, key_sets=(full_ring(4),))
 
     def test_smp_cannot_forward(self):
         inst = builtin("EQ", 2)
@@ -129,7 +128,7 @@ class TestRunExact:
             (builtin("PERM", 2), 81),
             (conjunction(2, 2), 12),
         ],
-        ids=lambda v: v.function.name if isinstance(v, FunctionInstance) else str(v),
+        ids=lambda v: v.function.name if isinstance(v, Characteristic) else str(v),
     )
     def test_one_sided_on_every_input(self, instance, ring):
         spec = build_spec(instance, full_ring(ring))
@@ -140,9 +139,9 @@ class TestRunExact:
 
     def test_broken_polynomial_is_caught(self):
         base = builtin("EQ", 2)
-        poly = base.characteristic.polynomials[0]
+        poly = base.polynomials[0]
         bad = LinearPolynomial(modulus=4, coeffs=poly.coeffs, constant=1)
-        inst = FunctionInstance(Characteristic(base.function, (bad,)), 2)
+        inst = Characteristic(base.function, (bad,), 2)
         spec = build_spec(inst, full_ring(4))
         with pytest.raises(CharacteristicError, match="EQ_2"):
             run_exact(spec, (1, 1), (1, 1))
@@ -338,7 +337,7 @@ class TestErrorProfile:
     def test_three_pairs_compact_into_codes(self):
         fn = builtin("EQ", 3).function
         polys = tuple(LinearPolynomial.from_json(doc) for doc in THREE_POLYS)
-        inst = FunctionInstance(Characteristic(fn, polys), 3)
+        inst = Characteristic(fn, polys, 3)
         sets = [search_key_set(1 << 8, 0.3, seed=s) for s in (1, 2, 3)]
         spec = build_spec(inst, sets)
         prof = error_profile(spec)
@@ -403,7 +402,7 @@ class TestErrorProfile:
     def test_never_false_function_has_empty_profile(self):
         fn = BooleanFunction("ONE_2", 2, lambda b: np.ones(len(b.bits), dtype=bool))
         zero = LinearPolynomial(modulus=4, coeffs=(0, 0))
-        inst = FunctionInstance(Characteristic(fn, (zero,)), 1)
+        inst = Characteristic(fn, (zero,), 1)
         prof = error_profile(build_spec(inst, full_ring(4)))
         assert prof.false_inputs == 0
         assert prof.worst_false_accept == 0.0
@@ -412,9 +411,9 @@ class TestErrorProfile:
 
     def test_broken_polynomial_is_caught(self):
         base = builtin("MOD", 4, m=3)
-        poly = base.characteristic.polynomials[0]
+        poly = base.polynomials[0]
         bad = LinearPolynomial(modulus=3, coeffs=poly.coeffs, constant=2)
-        inst = FunctionInstance(Characteristic(base.function, (bad,)), 2)
+        inst = Characteristic(base.function, (bad,), 2)
         with pytest.raises(CharacteristicError, match="MOD"):
             error_profile(build_spec(inst, full_ring(3)))
 
@@ -425,9 +424,9 @@ class TestErrorProfile:
         key 1 over N = 2^64 every fidelity cos(2 pi D / 2^64) rounds to 1.0,
         so only a check on the hash points, not on the accept, refuses it."""
         base = builtin("EQ", 2)
-        poly = base.characteristic.polynomials[0]
+        poly = base.polynomials[0]
         bad = LinearPolynomial(modulus=4, coeffs=poly.coeffs, constant=1)
-        spec = build_spec(FunctionInstance(Characteristic(base.function, (bad,)), 2), keys)
+        spec = build_spec(Characteristic(base.function, (bad,), 2), keys)
         for refuse in (lambda: run_exact(spec, (0, 0), (0, 0)), lambda: error_profile(spec)):
             with pytest.raises(CharacteristicError, match="1-input 00,00 .* EQ_2$"):
                 refuse()
@@ -437,9 +436,9 @@ class TestErrorProfile:
         profile names the first such 1-input in assignment order, with the
         message run_exact gives for it."""
         base = builtin("EQ", 3)
-        poly = base.characteristic.polynomials[0]
+        poly = base.polynomials[0]
         bad = LinearPolynomial(poly.modulus, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
-        inst = FunctionInstance(Characteristic(base.function, (poly, bad)), 3)
+        inst = Characteristic(base.function, (poly, bad), 3)
         spec = build_spec(inst, KeySet(1 << 64, (1,)), forwarded=(1,))
         first = None
         for bits in product((0, 1), repeat=6):
@@ -464,7 +463,7 @@ class TestErrorProfile:
 
         fn = BooleanFunction("F", 5, rule)
         poly = LinearPolynomial(modulus=2, coeffs=(0, 0, 1, 0, -1))
-        spec = build_spec(FunctionInstance(Characteristic(fn, (poly,)), 3), KeySet(64, (1, 5, 9)))
+        spec = build_spec(Characteristic(fn, (poly,), 3), KeySet(64, (1, 5, 9)))
         prof = error_profile(spec)
         assert prof.worst_false_accept == 1.0  # a vanishing 0-input collides
         assert len(prof.cells) == 8 and np.array_equal(prof.row_class, np.arange(8))
@@ -564,9 +563,9 @@ class TestCertifiedBound:
         # A zero polynomial adds a pair that always collides, so a 0-input may
         # differ in one pair only: ((1+delta^2)/2)^2 fails, (1+delta^2)/2 holds.
         base = builtin("EQ", 2)
-        eq = base.characteristic.polynomials[0]
+        eq = base.polynomials[0]
         zero = LinearPolynomial(modulus=eq.modulus, coeffs=(0,) * eq.arity)
-        inst = FunctionInstance(Characteristic(base.function, (eq, zero)), 2)
+        inst = Characteristic(base.function, (eq, zero), 2)
         prof = error_profile(build_spec(inst, certified_n64))
         assert (0.5 * (1 + 0.3**2)) ** 2 < prof.worst_false_accept <= prof.spec.certified_bound
 
@@ -646,13 +645,13 @@ def test_profile_prices_each_residue_once(data):
     # include builtins and polynomial files whose Alice rows repeat (MOD,
     # MODBIN, CONJ, REPEATING_POLYS), which the profile keeps once per class.
     inst = PROFILED[data.draw(st.sampled_from(sorted(PROFILED)), label="instance")]()
-    m, n = inst.characteristic.modulus, inst.function.arity
+    m, n = inst.modulus, inst.function.arity
     modulus = m + data.draw(st.sampled_from([0, min(3, m - 1)]), label="N - m")  # N < 2m
     n1 = data.draw(st.sampled_from([0, n // 2, n]), label="n1")  # 0 and n: an empty side
     forwarded = data.draw(st.lists(st.integers(1, max(n1, 1)), unique=True, max_size=min(n1, 2)),
                           label="fwd")
     keys = st.lists(st.integers(0, modulus - 1), min_size=1, max_size=4, unique=True)
-    sets = [KeySet(modulus, data.draw(keys, label="keys")) for _ in range(len(inst.characteristic))]
+    sets = [KeySet(modulus, data.draw(keys, label="keys")) for _ in range(len(inst))]
     spec = build_spec(inst, sets, n1=n1, forwarded=forwarded)
 
     priced = []
