@@ -18,7 +18,6 @@ from .protocol import (
     ErrorProfile,
     ProtocolSpec,
     RunReport,
-    build_spec,
     error_profile,
     run_exact,
     run_sampled,
@@ -55,7 +54,6 @@ __all__ = [
     "SearchError",
     "VerificationReport",
     "bias",
-    "build_spec",
     "builtin",
     "conjunction",
     "error_profile",

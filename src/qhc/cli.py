@@ -47,7 +47,7 @@ from .boolfn import (
     verify_characteristic,
 )
 from .errors import BoundError, CharacteristicError, ConfigError, GuardError, SearchError
-from .protocol import ProtocolSpec, build_spec, error_profile, run_exact, run_sampled
+from .protocol import ProtocolSpec, error_profile, run_exact, run_sampled
 from .qhash import MODULUS_BITS, KeySet, search_key_set
 from .util import (
     FILE, INT, LIST, NUMBER, OBJECT, REQUIRED, STRING, format_bits, parse_bits, read_field,
@@ -352,7 +352,7 @@ def _build_spec(config: ExperimentConfig) -> ProtocolSpec:
 # A process keeps the last 16 specs it built, keyed by what builds them (a
 # spec is immutable; key sets are compared by value); a ValueError is raised
 # anew each time.
-_spec = functools.lru_cache(maxsize=16)(build_spec)
+_spec = functools.lru_cache(maxsize=16)(ProtocolSpec)
 
 
 def _json_text(doc, pad: str = "") -> str:

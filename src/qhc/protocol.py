@@ -49,13 +49,16 @@ _BOUND_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A characteristic, cut after Alice's ``n1`` variables, and one key set
-    per polynomial; the Alice variables in ``forwarded`` also go to Bob as
-    bits.  ``splits`` holds each polynomial's (g1, g2) at that cut, made
-    here and nowhere else: g1(sigma) + g2(gamma, forwarded bits) = g(sigma
-    gamma), with the forwarded coefficients and the constant in g2.  Every
-    polynomial is linear and so splits cleanly at any cut: forwarding is
-    only ever a choice here, never a necessity.
+    """A characteristic, cut after Alice's ``n1`` variables (by default its
+    natural cut), and one key set per polynomial: a single key set is
+    shared by every pair, and a sequence gives each polynomial its own.
+    The Alice variables in ``forwarded`` also go to Bob as bits.  Sequences
+    are kept as tuples, so a spec stays hashable.  ``splits`` holds each
+    polynomial's (g1, g2) at that cut, made here and nowhere else:
+    g1(sigma) + g2(gamma, forwarded bits) = g(sigma gamma), with the
+    forwarded coefficients and the constant in g2.  Every polynomial is
+    linear and so splits cleanly at any cut: forwarding is only ever a
+    choice here, never a necessity.
 
     The spec is the one owner of the protocol's qubit cost and certified
     bound: run reports and profiles keep their spec and read both from it.
@@ -63,14 +66,21 @@ class ProtocolSpec:
     use and kept, as a spec is immutable."""
 
     characteristic: Characteristic
-    n1: int
     key_sets: tuple[KeySet, ...]
-    forwarded: tuple[int, ...] = ()
     topology: str = "one-way"
+    n1: int = None  # type: ignore[assignment]
+    forwarded: tuple[int, ...] = ()
     splits: tuple[tuple[LinearPolynomial, LinearPolynomial], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        key_sets = self.key_sets
+        if isinstance(key_sets, KeySet):
+            key_sets = (key_sets,) * len(self.characteristic)
+        object.__setattr__(self, "key_sets", tuple(key_sets))
+        if self.n1 is None:
+            object.__setattr__(self, "n1", self.characteristic.n1)
+        object.__setattr__(self, "forwarded", tuple(self.forwarded))
         n1, fwd, m = self.n1, self.forwarded, self.modulus
         if not 0 <= n1 <= self.function.arity:
             raise ValueError(f"cut {n1} outside 0..{self.function.arity}")
@@ -181,25 +191,6 @@ class ProtocolSpec:
                 for ks in self.key_sets
             ],
         }
-
-
-def build_spec(
-    characteristic: Characteristic,
-    key_sets: KeySet | Sequence[KeySet],
-    topology: str = "one-way",
-    n1: int | None = None,
-    forwarded: Sequence[int] = (),
-) -> ProtocolSpec:
-    """Assemble a spec from a characteristic, cut at ``n1`` (default: its
-    natural cut).
-
-    A single key set is shared across all pairs; pass a sequence to give
-    each polynomial its own.
-    """
-    if isinstance(key_sets, KeySet):
-        key_sets = (key_sets,) * len(characteristic)
-    cut = characteristic.n1 if n1 is None else n1
-    return ProtocolSpec(characteristic, cut, tuple(key_sets), tuple(forwarded), topology)
 
 
 @dataclass(frozen=True)

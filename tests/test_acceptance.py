@@ -17,7 +17,7 @@ import pytest
 
 from qhc import (
     KeySet,
-    build_spec,
+    ProtocolSpec,
     builtin,
     conjunction,
     error_profile,
@@ -65,7 +65,7 @@ def test_c01_builtin_characteristics_all_verify(capsys):
 
 def test_c02_one_sided_error_full_enumeration(certified_n64):
     for instance in (builtin("EQ", 3), builtin("MOD", 6, m=3)):
-        spec = build_spec(instance, certified_n64)
+        spec = ProtocolSpec(instance, certified_n64)
         prof = error_profile(spec)
         ones = prof.accept_grid[prof.f_grid == 1]
         assert ones.size > 0
@@ -76,7 +76,7 @@ def test_c02_one_sided_error_full_enumeration(certified_n64):
 def test_c03_soundness_bound_certified_profile(certified_n64):
     start = time.perf_counter()
     assert certified_n64.modulus == 1 << 6 and certified_n64.delta == 0.3
-    prof = error_profile(build_spec(builtin("EQ", 3), certified_n64))
+    prof = error_profile(ProtocolSpec(builtin("EQ", 3), certified_n64))
     bound = 0.5 + 0.3**2 / 2
     assert prof.worst_false_accept <= bound + 1e-9
     elapsed = time.perf_counter() - start
@@ -130,7 +130,7 @@ def test_c06_sampled_frequencies_within_binomial_bands(certified_n64):
     ]
     trials = 100_000
     for instance in instances:
-        spec = build_spec(instance, certified_n64)
+        spec = ProtocolSpec(instance, certified_n64)
         arity = instance.function.arity
         while True:
             bits = tuple(int(b) for b in master.integers(0, 2, size=arity))
@@ -165,7 +165,7 @@ def test_c07_qubit_cost_beats_sending_the_input():
         while len(keys) < expected[n]:
             keys.update(rand_below_many(rng, modulus, 1))
         ks = KeySet(modulus=modulus, keys=tuple(sorted(keys)))
-        spec = build_spec(builtin("EQ", n), ks)
+        spec = ProtocolSpec(builtin("EQ", n), ks)
         assert spec.total_qubits == costs[n]
         assert spec.n1 == n  # the classical baseline: Alice sends her input
     _pass(7, "EQ costs 12/13/14/15 qubits for n=8/16/32/64 (vs n classical bits)")
@@ -175,8 +175,8 @@ def test_c08_referee_route_agrees_with_one_way(certified_n64):
     rng = np.random.default_rng(2026)
     checked = 0
     for instance in (builtin("EQ", 3), builtin("PALINDROME", 6)):
-        spec = build_spec(instance, certified_n64)
-        smp = build_spec(instance, certified_n64, topology="smp")
+        spec = ProtocolSpec(instance, certified_n64)
+        smp = ProtocolSpec(instance, certified_n64, topology="smp")
         for _ in range(50):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=instance.function.arity))
             sigma, gamma = bits[: spec.n1], bits[spec.n1 :]
@@ -189,7 +189,7 @@ def test_c08_referee_route_agrees_with_one_way(certified_n64):
 
 
 def test_c09_two_polynomial_conjunction(certified_n64):
-    spec = build_spec(conjunction(3, 3), certified_n64)
+    spec = ProtocolSpec(conjunction(3, 3), certified_n64)
     assert spec.l == 2
     prof = error_profile(spec)  # raises if any 1-input is not accepted surely
     bound = 0.5 * (1 + 0.3**2)

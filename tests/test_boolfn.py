@@ -11,7 +11,7 @@ from qhc import (
     GuardError,
     KeySet,
     LinearPolynomial,
-    build_spec,
+    ProtocolSpec,
     builtin,
     conjunction,
     verify_characteristic,
@@ -377,6 +377,17 @@ def test_mismatched_pair_returns_first_violation():
     assert report.counterexample == index_to_bits(idx, 4)
 
 
+def test_polynomial_vanishing_on_a_0_input_is_named():
+    """The all-zero polynomial vanishes everywhere, so EQ 2's first 0-input,
+    0001, is the counterexample."""
+    eq = builtin("EQ", 2)
+    zero = LinearPolynomial(modulus=4, coeffs=(0,) * 4)
+    report = verify_characteristic(Characteristic(eq.function, (zero,), eq.n1))
+    assert not report.valid and report.checked == 16
+    assert report.counterexample == (0, 0, 0, 1)
+    assert report.reason == "polynomial 0 vanishes on a 0-input"
+
+
 def test_builtin_size_guard_refuses_before_building():
     cap = boolfn.BUILTIN_GUARD_VARS
     assert builtin("MOD", cap, m=3).function.arity == cap  # at the guard: built
@@ -412,8 +423,8 @@ def test_tables_refuse_past_the_enumeration_guard():
 
 def spec_at(instance, n1=None, forwarded=()):
     """A spec over ``instance`` cut at ``n1``; its one key plays no part in the split."""
-    return build_spec(instance, KeySet(instance.modulus, (1,)), n1=n1,
-                      forwarded=forwarded)
+    return ProtocolSpec(instance, KeySet(instance.modulus, (1,)), n1=n1,
+                        forwarded=forwarded)
 
 
 @given(

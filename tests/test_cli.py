@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc import (
-    ConfigError, KeySet, LinearPolynomial, ResistanceReport, build_spec, builtin, conjunction,
+    ConfigError, KeySet, LinearPolynomial, ProtocolSpec, ResistanceReport, builtin, conjunction,
     run_exact, search_key_set,
 )
 import qhc
@@ -94,6 +94,13 @@ class TestVerify:
                          PYTHONIOENCODING="ascii")
         assert done.returncode == 1, done.stderr
         assert done.stdout == (
+            "counterexample: EQ_2 input=0001 - polynomial 0 vanishes on a 0-input\n")
+
+    def test_polynomial_vanishing_on_a_0_input_exits_1(self, tmp_path, capsys):
+        poly = tmp_path / "zero.json"
+        poly.write_text(json.dumps({"modulus": "4", "coeffs": ["0"] * 4}))
+        assert run_cli("verify", "--function", "EQ", "--n", "2", "--poly", str(poly)) == 1
+        assert capsys.readouterr().out == (
             "counterexample: EQ_2 input=0001 - polynomial 0 vanishes on a 0-input\n")
 
     def test_enumeration_guard_exits_2(self, capsys):
@@ -519,7 +526,7 @@ class TestProfile:
         assert run_cli("profile", "--config", write_config(tmp_path, doc), "--out", str(out)) == 0
 
         config = parse_config(doc, tmp_path)
-        spec = build_spec(config.characteristic, ks, n1=config.n1, forwarded=config.forwarded)
+        spec = ProtocolSpec(config.characteristic, ks, n1=config.n1, forwarded=config.forwarded)
         reports = [
             [run_exact(spec, sigma, gamma) for gamma in product((0, 1), repeat=spec.n2)]
             for sigma in product((0, 1), repeat=spec.n1)
@@ -873,6 +880,16 @@ class TestMalformedInputExits3:
         config = dict(EQ2_EXACT, keys={"file": "keys.json"})
         argv = ("run", "--config", write_config(tmp_path, config))
         self.assert_exit_3(capsys, argv, f"{keys}: bad key set: keys must be a JSON list")
+
+    def test_key_file_modulus_below_2_exits_3(self, tmp_path, capsys):
+        keys = tmp_path / "keys.json"
+        keys.write_text(json.dumps({"N": "1", "keys": ["0"]}))
+        config = write_config(tmp_path, dict(EQ2_EXACT, keys={"file": "keys.json"}))
+        report = tmp_path / "report.json"
+        assert run_cli("run", "--config", config, "--out", str(report)) == 3
+        assert capsys.readouterr() == (
+            "", f"config error: {keys}: bad key set: modulus must be >= 2, got 1\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("command", ["run", "profile"])
     def test_key_file_modulus_below_the_polynomial_modulus(self, tmp_path, capsys, command):

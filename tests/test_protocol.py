@@ -20,7 +20,6 @@ from qhc import (
     LinearPolynomial,
     ProtocolSpec,
     bias,
-    build_spec,
     builtin,
     conjunction,
     error_profile,
@@ -45,7 +44,7 @@ def full_ring(n: int) -> KeySet:
 def eq2_spec():
     # EQ on 2+2 bits over Z_4 with the certified pair set {1, 2}
     ks = verify_resistance(KeySet(modulus=4, keys=(1, 2)), 0.6).key_set
-    return build_spec(builtin("EQ", 2), ks)
+    return ProtocolSpec(builtin("EQ", 2), ks)
 
 
 def two_pair_eq2() -> Characteristic:
@@ -66,27 +65,52 @@ def three_pair_eq2() -> Characteristic:
 class TestProtocolSpec:
     def test_key_modulus_must_cover_polynomial_modulus(self):
         with pytest.raises(ValueError, match="smaller"):
-            build_spec(builtin("EQ", 2), full_ring(2))
+            ProtocolSpec(builtin("EQ", 2), full_ring(2))
 
     def test_pair_counts_must_match(self):
         inst = two_pair_eq2()
         with pytest.raises(ValueError, match="key sets"):
-            ProtocolSpec(inst, inst.n1, key_sets=(full_ring(4),))
+            ProtocolSpec(inst, (full_ring(4),))
 
     def test_smp_cannot_forward(self):
         inst = builtin("EQ", 2)
         with pytest.raises(ValueError, match="SMP"):
-            build_spec(inst, full_ring(4), topology="smp", n1=2, forwarded=(1,))
+            ProtocolSpec(inst, full_ring(4), topology="smp", n1=2, forwarded=(1,))
 
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="topology"):
-            build_spec(builtin("EQ", 2), full_ring(4), topology="broadcast")
+            ProtocolSpec(builtin("EQ", 2), full_ring(4), topology="broadcast")
 
     def test_certified_delta_is_weakest_link(self):
         a = verify_resistance(KeySet(modulus=4, keys=(1, 2)), 0.51).key_set
         b = verify_resistance(KeySet(modulus=4, keys=(1, 2)), 0.7).key_set
-        spec = build_spec(two_pair_eq2(), [a, b])
+        spec = ProtocolSpec(two_pair_eq2(), [a, b])
         assert spec.certified_delta == 0.7  # not None: every set is certified
+
+    def test_a_bare_key_set_is_shared_by_every_pair(self):
+        ks = full_ring(4)
+        assert ProtocolSpec(two_pair_eq2(), ks).key_sets == (ks, ks)
+
+    def test_cut_defaults_to_the_natural_cut(self):
+        char = conjunction(2, 3)
+        spec = ProtocolSpec(char, full_ring(16))
+        assert spec.n1 == char.n1 == 2
+        assert spec == ProtocolSpec(char, full_ring(16), "one-way", 2, ())
+
+    def test_sequences_are_kept_as_tuples(self):
+        a = verify_resistance(KeySet(modulus=4, keys=(1, 2)), 0.51).key_set
+        b = full_ring(4)
+        listed = ProtocolSpec(two_pair_eq2(), [a, b], forwarded=[1])
+        tupled = ProtocolSpec(two_pair_eq2(), (a, b), forwarded=(1,))
+        assert (listed.key_sets, listed.forwarded) == ((a, b), (1,))
+        assert listed == tupled and hash(listed) == hash(tupled)
+
+    def test_replace_rebuilds_the_spec(self):
+        spec = ProtocolSpec(builtin("EQ", 2), full_ring(4))
+        smp = replace(spec, topology="smp")
+        assert smp == ProtocolSpec(builtin("EQ", 2), full_ring(4), topology="smp")
+        assert smp.total_qubits == 2 * spec.total_qubits
+        assert smp.splits == spec.splits
 
     def test_summary_shape(self, eq2_spec):
         doc = eq2_spec.summary()
@@ -113,7 +137,7 @@ class TestRunExact:
         assert abs(report.exact_accept - 0.5) < 1e-12
 
     def test_two_pairs_multiply(self):
-        spec = build_spec(two_pair_eq2(), verify_resistance(full_ring(4), 0.6).key_set)
+        spec = ProtocolSpec(two_pair_eq2(), verify_resistance(full_ring(4), 0.6).key_set)
         report = run_exact(spec, (0, 1), (0, 0))
         assert abs(report.exact_accept - 0.25) < 1e-12
         assert len(report.fidelities) == 2
@@ -131,7 +155,7 @@ class TestRunExact:
         ids=lambda v: v.function.name if isinstance(v, Characteristic) else str(v),
     )
     def test_one_sided_on_every_input(self, instance, ring):
-        spec = build_spec(instance, full_ring(ring))
+        spec = ProtocolSpec(instance, full_ring(ring))
         for bits in product((0, 1), repeat=instance.function.arity):
             sigma, gamma = bits[: spec.n1], bits[spec.n1 :]
             report = run_exact(spec, sigma, gamma)
@@ -142,7 +166,7 @@ class TestRunExact:
         poly = base.polynomials[0]
         bad = LinearPolynomial(modulus=4, coeffs=poly.coeffs, constant=1)
         inst = Characteristic(base.function, (bad,), 2)
-        spec = build_spec(inst, full_ring(4))
+        spec = ProtocolSpec(inst, full_ring(4))
         with pytest.raises(CharacteristicError, match="EQ_2"):
             run_exact(spec, (1, 1), (1, 1))
 
@@ -155,7 +179,7 @@ class TestRunExact:
             run_exact(eq2_spec, (1, 2), (0, 0))
 
     def test_uncertified_keys_flagged(self):
-        spec = build_spec(builtin("EQ", 2), KeySet(modulus=4, keys=(1, 2)))
+        spec = ProtocolSpec(builtin("EQ", 2), KeySet(modulus=4, keys=(1, 2)))
         report = run_exact(spec, (0, 1), (0, 0))
         assert report.spec.certified_delta is None
         assert report.to_json()["bounds"] == {
@@ -206,7 +230,7 @@ class TestRunSampled:
     def test_trials_accept_with_the_product_over_pairs(self, instance):
         """Each trial accepts with exact_accept, the product of the pairs'
         terms (1/2 each here), not with one pair's term."""
-        spec = build_spec(instance(), full_ring(4))
+        spec = ProtocolSpec(instance(), full_ring(4))
         p = run_exact(spec, (0, 1), (0, 0)).exact_accept
         assert p == 0.5**spec.l
         bits = sum(run_sampled(spec, (0, 1), (0, 0), seed=s).sampled_bit for s in range(400))
@@ -217,7 +241,7 @@ class TestRunSampled:
 
     @pytest.mark.parametrize("instance", [two_pair_eq2, three_pair_eq2])
     def test_ones_accept_every_trial_up_to_the_binomial_limit(self, instance):
-        spec = build_spec(instance(), full_ring(4))
+        spec = ProtocolSpec(instance(), full_ring(4))
         trials = (1 << 63) - 1
         report = run_sampled(spec, (1, 0), (1, 0), seed=0, trials=trials)
         assert report.sampled_bit == 1 and report.sample_accepts == trials
@@ -225,14 +249,14 @@ class TestRunSampled:
 
 class TestRunSmp:
     def test_equal_inputs_accept_with_certainty(self):
-        spec = build_spec(builtin("EQ", 2), full_ring(4), topology="smp")
+        spec = ProtocolSpec(builtin("EQ", 2), full_ring(4), topology="smp")
         report = run_exact(spec, (1, 0), (1, 0))
         assert report.exact_accept == 1.0
         assert report.spec.topology == "smp"
         assert "alice_to_referee" in report.to_json()["qubits"]
 
     def test_agrees_with_one_way_route(self, eq2_spec, certified_n64):
-        spec = build_spec(builtin("EQ", 2), certified_n64)
+        spec = ProtocolSpec(builtin("EQ", 2), certified_n64)
         smp = replace(spec, topology="smp")
         for bits in product((0, 1), repeat=4):
             want = run_exact(spec, bits[:2], bits[2:])
@@ -243,14 +267,14 @@ class TestRunSmp:
     def test_one_inputs_accept_with_certainty(self):
         """Every 1-input of EQ 3+3 accepts with probability exactly 1 on the
         README's key set, as on the one-way route."""
-        spec = build_spec(builtin("EQ", 3), search_key_set(2**10, 0.3, seed=7), topology="smp")
+        spec = ProtocolSpec(builtin("EQ", 3), search_key_set(2**10, 0.3, seed=7), topology="smp")
         for sigma in product((0, 1), repeat=3):
             report = run_exact(spec, sigma, sigma)
             assert report.f_value == 1
             assert report.exact_accept == 1.0 and report.fidelities == (1.0,)
 
     def test_forwarding_rejected(self):
-        spec = build_spec(builtin("EQ", 2), full_ring(4), n1=3, forwarded=(3,))
+        spec = ProtocolSpec(builtin("EQ", 2), full_ring(4), n1=3, forwarded=(3,))
         with pytest.raises(ValueError, match="SMP"):
             run_exact(replace(spec, topology="smp"), (1, 0, 1), (0,))
 
@@ -260,7 +284,7 @@ class TestRunSmp:
 
 class TestCommCost:
     def test_single_pair_one_way(self):
-        spec = build_spec(builtin("EQ", 3), KeySet(modulus=32, keys=tuple(range(16))))
+        spec = ProtocolSpec(builtin("EQ", 3), KeySet(modulus=32, keys=tuple(range(16))))
         assert spec.party_qubits == 5
         assert spec.qubits()["alice_to_bob"] == 5 and spec.total_qubits == 5
         assert spec.n1 == 3  # the classical baseline: Alice sends her input
@@ -268,13 +292,13 @@ class TestCommCost:
 
     def test_forwarded_bits_ride_along(self):
         ks = KeySet(modulus=32, keys=tuple(range(16)))
-        spec = build_spec(two_pair_eq2(), ks, n1=2, forwarded=(1, 2))
+        spec = ProtocolSpec(two_pair_eq2(), ks, n1=2, forwarded=(1, 2))
         assert spec.party_qubits == 5 + 5
         assert spec.qubits()["forwarded_bits"] == 2
         assert spec.total_qubits == 12
 
     def test_smp_counts_both_parties(self):
-        spec = build_spec(
+        spec = ProtocolSpec(
             builtin("EQ", 3), KeySet(modulus=32, keys=tuple(range(16))), topology="smp"
         )
         qubits = spec.qubits()
@@ -292,7 +316,7 @@ class TestCommCost:
 
 class TestErrorProfile:
     def test_worst_false_accept_under_certified_bound(self, certified_n64):
-        spec = build_spec(builtin("EQ", 3), certified_n64)
+        spec = ProtocolSpec(builtin("EQ", 3), certified_n64)
         prof = error_profile(spec)
         assert prof.spec is spec and spec.certified_bound == 0.5 * (1 + 0.3**2)
         assert prof.worst_false_accept <= spec.certified_bound + 1e-9
@@ -302,7 +326,7 @@ class TestErrorProfile:
         assert np.array_equal(np.diag(prof.f_grid), np.ones(8, dtype=np.uint8))
 
     def test_rows_enumerate_in_assignment_order(self, certified_n64):
-        spec = build_spec(builtin("EQ", 3), certified_n64)
+        spec = ProtocolSpec(builtin("EQ", 3), certified_n64)
         prof = error_profile(spec)
         blocks = list(prof.csv_blocks())
         assert len(blocks) == 1 + 8  # the header, then one block per sigma
@@ -317,7 +341,7 @@ class TestErrorProfile:
     def test_attaining_input_is_first_in_row_major_order(self, certified_n64):
         # bias(D) = bias(N - D): here the worst value is held by several
         # codes, and the first row-major cell among all of them is reported.
-        spec = build_spec(builtin("EQ", 3), certified_n64)
+        spec = ProtocolSpec(builtin("EQ", 3), certified_n64)
         prof = error_profile(spec)
         worst = (prof.accept_grid == prof.worst_false_accept) & (prof.f_grid == 0)
         assert np.unique(prof.codes[worst]).size >= 2
@@ -328,7 +352,7 @@ class TestErrorProfile:
     def test_every_cell_equals_run_exact_bitwise(self):
         # The grid and the per-input run share one bias kernel, so the
         # profile must reproduce run_exact's float exactly, not just closely.
-        spec = build_spec(builtin("EQ", 5), search_key_set(1 << 10, 0.3, seed=1))
+        spec = ProtocolSpec(builtin("EQ", 5), search_key_set(1 << 10, 0.3, seed=1))
         prof = error_profile(spec)
         for i, sigma in enumerate(product((0, 1), repeat=5)):
             for j, gamma in enumerate(product((0, 1), repeat=5)):
@@ -339,7 +363,7 @@ class TestErrorProfile:
         polys = tuple(LinearPolynomial.from_json(doc) for doc in THREE_POLYS)
         inst = Characteristic(fn, polys, 3)
         sets = [search_key_set(1 << 8, 0.3, seed=s) for s in (1, 2, 3)]
-        spec = build_spec(inst, sets)
+        spec = ProtocolSpec(inst, sets)
         prof = error_profile(spec)
         assert len(prof.values) <= prof.codes.size
         assert np.array_equal(np.unique(prof.codes), np.arange(len(prof.values)))
@@ -362,7 +386,7 @@ class TestErrorProfile:
 
         monkeypatch.setattr(protocol, "_rank", spy)
         instance = builtin("EQ", 3) if table else builtin("MODBIN", 6, m=1009)
-        spec = build_spec(instance, search_key_set(1 << log2_n, 0.3, seed=1))
+        spec = ProtocolSpec(instance, search_key_set(1 << log2_n, 0.3, seed=1))
         prof = error_profile(spec)
         assert branches[2 * spec.modulus] == table
         assert prof.codes.shape == (8, 8)
@@ -378,8 +402,8 @@ class TestErrorProfile:
         # the whole acceptance grid -- bit-for-bit unchanged.
         ks = verify_resistance(KeySet(modulus=4, keys=(1, 2)), 0.6).key_set
         inst = builtin("EQ", 2)
-        plain = error_profile(build_spec(inst, ks))
-        moved_spec = build_spec(inst, ks, n1=2, forwarded=(2,))
+        plain = error_profile(ProtocolSpec(inst, ks))
+        moved_spec = ProtocolSpec(inst, ks, n1=2, forwarded=(2,))
         moved = error_profile(moved_spec)
         assert np.array_equal(plain.accept_grid, moved.accept_grid)
         for bits in product((0, 1), repeat=4):
@@ -393,7 +417,7 @@ class TestErrorProfile:
         # probabilities may shift -- but one-sidedness and the certified
         # bound must survive.
         moved = error_profile(
-            build_spec(builtin("EQ", 2), certified_n64, n1=2, forwarded=(2,))
+            ProtocolSpec(builtin("EQ", 2), certified_n64, n1=2, forwarded=(2,))
         )
         assert np.array_equal(np.diag(moved.f_grid), np.ones(4, dtype=np.uint8))
         assert np.allclose(np.diag(moved.accept_grid), 1.0)
@@ -403,7 +427,7 @@ class TestErrorProfile:
         fn = BooleanFunction("ONE_2", 2, lambda b: np.ones(len(b.bits), dtype=bool))
         zero = LinearPolynomial(modulus=4, coeffs=(0, 0))
         inst = Characteristic(fn, (zero,), 1)
-        prof = error_profile(build_spec(inst, full_ring(4)))
+        prof = error_profile(ProtocolSpec(inst, full_ring(4)))
         assert prof.false_inputs == 0
         assert prof.worst_false_accept == 0.0
         assert prof.attaining is None
@@ -415,7 +439,7 @@ class TestErrorProfile:
         bad = LinearPolynomial(modulus=3, coeffs=poly.coeffs, constant=2)
         inst = Characteristic(base.function, (bad,), 2)
         with pytest.raises(CharacteristicError, match="MOD"):
-            error_profile(build_spec(inst, full_ring(3)))
+            error_profile(ProtocolSpec(inst, full_ring(3)))
 
     @pytest.mark.parametrize("keys", [KeySet(1 << 64, (1,)), KeySet(16, (1, 5, 9))],
                              ids=["fidelity-rounds-to-1", "N16"])
@@ -426,7 +450,7 @@ class TestErrorProfile:
         base = builtin("EQ", 2)
         poly = base.polynomials[0]
         bad = LinearPolynomial(modulus=4, coeffs=poly.coeffs, constant=1)
-        spec = build_spec(Characteristic(base.function, (bad,), 2), keys)
+        spec = ProtocolSpec(Characteristic(base.function, (bad,), 2), keys)
         for refuse in (lambda: run_exact(spec, (0, 0), (0, 0)), lambda: error_profile(spec)):
             with pytest.raises(CharacteristicError, match="1-input 00,00 .* EQ_2$"):
                 refuse()
@@ -439,7 +463,7 @@ class TestErrorProfile:
         poly = base.polynomials[0]
         bad = LinearPolynomial(poly.modulus, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
         inst = Characteristic(base.function, (poly, bad), 3)
-        spec = build_spec(inst, KeySet(1 << 64, (1,)), forwarded=(1,))
+        spec = ProtocolSpec(inst, KeySet(1 << 64, (1,)), forwarded=(1,))
         first = None
         for bits in product((0, 1), repeat=6):
             try:
@@ -463,7 +487,7 @@ class TestErrorProfile:
 
         fn = BooleanFunction("F", 5, rule)
         poly = LinearPolynomial(modulus=2, coeffs=(0, 0, 1, 0, -1))
-        spec = build_spec(Characteristic(fn, (poly,), 3), KeySet(64, (1, 5, 9)))
+        spec = ProtocolSpec(Characteristic(fn, (poly,), 3), KeySet(64, (1, 5, 9)))
         prof = error_profile(spec)
         assert prof.worst_false_accept == 1.0  # a vanishing 0-input collides
         assert len(prof.cells) == 8 and np.array_equal(prof.row_class, np.arange(8))
@@ -473,11 +497,11 @@ class TestErrorProfile:
         """CONJ 9+9 with x1 forwarded: 512 Alice rows, 6 messages (x1, and
         the count of ones in x2..x9 mod 3).  EQ 10+10: every message is
         distinct, so every row is kept, in order."""
-        conj = error_profile(build_spec(conjunction(9, 9), search_key_set(1 << 12, 0.3, seed=1),
-                                        forwarded=(1,)))
+        conj = error_profile(ProtocolSpec(conjunction(9, 9), search_key_set(1 << 12, 0.3, seed=1),
+                                          forwarded=(1,)))
         assert len(conj.cells) == 6 and conj.row_class.shape == (512,)
         assert np.bincount(conj.row_class).sum() == 512
-        eq = error_profile(build_spec(builtin("EQ", 10), search_key_set(1 << 10, 0.3, seed=1)))
+        eq = error_profile(ProtocolSpec(builtin("EQ", 10), search_key_set(1 << 10, 0.3, seed=1)))
         assert len(eq.cells) == 1024 and np.array_equal(eq.row_class, np.arange(1024))
 
     @pytest.mark.parametrize("n_a,n1", [(3, 5), (4, 7)])
@@ -487,7 +511,7 @@ class TestErrorProfile:
         classes.  The second pair's keys span 12 classes x m = 144, more
         than the 32 or 128 rows; they are ranked all the same, and the 12
         class rows are kept."""
-        prof = error_profile(build_spec(conjunction(n_a, n_a), KeySet(16, (1, 3, 5)), n1=n1))
+        prof = error_profile(ProtocolSpec(conjunction(n_a, n_a), KeySet(16, (1, 3, 5)), n1=n1))
         assert len(prof.cells) == 12
         assert_profile_is_direct(prof)
 
@@ -495,7 +519,7 @@ class TestErrorProfile:
         """MODBIN 6 mod 101 with Alice holding every bit: a row is one cell,
         so no Alice keys are ranked.  The only table wider than its keys is
         the differences' 2m flags, which every profile takes."""
-        spec = build_spec(builtin("MODBIN", 6, m=101), KeySet(256, (1, 5, 9)), n1=6)
+        spec = ProtocolSpec(builtin("MODBIN", 6, m=101), KeySet(256, (1, 5, 9)), n1=6)
         assert spec.n2 == 0 and spec.modulus > 1 << spec.n1
         calls = []
 
@@ -510,13 +534,13 @@ class TestErrorProfile:
         assert_profile_is_direct(prof)
 
     def test_enumeration_guard(self):
-        spec = build_spec(builtin("EQ", 11), full_ring(1 << 11))
+        spec = ProtocolSpec(builtin("EQ", 11), full_ring(1 << 11))
         with pytest.raises(GuardError, match="2\\^22"):
             error_profile(spec)
 
     def test_wide_modulus_guard(self):
         # The polynomial modulus is guarded; the key modulus is not.
-        spec = build_spec(builtin("MODBIN", 4, m=(1 << 31) + 11), KeySet(1 << 33, (1, 5)))
+        spec = ProtocolSpec(builtin("MODBIN", 4, m=(1 << 31) + 11), KeySet(1 << 33, (1, 5)))
         with pytest.raises(GuardError, match="polynomial modulus .* 2\\^31"):
             error_profile(spec)
 
@@ -524,7 +548,7 @@ class TestErrorProfile:
                              ids=["2^64", "2^32-5", "2^80+7"])
     def test_key_moduli_past_2_31_match_run_exact(self, n):
         # Signed differences u - v lie in (-m, m) whatever N; bias reduces them.
-        spec = build_spec(builtin("EQ", 8), search_key_set(n, 0.3, seed=2))
+        spec = ProtocolSpec(builtin("EQ", 8), search_key_set(n, 0.3, seed=2))
         prof = error_profile(spec)
         cells = np.random.default_rng(0).integers(0, 256, size=(200, 2)).tolist()
         for i, j in cells + [[3, 3]]:
@@ -542,7 +566,7 @@ class TestCertifiedBound:
     def forged_spec() -> ProtocolSpec:
         # bias(D) = cos(2 pi D / 16) for the single key 1: 0.92 at D = 1.
         forged = KeySet(16, (1,), delta=0.3, certification=Certification(mode="exact"))
-        return build_spec(builtin("EQ", 2), forged)
+        return ProtocolSpec(builtin("EQ", 2), forged)
 
     @pytest.mark.parametrize("run", [
         run_exact,
@@ -566,7 +590,7 @@ class TestCertifiedBound:
         eq = base.polynomials[0]
         zero = LinearPolynomial(modulus=eq.modulus, coeffs=(0,) * eq.arity)
         inst = Characteristic(base.function, (eq, zero), 2)
-        prof = error_profile(build_spec(inst, certified_n64))
+        prof = error_profile(ProtocolSpec(inst, certified_n64))
         assert (0.5 * (1 + 0.3**2)) ** 2 < prof.worst_false_accept <= prof.spec.certified_bound
 
 
@@ -652,7 +676,7 @@ def test_profile_prices_each_residue_once(data):
                           label="fwd")
     keys = st.lists(st.integers(0, modulus - 1), min_size=1, max_size=4, unique=True)
     sets = [KeySet(modulus, data.draw(keys, label="keys")) for _ in range(len(inst))]
-    spec = build_spec(inst, sets, n1=n1, forwarded=forwarded)
+    spec = ProtocolSpec(inst, sets, n1=n1, forwarded=forwarded)
 
     priced = []
     with pytest.MonkeyPatch.context() as mp:
@@ -674,7 +698,7 @@ def test_smp_and_one_way_agree_on_random_inputs(seed):
     rng = np.random.default_rng(seed)
     inst = builtin("PALINDROME", 6)
     keys = tuple(sorted(int(k) for k in rng.choice(256, size=12, replace=False)))
-    spec = build_spec(inst, KeySet(modulus=256, keys=keys))
+    spec = ProtocolSpec(inst, KeySet(modulus=256, keys=keys))
     bits = tuple(int(b) for b in rng.integers(0, 2, size=6))
     a, b = bits[: spec.n1], bits[spec.n1 :]
     one_way, referee = run_exact(spec, a, b), run_exact(replace(spec, topology="smp"), a, b)

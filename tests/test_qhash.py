@@ -91,6 +91,15 @@ class TestKeySet:
         with pytest.raises(ValueError):
             KeySet(modulus=8, keys=())
 
+    def test_modulus_floor(self):
+        with pytest.raises(ValueError) as info:
+            KeySet(1, (0,))
+        assert str(info.value) == "modulus must be >= 2, got 1"
+
+    def test_never_equals_another_type(self):
+        assert (KeySet(16, (1,)) == 1) is False
+        assert KeySet(16, (1,)) != (1,)
+
     @pytest.mark.parametrize("n", [16, (1 << 64) + 13])
     def test_non_integer_keys_and_differences_are_refused(self, n):
         """On both tiers a float key or difference raises ValueError, as
